@@ -81,18 +81,26 @@ class SeqRng {
   std::uint64_t state_;
 };
 
-/// Stratified uniform draws: each block of `block` consecutive draws has
-/// exactly one value in each of the `block` equal slices of [0, 1), in a
-/// seeded order. Keeps the mix of request sizes the same from seed to seed,
-/// so run-to-run differences come from the system, not the draw.
-class StratifiedUniform {
+/// Fixed grids in a seeded order. Block b of `points` consecutive draws
+/// returns each point (k + phi_b) / points of [0, 1), k < points, once,
+/// in a fresh seeded permutation. phi_0 = 1/2, and phi_b steps on by the
+/// golden ratio, so no value repeats across blocks (a repeated request
+/// would hit the session's sample cache). Block b holds the same values
+/// whatever the seed, so metrics read over whole blocks differ from seed
+/// to seed only by the system, not by the draw.
+class ShuffledGrid {
  public:
-  StratifiedUniform(SeqRng* rng, int block) : rng_(rng), block_(block) {}
+  ShuffledGrid(SeqRng* rng, int points) : rng_(rng), points_(points) {}
   double Next();
+  /// Drops the rest of the current block; the next draw opens a new one.
+  void StartBlock() { order_.clear(); }
 
  private:
   SeqRng* rng_;
-  int block_;
+  int points_;
+  /// Blocks opened so far, and the current block's offset phi_b.
+  int blocks_ = 0;
+  double offset_ = 0.5;
   std::vector<int> order_;
 };
 

@@ -35,17 +35,18 @@ int SeqRng::Geometric(double mean) {
   return 1 + static_cast<int>(std::floor(std::log(u) / std::log(1.0 - p)));
 }
 
-double StratifiedUniform::Next() {
+double ShuffledGrid::Next() {
   if (order_.empty()) {
-    for (int k = block_ - 1; k >= 0; --k) order_.push_back(k);
-    // Fisher-Yates over the block's slices.
+    offset_ = std::fmod(0.5 + 0.6180339887498949 * blocks_++, 1.0);
+    for (int k = points_ - 1; k >= 0; --k) order_.push_back(k);
+    // Fisher-Yates over the block's points.
     for (std::size_t k = order_.size(); k > 1; --k) {
       std::swap(order_[k - 1], order_[rng_->Next() % k]);
     }
   }
-  const int slice = order_.back();
+  const int point = order_.back();
   order_.pop_back();
-  return (slice + rng_->Uniform()) / block_;
+  return (point + offset_) / points_;
 }
 
 std::int64_t NowNs() {

@@ -97,6 +97,27 @@ int Nproc() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
+/// Restricts this thread, and every thread and process it starts later, to
+/// the last `count` CPUs it may run on. Returns them as a list ("3"), or
+/// an empty string when the affinity cannot be set.
+std::string PinToLastCpus(int count) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return "";
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  std::string list;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && count > 0; --cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    CPU_SET(cpu, &pinned);
+    list = std::to_string(cpu) + (list.empty() ? "" : "," + list);
+    --count;
+  }
+  if (count > 0 || sched_setaffinity(0, sizeof(pinned), &pinned) != 0) {
+    return "";
+  }
+  return list;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --workload <train-dense|search-sparse|"
@@ -180,14 +201,25 @@ int main(int argc, char** argv) {
   // serving process; the router runs no parallel regions) plus client
   // connections must fit in nproc.
   const int nproc = Nproc();
-  const int lanes = predict ? 1 : 2;
+  const int lanes = search ? 2 : 1;
   const int serving_lanes = predict ? 2 * lanes : lanes;
-  const int connections = predict ? 2 : 1;
+  const int connections = 1;
   if (serving_lanes + connections > nproc) {
     std::fprintf(stderr,
                  "refusing to run %s: %d pool lanes + %d connections > "
                  "nproc %d\n",
                  opt.workload.c_str(), serving_lanes, connections, nproc);
+    return 3;
+  }
+  // Each workload runs on as many CPUs as a serving process has pool
+  // lanes, and every thread and worker process inherits the pinning. One
+  // request is in flight, so no hand-off has to wake an idle vCPU: for
+  // predict-sharded the whole client -> router -> worker chain shares one
+  // CPU (see NOTES.md).
+  const std::string cpus = PinToLastCpus(lanes);
+  if (cpus.empty()) {
+    std::fprintf(stderr, "could not pin %s to %d CPUs\n",
+                 opt.workload.c_str(), lanes);
     return 3;
   }
   ::setenv("BLINKML_NUM_THREADS", std::to_string(lanes).c_str(), 1);
@@ -219,13 +251,15 @@ int main(int argc, char** argv) {
       "{\"env\": {\"workload\": \"%s\", \"seed\": %llu, \"seconds\": %g, "
       "\"trace\": %d, \"smoke\": %d, \"nproc\": %d, "
       "\"pool_lanes_per_process\": %d, \"pool_lanes_total\": %d, "
-      "\"client_connections\": %d, \"kernel_isa\": \"%s\", "
+      "\"client_connections\": %d, \"cpus\": \"%s\", "
+      "\"kernel_isa\": \"%s\", "
       "\"build_type\": \"%s\", \"compiler\": \"%s\", "
       "\"tail_percentile\": %g, \"tail_samples\": %lld, "
       "\"cpu_steal_share\": %.4f}}\n",
       opt.workload.c_str(), static_cast<unsigned long long>(opt.seed),
       opt.seconds, opt.trace ? 1 : 0, opt.smoke ? 1 : 0, nproc,
-      outcome.pool_lanes, serving_lanes, outcome.connections, isa,
+      outcome.pool_lanes, serving_lanes, outcome.connections, cpus.c_str(),
+      isa,
       BENCH_BUILD_TYPE, BENCH_COMPILER, outcome.tail_percentile,
       static_cast<long long>(outcome.tail_samples), outcome.steal_share);
   for (const std::string& e : errors) {

@@ -1,6 +1,7 @@
 // predict-sharded: a ShardRouter (in this process) in front of two
-// example_serve_daemon workers with one pool lane each, fed by two client
-// connections that reconnect after a seeded number of requests.
+// example_serve_daemon workers with one pool lane each, fed by one client
+// connection that reconnects after a seeded number of requests. main()
+// pins the process, and so the workers it spawns, to one CPU.
 
 #include <unistd.h>
 
@@ -25,7 +26,9 @@ using namespace blinkml::net;
 using namespace blinkml::shard;
 
 constexpr int kTenants = 8;
-constexpr int kClients = 2;
+// One closed-loop connection: exactly one thread of the client -> router
+// -> worker chain is runnable at a time (see NOTES.md).
+constexpr int kClients = 1;
 constexpr std::int64_t kDim = 100;
 constexpr std::int64_t kBlockRows = 4096;
 constexpr int kMaxRows = 512;
@@ -378,7 +381,7 @@ Outcome RunPredictSharded(const Options& opt) {
     for (const std::string& e : w.errors) out.Fail("warm-up: " + e);
   }
 
-  // --- Timed closed loop: two connections. ---
+  // --- Timed closed loop. ---
   const RouterStatsSnapshot before = fleet.router->stats();
   const double rss_before_kb = RssKb(::getpid());
   RssProbe probe;
@@ -451,13 +454,13 @@ Outcome RunPredictSharded(const Options& opt) {
               m.contract_satisfied ? 1.0 : 0.0);
 
   if (opt.trace) {
-    // --- Traced run: the timed sequences again from their start, for at
-    // most twice the run length. ---
+    // --- Traced run: the timed sequence again from its start, for at
+    // most the run length. ---
     std::vector<std::size_t> counts;
     for (const ClientLog& log : timed) counts.push_back(log.cases.size());
     const std::vector<ClientLog> traced = RunClients(
         opt.seed, fleet, block, **spec,
-        NowNs() + static_cast<std::int64_t>(2 * opt.seconds * 1e9), counts,
+        NowNs() + static_cast<std::int64_t>(opt.seconds * 1e9), counts,
         true, warmup);
     std::vector<double> rpc_s, direct_s, connect_s, codec_s, predict_s;
     SpanLog spans;

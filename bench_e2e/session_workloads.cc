@@ -38,6 +38,15 @@ struct Setup {
   /// second of a faster or slower system.
   std::int64_t rss_after = 0;
   int candidates = 8;
+  /// Points of the shuffled l2 grid: per epsilon for trains, grid offsets
+  /// shared by a search's candidates for searches.
+  int grid_points = 0;
+  /// Requests in one whole cycle of the mix: one block of every grid. The
+  /// timed metrics read whole cycles only.
+  std::size_t cycle = 0;
+  /// Whole cycles that sample_fraction_mean and contract_met_ratio read:
+  /// a fixed set of models, so they do not move with the system's speed.
+  std::size_t audit_cycles = 1;
 };
 
 Setup TrainDenseSetup(bool smoke) {
@@ -60,8 +69,11 @@ Setup TrainDenseSetup(bool smoke) {
   // rows (~18 requests at n/N ~ 0.22); timing starts after it is full.
   s.warmup = smoke ? 2 : 24;
   s.bringups = smoke ? 1 : 3;
-  s.tail_percentile = 85.0;
+  s.tail_percentile = 75.0;
   s.rss_after = smoke ? 5 : 50;
+  s.grid_points = 4;
+  s.cycle = 3 * s.grid_points;  // x 3 epsilons
+  s.audit_cycles = 4;
   return s;
 }
 
@@ -86,6 +98,9 @@ Setup SearchSparseSetup(bool smoke) {
   s.bringups = smoke ? 1 : 3;
   s.tail_percentile = 75.0;
   s.rss_after = 4;
+  s.grid_points = 2;
+  s.cycle = s.grid_points;
+  s.audit_cycles = 2;
   return s;
 }
 
@@ -95,7 +110,7 @@ class Requests {
   Requests(Kind kind, const Setup& setup, std::uint64_t seed)
       : kind_(kind), setup_(setup), rng_(seed) {
     for (int e = 0; e < (kind == Kind::kTrain ? 3 : 1); ++e) {
-      l2_draws_.emplace_back(&rng_, 8);
+      l2_draws_.emplace_back(&rng_, setup.grid_points);
     }
   }
   // l2_draws_ point at rng_.
@@ -115,6 +130,11 @@ class Requests {
   void Extend(std::size_t i) {
     while (size() <= i) {
       const std::size_t n = size();
+      // The timed requests start a fresh block of every grid, so each of
+      // their whole cycles holds one whole block.
+      if (n == static_cast<std::size_t>(setup_.warmup)) {
+        for (ShuffledGrid& grid : l2_draws_) grid.StartBlock();
+      }
       if (kind_ == Kind::kTrain) {
         TrainRequestWire t;
         t.tenant = setup_.registration.tenant;
@@ -131,12 +151,12 @@ class Requests {
         s.tenant = setup_.registration.tenant;
         s.dataset = setup_.registration.name;
         s.model_class = "LogisticRegression";
-        // A jittered log-grid: candidate c sits at the same seeded offset
-        // inside the c-th of `candidates` equal log-slices of [1e-4, 1e-1].
-        // Every search holds the same mix of weakly regularized candidates
-        // (the ones that need a final train), and the offsets of a run
-        // cover the slices evenly, so per-search cost does not swing with
-        // the draw.
+        // A shifted log-grid: candidate c sits at the same offset inside
+        // the c-th of `candidates` equal log-slices of [1e-4, 1e-1]. Every
+        // search holds the same mix of weakly regularized candidates (the
+        // ones that need a final train), and each cycle of searches spreads
+        // its offsets evenly, so per-search cost does not swing with the
+        // draw.
         const double u = l2_draws_[0].Next();
         for (int c = 0; c < setup_.candidates; ++c) {
           SearchCandidateWire candidate;
@@ -158,9 +178,9 @@ class Requests {
   Kind kind_;
   const Setup& setup_;
   SeqRng rng_;
-  /// Stratified l2 positions: for trains one stream per epsilon, for
-  /// searches one shared by the candidates of a request.
-  std::vector<StratifiedUniform> l2_draws_;
+  /// l2 positions: for trains one grid per epsilon, for searches one
+  /// offset grid shared by the candidates of a request.
+  std::vector<ShuffledGrid> l2_draws_;
   std::vector<TrainRequestWire> trains_;
   std::vector<SearchRequestWire> searches_;
 };
@@ -480,11 +500,17 @@ Outcome RunSessionWorkload(const Options& opt, Kind kind) {
 
   // --- Timed closed loop (no tracing). ---
   const std::size_t first = static_cast<std::size_t>(setup.warmup);
-  std::vector<double> latencies_ms;
+  /// What the end-to-end metrics need from one OK timed response.
+  struct TimedReply {
+    double latency_ms = 0.0;
+    /// Response time since the timed start.
+    double end_s = 0.0;
+    std::vector<double> sample_fractions;
+    int models = 0;
+    int contract_met = 0;
+  };
+  std::vector<TimedReply> replies;
   std::vector<std::uint64_t> digests;
-  std::vector<double> fractions;
-  std::int64_t models = 0;
-  std::int64_t met = 0;
   std::int64_t ok_and_checked = 0;
   double peak_rss_mb = 0.0;
   const CpuTimes cpu_start = ReadCpuTimes();
@@ -504,18 +530,16 @@ Outcome RunSessionWorkload(const Options& opt, Kind kind) {
       out.Fail("request " + std::to_string(i) + ": " + st.ToString());
       continue;
     }
-    latencies_ms.push_back(seconds * 1e3);
-    fractions.insert(fractions.end(), reply.sample_fractions.begin(),
-                     reply.sample_fractions.end());
-    models += reply.models;
-    met += reply.contract_met;
+    replies.push_back(TimedReply{seconds * 1e3,
+                                 static_cast<double>(end - start) * 1e-9,
+                                 reply.sample_fractions, reply.models,
+                                 reply.contract_met});
     if (!reply.regime_error.empty()) {
       out.Fail("request " + std::to_string(i) + ": " + reply.regime_error);
       continue;
     }
     ++ok_and_checked;
   }
-  const double wall_s = static_cast<double>(end - start) * 1e-9;
   out.steal_share = StealShare(cpu_start, ReadCpuTimes());
   if (peak_rss_mb == 0.0) peak_rss_mb = PeakRssMb(::getpid());
   const std::uint64_t rejected = RejectedTotal(server.server()->stats());
@@ -524,8 +548,28 @@ Outcome RunSessionWorkload(const Options& opt, Kind kind) {
   }
   client.reset();
   server.Stop();
-  AddEndToEnd(&out, setup_s,
-              static_cast<double>(latencies_ms.size()) / wall_s,
+  // The metrics read whole cycles of the mix only, so every seed weighs
+  // the same requests; a run shorter than one cycle reads all it has.
+  // Requests after the last whole cycle are still sent and checked.
+  std::size_t counted = replies.size();
+  if (counted >= setup.cycle) counted -= counted % setup.cycle;
+  const std::size_t audited =
+      std::min(counted, setup.audit_cycles * setup.cycle);
+  std::vector<double> latencies_ms;
+  std::vector<double> fractions;
+  std::int64_t models = 0;
+  std::int64_t met = 0;
+  for (std::size_t k = 0; k < counted; ++k) {
+    const TimedReply& r = replies[k];
+    latencies_ms.push_back(r.latency_ms);
+    if (k >= audited) continue;
+    fractions.insert(fractions.end(), r.sample_fractions.begin(),
+                     r.sample_fractions.end());
+    models += r.models;
+    met += r.contract_met;
+  }
+  const double wall_s = counted > 0 ? replies[counted - 1].end_s : 1.0;
+  AddEndToEnd(&out, setup_s, static_cast<double>(counted) / wall_s,
               latencies_ms, setup.tail_percentile, ok_and_checked,
               peak_rss_mb, Mean(fractions),
               models > 0 ? static_cast<double>(met) /
@@ -583,7 +627,7 @@ Outcome RunSessionWorkload(const Options& opt, Kind kind) {
   }
 
   // --- Traced run: the timed sequence again from its start, wire then
-  // replay, for at most twice the run length. A fresh server and the
+  // replay, for at most the run length. A fresh server and the
   // reference both see the warm-up first, so each holds in its caches what
   // the timed server held at the same request. ---
   double ignored = 0.0;
@@ -608,7 +652,7 @@ Outcome RunSessionWorkload(const Options& opt, Kind kind) {
   std::vector<double> make_pipeline_s, search_s, lane_util, straggler;
   const std::int64_t traced_start = NowNs();
   for (std::size_t k = 0; k < digests.size(); ++k) {
-    if (k > 0 && NowNs() - traced_start >= 2 * budget) break;
+    if (k > 0 && NowNs() - traced_start >= budget) break;
     const std::size_t i = first + k;
     double seconds = 0.0;
     Reply wire;
