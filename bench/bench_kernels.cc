@@ -1,18 +1,18 @@
 // Compute-kernel benchmark: the register-tiled / cache-blocked kernels
-// (linalg/kernels.h, RuntimeOptions::kernel_level = kBlocked) against the
-// naive scalar loops they replace (kNaive, the opt-out oracle), on the
-// shapes the BlinkML hot paths actually run:
+// (linalg/kernels.h) against the plain loops they replace
+// (tests/reference/, the oracle), on the shapes the BlinkML hot paths
+// actually run:
 //   * dense Gram over a stats-sample-sized gradient matrix;
 //   * sparse Gram over heavy hashed-feature rows;
-//   * CSR matvec / transposed matvec (the sampler-draw kernels);
-//   * end to end: an 8-candidate sparse hyperparameter search.
+//   * CSR matvec / transposed matvec (the sampler-draw kernels).
+// End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
 //
-// Honors BLINKML_SCALE (matvec dataset size, search size) and
-// BLINKML_REPEATS. Exit status reflects the correctness checks — kernel
-// results within 1e-12 (relative) of the oracle and bitwise identical
-// across 1/2/8 threads — not the speedup numbers.
+// Honors BLINKML_SCALE (matvec dataset size) and BLINKML_REPEATS. Exit
+// status reflects the correctness checks — kernel results within 1e-12
+// (relative) of the reference and bitwise identical across 1/2/8 threads
+// — not the speedup numbers.
 
 #include <algorithm>
 #include <cmath>
@@ -22,20 +22,15 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/accuracy_estimator.h"
-#include "core/sample_size_estimator.h"
 #include "core/statistics.h"
-#include "models/trainer.h"
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
-#include "models/logistic_regression.h"
-#include "obs/metrics.h"
+#include "models/model_spec.h"
 #include "random/rng.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
-#include "session/hyperparam_search.h"
-#include "session/training_session.h"
+#include "tests/reference/reference.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -55,9 +50,8 @@ double TimeIt(int repeats, const std::function<void()>& fn) {
   return best;
 }
 
-RuntimeOptions LevelOptions(KernelLevel level, ThreadPool* pool, int threads) {
+RuntimeOptions PoolOptions(ThreadPool* pool, int threads) {
   RuntimeOptions options;
-  options.kernel_level = level;
   options.pool = pool;
   options.num_threads = threads;
   return options;
@@ -65,39 +59,37 @@ RuntimeOptions LevelOptions(KernelLevel level, ThreadPool* pool, int threads) {
 
 struct MicroResult {
   std::string name;
-  double naive_seconds = 0.0;
+  double reference_seconds = 0.0;
   double blocked_seconds = 0.0;
-  double rel_diff = 0.0;       // blocked vs oracle
-  bool thread_invariant = false;  // blocked result bitwise at 1/2/8 threads
-  double speedup() const { return naive_seconds / blocked_seconds; }
+  double rel_diff = 0.0;       // kernel vs reference
+  bool thread_invariant = false;  // kernel result bitwise at 1/2/8 threads
+  double speedup() const { return reference_seconds / blocked_seconds; }
 };
 
-// Benchmarks one kernel: times both levels under `pool` at `threads`
-// lanes, checks the blocked result against the oracle, and sweeps the
-// blocked kernel over 1/2/8 lanes for bitwise invariance. Result is any
-// type with MaxAbsDiff + RelDiff.
+// Benchmarks one kernel: times the reference loop and the kernel (under
+// `pool` at `threads` lanes), checks the kernel's result against the
+// reference, and sweeps the kernel over 1/2/8 lanes for bitwise
+// invariance. Result is any type with MaxAbsDiff + MaxRelDiff.
 template <typename ResultT>
 MicroResult RunMicro(const std::string& name, ThreadPool* pool, int threads,
-                     int repeats, const std::function<ResultT()>& fn) {
+                     int repeats, const std::function<ResultT()>& kernel,
+                     const std::function<ResultT()>& reference) {
   MicroResult out;
   out.name = name;
-  ResultT oracle, blocked;
+  const ResultT oracle = reference();
+  out.reference_seconds = TimeIt(repeats, [&] { reference(); });
+  ResultT blocked;
   {
-    RuntimeScope scope(LevelOptions(KernelLevel::kNaive, pool, threads));
-    oracle = fn();
-    out.naive_seconds = TimeIt(repeats, [&] { fn(); });
-  }
-  {
-    RuntimeScope scope(LevelOptions(KernelLevel::kBlocked, pool, threads));
-    blocked = fn();
-    out.blocked_seconds = TimeIt(repeats, [&] { fn(); });
+    RuntimeScope scope(PoolOptions(pool, threads));
+    blocked = kernel();
+    out.blocked_seconds = TimeIt(repeats, [&] { kernel(); });
   }
   out.rel_diff = MaxRelDiff(blocked, oracle);
   out.thread_invariant = true;
   for (const int t : {1, 2, 8}) {
-    RuntimeScope scope(LevelOptions(KernelLevel::kBlocked, pool, t));
+    RuntimeScope scope(PoolOptions(pool, t));
     out.thread_invariant =
-        out.thread_invariant && MaxAbsDiff(fn(), blocked) == 0.0;
+        out.thread_invariant && MaxAbsDiff(kernel(), blocked) == 0.0;
   }
   return out;
 }
@@ -110,12 +102,15 @@ int main(int argc, char** argv) {
   const BenchFlags flags = ParseBenchFlags(argc, argv, "BENCH_kernels.json");
   const double scale = ScaleFromEnv();
   const int repeats = RepeatsFromEnv(3);
-  const int threads = flags.threads > 0 ? flags.threads : 8;
-  ThreadPool pool(threads);
+  const int hardware_threads = ThreadPool::DefaultParallelism();
+  const int threads = flags.threads > 0 ? flags.threads : hardware_threads;
+  // The pool holds 8 lanes regardless, so the 1/2/8-lane invariance sweep
+  // runs real threads on any machine.
+  ThreadPool pool(std::max(threads, 8));
 
-  PrintHeader("Compute kernels: blocked/tiled vs naive oracle");
+  PrintHeader("Compute kernels: blocked/tiled vs reference loops");
   std::printf("threads=%d (local pool; %d hardware), repeats=%d, scale=%g\n",
-              threads, ThreadPool::DefaultParallelism(), repeats, scale);
+              threads, hardware_threads, repeats, scale);
 
   // --- Workloads on the hot-path shapes.
   Rng rng(7);
@@ -132,7 +127,7 @@ int main(int argc, char** argv) {
   const SparseMatrix& q = sparse_gram_data.sparse();
   // CSR matvecs: the sampler-draw shape (every Monte-Carlo draw applies
   // Q^T with Q a heavy-row gradient matrix, hundreds of times per
-  // estimate — so Q is cache-resident and the naive serial loops are
+  // estimate — so Q is cache-resident and the reference serial loops are
   // FP-latency-bound, exactly what the unrolled chains break).
   const auto mv_rows = static_cast<Dataset::Index>(3'000 * scale);
   const Dataset mv_data = MakeSyntheticLogistic(
@@ -158,16 +153,12 @@ int main(int argc, char** argv) {
   for (Matrix::Index i = 0; i < vmat.size(); ++i) {
     vmat.data()[i] = rng.Normal(0.0, 1.0);
   }
-  // The naive path for the multi-column transposed apply is what
-  // ParamSampler::DenseCovariance did pre-kernels: one serial scatter per
-  // column (ApplyTransposed itself dispatches on the scope's level).
-  const auto multi_apply_t = [&]() -> Matrix {
-    if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-      return kernels::ApplyTransposedMulti(x, vmat);
-    }
+  // The reference for the multi-column transposed apply is one serial
+  // scatter per column.
+  const auto reference_multi_apply_t = [&]() -> Matrix {
     Matrix w(x.cols(), vmat.cols());
     for (Matrix::Index c = 0; c < vmat.cols(); ++c) {
-      w.SetCol(c, x.ApplyTransposed(vmat.Col(c)));
+      w.SetCol(c, reference::ApplyTransposed(x, vmat.Col(c)));
     }
     return w;
   };
@@ -176,292 +167,82 @@ int main(int argc, char** argv) {
   micros.push_back(RunMicro<Matrix>(
       StrFormat("dense_gram %lldx%lld", static_cast<long long>(gram_n),
                 static_cast<long long>(gram_d)),
-      &pool, threads, repeats, [&] { return GramRows(dense); }));
+      &pool, threads, repeats, [&] { return GramRows(dense); },
+      [&] { return reference::GramRows(dense); }));
   micros.push_back(RunMicro<Matrix>(
       StrFormat("sparse_gram %lld rows, %lld nnz/row",
                 static_cast<long long>(q.rows()),
                 static_cast<long long>(q.nnz() / q.rows())),
-      &pool, threads, repeats, [&] { return SparseGradientGram(q); }));
+      &pool, threads, repeats, [&] { return SparseGradientGram(q); },
+      [&] { return reference::SparseGram(q); }));
   micros.push_back(RunMicro<Matrix>(
       StrFormat("sparse_matvec x8 %s rows", WithThousands(x.rows()).c_str()),
-      &pool, threads, repeats,
-      [&] { return BatchMargins(mv_data, thetas); }));
+      &pool, threads, repeats, [&] { return BatchMargins(mv_data, thetas); },
+      [&] { return reference::BatchMargins(mv_data, thetas); }));
   micros.push_back(RunMicro<Matrix>(
       StrFormat("sparse_matvec_T x8 %s rows", WithThousands(x.rows()).c_str()),
-      &pool, threads, repeats, multi_apply_t));
+      &pool, threads, repeats,
+      [&] { return kernels::ApplyTransposedMulti(x, vmat); },
+      reference_multi_apply_t));
   // Single-vector CSR applies: a gather dot is load-port-bound, so their
   // kernel win is lane scaling — parity is expected when the pool has one
   // hardware core under it (the multi-vector rows above carry the
   // single-core win via index-load amortization).
   micros.push_back(RunMicro<Vector>(
       StrFormat("sparse_apply x1 %s rows", WithThousands(x.rows()).c_str()),
-      &pool, threads, repeats, [&] { return x.Apply(xv); }));
+      &pool, threads, repeats, [&] { return x.Apply(xv); },
+      [&] { return reference::Apply(x, xv); }));
   micros.push_back(RunMicro<Vector>(
       StrFormat("sparse_apply_T x1 %s rows", WithThousands(x.rows()).c_str()),
-      &pool, threads, repeats, [&] { return x.ApplyTransposed(xr); }));
+      &pool, threads, repeats, [&] { return x.ApplyTransposed(xr); },
+      [&] { return reference::ApplyTransposed(x, xr); }));
 
   bool checks_pass = true;
-  std::printf("\n%-34s| %-10s| %-10s| %-8s| %-10s| %s\n", "kernel", "naive",
-              "blocked", "speedup", "rel diff", "1/2/8 bitwise");
+  std::printf("\n%-34s| %-10s| %-10s| %-8s| %-10s| %s\n", "kernel",
+              "reference", "blocked", "speedup", "rel diff", "1/2/8 bitwise");
   std::vector<JsonObject> micro_json;
   for (const MicroResult& m : micros) {
     const bool ok = m.rel_diff <= 1e-12 && m.thread_invariant;
     checks_pass = checks_pass && ok;
     std::printf("%-34s| %-10s| %-10s| %-8.2f| %-10.2e| %s\n", m.name.c_str(),
-                HumanSeconds(m.naive_seconds).c_str(),
+                HumanSeconds(m.reference_seconds).c_str(),
                 HumanSeconds(m.blocked_seconds).c_str(), m.speedup(),
                 m.rel_diff, m.thread_invariant ? "yes" : "NO");
     micro_json.push_back(JsonObject()
                              .Str("kernel", m.name)
-                             .Number("naive_seconds", m.naive_seconds)
+                             .Number("reference_seconds", m.reference_seconds)
                              .Number("blocked_seconds", m.blocked_seconds)
                              .Number("speedup", m.speedup())
-                             .Number("rel_diff_vs_oracle", m.rel_diff)
+                             .Number("rel_diff_vs_reference", m.rel_diff)
                              .Bool("thread_invariant", m.thread_invariant));
   }
 
   // --- Blocked-kernel thread scaling (dense Gram; fixed schedule, so the
-  // results are bitwise identical per the sweep above).
+  // results are bitwise identical per the sweep above). Only lane counts
+  // the machine has hardware threads for: more lanes than that time
+  // oversubscription, not scaling.
   std::printf("\n%-10s| %s\n", "threads", "dense_gram blocked");
   std::vector<JsonObject> thread_json;
-  for (const int t : {1, 2, 8}) {
-    RuntimeScope scope(LevelOptions(KernelLevel::kBlocked, &pool, t));
+  for (int t = 1; t <= hardware_threads; t *= 2) {
+    RuntimeScope scope(PoolOptions(&pool, t));
     const double seconds = TimeIt(repeats, [&] { GramRows(dense); });
     std::printf("%-10d| %s\n", t, HumanSeconds(seconds).c_str());
     thread_json.push_back(
         JsonObject().Int("threads", t).Number("dense_gram_seconds", seconds));
   }
 
-  // --- End to end: an 8-candidate sparse search per kernel level. The
-  // training trajectories may differ by rounding between levels, so the
-  // cross-level comparison is contract outcomes, not bits; run-to-run at a
-  // fixed level is covered by the suite's determinism tests.
-  const auto search_rows = static_cast<Dataset::Index>(9'000 * scale);
-  const auto search_data = std::make_shared<const Dataset>(
-      MakeSyntheticLogistic(search_rows, /*dim=*/10'000, /*seed=*/31,
-                            /*sparsity=*/0.05, /*noise=*/0.1));
-  const std::vector<Candidate> candidates =
-      HyperparamSearch::LogGrid(1e-4, 1e-1, 8);
-  const auto factory = [](const Candidate& c) {
-    return std::make_shared<LogisticRegressionSpec>(c.l2);
-  };
-  const ApproximationContract contract{0.08, 0.05};
-  // Per-phase + estimator-draw breakdown of the search (the obs layer's
-  // wall-clock accounting; reads never perturb results). Phase seconds
-  // come from the session's run_timings; estimator-draw seconds from the
-  // global registry's estimator_seconds counters, read as before/after
-  // deltas since the registry is process-wide.
-  struct E2eProfile {
-    double seconds = 0.0;
-    PhaseTimings phases;
-    double accuracy_draw_seconds = 0.0;
-    double size_draw_seconds = 0.0;
-    double size_eval_seconds = 0.0;
-    SearchOutcome outcome;
-  };
-  const auto estimator_seconds = [](const char* part) {
-    return obs::Registry::Global()
-        .FloatCounter("estimator_seconds", {{"part", part}})
-        ->value();
-  };
-  auto run_search = [&](KernelLevel level) {
-    BlinkConfig config;
-    config.initial_sample_size = 6000;
-    config.holdout_size = 1500;
-    config.stats_sample_size = 256;
-    config.accuracy_samples = 192;
-    config.size_samples = 128;
-    config.seed = 11;
-    config.runtime.num_threads = flags.threads;
-    config.runtime.kernel_level = level;
-    TrainingSession session(search_data, config);
-    SearchOptions options;
-    options.contract = contract;
-    E2eProfile profile;
-    const double acc0 = estimator_seconds("accuracy_draws");
-    const double size0 = estimator_seconds("size_draws");
-    const double eval0 = estimator_seconds("size_search_evals");
-    WallTimer timer;
-    profile.outcome =
-        HyperparamSearch(&session, options).Run(factory, candidates);
-    profile.seconds = timer.Seconds();
-    profile.accuracy_draw_seconds = estimator_seconds("accuracy_draws") - acc0;
-    profile.size_draw_seconds = estimator_seconds("size_draws") - size0;
-    profile.size_eval_seconds = estimator_seconds("size_search_evals") - eval0;
-    profile.phases = session.stats().run_timings;
-    for (const CandidateResult& c : profile.outcome.candidates) {
-      if (!c.status.ok()) {
-        std::fprintf(stderr, "search candidate failed: %s\n",
-                     c.status.ToString().c_str());
-        std::exit(1);
-      }
-    }
-    return profile;
-  };
-  E2eProfile naive_profile = run_search(KernelLevel::kNaive);
-  E2eProfile blocked_profile = run_search(KernelLevel::kBlocked);
-  const double naive_e2e = naive_profile.seconds;
-  const double blocked_e2e = blocked_profile.seconds;
-  const SearchOutcome& naive_outcome = naive_profile.outcome;
-  const SearchOutcome& blocked_outcome = blocked_profile.outcome;
-  bool outcomes_same = true;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    outcomes_same =
-        outcomes_same &&
-        naive_outcome.candidates[i].result.contract_satisfied ==
-            blocked_outcome.candidates[i].result.contract_satisfied &&
-        naive_outcome.candidates[i].result.used_initial_only ==
-            blocked_outcome.candidates[i].result.used_initial_only;
-  }
-  std::printf(
-      "\n8-candidate search: naive %s, blocked %s  ->  %.2fx  (contract "
-      "outcomes %s)\n",
-      HumanSeconds(naive_e2e).c_str(), HumanSeconds(blocked_e2e).c_str(),
-      naive_e2e / blocked_e2e, outcomes_same ? "unchanged" : "CHANGED");
-
-  // Where the end-to-end time lives (the ROADMAP "profile the remaining
-  // 1.14x" question): per-pipeline-phase seconds plus the estimator
-  // Monte-Carlo draw subtotals nested inside the estimation phases.
-  struct PhaseRow {
-    const char* name;
-    double naive_seconds;
-    double blocked_seconds;
-  };
-  const std::vector<PhaseRow> phase_rows = {
-      {"initial_train", naive_profile.phases.initial_train,
-       blocked_profile.phases.initial_train},
-      {"statistics", naive_profile.phases.statistics,
-       blocked_profile.phases.statistics},
-      {"accuracy_estimation", naive_profile.phases.accuracy_estimation,
-       blocked_profile.phases.accuracy_estimation},
-      {"size_estimation", naive_profile.phases.size_estimation,
-       blocked_profile.phases.size_estimation},
-      {"final_train", naive_profile.phases.final_train,
-       blocked_profile.phases.final_train},
-  };
-  std::printf("\n%-22s| %-10s| %-10s| %-8s| %s\n", "search phase", "naive",
-              "blocked", "speedup", "blocked share");
-  std::vector<JsonObject> phase_json;
-  for (const PhaseRow& row : phase_rows) {
-    const double share =
-        blocked_e2e > 0.0 ? row.blocked_seconds / blocked_e2e : 0.0;
-    std::printf("%-22s| %-10s| %-10s| %-8.2f| %5.1f%%\n", row.name,
-                HumanSeconds(row.naive_seconds).c_str(),
-                HumanSeconds(row.blocked_seconds).c_str(),
-                row.blocked_seconds > 0.0
-                    ? row.naive_seconds / row.blocked_seconds
-                    : 0.0,
-                100.0 * share);
-    phase_json.push_back(JsonObject()
-                             .Str("phase", row.name)
-                             .Number("naive_seconds", row.naive_seconds)
-                             .Number("blocked_seconds", row.blocked_seconds)
-                             .Number("blocked_share", share));
-  }
-  const double naive_draws = naive_profile.accuracy_draw_seconds +
-                             naive_profile.size_draw_seconds;
-  const double blocked_draws = blocked_profile.accuracy_draw_seconds +
-                               blocked_profile.size_draw_seconds;
-  const double blocked_draw_share =
-      blocked_e2e > 0.0 ? blocked_draws / blocked_e2e : 0.0;
-  std::printf(
-      "estimator MC draws (within estimation phases): naive %s, blocked "
-      "%s  ->  %.1f%% of blocked e2e (size-search evals: %s)\n",
-      HumanSeconds(naive_draws).c_str(), HumanSeconds(blocked_draws).c_str(),
-      100.0 * blocked_draw_share,
-      HumanSeconds(blocked_profile.size_eval_seconds).c_str());
-  // --- Estimator draw phase: batched vs unbatched. Trains the search's
-  // initial model once, then times both Monte-Carlo estimators at the
-  // blocked level with batch_draws on and off. Same seeds, same chunk
-  // layout, bitwise-equal multi-z kernels: the two runs must produce the
-  // identical estimates (checked below), so the delta is pure draw-phase
-  // speed — the batching amortizes one factor pass and one scoring pass
-  // over kMultiVec draws.
-  double draw_unbatched = 0.0;
-  double draw_batched = 0.0;
-  bool batch_bitwise = true;
-  {
-    RuntimeScope scope(
-        LevelOptions(KernelLevel::kBlocked, &pool, flags.threads));
-    Rng prep_rng(47);
-    auto [holdout, train_pool] = search_data->Split(
-        1500.0 / static_cast<double>(search_data->num_rows()), &prep_rng);
-    const Dataset d0 = train_pool.SampleRows(6000, &prep_rng);
-    const LogisticRegressionSpec est_spec(1e-3);
-    const auto model = ModelTrainer().Train(est_spec, d0);
-    if (!model.ok()) {
-      std::fprintf(stderr, "bench model train failed: %s\n",
-                   model.status().ToString().c_str());
-      return 1;
-    }
-    StatsOptions stats_options;
-    stats_options.stats_sample_size = 256;
-    Rng stats_rng(48);
-    auto sampler = ComputeStatistics(est_spec, model->theta, d0, stats_options,
-                                     &stats_rng);
-    if (!sampler.ok()) {
-      std::fprintf(stderr, "bench statistics failed: %s\n",
-                   sampler.status().ToString().c_str());
-      return 1;
-    }
-    AccuracyOptions acc_options;
-    acc_options.num_samples = 192;
-    SampleSizeOptions size_options;
-    size_options.num_samples = 128;
-    size_options.epsilon = contract.epsilon;
-    AccuracyEstimate acc_est[2];
-    SampleSizeEstimate size_est[2];
-    auto draw_seconds = [&](bool batched) {
-      acc_options.batch_draws = batched;
-      size_options.batch_draws = batched;
-      const double a0 = estimator_seconds("accuracy_draws");
-      const double s0 = estimator_seconds("size_draws");
-      Rng est_rng(53);
-      const auto acc = EstimateAccuracy(est_spec, model->theta, 6000,
-                                        train_pool.num_rows(), *sampler,
-                                        holdout, acc_options, &est_rng);
-      const auto size = EstimateSampleSize(est_spec, model->theta, 6000,
-                                           train_pool.num_rows(), *sampler,
-                                           holdout, size_options, &est_rng);
-      if (!acc.ok() || !size.ok()) {
-        std::fprintf(stderr, "bench estimator failed\n");
-        std::exit(1);
-      }
-      acc_est[batched ? 1 : 0] = *acc;
-      size_est[batched ? 1 : 0] = *size;
-      return (estimator_seconds("accuracy_draws") - a0) +
-             (estimator_seconds("size_draws") - s0);
-    };
-    draw_unbatched = 1e300;
-    draw_batched = 1e300;
-    for (int r = 0; r < repeats + 1; ++r) {
-      draw_unbatched = std::min(draw_unbatched, draw_seconds(false));
-      draw_batched = std::min(draw_batched, draw_seconds(true));
-    }
-    batch_bitwise = acc_est[0].epsilon == acc_est[1].epsilon &&
-                    acc_est[0].mean_v == acc_est[1].mean_v &&
-                    size_est[0].sample_size == size_est[1].sample_size &&
-                    size_est[0].success_fraction == size_est[1].success_fraction;
-    checks_pass = checks_pass && batch_bitwise;
-  }
   const char* isa_name =
       CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar";
-  std::printf(
-      "estimator draw phase (blocked, isa=%s): unbatched %s, batched %s  "
-      "->  %.2fx  (estimates %s)\n",
-      isa_name, HumanSeconds(draw_unbatched).c_str(),
-      HumanSeconds(draw_batched).c_str(), draw_unbatched / draw_batched,
-      batch_bitwise ? "bitwise identical" : "DIFFER");
-  std::printf("checks: %s\n",
-              checks_pass ? "kernels within 1e-12 of oracle, bitwise across "
-                            "thread counts, batched draws bitwise"
+  std::printf("\nkernel isa: %s\nchecks: %s\n", isa_name,
+              checks_pass ? "kernels within 1e-12 of the reference, bitwise "
+                            "across thread counts"
                           : "FAILED");
 
   if (flags.json) {
     JsonObject root;
     root.Str("bench", "kernels")
         .Int("threads", threads)
-        .Int("hardware_threads", ThreadPool::DefaultParallelism())
+        .Int("hardware_threads", hardware_threads)
         .Number("scale", scale)
         .Int("repeats", repeats)
         .Number("dense_gram_speedup", micros[0].speedup())
@@ -470,19 +251,7 @@ int main(int argc, char** argv) {
         .Number("sparse_matvec_t_speedup", micros[3].speedup())
         .Array("micro", micro_json)
         .Array("thread_scaling", thread_json)
-        .Number("search_naive_seconds", naive_e2e)
-        .Number("search_blocked_seconds", blocked_e2e)
-        .Number("search_speedup", naive_e2e / blocked_e2e)
-        .Array("search_phase_breakdown", phase_json)
-        .Number("search_estimator_draw_seconds", blocked_draws)
-        .Number("search_estimator_draw_share", blocked_draw_share)
         .Str("kernel_isa", isa_name)
-        .Number("search_estimator_draw_unbatched_seconds", draw_unbatched)
-        .Number("search_estimator_draw_batched_seconds", draw_batched)
-        .Number("search_estimator_draw_speedup",
-                draw_batched > 0.0 ? draw_unbatched / draw_batched : 0.0)
-        .Bool("search_estimator_draw_bitwise", batch_bitwise)
-        .Bool("search_contract_outcomes_unchanged", outcomes_same)
         .Bool("checks_pass", checks_pass);
     if (!WriteBenchFile(flags.json_path, root.ToString())) return 1;
   }

@@ -8,7 +8,6 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
-#include "linalg/svd.h"
 #include "random/rng.h"
 
 namespace blinkml {
@@ -70,16 +69,6 @@ void BM_Cholesky(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Cholesky)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_GramSvd(benchmark::State& state) {
-  const auto n = static_cast<Matrix::Index>(state.range(0));
-  const Matrix a = RandomMatrix(n, 4 * n, 6);
-  for (auto _ : state) {
-    auto svd = GramSvd(a);
-    benchmark::DoNotOptimize(svd);
-  }
-}
-BENCHMARK(BM_GramSvd)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_SparseMatVec(benchmark::State& state) {
   const auto rows = static_cast<SparseMatrix::Index>(state.range(0));

@@ -55,13 +55,6 @@ struct BlinkConfig {
 
   StatsMethod stats_method = StatsMethod::kObservedFisher;
 
-  /// ObservedFisher on sparse data with a single-output GLM: compute the
-  /// gradient Gram by rescaling the candidate-independent feature Gram
-  /// (shared across a session's candidates) instead of re-merging scaled
-  /// rows per candidate. The opt-out (false) keeps the original
-  /// per-candidate sorted-merge path (see StatsOptions::reuse_feature_gram).
-  bool reuse_feature_gram = true;
-
   /// Never train the final model on fewer rows than this.
   Dataset::Index min_sample_size = 100;
 

@@ -58,10 +58,9 @@ class ParamSampler {
 
   /// Batched draws: row b of `zs` (B x r) is draw b's z vector. Element
   /// [b] of the result is bitwise equal to DrawWithZ(scale, zs.row(b)) at
-  /// every kernel level and thread count. Under the blocked kernels one
-  /// pass over the factor (W, or V then Q) serves the whole batch via the
-  /// multi-z kernels — the amortization the Monte-Carlo estimators ride;
-  /// kNaive keeps the per-draw loop as the oracle.
+  /// every thread count. One pass over the factor (W, or V then Q) serves
+  /// the whole batch via the multi-z kernels — the amortization the
+  /// Monte-Carlo estimators ride.
   std::vector<Vector> DrawBatch(double scale, const Matrix& zs) const;
 
   /// Dense covariance W W^T for diagnostics (paper Figure 9); guarded to

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/trace.h"
@@ -19,7 +18,6 @@ StatsOptions StatsOptionsFrom(const BlinkConfig& config) {
   options.method = config.stats_method;
   options.stats_sample_size = config.stats_sample_size;
   options.max_rank = config.sampler_max_rank;
-  options.reuse_feature_gram = config.reuse_feature_gram;
   return options;
 }
 
@@ -207,25 +205,6 @@ Status TrainingPipeline::EstimateMinimumSampleSize() {
                     << out_.size_estimate.sample_size << " of "
                     << prefix_->full_n;
   return Status::OK();
-}
-
-void TrainingPipeline::QuantizeEstimatedSampleSize() {
-  BLINKML_CHECK_MSG(next_stage_ == 4,
-                    "QuantizeEstimatedSampleSize must follow "
-                    "EstimateMinimumSampleSize");
-  const Index raw = out_.size_estimate.sample_size;
-  if (raw >= prefix_->full_n || raw <= 0) return;
-  // Smallest grid point round(2^(k/4)) >= raw. A pure function of raw, so
-  // equal (or near-equal) estimates on any thread/schedule land on the
-  // same grid point.
-  const double ratio = std::pow(2.0, 0.25);
-  double g = 1.0;
-  while (static_cast<Index>(std::llround(g)) < raw) g *= ratio;
-  const Index quantized =
-      std::min<Index>(static_cast<Index>(std::llround(g)), prefix_->full_n);
-  if (quantized <= raw) return;  // already on the grid
-  out_.size_estimate.quantized_from = raw;
-  out_.size_estimate.sample_size = quantized;
 }
 
 Status TrainingPipeline::TrainFinal() {

@@ -164,17 +164,6 @@ class TrainingPipeline {
   /// Runs the Sample Size Estimator for the minimum n.
   Status EstimateMinimumSampleSize();
 
-  /// Optionally call between EstimateMinimumSampleSize() and TrainFinal():
-  /// rounds the estimated n UP to the next point of a small log-grid
-  /// (ratio 2^(1/4)), capped at the pool size. Candidates whose raw
-  /// estimates are near-identical then land on the same (seed, final n)
-  /// sample-cache and feature-Gram keys and share the final sample and
-  /// the re-estimation Gram (SearchOptions::quantize_final_n). Only ever
-  /// rounds up, so the contract guarantee is preserved: v(m_n, m_N) is
-  /// monotone non-increasing in n (paper Theorem 2). The raw estimate is
-  /// kept in size_estimate.quantized_from.
-  void QuantizeEstimatedSampleSize();
-
   /// Trains m_n on a fresh size-n sample (warm-started from m_0) and
   /// optionally re-estimates its bound at theta_n.
   Status TrainFinal();

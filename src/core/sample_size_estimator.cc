@@ -80,24 +80,11 @@ Result<SampleSizeEstimate> EstimateSampleSize(
         0, k, layout,
         [&](ParallelIndex chunk, ParallelIndex b, ParallelIndex e) {
           Rng& chunk_rng = chunk_rngs[static_cast<std::size_t>(chunk)];
-          if (!options.batch_draws) {
-            for (ParallelIndex i = b; i < e; ++i) {
-              Vector u = sampler.Draw(1.0, &chunk_rng);
-              Vector w = sampler.Draw(1.0, &chunk_rng);
-              if (score_path) {
-                score_u[static_cast<std::size_t>(i)] = spec.Scores(u, holdout);
-                score_w[static_cast<std::size_t>(i)] = spec.Scores(w, holdout);
-              } else {
-                param_u[static_cast<std::size_t>(i)] = std::move(u);
-                param_w[static_cast<std::size_t>(i)] = std::move(w);
-              }
-            }
-            return;
-          }
-          // Batched: kMultiVec pairs per group. The per-draw loop consumes
-          // the stream as z(u_i), z(w_i), z(u_i+1), ... so the two z blocks
-          // are filled row-interleaved in exactly that order — the drawn
-          // bits match the unbatched path for any thread count.
+          // kMultiVec pairs per group. A per-draw loop would consume the
+          // stream as z(u_i), z(w_i), z(u_i+1), ... so the two z blocks are
+          // filled row-interleaved in exactly that order — the drawn bits
+          // match one sampler.Draw per draw (tests/reference/) for any
+          // thread count.
           const Vector::Index rank = sampler.rank();
           for (ParallelIndex g = b; g < e; g += kernels::kMultiVec) {
             const ParallelIndex ge =

@@ -93,52 +93,15 @@ Result<ParamSampler> ComputeInverseGradients(const ModelSpec& spec,
 
 }  // namespace
 
-// The blocked kernel level runs the tiled scatter/gather kernel
-// (linalg/kernels.cc: column-intersection state paid once per row tile);
-// kNaive keeps the per-pair sorted-column merges below — O(sum over pairs
-// of overlapping nnz), which is what makes ObservedFisher practical on
-// hashed/bag-of-words features either way.
+// The tiled scatter/gather kernel (linalg/kernels.cc: column-intersection
+// state paid once per row tile) — O(sum over pairs of overlapping nnz),
+// which is what makes ObservedFisher practical on hashed/bag-of-words
+// features.
 Matrix SparseGradientGram(const SparseMatrix& q) {
-  const bool blocked = CurrentKernelLevel() == KernelLevel::kBlocked;
   obs::SpanScope span("kernel:SparseGram", "kernel", "rows",
                       static_cast<long long>(q.rows()));
-  kernels::NoteKernelDispatch("SparseGram", blocked);
-  if (blocked) {
-    return kernels::SparseGram(q);
-  }
-  const Index n = static_cast<Index>(q.rows());
-  Matrix g(n, n);
-  // Parallel over rows of the upper triangle; every (i, j) merge is one
-  // independent dot product, so results match the serial loop bitwise. Row
-  // i costs O(n - i) merges; small chunks keep the lanes balanced.
-  ParallelFor(0, n, [&](Index i0, Index i1) {
-    for (Index i = i0; i < i1; ++i) {
-      const auto nnz_i = q.RowNnz(i);
-      const auto* cols_i = q.RowCols(i);
-      const auto* vals_i = q.RowValues(i);
-      for (Index j = i; j < n; ++j) {
-        const auto nnz_j = q.RowNnz(j);
-        const auto* cols_j = q.RowCols(j);
-        const auto* vals_j = q.RowValues(j);
-        double s = 0.0;
-        SparseMatrix::Index a = 0, b = 0;
-        while (a < nnz_i && b < nnz_j) {
-          if (cols_i[a] < cols_j[b]) {
-            ++a;
-          } else if (cols_i[a] > cols_j[b]) {
-            ++b;
-          } else {
-            s += vals_i[a] * vals_j[b];
-            ++a;
-            ++b;
-          }
-        }
-        g(i, j) = s;
-        g(j, i) = s;
-      }
-    }
-  }, kFineGrain);
-  return g;
+  kernels::NoteKernelDispatch("SparseGram");
+  return kernels::SparseGram(q);
 }
 
 namespace {
@@ -245,7 +208,7 @@ Result<ParamSampler> ComputeObservedFisher(const ModelSpec& spec,
   Matrix q_dense;
   Matrix gram;
   if (sparse_path) {
-    if (options.reuse_feature_gram && spec.has_gradient_coeffs()) {
+    if (spec.has_gradient_coeffs()) {
       // Structure-sharing path: Q = diag(c) X, so
       //   Gram(Q)(i, j) = c_i c_j Gram(X)(i, j).
       // Gram(X) is candidate-independent — pay its O(n^2 * overlap)
@@ -268,8 +231,8 @@ Result<ParamSampler> ComputeObservedFisher(const ModelSpec& spec,
       folded_row_scale = true;
       q_sparse = x.ScaleRows(coeffs);
     } else {
-      // Per-candidate merge path (multi-output specs such as max_entropy,
-      // and the opt-out oracle for the rescale algebra above).
+      // Per-candidate merge path for specs without per-example gradient
+      // coefficients (multi-output specs such as max_entropy).
       q_sparse = spec.PerExampleGradientsSparse(theta, stats_rows);
       // Scale rows by 1/sqrt(n_s) so J = Q^T Q is the covariance estimate:
       // rebuild with scaled values (CSR values are contiguous; rescale via
@@ -278,8 +241,7 @@ Result<ParamSampler> ComputeObservedFisher(const ModelSpec& spec,
       gram *= row_scale * row_scale;
       folded_row_scale = true;
     }
-  } else if (options.reuse_feature_gram && spec.has_gradient_coeffs() &&
-             !stats_rows.is_sparse()) {
+  } else if (spec.has_gradient_coeffs() && !stats_rows.is_sparse()) {
     // Dense rescale path: the identity Gram(diag(c) X) = diag(c) Gram(X)
     // diag(c) holds for dense X too, and Gram(X) — the O(n_s^2 d) part —
     // is candidate-independent, so mid-size dense searches share it

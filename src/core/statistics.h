@@ -46,15 +46,12 @@ struct StatsOptions {
   /// Gram eigenvalues below rel_floor * lambda_max are treated as zero
   /// (numerically rank-deficient directions carry no observed information).
   double eigenvalue_floor_rel = 1e-10;
-  /// Structure-sharing sparse path: when the spec exposes per-example
-  /// gradient coefficients (q_i = c_i x_i), compute the gradient Gram as
-  /// c_i c_j * Gram(X)(i, j) — the feature Gram is candidate-independent
-  /// and shareable via `gram_cache` — instead of re-merging the scaled
-  /// rows per candidate. Off = the original per-candidate sorted-merge
-  /// path (kept for multi-output specs and as the opt-out oracle).
-  bool reuse_feature_gram = true;
   /// Cross-candidate feature-Gram cache (session-owned); nullptr = compute
-  /// the feature Gram locally (the rescale algebra still applies).
+  /// the feature Gram locally. Used when the spec exposes per-example
+  /// gradient coefficients (q_i = c_i x_i): the gradient Gram is then
+  /// c_i c_j * Gram(X)(i, j), and Gram(X) is candidate-independent.
+  /// Specs without coefficients (max_entropy) build and Gram their
+  /// gradient matrix per candidate instead.
   FeatureGramCache* gram_cache = nullptr;
   /// Key under which this computation's feature Gram is shared; must be
   /// set by the caller when gram_cache is non-null (the pipeline keys by
@@ -62,12 +59,10 @@ struct StatsOptions {
   FeatureGramCache::Key gram_key;
 };
 
-/// Gram matrix Q Q^T of a sparse (gradient) matrix, dispatching on the
-/// ambient RuntimeOptions::kernel_level: the tiled scatter/gather kernel
-/// (linalg/kernels.h) under kBlocked, the per-pair sorted-column merge —
-/// the oracle — under kNaive. Used by every sparse ObservedFisher path;
-/// public so the kernel bench/tests exercise exactly the statistics
-/// phase's Gram.
+/// Gram matrix Q Q^T of a sparse (gradient) matrix by the tiled
+/// scatter/gather kernel (linalg/kernels.h). Used by every sparse
+/// ObservedFisher path; public so the kernel bench/tests exercise exactly
+/// the statistics phase's Gram.
 Matrix SparseGradientGram(const SparseMatrix& q);
 
 /// Builds the sampler for the unscaled distribution N(0, H^-1 J H^-1),

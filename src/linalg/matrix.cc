@@ -5,18 +5,12 @@
 
 #include "linalg/kernels.h"
 #include "obs/trace.h"
-#include "runtime/parallel.h"
 
 namespace blinkml {
 
-// Every parallel loop in this file assigns each output element to exactly
-// one chunk and accumulates it in the serial order, so results are bitwise
-// identical to the serial loops for any thread count and any chunk layout.
-//
-// The product/Gram/matvec entry points dispatch on the ambient
-// RuntimeOptions::kernel_level: kBlocked (the default) runs the tiled
-// kernels in linalg/kernels.cc, kNaive the original loops below — the
-// opt-out oracle the kernels are tested against (tests/kernels_test.cc).
+// The product/Gram/matvec entry points run the tiled kernels in
+// linalg/kernels.cc (bitwise identical for any thread count; checked
+// against plain reference loops in tests/kernels_test.cc).
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = static_cast<Index>(rows.size());
@@ -115,32 +109,7 @@ double Matrix::MaxAbs() const {
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   BLINKML_CHECK_EQ(a.cols(), b.rows());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::MatMul(a, b);
-  }
-  using Index = Matrix::Index;
-  const Index m = a.rows(), k = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  // ikj ordering: the inner loop streams over contiguous rows of B and C.
-  // Parallel over row blocks of C: each output row is produced by exactly
-  // one chunk with the serial accumulation order.
-  constexpr Index kBlock = 64;
-  ParallelFor(0, m, [&](Index r0, Index r1) {
-    for (Index p0 = 0; p0 < k; p0 += kBlock) {
-      const Index p1 = std::min(p0 + kBlock, k);
-      for (Index i = r0; i < r1; ++i) {
-        double* crow = c.row_data(i);
-        const double* arow = a.row_data(i);
-        for (Index p = p0; p < p1; ++p) {
-          const double aip = arow[p];
-          if (aip == 0.0) continue;
-          const double* brow = b.row_data(p);
-          for (Index j = 0; j < n; ++j) crow[j] += aip * brow[j];
-        }
-      }
-    }
-  }, kBlock);
-  return c;
+  return kernels::MatMul(a, b);
 }
 
 Matrix MatTMul(const Matrix& a, const Matrix& b) {
@@ -181,115 +150,26 @@ Matrix MatMulT(const Matrix& a, const Matrix& b) {
 
 Vector MatVec(const Matrix& a, const Vector& x) {
   BLINKML_CHECK_EQ(a.cols(), x.size());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::MatVec(a, x);
-  }
-  using Index = Matrix::Index;
-  Vector y(a.rows());
-  for (Index r = 0; r < a.rows(); ++r) {
-    const double* arow = a.row_data(r);
-    double s = 0.0;
-    for (Index c = 0; c < a.cols(); ++c) s += arow[c] * x[c];
-    y[r] = s;
-  }
-  return y;
+  return kernels::MatVec(a, x);
 }
 
 Vector MatTVec(const Matrix& a, const Vector& x) {
   BLINKML_CHECK_EQ(a.rows(), x.size());
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    return kernels::MatTVec(a, x);
-  }
-  using Index = Matrix::Index;
-  Vector y(a.cols());
-  double* py = y.data();
-  for (Index r = 0; r < a.rows(); ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* arow = a.row_data(r);
-    for (Index c = 0; c < a.cols(); ++c) py[c] += xr * arow[c];
-  }
-  return y;
+  return kernels::MatTVec(a, x);
 }
 
 Matrix GramRows(const Matrix& a) {
-  const bool blocked = CurrentKernelLevel() == KernelLevel::kBlocked;
   obs::SpanScope span("kernel:GramRows", "kernel", "rows",
                       static_cast<long long>(a.rows()));
-  kernels::NoteKernelDispatch("GramRows", blocked);
-  if (blocked) {
-    return kernels::GramRows(a);
-  }
-  using Index = Matrix::Index;
-  const Index n = a.rows(), d = a.cols();
-  Matrix g(n, n);
-  // Each (i, j >= i) entry is one independent dot product; the mirrored
-  // (j, i) write belongs to the same chunk, so chunks touch disjoint
-  // entry pairs. Row i costs O(n - i); the fine grain plus the runtime's
-  // strided lane assignment keep the lanes balanced.
-  ParallelFor(0, n, [&](Index i0, Index i1) {
-    for (Index i = i0; i < i1; ++i) {
-      const double* ri = a.row_data(i);
-      for (Index j = i; j < n; ++j) {
-        const double* rj = a.row_data(j);
-        double s = 0.0;
-        for (Index c = 0; c < d; ++c) s += ri[c] * rj[c];
-        g(i, j) = s;
-        g(j, i) = s;
-      }
-    }
-  }, kFineGrain);
-  return g;
+  kernels::NoteKernelDispatch("GramRows");
+  return kernels::GramRows(a);
 }
 
 Matrix GramCols(const Matrix& a) {
-  const bool blocked = CurrentKernelLevel() == KernelLevel::kBlocked;
   obs::SpanScope span("kernel:GramCols", "kernel", "rows",
                       static_cast<long long>(a.rows()));
-  kernels::NoteKernelDispatch("GramCols", blocked);
-  if (blocked) {
-    return kernels::GramCols(a);
-  }
-  using Index = Matrix::Index;
-  const Index n = a.rows(), d = a.cols();
-  Matrix g(d, d);
-  // Entry (i, j) accumulates over the rows of A in ascending order under
-  // both loops below, so the result is bitwise identical regardless of
-  // lane count or chunking.
-  const int lanes = CurrentParallelism();
-  if (lanes <= 1) {
-    // Serial: rank-1 updates row by row (streams A exactly once).
-    for (Index r = 0; r < n; ++r) {
-      const double* row = a.row_data(r);
-      for (Index i = 0; i < d; ++i) {
-        const double v = row[i];
-        if (v == 0.0) continue;
-        double* grow = g.row_data(i);
-        for (Index j = i; j < d; ++j) grow[j] += v * row[j];
-      }
-    }
-  } else {
-    // Parallel over output rows of G (column pairs of A): each chunk
-    // streams every row of A but writes only its own rows of G. Two chunks
-    // per lane balance the triangular row costs while keeping the total
-    // streaming of A bounded by ~2x lanes (not once per fine chunk).
-    const Index grain = std::max<Index>(1, (d + 2 * lanes - 1) / (2 * lanes));
-    ParallelFor(0, d, [&](Index i0, Index i1) {
-      for (Index r = 0; r < n; ++r) {
-        const double* row = a.row_data(r);
-        for (Index i = i0; i < i1; ++i) {
-          const double v = row[i];
-          if (v == 0.0) continue;
-          double* grow = g.row_data(i);
-          for (Index j = i; j < d; ++j) grow[j] += v * row[j];
-        }
-      }
-    }, grain);
-  }
-  for (Index i = 0; i < d; ++i) {
-    for (Index j = i + 1; j < d; ++j) g(j, i) = g(i, j);
-  }
-  return g;
+  kernels::NoteKernelDispatch("GramCols");
+  return kernels::GramCols(a);
 }
 
 double MaxAbsDiff(const Matrix& a, const Matrix& b) {

@@ -12,10 +12,6 @@ using Index = Dataset::Index;
 // Per-row arithmetic for the shared GLM drivers (models/glm_parallel.h);
 // the residual is the loss root and the gradient coefficient at once.
 struct LinearLink {
-  double Loss(double m, double y) const {
-    const double r = m - y;
-    return 0.5 * r * r;
-  }
   double Coeff(double m, double y) const { return m - y; }
   double LossAndCoeff(double m, double y, double* coeff) const {
     const double r = m - y;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "linalg/kernels.h"
-#include "runtime/parallel.h"
 
 namespace blinkml {
 
@@ -144,28 +143,15 @@ double ModelSpec::GeneralizationErrorFromColumn(const Matrix& predictions,
 
 Matrix BatchMargins(const Dataset& data,
                     const std::vector<const Vector*>& thetas) {
-  const auto k = static_cast<Matrix::Index>(thetas.size());
   for (const Vector* theta : thetas) {
     BLINKML_CHECK_MSG(theta != nullptr, "null theta in BatchMargins");
     BLINKML_CHECK_EQ(theta->size(), data.dim());
   }
-  if (CurrentKernelLevel() == KernelLevel::kBlocked) {
-    // The kernels run every entry through the same unrolled dot the
-    // single-margin passes use, so a column still equals a per-candidate
-    // Predict pass bitwise (the batched-scoring self-check).
-    return data.is_sparse() ? kernels::BatchMarginsSparse(data.sparse(), thetas)
-                            : kernels::BatchMarginsDense(data.dense(), thetas);
-  }
-  Matrix margins(data.num_rows(), k);
-  ParallelFor(0, data.num_rows(), [&](Dataset::Index b, Dataset::Index e) {
-    for (Dataset::Index i = b; i < e; ++i) {
-      double* row = margins.row_data(i);
-      for (Matrix::Index c = 0; c < k; ++c) {
-        row[c] = data.RowDot(i, thetas[static_cast<std::size_t>(c)]->data());
-      }
-    }
-  });
-  return margins;
+  // The kernels run every entry through the same unrolled dot the
+  // single-margin passes use, so a column equals a per-candidate Predict
+  // pass bitwise (the batched-scoring self-check).
+  return data.is_sparse() ? kernels::BatchMarginsSparse(data.sparse(), thetas)
+                          : kernels::BatchMarginsDense(data.dense(), thetas);
 }
 
 double LabelScale(const Dataset& data) {

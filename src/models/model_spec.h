@@ -184,9 +184,9 @@ class ModelSpec {
 
 /// margins(i, k) = holdout row i dotted with *thetas[k] — the shared
 /// kernel behind the GLM PredictBatch overrides. One pass over the rows:
-/// each row is loaded once and dotted against every candidate (identical
-/// arithmetic to Dataset::RowDot, so entries match the per-candidate
-/// margins bitwise).
+/// each row is loaded once and dotted against every candidate with the
+/// unrolled dot the single-margin passes use, so entries match the
+/// per-candidate margins bitwise.
 Matrix BatchMargins(const Dataset& data,
                     const std::vector<const Vector*>& thetas);
 

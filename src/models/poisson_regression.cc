@@ -17,7 +17,6 @@ double SafeExp(double z) { return std::exp(std::min(z, 500.0)); }
 // Per-row arithmetic for the shared GLM drivers (models/glm_parallel.h);
 // the fused form pays SafeExp once for loss and coefficient.
 struct PoissonLink {
-  double Loss(double m, double y) const { return SafeExp(m) - y * m; }
   double Coeff(double m, double y) const { return SafeExp(m) - y; }
   double LossAndCoeff(double m, double y, double* coeff) const {
     const double rate = SafeExp(m);
@@ -85,12 +84,10 @@ Matrix PoissonRegressionSpec::Scores(const Vector& theta,
                                      const Dataset& data) const {
   BLINKML_CHECK_EQ(theta.size(), data.dim());
   Matrix scores(data.num_rows(), 1);
-  // Shared GLM margin driver: blocked scores use the canonical unrolled
-  // dot (so ScoresBatch columns match bitwise), kNaive keeps the RowDot
-  // oracle loop.
-  const bool fused = CurrentKernelLevel() == KernelLevel::kBlocked;
+  // Shared GLM margin walk: scores use the canonical unrolled dot, so
+  // ScoresBatch columns match bitwise.
   ParallelFor(0, data.num_rows(), [&](Index b, Index e) {
-    internal::ForMargins(data, theta, b, e, fused,
+    internal::ForMargins(data, theta, b, e,
                          [&](Index i, double m) { scores(i, 0) = m; });
   });
   return scores;

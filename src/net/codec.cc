@@ -1,6 +1,7 @@
 #include "net/codec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -97,26 +98,46 @@ std::uint64_t SaturatingMul(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
+std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
+  return b > std::numeric_limits<std::uint64_t>::max() - a
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
+}
+
 }  // namespace
 
 std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request) {
   if (request.rows <= 0 || request.dim <= 0) return 0;
   const std::uint64_t rows = static_cast<std::uint64_t>(request.rows);
   const std::uint64_t dim = static_cast<std::uint64_t>(request.dim);
-  std::uint64_t per_row;
+  // Priced as Dataset::MemoryBytes counts: the labels, then dense
+  // row-major features, or CSR storage (a value + a column index per
+  // entry, plus the rows + 1 row pointer).
+  const std::uint64_t labels = SaturatingMul(rows, sizeof(double));
+  std::uint64_t nnz_per_row;
   if (request.generator == WireGenerator::kCriteoLike) {
-    // CSR storage: a value + a column index per entry, plus the label.
-    const std::uint64_t nnz =
+    nnz_per_row =
         request.nnz_per_row > 0
             ? std::min(static_cast<std::uint64_t>(request.nnz_per_row), dim)
             : 0;
-    per_row = SaturatingMul(nnz, sizeof(double) + sizeof(std::int64_t)) +
-              sizeof(double);
+  } else if (request.generator == WireGenerator::kSyntheticLogistic &&
+             request.sparsity > 0.0 && request.sparsity < 1.0) {
+    // max(1, llround(sparsity * dim)) entries per row, as the generator
+    // samples them.
+    const double per_row =
+        std::round(request.sparsity * static_cast<double>(dim));
+    nnz_per_row = per_row >= static_cast<double>(dim)
+                      ? dim
+                      : std::max<std::uint64_t>(
+                            1, static_cast<std::uint64_t>(per_row));
   } else {
-    // Dense row-major features plus the label.
-    per_row = SaturatingMul(dim + 1, sizeof(double));
+    return SaturatingAdd(
+        labels, SaturatingMul(rows, SaturatingMul(dim, sizeof(double))));
   }
-  return SaturatingMul(rows, per_row);
+  const std::uint64_t entries = SaturatingMul(
+      SaturatingMul(rows, nnz_per_row), sizeof(double) + sizeof(std::int64_t));
+  return SaturatingAdd(SaturatingAdd(labels, entries),
+                       SaturatingMul(rows + 1, sizeof(std::int64_t)));
 }
 
 Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request) {
@@ -128,7 +149,8 @@ Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request) {
   }
   switch (request.generator) {
     case WireGenerator::kSyntheticLogistic:
-      if (request.sparsity <= 0.0 || request.sparsity > 1.0) {
+      if (!std::isfinite(request.sparsity) || request.sparsity <= 0.0 ||
+          request.sparsity > 1.0) {
         return Status::InvalidArgument("sparsity must be in (0, 1]");
       }
       return MakeSyntheticLogistic(request.rows, request.dim,
@@ -138,8 +160,8 @@ Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request) {
       return MakeSyntheticLinear(request.rows, request.dim, request.data_seed,
                                  request.noise);
     case WireGenerator::kCriteoLike:
-      if (request.nnz_per_row <= 0) {
-        return Status::InvalidArgument("nnz_per_row must be positive");
+      if (request.nnz_per_row <= 0 || request.nnz_per_row > request.dim) {
+        return Status::InvalidArgument("nnz_per_row must be in [1, dim]");
       }
       return MakeCriteoLike(request.rows, request.data_seed, request.dim,
                             request.nnz_per_row);

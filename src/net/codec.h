@@ -94,9 +94,11 @@ struct RegisterDatasetResponse {
 /// calls this to size the quota charge and at every lazy reload).
 Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request);
 
-/// Size estimate (on the order of Dataset::MemoryBytes) of the dataset
-/// MakeWireDataset would build, computed from the wire parameters alone
-/// (saturating arithmetic, no allocation).
+/// Size estimate of the dataset MakeWireDataset would build — the
+/// Dataset::MemoryBytes formula (dense, or CSR for the sparse generators)
+/// evaluated on the wire parameters alone (saturating arithmetic, no
+/// allocation). Exact except for Criteo-like rows, whose rare in-row
+/// duplicate draws make the real dataset slightly smaller.
 /// Admission control checks this BEFORE the server materializes anything
 /// a tenant asked for: rows/dim are arbitrary wire int64s, and the tiny
 /// request payload must not be able to trigger an unbounded server-side

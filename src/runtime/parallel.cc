@@ -32,13 +32,12 @@ struct Region {
   int lanes;
   // The caller's ambient RuntimeOptions, installed on every lane for the
   // region's duration: chunk bodies consult the scope too (nested regions
-  // run inline, and the kernel-level dispatch happens wherever a linalg
-  // entry point is reached), so worker lanes must see the same options as
-  // the calling thread or a non-default kernel_level would apply on lane
-  // 0 only — making results depend on the lane count. The pointee lives
-  // in a RuntimeScope on (or above) the caller's stack, which outlives
-  // the region because ParallelForChunks joins every lane before
-  // returning.
+  // run inline, and the ISA dispatch happens wherever a linalg entry
+  // point is reached), so worker lanes must see the same options as the
+  // calling thread or a scoped kernel_isa would apply on lane 0 only.
+  // The pointee lives in a RuntimeScope on (or above) the caller's stack,
+  // which outlives the region because ParallelForChunks joins every lane
+  // before returning.
   const RuntimeOptions* ambient_options;
 
   std::atomic<bool> abort{false};
@@ -85,10 +84,6 @@ RuntimeScope::~RuntimeScope() { g_current_options = previous_; }
 const RuntimeOptions& RuntimeScope::Current() { return *g_current_options; }
 
 bool InParallelRegion() { return g_in_parallel_region; }
-
-KernelLevel CurrentKernelLevel() {
-  return RuntimeScope::Current().kernel_level;
-}
 
 namespace {
 

@@ -10,30 +10,13 @@ namespace blinkml {
 
 class ThreadPool;
 
-/// Which implementation the linear-algebra hot paths run (linalg/kernels.h).
-///
-/// kBlocked (the default) selects the register-tiled / cache-blocked
-/// kernels: fixed block schedules independent of the thread count, so
-/// results are still bitwise identical at 1/2/N threads, but the
-/// accumulation order differs from the naive loops by design (multiple
-/// accumulator chains), so values may differ from kNaive by rounding
-/// (within 1e-12 relative — tests/kernels_test.cc). kNaive keeps the
-/// original scalar loops as the opt-out oracle, the same escape hatch
-/// BlinkConfig::reuse_feature_gram provides for the Gram rescale algebra.
-enum class KernelLevel {
-  kNaive = 0,    // reference scalar loops (the oracle)
-  kBlocked = 1,  // tiled/unrolled kernels (default)
-};
-
-/// Which instruction set the blocked kernels' inner loops run with.
-///
-/// Orthogonal to KernelLevel: the ISA only applies at kBlocked (kNaive
-/// always runs the plain scalar oracle loops). The vector variants keep
-/// the blocked kernels' exact accumulation association — the 4 unrolled
-/// scalar chains become the 4 lanes of one ymm register (or one lane per
-/// batched column), merged in the same (s0+s1)+(s2+s3) order, and FMA is
-/// deliberately not used — so kAvx2 output is bitwise identical to
-/// kScalar blocked output, not merely within tolerance.
+/// Which instruction set the kernels' inner loops run with
+/// (linalg/kernels.h). The vector variants keep the kernels' exact
+/// accumulation association — the 4 unrolled scalar chains become the 4
+/// lanes of one ymm register (or one lane per batched column), merged in
+/// the same (s0+s1)+(s2+s3) order, and FMA is deliberately not used — so
+/// kAvx2 output is bitwise identical to kScalar output, not merely within
+/// tolerance.
 enum class KernelIsa {
   kAuto = 0,    // resolve from BLINKML_KERNEL_ISA, else CPU detection
   kScalar = 1,  // portable unrolled scalar loops
@@ -58,20 +41,12 @@ struct RuntimeOptions {
   /// pools here to exercise specific thread counts deterministically.
   ThreadPool* pool = nullptr;
 
-  /// Kernel implementation for the linalg hot paths (see KernelLevel).
-  KernelLevel kernel_level = KernelLevel::kBlocked;
-
-  /// Instruction set for the blocked kernels' inner loops (see KernelIsa).
-  /// kAuto resolves once per process: BLINKML_KERNEL_ISA=scalar|avx2 if
-  /// set, else runtime CPU detection, clamped to scalar where AVX2 is
-  /// unavailable. Ignored at kNaive.
+  /// Instruction set for the kernels' inner loops (see KernelIsa). kAuto
+  /// resolves once per process: BLINKML_KERNEL_ISA=scalar|avx2 if set,
+  /// else runtime CPU detection, clamped to scalar where AVX2 is
+  /// unavailable.
   KernelIsa kernel_isa = KernelIsa::kAuto;
 };
-
-/// The innermost active scope's kernel_level (the ambient default — the
-/// blocked kernels — when no scope is installed). The dispatch point the
-/// linalg/model hot paths consult.
-KernelLevel CurrentKernelLevel();
 
 /// The resolved instruction set for the innermost active scope: the
 /// scope's kernel_isa if it is not kAuto, else the process-wide resolution

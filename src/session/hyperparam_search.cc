@@ -28,11 +28,11 @@ double ScoreOf(const ModelSpec& spec, const Vector& theta,
   return 1.0 - spec.GeneralizationError(theta, eval_data);
 }
 
-/// Batched scoring (see SearchOptions::batched_scoring): candidates that
-/// share an eval dataset and model class are scored from one PredictBatch
-/// matrix. Returns the number of prediction matrices built. Scores equal
-/// ScoreOf bitwise: the batch kernel computes the same per-row arithmetic
-/// and GeneralizationErrorFromColumn aggregates in the same row order.
+/// Batched scoring: candidates that share an eval dataset and model class
+/// are scored from one PredictBatch matrix. Returns the number of
+/// prediction matrices built. Scores equal ScoreOf bitwise: the batch
+/// kernel computes the same per-row arithmetic and
+/// GeneralizationErrorFromColumn aggregates in the same row order.
 int ScoreCandidatesBatched(
     const std::vector<std::shared_ptr<ModelSpec>>& specs,
     const Dataset* validation, std::vector<CandidateResult>* candidates) {
@@ -177,8 +177,7 @@ SearchOutcome HyperparamSearch::Run(
   // Dominance pruning consumes completed scores while candidates run, so
   // it keeps the inline per-candidate scoring; otherwise scoring is
   // deferred and batched after the training loop.
-  const bool defer_scoring =
-      options_.batched_scoring && !options_.prune_dominated;
+  const bool defer_scoring = !options_.prune_dominated;
   std::vector<std::shared_ptr<ModelSpec>> specs(candidates.size());
 
   const auto k = static_cast<ParallelIndex>(candidates.size());
@@ -261,9 +260,6 @@ SearchOutcome HyperparamSearch::Run(
             }
             if (run_final) {
               st = pipeline.EstimateMinimumSampleSize();
-              if (st.ok() && options_.quantize_final_n) {
-                pipeline.QuantizeEstimatedSampleSize();
-              }
               if (st.ok()) st = pipeline.TrainFinal();
               if (!st.ok()) {
                 // Refund the token: this candidate failed, so the budget

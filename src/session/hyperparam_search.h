@@ -20,6 +20,13 @@
 // Which candidates a budget clips depends on completion order and is the
 // one scheduling-dependent part of the search; with the budgets off the
 // outcome is fully deterministic.
+//
+// Scoring: without dominance pruning, candidates that share an eval
+// dataset and model class are scored after the training loop from ONE
+// prediction matrix (ModelSpec::PredictBatch) instead of one eval pass
+// each; scores are bitwise equal to per-candidate GeneralizationError.
+// Pruning consumes completed scores while candidates run, so it scores
+// each candidate inline.
 
 #ifndef BLINKML_SESSION_HYPERPARAM_SEARCH_H_
 #define BLINKML_SESSION_HYPERPARAM_SEARCH_H_
@@ -66,25 +73,6 @@ struct SearchOptions {
   /// Dataset to score candidates on; nullptr = the session holdout. Must
   /// outlive Run().
   const Dataset* validation = nullptr;
-  /// Quantize each candidate's estimated final sample size UP to a small
-  /// log-grid (ratio 2^(1/4); TrainingPipeline::QuantizeEstimatedSampleSize)
-  /// so near-identical estimates land on the same (seed, final n)
-  /// sample-cache and feature-Gram keys and share the final sample and
-  /// re-estimation Gram across candidates. Rounding is only ever UP, so
-  /// the (epsilon, delta) guarantee is untouched (v is monotone
-  /// non-increasing in n — paper Theorem 2); the cost is training on at
-  /// most ~19% more rows than estimated. Off by default.
-  bool quantize_final_n = false;
-  /// Score candidates in batches after the training loop: candidates that
-  /// share an eval dataset and model class are scored against ONE
-  /// prediction matrix built in a single pass over the eval rows
-  /// (ModelSpec::PredictBatch) instead of one holdout pass per candidate.
-  /// Scores are bitwise identical to the per-candidate path (the batch
-  /// kernel reuses the same RowDot/aggregation arithmetic). Ignored — the
-  /// per-candidate path is kept — when prune_dominated is on, because
-  /// dominance pruning needs completed scores while candidates are still
-  /// running.
-  bool batched_scoring = true;
 };
 
 struct CandidateResult {
@@ -110,8 +98,8 @@ struct SearchOutcome {
   /// the lower index.
   int best_index = -1;
   double total_seconds = 0.0;
-  /// Prediction matrices built by batched scoring (0 when the
-  /// per-candidate path ran); each one replaced a group of per-candidate
+  /// Prediction matrices built by batched scoring (0 when pruning scored
+  /// every candidate inline); each one replaced a group of per-candidate
   /// holdout passes.
   int batched_score_groups = 0;
   /// Session accounting snapshot taken after the search.

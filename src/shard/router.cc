@@ -194,12 +194,15 @@ void ShardRouter::Stop() {
   std::vector<std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    for (const int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(handlers_);
+    for (auto& [fd, thread] : handlers_) {
+      ::shutdown(fd, SHUT_RDWR);
+      handlers.push_back(std::move(thread));
+    }
+    handlers_.clear();
+    for (std::thread& t : finished_handlers_) handlers.push_back(std::move(t));
+    finished_handlers_.clear();
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : handlers) t.join();
   supervisor_->Stop();
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
 }
@@ -232,14 +235,20 @@ void ShardRouter::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener closed (Stop) or fatal
     }
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(handlers_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      finished.swap(finished_handlers_);
+      g_connections_->Add(1);
+      // The new handler cannot reach its own erase before this insert:
+      // both hold handlers_mu_.
+      handlers_.emplace(fd, std::thread([this, fd] { HandleConnection(fd); }));
     }
-    client_fds_.push_back(fd);
-    g_connections_->Add(1);
-    handlers_.emplace_back([this, fd] { HandleConnection(fd); });
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -263,11 +272,18 @@ void ShardRouter::HandleConnection(int fd) {
   for (auto& entry : conn.shard_conns) {
     if (entry.second.fd >= 0) ::close(entry.second.fd);
   }
+  {
+    // Leave the table before closing: once the fd is closed, accept may
+    // reuse its number for a new connection's entry.
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    const auto it = handlers_.find(fd);
+    if (it != handlers_.end()) {  // else Stop() has taken the thread
+      finished_handlers_.push_back(std::move(it->second));
+      handlers_.erase(it);
+    }
+    g_connections_->Add(-1);
+  }
   ::close(fd);
-  std::lock_guard<std::mutex> lock(handlers_mu_);
-  client_fds_.erase(std::remove(client_fds_.begin(), client_fds_.end(), fd),
-                    client_fds_.end());
-  g_connections_->Add(-1);
 }
 
 bool ShardRouter::HandleFrame(ClientConn* conn, const Frame& frame) {

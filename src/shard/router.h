@@ -205,9 +205,13 @@ class ShardRouter {
   bool started_ = false;
   std::thread accept_thread_;
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
-  /// Open client fds (shutdown() at Stop unblocks their handlers).
-  std::vector<int> client_fds_;
+  /// Live connections: client fd -> its handler thread (shutdown() at
+  /// Stop unblocks them). A handler erases its entry before it closes the
+  /// fd, so accept cannot hand out a number that is still a key.
+  std::unordered_map<int, std::thread> handlers_;
+  /// Handlers that have exited, joined at the next accept (or Stop), so
+  /// the bookkeeping stays bounded by the live connections.
+  std::vector<std::thread> finished_handlers_;
 
   // Registry-resolved hot-path counters, one per shard.
   std::vector<obs::Counter*> c_forwarded_;

@@ -1,13 +1,9 @@
 #include <cmath>
-#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
-#include "linalg/qr.h"
-#include "linalg/svd.h"
 #include "runtime/runtime_options.h"
 #include "runtime/thread_pool.h"
 #include "tests/test_util.h"
@@ -261,187 +257,6 @@ TEST(EigenSym, QlRotationAccumulationSerialParallelBitwise) {
         << threads << " threads";
   }
 }
-
-// ---------- SVD ----------
-
-TEST(GramSvd, KnownRankOne) {
-  // Outer product u v^T has one nonzero singular value |u||v|.
-  const Matrix a = {{2.0, 0.0}, {4.0, 0.0}, {4.0, 0.0}};
-  const auto svd = GramSvd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_NEAR(svd->singular_values[0], 6.0, 1e-10);
-  EXPECT_NEAR(svd->singular_values[1], 0.0, 1e-10);
-}
-
-TEST(GramSvd, RejectsEmpty) { EXPECT_FALSE(GramSvd(Matrix(0, 3)).ok()); }
-
-class SvdShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(SvdShapes, GramSvdReconstructs) {
-  const auto [m, n] = GetParam();
-  Rng rng(400 + m * 13 + n);
-  const Matrix a = RandomMatrix(m, n, &rng);
-  const auto svd = GramSvd(a);
-  ASSERT_TRUE(svd.ok());
-  const int r = std::min(m, n);
-  ASSERT_EQ(svd->u.cols(), r);
-  ASSERT_EQ(svd->v.cols(), r);
-  // Descending non-negative singular values.
-  for (int i = 1; i < r; ++i) {
-    EXPECT_LE(svd->singular_values[i], svd->singular_values[i - 1] + 1e-12);
-    EXPECT_GE(svd->singular_values[i], 0.0);
-  }
-  ExpectMatrixNear(SvdReconstruct(*svd), a, 1e-6, "U S V^T");
-}
-
-TEST_P(SvdShapes, JacobiSvdReconstructsAndMatchesGram) {
-  const auto [m, n] = GetParam();
-  Rng rng(500 + m * 13 + n);
-  const Matrix a = RandomMatrix(m, n, &rng);
-  const auto jac = JacobiSvd(a);
-  const auto gram = GramSvd(a);
-  ASSERT_TRUE(jac.ok());
-  ASSERT_TRUE(gram.ok());
-  ExpectMatrixNear(SvdReconstruct(*jac), a, 1e-9, "Jacobi U S V^T");
-  const int r = std::min(m, n);
-  for (int i = 0; i < r; ++i) {
-    EXPECT_NEAR(jac->singular_values[i], gram->singular_values[i], 1e-6)
-        << "sigma_" << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, SvdShapes,
-                         ::testing::Values(std::make_pair(1, 1),
-                                           std::make_pair(5, 5),
-                                           std::make_pair(10, 4),
-                                           std::make_pair(4, 10),
-                                           std::make_pair(30, 7),
-                                           std::make_pair(7, 30),
-                                           std::make_pair(40, 40)));
-
-TEST(Svd, RankDeficientMatrix) {
-  // Two identical columns -> rank 1.
-  Matrix a(5, 2);
-  Rng rng(7);
-  for (int i = 0; i < 5; ++i) {
-    const double v = rng.Normal();
-    a(i, 0) = v;
-    a(i, 1) = v;
-  }
-  const auto svd = GramSvd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_GT(svd->singular_values[0], 0.0);
-  // Gram-based singular values are accurate to ~sqrt(machine eps) relative
-  // to sigma_max (see svd.h); the zero singular value reflects that.
-  EXPECT_NEAR(svd->singular_values[1], 0.0,
-              1e-7 * svd->singular_values[0]);
-  ExpectMatrixNear(SvdReconstruct(*svd), a, 1e-7);
-}
-
-TEST(Svd, SingularValuesMatchEigenvaluesOfGram) {
-  Rng rng(8);
-  const Matrix a = RandomMatrix(12, 6, &rng);
-  const auto svd = GramSvd(a);
-  const auto eig = EigenSym(GramCols(a));
-  ASSERT_TRUE(svd.ok());
-  ASSERT_TRUE(eig.ok());
-  for (int i = 0; i < 6; ++i) {
-    const double lambda = eig->eigenvalues[5 - i];  // descending
-    EXPECT_NEAR(svd->singular_values[i] * svd->singular_values[i], lambda,
-                1e-8);
-  }
-}
-
-// ---------- LU ----------
-
-TEST(Lu, SolvesKnownSystem) {
-  const Matrix a = {{2.0, 1.0}, {1.0, 3.0}};
-  const auto lu = Lu::Factor(a);
-  ASSERT_TRUE(lu.ok());
-  ExpectVectorNear(lu->Solve(Vector{5.0, 10.0}), Vector{1.0, 3.0}, 1e-12);
-}
-
-TEST(Lu, DeterminantMatchesKnown) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const auto lu = Lu::Factor(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu->Determinant(), -2.0, 1e-12);
-}
-
-TEST(Lu, RejectsSingular) {
-  const Matrix a = {{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_FALSE(Lu::Factor(a).ok());
-}
-
-TEST(Lu, RejectsNonSquare) { EXPECT_FALSE(Lu::Factor(Matrix(2, 3)).ok()); }
-
-TEST(Lu, HandlesPivotingRequiredMatrix) {
-  // Zero on the initial diagonal forces a row swap.
-  const Matrix a = {{0.0, 1.0}, {1.0, 0.0}};
-  const auto lu = Lu::Factor(a);
-  ASSERT_TRUE(lu.ok());
-  ExpectVectorNear(lu->Solve(Vector{2.0, 3.0}), Vector{3.0, 2.0}, 1e-14);
-  EXPECT_NEAR(lu->Determinant(), -1.0, 1e-14);
-}
-
-class LuSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(LuSizes, SolveAndInverseRoundTrip) {
-  const int n = GetParam();
-  Rng rng(600 + n);
-  const Matrix a = RandomMatrix(n, n, &rng);  // a.s. nonsingular
-  const auto lu = Lu::Factor(a);
-  ASSERT_TRUE(lu.ok());
-  const Vector x = RandomVector(n, &rng);
-  ExpectVectorNear(lu->Solve(MatVec(a, x)), x, 1e-6 * n);
-  ExpectMatrixNear(MatMul(a, lu->Inverse()), Matrix::Identity(n), 1e-7 * n);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, LuSizes, ::testing::Values(1, 2, 5, 20, 50));
-
-// ---------- QR ----------
-
-TEST(Qr, RejectsWideMatrix) { EXPECT_FALSE(Qr::Factor(Matrix(2, 3)).ok()); }
-
-TEST(Qr, DetectsRankDeficiency) {
-  Matrix a(4, 2);
-  for (int i = 0; i < 4; ++i) {
-    a(i, 0) = i + 1.0;
-    a(i, 1) = 2.0 * (i + 1.0);  // column 1 = 2 * column 0
-  }
-  const auto qr = Qr::Factor(a);
-  ASSERT_TRUE(qr.ok());
-  EXPECT_FALSE(qr->Solve(Vector{1.0, 2.0, 3.0, 4.0}).ok());
-}
-
-class QrShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(QrShapes, LeastSquaresMatchesNormalEquations) {
-  const auto [m, n] = GetParam();
-  Rng rng(700 + m * 13 + n);
-  const Matrix a = RandomMatrix(m, n, &rng);
-  const Vector b = RandomVector(m, &rng);
-  const auto qr = Qr::Factor(a);
-  ASSERT_TRUE(qr.ok());
-  const auto x = qr->Solve(b);
-  ASSERT_TRUE(x.ok());
-  // Normal-equations oracle: (A^T A) x = A^T b.
-  const auto chol = Cholesky::Factor(GramCols(a));
-  ASSERT_TRUE(chol.ok());
-  const Vector expected = chol->Solve(MatTVec(a, b));
-  ExpectVectorNear(*x, expected, 1e-7, "least squares");
-  // Q orthonormal, Q R == A.
-  const Matrix q = qr->ThinQ();
-  ExpectMatrixNear(MatTMul(q, q), Matrix::Identity(n), 1e-10, "Q^T Q");
-  ExpectMatrixNear(MatMul(q, qr->R()), a, 1e-10, "QR");
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
-                         ::testing::Values(std::make_pair(1, 1),
-                                           std::make_pair(5, 5),
-                                           std::make_pair(10, 3),
-                                           std::make_pair(50, 10),
-                                           std::make_pair(100, 30)));
 
 }  // namespace
 }  // namespace blinkml

@@ -16,6 +16,7 @@
 #include "models/logistic_regression.h"
 #include "session/hyperparam_search.h"
 #include "session/training_session.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -25,37 +26,29 @@ using testing::SmallDenseLogistic;
 using testing::ExpectVectorNear;
 using testing::Trainedish;
 
-StatsOptions GramPathOptions(bool reuse) {
+StatsOptions GramPathOptions() {
   StatsOptions options;
   options.stats_sample_size = 128;  // below dim: Gram path engaged
   options.max_rank = 64;
-  options.reuse_feature_gram = reuse;
   return options;
 }
 
 // The rescaled feature Gram must match the Gram of the coefficient-scaled
 // rows to floating-point rounding (the dense analogue of the sparse
-// rescale-vs-merge oracle). Checked at both kernel levels: the oracle's
-// identical-order dots meet 1e-12; the blocked kernel's multi-chain dots
-// reassociate the cancellation-prone entries and sit a small factor above.
+// rescale-vs-merge oracle). Checked twice: with the reference loops
+// throughout (RowDot coefficients, identical-order Gram dots) the
+// identity holds to 1e-12; the kernels' multi-chain dots reassociate the
+// cancellation-prone entries and sit a small factor above.
 TEST(DenseGramRescale, GramEntriesAgreeToTightRelativeTolerance) {
   const Dataset data = SmallDenseLogistic(200, 300, 7);
   const Vector theta = Trainedish(data, 2);
   const LogisticRegressionSpec spec(1e-3);
+  const Matrix& x = data.dense();
 
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    RuntimeOptions options;
-    options.kernel_level = level;
-    RuntimeScope scope(options);
-    Vector coeffs;
-    spec.PerExampleGradientCoeffs(theta, data, &coeffs);
-
-    const Matrix& x = data.dense();
-    const Matrix gram_x = GramRows(x);
-    Matrix q;
-    spec.PerExampleGradients(theta, data, &q);
-    const Matrix gram_direct = GramRows(q);
-
+  auto max_rel_error = [&](const Vector& coeffs, const Matrix& q,
+                           Matrix (*gram)(const Matrix&)) {
+    const Matrix gram_x = gram(x);
+    const Matrix gram_direct = gram(q);
     double max_rel = 0.0;
     for (Matrix::Index i = 0; i < gram_x.rows(); ++i) {
       for (Matrix::Index j = 0; j < gram_x.cols(); ++j) {
@@ -65,23 +58,40 @@ TEST(DenseGramRescale, GramEntriesAgreeToTightRelativeTolerance) {
         max_rel = std::max(max_rel, std::abs(rescaled - direct) / scale);
       }
     }
-    EXPECT_LE(max_rel, level == KernelLevel::kNaive ? 1e-12 : 1e-10)
-        << "kernel level " << static_cast<int>(level);
+    return max_rel;
+  };
+
+  const Vector ref_coeffs = reference::LogisticGradientCoeffs(theta, data);
+  Matrix ref_q(x.rows(), x.cols());
+  for (Matrix::Index i = 0; i < x.rows(); ++i) {
+    for (Matrix::Index j = 0; j < x.cols(); ++j) {
+      ref_q(i, j) = ref_coeffs[i] * x(i, j);
+    }
   }
+  EXPECT_LE(max_rel_error(ref_coeffs, ref_q, &reference::GramRows), 1e-12)
+      << "reference";
+
+  Vector coeffs;
+  spec.PerExampleGradientCoeffs(theta, data, &coeffs);
+  Matrix q;
+  spec.PerExampleGradients(theta, data, &q);
+  EXPECT_LE(max_rel_error(coeffs, q, &GramRows), 1e-10) << "kernels";
 }
 
-// End-to-end: ComputeStatistics with the dense rescale path on vs off
-// produces samplers whose variances agree to rounding.
+// End-to-end: ComputeStatistics on the dense rescale path and on the
+// direct path (the same model without gradient coefficients) produces
+// samplers whose variances agree to rounding.
 TEST(DenseGramRescale, ObservedFisherSamplersAgree) {
   const Dataset data = SmallDenseLogistic(300, 400, 7);
   const Vector theta = Trainedish(data, 3);
   const LogisticRegressionSpec spec(1e-3);
+  const testing::MergePathLogistic direct_spec(1e-3);
 
   Rng rng_a(17), rng_b(17);
   const auto with_rescale =
-      ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng_a);
+      ComputeStatistics(spec, theta, data, GramPathOptions(), &rng_a);
   const auto direct =
-      ComputeStatistics(spec, theta, data, GramPathOptions(false), &rng_b);
+      ComputeStatistics(direct_spec, theta, data, GramPathOptions(), &rng_b);
   ASSERT_TRUE(with_rescale.ok()) << with_rescale.status().ToString();
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(with_rescale->rank(), direct->rank());
@@ -108,7 +118,7 @@ TEST(DenseGramRescale, CacheHitMissAccountingAndBitwiseDraws) {
   const LogisticRegressionSpec spec(1e-3);
 
   FeatureGramCache cache;
-  StatsOptions cached = GramPathOptions(true);
+  StatsOptions cached = GramPathOptions();
   cached.gram_cache = &cache;
   cached.gram_key = {FeatureGramCache::Phase::kInitialStats, 7,
                      data.num_rows()};
@@ -117,7 +127,7 @@ TEST(DenseGramRescale, CacheHitMissAccountingAndBitwiseDraws) {
   const auto first = ComputeStatistics(spec, theta, data, cached, &rng_a);
   const auto second = ComputeStatistics(spec, theta, data, cached, &rng_b);
   const auto uncached =
-      ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng_c);
+      ComputeStatistics(spec, theta, data, GramPathOptions(), &rng_c);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(uncached.ok());
@@ -182,7 +192,7 @@ TEST(DenseGramRescale, StatisticsBitwiseIdenticalAcrossThreadCounts) {
       [&] {
         Rng rng(31);
         auto sampler =
-            ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng);
+            ComputeStatistics(spec, theta, data, GramPathOptions(), &rng);
         EXPECT_TRUE(sampler.ok());
         Rng draw_rng(77);
         return sampler->Draw(1.0, &draw_rng);

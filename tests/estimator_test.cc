@@ -11,6 +11,7 @@
 #include "models/ppca.h"
 #include "models/trainer.h"
 #include "runtime/parallel.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -245,15 +246,6 @@ TEST_F(EstimatorFixture, SizeEstimatorRejectsBadArguments) {
 
 // ---------- Batched Monte-Carlo draws ----------
 
-// Runs fn under the given kernel level (ambient pool, full parallelism).
-template <typename Fn>
-auto AtLevel(KernelLevel level, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_level = level;
-  RuntimeScope scope(options);
-  return fn();
-}
-
 TEST(DrawBatch, BitwiseEqualsDrawWithZAcrossBackends) {
   Rng rng(71);
   const Matrix::Index p = 37;
@@ -272,24 +264,19 @@ TEST(DrawBatch, BitwiseEqualsDrawWithZAcrossBackends) {
   const char* names[] = {"dense", "gram", "sparse-gram"};
   for (int s = 0; s < 3; ++s) {
     const ParamSampler& sampler = samplers[s];
-    for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-      // Widths across a full kMultiVec group and odd remainders.
-      for (const Matrix::Index width : {1, 3, 5, 8, 11}) {
-        const Matrix zs = testing::RandomMatrix(width, r, &rng);
-        for (const double scale : {1.0, 0.3}) {
-          const std::vector<Vector> batch = AtLevel(
-              level, [&] { return sampler.DrawBatch(scale, zs); });
-          ASSERT_EQ(batch.size(), static_cast<std::size_t>(width));
-          for (Matrix::Index b = 0; b < width; ++b) {
-            const Vector single = AtLevel(
-                level, [&] { return sampler.DrawWithZ(scale, zs.Row(b)); });
-            ASSERT_EQ(batch[static_cast<std::size_t>(b)].size(), single.size());
-            for (Vector::Index i = 0; i < single.size(); ++i) {
-              ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i])
-                  << names[s] << " level=" << static_cast<int>(level)
-                  << " width=" << width << " scale=" << scale << " draw " << b
-                  << " elem " << i;
-            }
+    // Widths across a full kMultiVec group and odd remainders.
+    for (const Matrix::Index width : {1, 3, 5, 8, 11}) {
+      const Matrix zs = testing::RandomMatrix(width, r, &rng);
+      for (const double scale : {1.0, 0.3}) {
+        const std::vector<Vector> batch = sampler.DrawBatch(scale, zs);
+        ASSERT_EQ(batch.size(), static_cast<std::size_t>(width));
+        for (Matrix::Index b = 0; b < width; ++b) {
+          const Vector single = sampler.DrawWithZ(scale, zs.Row(b));
+          ASSERT_EQ(batch[static_cast<std::size_t>(b)].size(), single.size());
+          for (Vector::Index i = 0; i < single.size(); ++i) {
+            ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i])
+                << names[s] << " width=" << width << " scale=" << scale
+                << " draw " << b << " elem " << i;
           }
         }
       }
@@ -306,13 +293,10 @@ TEST(DrawBatch, DegenerateShapes) {
       ParamSampler::FromDenseFactor(testing::RandomMatrix(1, 4, &rng));
   for (const ParamSampler* sampler : {&rank1, &p1}) {
     const Matrix zs = testing::RandomMatrix(5, sampler->rank(), &rng);
-    const std::vector<Vector> batch = AtLevel(
-        KernelLevel::kBlocked, [&] { return sampler->DrawBatch(0.5, zs); });
+    const std::vector<Vector> batch = sampler->DrawBatch(0.5, zs);
     ASSERT_EQ(batch.size(), 5u);
     for (Matrix::Index b = 0; b < 5; ++b) {
-      const Vector single = AtLevel(KernelLevel::kBlocked, [&] {
-        return sampler->DrawWithZ(0.5, zs.Row(b));
-      });
+      const Vector single = sampler->DrawWithZ(0.5, zs.Row(b));
       for (Vector::Index i = 0; i < single.size(); ++i) {
         ASSERT_EQ(batch[static_cast<std::size_t>(b)][i], single[i]);
       }
@@ -324,58 +308,39 @@ TEST(DrawBatch, DegenerateShapes) {
 }
 
 TEST_F(EstimatorFixture, BatchedAccuracyBitwiseEqualsUnbatched) {
-  // batch_draws is a pure speed knob: same z stream, same kernels per
-  // column, so the estimate is bit-for-bit identical — at both levels.
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    AccuracyOptions options;
-    options.num_samples = 100;  // not a multiple of kMultiVec on purpose
-    options.batch_draws = true;
-    Rng rng_a(21);
-    const auto batched = AtLevel(level, [&] {
-      return EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
-                              *sampler_, holdout_, options, &rng_a);
-    });
-    options.batch_draws = false;
-    Rng rng_b(21);
-    const auto unbatched = AtLevel(level, [&] {
-      return EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
-                              *sampler_, holdout_, options, &rng_b);
-    });
-    ASSERT_TRUE(batched.ok());
-    ASSERT_TRUE(unbatched.ok());
-    EXPECT_EQ(batched->epsilon, unbatched->epsilon)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->mean_v, unbatched->mean_v)
-        << "level=" << static_cast<int>(level);
-  }
+  // Batching is a pure execution strategy: same z stream, same kernels
+  // per column, so the estimate is bit-for-bit the reference per-draw
+  // estimator's.
+  AccuracyOptions options;
+  options.num_samples = 100;  // not a multiple of kMultiVec on purpose
+  Rng rng_a(21);
+  const auto batched = EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
+                                        *sampler_, holdout_, options, &rng_a);
+  Rng rng_b(21);
+  const AccuracyEstimate unbatched = reference::EstimateAccuracyPerDraw(
+      spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+      &rng_b);
+  ASSERT_TRUE(batched.ok());
+  EXPECT_EQ(batched->epsilon, unbatched.epsilon);
+  EXPECT_EQ(batched->mean_v, unbatched.mean_v);
 }
 
 TEST_F(EstimatorFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
-  for (const KernelLevel level : {KernelLevel::kNaive, KernelLevel::kBlocked}) {
-    SampleSizeOptions options;
-    options.num_samples = 60;  // not a multiple of kMultiVec on purpose
-    options.epsilon = 0.05;
-    options.batch_draws = true;
-    Rng rng_a(22);
-    const auto batched = AtLevel(level, [&] {
-      return EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(),
-                                *sampler_, holdout_, options, &rng_a);
-    });
-    options.batch_draws = false;
-    Rng rng_b(22);
-    const auto unbatched = AtLevel(level, [&] {
-      return EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(),
-                                *sampler_, holdout_, options, &rng_b);
-    });
-    ASSERT_TRUE(batched.ok());
-    ASSERT_TRUE(unbatched.ok());
-    EXPECT_EQ(batched->sample_size, unbatched->sample_size)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->success_fraction, unbatched->success_fraction)
-        << "level=" << static_cast<int>(level);
-    EXPECT_EQ(batched->evaluations, unbatched->evaluations)
-        << "level=" << static_cast<int>(level);
-  }
+  SampleSizeOptions options;
+  options.num_samples = 60;  // not a multiple of kMultiVec on purpose
+  options.epsilon = 0.05;
+  Rng rng_a(22);
+  const auto batched =
+      EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
+                         holdout_, options, &rng_a);
+  Rng rng_b(22);
+  const SampleSizeEstimate unbatched = reference::EstimateSampleSizePerDraw(
+      spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+      &rng_b);
+  ASSERT_TRUE(batched.ok());
+  EXPECT_EQ(batched->sample_size, unbatched.sample_size);
+  EXPECT_EQ(batched->success_fraction, unbatched.success_fraction);
+  EXPECT_EQ(batched->evaluations, unbatched.evaluations);
 }
 
 TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {

@@ -1,6 +1,7 @@
-// Compute-kernel layer (linalg/kernels.h): kernel-vs-oracle equivalence,
-// bitwise thread-count invariance, the tiled sparse Gram's heavy-row
-// path, the batched-margin consistency invariant, and degenerate shapes.
+// Compute-kernel layer (linalg/kernels.h): kernel-vs-reference
+// equivalence (tests/reference/), bitwise thread-count invariance, the
+// tiled sparse Gram's heavy-row path, the batched-margin consistency
+// invariant, and degenerate shapes.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "models/model_spec.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -25,15 +27,6 @@ namespace {
 using testing::RandomMatrix;
 using testing::RandomVector;
 using testing::SparseBinaryData;
-
-// Runs fn under the given kernel level (ambient pool, full parallelism).
-template <typename Fn>
-auto AtLevel(KernelLevel level, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_level = level;
-  RuntimeScope scope(options);
-  return fn();
-}
 
 Vector Flatten(const Matrix& m) {
   Vector v(m.size());
@@ -69,7 +62,7 @@ SparseMatrix MixedRowMatrix(SparseMatrix::Index rows,
   return std::move(builder).Build(cols);
 }
 
-// ---------- Dense kernels vs the oracle ----------
+// ---------- Dense kernels vs the reference loops ----------
 
 TEST(DenseKernels, MatchOracleWithinTolerance) {
   Rng rng(3);
@@ -79,38 +72,24 @@ TEST(DenseKernels, MatchOracleWithinTolerance) {
   const Vector x = RandomVector(67, &rng);
   const Vector y = RandomVector(131, &rng);
 
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(a); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return GramRows(a); })),
-            1e-12);
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramCols(a); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return GramCols(a); })),
-            1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatMul(a, b); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatMul(a, b); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatVec(a, x); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatVec(a, x); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatTVec(a, y); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatTVec(a, y); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(a), reference::GramRows(a)), 1e-12);
+  EXPECT_LE(MaxRelDiff(GramCols(a), reference::GramCols(a)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatMul(a, b), reference::MatMul(a, b)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatVec(a, x), reference::MatVec(a, x)), 1e-12);
+  EXPECT_LE(MaxRelDiff(MatTVec(a, y), reference::MatTVec(a, y)), 1e-12);
 }
 
 TEST(DenseKernels, GramSymmetryAndMultiBlockShapes) {
   Rng rng(11);
   // > 2 blocks in each direction, odd tails.
   const Matrix a = RandomMatrix(201, 130, &rng);
-  const Matrix g = AtLevel(KernelLevel::kBlocked, [&] { return GramRows(a); });
+  const Matrix g = GramRows(a);
   for (Matrix::Index i = 0; i < g.rows(); ++i) {
     for (Matrix::Index j = i + 1; j < g.cols(); ++j) {
       EXPECT_EQ(g(i, j), g(j, i)) << i << "," << j;
     }
   }
-  EXPECT_LE(MaxRelDiff(g, AtLevel(KernelLevel::kNaive, [&] { return GramRows(a); })),
-            1e-12);
+  EXPECT_LE(MaxRelDiff(g, reference::GramRows(a)), 1e-12);
 }
 
 TEST(DenseKernels, ThreadCountInvariance) {
@@ -142,10 +121,8 @@ TEST(SparseKernels, TiledGramMatchesMergeOnHeavyAndMixedRows) {
   const SparseMatrix mixed = MixedRowMatrix(61, 2000, 13);
 
   for (const SparseMatrix* m : {&heavy.sparse(), &mixed}) {
-    const Matrix tiled =
-        AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(*m); });
-    const Matrix merge =
-        AtLevel(KernelLevel::kNaive, [&] { return SparseGradientGram(*m); });
+    const Matrix tiled = SparseGradientGram(*m);
+    const Matrix merge = reference::SparseGram(*m);
     // The gather accumulates the same products in the same column order as
     // the merge (non-matching columns contribute exact zeros), so the two
     // paths agree bitwise, not just to rounding.
@@ -155,8 +132,7 @@ TEST(SparseKernels, TiledGramMatchesMergeOnHeavyAndMixedRows) {
 
 TEST(SparseKernels, GramEmptyRowsYieldZeroRows) {
   const SparseMatrix mixed = MixedRowMatrix(17, 500, 3);  // rows 0,4,8,... empty
-  const Matrix g =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(mixed); });
+  const Matrix g = SparseGradientGram(mixed);
   for (SparseMatrix::Index r = 0; r < mixed.rows(); r += 4) {
     for (Matrix::Index j = 0; j < g.cols(); ++j) {
       EXPECT_EQ(g(r, j), 0.0);
@@ -170,14 +146,8 @@ TEST(SparseKernels, ApplyAndTransposedMatchOracle) {
   Rng rng(2);
   const Vector x = RandomVector(700, &rng);
   const Vector y = RandomVector(83, &rng);
-  EXPECT_LE(MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return m.Apply(x); }),
-                    AtLevel(KernelLevel::kNaive, [&] { return m.Apply(x); })),
-            1e-12);
-  EXPECT_LE(MaxRelDiff(
-                AtLevel(KernelLevel::kBlocked,
-                        [&] { return m.ApplyTransposed(y); }),
-                AtLevel(KernelLevel::kNaive,
-                        [&] { return m.ApplyTransposed(y); })),
+  EXPECT_LE(MaxRelDiff(m.Apply(x), reference::Apply(m, x)), 1e-12);
+  EXPECT_LE(MaxRelDiff(m.ApplyTransposed(y), reference::ApplyTransposed(m, y)),
             1e-12);
   testing::ExpectThreadCountInvariant([&] { return m.Apply(x); }, {1, 2, 8},
                                       "Apply");
@@ -197,9 +167,7 @@ TEST(SparseKernels, ApplyTransposedMultiBitwiseEqualsPerColumn) {
   ASSERT_EQ(multi.rows(), 400);
   ASSERT_EQ(multi.cols(), 11);
   for (Matrix::Index c = 0; c < v.cols(); ++c) {
-    const Vector naive = AtLevel(KernelLevel::kNaive, [&] {
-      return m.ApplyTransposed(v.Col(c));
-    });
+    const Vector naive = reference::ApplyTransposed(m, v.Col(c));
     for (Matrix::Index j = 0; j < multi.rows(); ++j) {
       ASSERT_EQ(multi(j, c), naive[j]) << "col " << c << " row " << j;
     }
@@ -277,18 +245,14 @@ TEST(GlmKernels, FusedLossAndGradientMatchNaive) {
   for (const Dataset* data : {&sparse, &dense}) {
     const Vector theta = testing::Trainedish(*data, 21);
     Vector g_naive, g_blocked;
-    const double f_naive = AtLevel(KernelLevel::kNaive, [&] {
-      return spec.ObjectiveAndGradient(theta, *data, &g_naive);
-    });
-    const double f_blocked = AtLevel(KernelLevel::kBlocked, [&] {
-      return spec.ObjectiveAndGradient(theta, *data, &g_blocked);
-    });
+    const double f_naive = reference::LogisticObjectiveAndGradient(
+        theta, *data, spec.l2(), &g_naive);
+    const double f_blocked =
+        spec.ObjectiveAndGradient(theta, *data, &g_blocked);
     EXPECT_NEAR(f_blocked, f_naive, 1e-12 * std::max(1.0, std::fabs(f_naive)));
     EXPECT_LE(MaxRelDiff(g_blocked, g_naive), 1e-11);
-    // Value-only pass agrees with the fused pass at each level.
-    EXPECT_EQ(AtLevel(KernelLevel::kBlocked,
-                      [&] { return spec.Objective(theta, *data); }),
-              f_blocked);
+    // Value-only pass agrees with the fused pass bitwise.
+    EXPECT_EQ(spec.Objective(theta, *data), f_blocked);
     testing::ExpectThreadCountInvariant(
         [&] {
           Vector g;
@@ -305,25 +269,13 @@ TEST(KernelDegenerateShapes, SingleColumnSingleRowAndEmpty) {
   Rng rng(31);
   // p = 1: one-column matrix.
   const Matrix col = RandomMatrix(37, 1, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(col); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramRows(col); })),
-      1e-12);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramCols(col); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramCols(col); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(col), reference::GramRows(col)), 1e-12);
+  EXPECT_LE(MaxRelDiff(GramCols(col), reference::GramCols(col)), 1e-12);
   // n_s = 1: single-row matrix.
   const Matrix row = RandomMatrix(1, 29, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return GramRows(row); }),
-              AtLevel(KernelLevel::kNaive, [&] { return GramRows(row); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(GramRows(row), reference::GramRows(row)), 1e-12);
   const Vector x = RandomVector(29, &rng);
-  EXPECT_LE(
-      MaxRelDiff(AtLevel(KernelLevel::kBlocked, [&] { return MatVec(row, x); }),
-              AtLevel(KernelLevel::kNaive, [&] { return MatVec(row, x); })),
-      1e-12);
+  EXPECT_LE(MaxRelDiff(MatVec(row, x), reference::MatVec(row, x)), 1e-12);
 
   // Sparse single row / all-empty rows.
   CsrBuilder one_row;
@@ -331,89 +283,42 @@ TEST(KernelDegenerateShapes, SingleColumnSingleRowAndEmpty) {
   one_row.Add(7, -1.5);
   one_row.FinishRow();
   const SparseMatrix single = std::move(one_row).Build(10);
-  const Matrix g1 =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(single); });
+  const Matrix g1 = SparseGradientGram(single);
   ASSERT_EQ(g1.rows(), 1);
   EXPECT_DOUBLE_EQ(g1(0, 0), 2.0 * 2.0 + 1.5 * 1.5);
 
   CsrBuilder empties;
   for (int r = 0; r < 6; ++r) empties.FinishRow();
   const SparseMatrix empty = std::move(empties).Build(10);
-  const Matrix g0 =
-      AtLevel(KernelLevel::kBlocked, [&] { return SparseGradientGram(empty); });
+  const Matrix g0 = SparseGradientGram(empty);
   EXPECT_EQ(g0.MaxAbs(), 0.0);
-  const Vector applied =
-      AtLevel(KernelLevel::kBlocked, [&] { return empty.Apply(Vector(10)); });
+  const Vector applied = empty.Apply(Vector(10));
   EXPECT_EQ(applied.size(), 6);
-  const Vector applied_t = AtLevel(KernelLevel::kBlocked, [&] {
-    return empty.ApplyTransposed(Vector(6));
-  });
+  const Vector applied_t = empty.ApplyTransposed(Vector(6));
   EXPECT_EQ(applied_t.size(), 10);
 }
 
 TEST(KernelDegenerateShapes, ZeroRowTransposedAppliesKeepTheOutputShape) {
   // The reduce-shaped kernels must return the size-cols zero vector for a
-  // 0-row operand, exactly as the naive loops do (an empty chunk layout
-  // must not collapse the output to size 0).
+  // 0-row operand, exactly as the reference loops do (an empty chunk
+  // layout must not collapse the output to size 0).
   const Matrix dense0(0, 5);
-  const Vector t = AtLevel(KernelLevel::kBlocked,
-                           [&] { return MatTVec(dense0, Vector(0)); });
+  const Vector t = MatTVec(dense0, Vector(0));
   EXPECT_EQ(t.size(), 5);
   EXPECT_EQ(NormInf(t), 0.0);
   CsrBuilder none;
   const SparseMatrix sparse0 = std::move(none).Build(7);
-  const Vector st = AtLevel(KernelLevel::kBlocked, [&] {
-    return sparse0.ApplyTransposed(Vector(0));
-  });
+  const Vector st = sparse0.ApplyTransposed(Vector(0));
   EXPECT_EQ(st.size(), 7);
   EXPECT_EQ(NormInf(st), 0.0);
 }
 
-// ---------- Scope propagation to pool lanes ----------
-
-TEST(KernelDispatch, ScopeKernelLevelReachesPoolWorkerLanes) {
-  // Kernel dispatch happens wherever a linalg entry point is reached —
-  // including inside parallel-region bodies running on pool workers (the
-  // Monte-Carlo draw loops do exactly this). The ambient RuntimeOptions
-  // must reach every lane: under a kNaive scope, a dispatch on a worker
-  // lane falling back to the default (kBlocked) would make results
-  // depend on which lane ran the chunk.
-  Rng rng(41);
-  const Matrix a = RandomMatrix(40, 93, &rng);
-  const Vector x = RandomVector(93, &rng);
-  const Vector serial_naive =
-      AtLevel(KernelLevel::kNaive, [&] { return MatVec(a, x); });
-
-  ThreadPool pool(8);
-  RuntimeOptions options;
-  options.kernel_level = KernelLevel::kNaive;
-  options.pool = &pool;
-  options.num_threads = 8;
-  RuntimeScope scope(options);
-  constexpr ParallelIndex kItems = 16;
-  Matrix per_item(kItems, 40);
-  // Grain 1: items spread across all 8 lanes; each item's MatVec
-  // dispatches on its lane's thread (the nested region runs inline).
-  ParallelFor(0, kItems, [&](ParallelIndex b, ParallelIndex e) {
-    for (ParallelIndex i = b; i < e; ++i) {
-      const Vector y = MatVec(a, x);
-      for (Vector::Index c = 0; c < y.size(); ++c) per_item(i, c) = y[c];
-    }
-  }, /*grain=*/1);
-  for (ParallelIndex i = 0; i < kItems; ++i) {
-    for (Vector::Index c = 0; c < serial_naive.size(); ++c) {
-      ASSERT_EQ(per_item(i, c), serial_naive[c]) << "item " << i;
-    }
-  }
-}
-
 // ---------- Multi-z kernels: per-column bitwise contract ----------
 
-// Runs fn at the blocked level with the given ISA forced via the scope.
+// Runs fn with the given ISA forced via the scope.
 template <typename Fn>
 auto AtIsa(KernelIsa isa, const Fn& fn) {
   RuntimeOptions options;
-  options.kernel_level = KernelLevel::kBlocked;
   options.kernel_isa = isa;
   RuntimeScope scope(options);
   return fn();
@@ -461,22 +366,17 @@ TEST(MultiZKernels, MatVecMultiBitwiseEqualsPerColumn) {
   // Rank-1 factor (a single column) hits every tail path at once.
   const Matrix a1 = RandomMatrix(40, 1, &rng);
   const Matrix z1 = RandomMatrix(5, 1, &rng);
-  const Matrix multi1 =
-      AtLevel(KernelLevel::kBlocked, [&] { return kernels::MatVecMulti(a1, z1); });
+  const Matrix multi1 = kernels::MatVecMulti(a1, z1);
   for (Matrix::Index b = 0; b < 5; ++b) {
-    const Vector single =
-        AtLevel(KernelLevel::kBlocked, [&] { return MatVec(a1, z1.Row(b)); });
+    const Vector single = MatVec(a1, z1.Row(b));
     for (Matrix::Index i = 0; i < multi1.rows(); ++i) {
       ASSERT_EQ(multi1(i, b), single[i]);
     }
   }
   const Matrix zs = RandomMatrix(11, 19, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(KernelLevel::kBlocked,
-                               [&] { return kernels::MatVecMulti(a, zs); }));
-      },
-      {1, 2, 8}, "MatVecMulti");
+      [&] { return Flatten(kernels::MatVecMulti(a, zs)); }, {1, 2, 8},
+      "MatVecMulti");
 }
 
 TEST(MultiZKernels, MatTVecMultiBitwiseEqualsPerColumn) {
@@ -502,20 +402,15 @@ TEST(MultiZKernels, MatTVecMultiBitwiseEqualsPerColumn) {
   // Single-feature (p = 1) shape.
   const Matrix a1 = RandomMatrix(48, 1, &rng);
   const Matrix t1 = RandomMatrix(48, 8, &rng);
-  const Matrix multi1 = AtLevel(KernelLevel::kBlocked,
-                                [&] { return kernels::MatTVecMulti(a1, t1); });
+  const Matrix multi1 = kernels::MatTVecMulti(a1, t1);
   for (Matrix::Index b = 0; b < 8; ++b) {
-    const Vector single = AtLevel(KernelLevel::kBlocked,
-                                  [&] { return MatTVec(a1, t1.Col(b)); });
+    const Vector single = MatTVec(a1, t1.Col(b));
     ASSERT_EQ(multi1(0, b), single[0]);
   }
   const Matrix t = RandomMatrix(60, 11, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(KernelLevel::kBlocked,
-                               [&] { return kernels::MatTVecMulti(a, t); }));
-      },
-      {1, 2, 8}, "MatTVecMulti");
+      [&] { return Flatten(kernels::MatTVecMulti(a, t)); }, {1, 2, 8},
+      "MatTVecMulti");
 }
 
 TEST(MultiZKernels, ApplyTransposedMultiBlockedBitwiseEqualsPerColumn) {
@@ -540,11 +435,7 @@ TEST(MultiZKernels, ApplyTransposedMultiBlockedBitwiseEqualsPerColumn) {
   }
   const Matrix t = RandomMatrix(60, 11, &rng);
   testing::ExpectThreadCountInvariant(
-      [&] {
-        return Flatten(AtLevel(
-            KernelLevel::kBlocked,
-            [&] { return kernels::ApplyTransposedMultiBlocked(m, t); }));
-      },
+      [&] { return Flatten(kernels::ApplyTransposedMultiBlocked(m, t)); },
       {1, 2, 8}, "ApplyTransposedMultiBlocked");
 }
 
@@ -552,9 +443,9 @@ TEST(MultiZKernels, ApplyTransposedMultiBlockedBitwiseEqualsPerColumn) {
 
 TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
   // The AVX2 variants keep the canonical four-chain association (no FMA
-  // contraction), so they are bitwise equal to the scalar blocked kernels
-  // — a stronger statement than the documented 1e-12 oracle contract,
-  // which is also checked here against kNaive.
+  // contraction), so they are bitwise equal to the scalar kernels — a
+  // stronger statement than the documented 1e-12 oracle contract, which
+  // is also checked here against the reference loops.
   Rng rng(61);
   const Matrix a = RandomMatrix(131, 67, &rng);
   const Vector x = RandomVector(67, &rng);
@@ -579,13 +470,11 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
   };
 
   const std::vector<Vector> scalar = run(KernelIsa::kScalar);
-  const std::vector<Vector> naive = AtLevel(KernelLevel::kNaive, [&] {
-    std::vector<Vector> outs;
-    outs.push_back(MatVec(a, x));
-    outs.push_back(Flatten(BatchMargins(sparse, thetas)));
-    outs.push_back(Flatten(kernels::MatVecMulti(a, zs)));
-    return outs;
-  });
+  const std::vector<Vector> naive = {
+      reference::MatVec(a, x),
+      Flatten(reference::BatchMargins(sparse, thetas)),
+      Flatten(reference::MatVecMulti(a, zs)),
+  };
   for (std::size_t o = 0; o < scalar.size(); ++o) {
     EXPECT_LE(MaxRelDiff(scalar[o], naive[o]), 1e-12) << "output " << o;
   }
@@ -603,10 +492,9 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
 }
 
 TEST(KernelIsaDispatch, ScopeIsaReachesPoolWorkerLanes) {
-  // Like ScopeKernelLevelReachesPoolWorkerLanes: the ISA choice must be
-  // visible on pool worker lanes, or batched Monte-Carlo chunks would
-  // resolve the ISA per lane and results could depend on the machine's
-  // ambient environment mid-run.
+  // The ISA choice must be visible on pool worker lanes, or batched
+  // Monte-Carlo chunks would resolve the ISA per lane and results could
+  // depend on the machine's ambient environment mid-run.
   ThreadPool pool(8);
   RuntimeOptions options;
   options.kernel_isa = KernelIsa::kScalar;
@@ -630,39 +518,43 @@ TEST(KernelIsaDispatch, ScopeIsaReachesPoolWorkerLanes) {
 
 // ---------- End to end through the statistics path ----------
 
-TEST(KernelStatistics, ObservedFisherAgreesAcrossLevelsAndThreads) {
+// Logistic regression whose gradient coefficients come from the reference
+// RowDot margins. The margins are the only kernel-dependent step of the
+// sparse ObservedFisher path whose output is not bitwise equal to its
+// reference (the Gram gather and the covariance's transposed applies
+// are), so statistics computed with this spec are the reference
+// statistics.
+class ReferenceMarginLogistic : public LogisticRegressionSpec {
+ public:
+  using LogisticRegressionSpec::LogisticRegressionSpec;
+  void PerExampleGradientCoeffs(const Vector& theta, const Dataset& data,
+                                Vector* coeffs) const override {
+    *coeffs = reference::LogisticGradientCoeffs(theta, data);
+  }
+};
+
+TEST(KernelStatistics, ObservedFisherAgreesWithReferenceAndAcrossThreads) {
   const Dataset data = SparseBinaryData(400, 600, /*seed=*/7,
                                         /*nnz_per_row=*/20);
   const Vector theta = testing::Trainedish(data, 1);
   const LogisticRegressionSpec spec(1e-3);
+  const ReferenceMarginLogistic reference_spec(1e-3);
   StatsOptions options;
   options.stats_sample_size = 128;
   options.max_rank = 64;
 
-  auto variance_at = [&](KernelLevel level) {
-    return AtLevel(level, [&] {
-      Rng rng(17);
-      auto sampler = ComputeStatistics(spec, theta, data, options, &rng);
-      EXPECT_TRUE(sampler.ok()) << sampler.status().ToString();
-      auto diag = sampler->VarianceDiagonal();
-      EXPECT_TRUE(diag.ok());
-      return *diag;
-    });
+  auto variance_of = [&](const ModelSpec& s) {
+    Rng rng(17);
+    auto sampler = ComputeStatistics(s, theta, data, options, &rng);
+    EXPECT_TRUE(sampler.ok()) << sampler.status().ToString();
+    auto diag = sampler->VarianceDiagonal();
+    EXPECT_TRUE(diag.ok());
+    return *diag;
   };
-  const Vector v_naive = variance_at(KernelLevel::kNaive);
-  const Vector v_blocked = variance_at(KernelLevel::kBlocked);
-  EXPECT_LE(MaxRelDiff(v_blocked, v_naive), 1e-9);
+  EXPECT_LE(MaxRelDiff(variance_of(spec), variance_of(reference_spec)), 1e-9);
 
-  testing::ExpectThreadCountInvariant(
-      [&] {
-        Rng rng(17);
-        auto sampler = ComputeStatistics(spec, theta, data, options, &rng);
-        EXPECT_TRUE(sampler.ok());
-        auto diag = sampler->VarianceDiagonal();
-        EXPECT_TRUE(diag.ok());
-        return *diag;
-      },
-      {1, 2, 8}, "ObservedFisher variances");
+  testing::ExpectThreadCountInvariant([&] { return variance_of(spec); },
+                                      {1, 2, 8}, "ObservedFisher variances");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -309,6 +310,14 @@ std::vector<std::uint8_t> FrameBytes(const FrameHeader& header,
 
 std::vector<std::uint8_t> StatsPayload(const std::string& tenant) {
   StatsRequestWire request;
+  request.tenant = tenant;
+  WireWriter writer;
+  Encode(request, &writer);
+  return writer.bytes();
+}
+
+std::vector<std::uint8_t> HealthPayload(const std::string& tenant) {
+  HealthRequestWire request;
   request.tenant = tenant;
   WireWriter writer;
   Encode(request, &writer);
@@ -734,6 +743,59 @@ TEST(BlinkServer, OversizedRegisterDatasetRejectedBeforeMaterialization) {
   ASSERT_TRUE(small.ok()) << small.status().ToString();
 }
 
+// Admission prices a registration from its wire parameters alone, so the
+// estimate must track what MakeWireDataset really builds for every
+// generator — a sparse dataset priced as dense would be refused by the
+// cap at a fraction of its real size — and parameters a generator cannot
+// take must come back as invalid arguments, not trip its internal checks.
+TEST(WireDataset, EstimateTracksMemoryBytesForEveryGenerator) {
+  struct Case {
+    const char* name;
+    WireGenerator generator;
+    double sparsity;
+    std::int64_t nnz_per_row;
+  };
+  const Case cases[] = {
+      {"dense logistic", WireGenerator::kSyntheticLogistic, 1.0, 0},
+      {"sparse logistic", WireGenerator::kSyntheticLogistic, 0.01, 0},
+      {"linear", WireGenerator::kSyntheticLinear, 1.0, 0},
+      {"criteo", WireGenerator::kCriteoLike, 1.0, 20},
+      {"gas", WireGenerator::kGasLike, 1.0, 0},
+  };
+  for (const Case& c : cases) {
+    RegisterDatasetRequest request;
+    request.generator = c.generator;
+    request.rows = 300;
+    request.dim = 2000;  // wide enough that Criteo's in-row repeats are rare
+    request.data_seed = 9;
+    request.sparsity = c.sparsity;
+    request.nnz_per_row = c.nnz_per_row;
+    const Result<Dataset> data = MakeWireDataset(request);
+    ASSERT_TRUE(data.ok()) << c.name << ": " << data.status().ToString();
+    const double bytes = static_cast<double>(data->MemoryBytes());
+    const double estimate =
+        static_cast<double>(EstimateWireDatasetBytes(request));
+    EXPECT_LE(bytes, estimate) << c.name;
+    EXPECT_LE(estimate, 1.05 * bytes) << c.name;
+  }
+
+  RegisterDatasetRequest too_many_nnz;
+  too_many_nnz.generator = WireGenerator::kCriteoLike;
+  too_many_nnz.rows = 10;
+  too_many_nnz.dim = 1000;
+  too_many_nnz.nnz_per_row = 1001;
+  EXPECT_EQ(MakeWireDataset(too_many_nnz).status().code(),
+            StatusCode::kInvalidArgument);
+
+  RegisterDatasetRequest nan_sparsity;
+  nan_sparsity.generator = WireGenerator::kSyntheticLogistic;
+  nan_sparsity.rows = 10;
+  nan_sparsity.dim = 1000;
+  nan_sparsity.sparsity = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MakeWireDataset(nan_sparsity).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(BlinkServer, StatsVerbReportsManagerAndServerCounters) {
   SessionManager manager;
   ServerOptions options;
@@ -808,19 +870,60 @@ TEST(BlinkServer, ShedsAtQueueHighWaterWithRetryHint) {
 
   RawConnection conn(options.unix_path);
   ASSERT_TRUE(conn.ok());
+  // Responses arrive in completion order; every Train answer is kept by
+  // request id, including those read while waiting for a probe's answer.
+  std::map<std::uint64_t, ResponseEnvelope> by_id;
   const std::vector<std::uint8_t> payload = TrainPayload("t", "nope");
-  FrameHeader header;
-  header.verb = Verb::kTrain;
-  for (std::uint64_t id = 1; id <= 3; ++id) {
+  auto send_train = [&](std::uint64_t id) {
+    FrameHeader header;
+    header.verb = Verb::kTrain;
     header.request_id = id;
     conn.SendRaw(FrameBytes(header, payload));
-  }
-  // The first job occupies the runner (held by the delay failpoint);
-  // by the time frame 3 is admitted the queue holds at least one job, so
-  // frame 3 must shed — rejected BEFORE enqueue, with the configured
-  // hint, regardless of how frames 1/2 interleave with the runner.
-  std::map<std::uint64_t, ResponseEnvelope> by_id;
-  for (int i = 0; i < 3; ++i) {
+  };
+  // Blocks until an inline Health probe on this connection reports
+  // `depth` queued jobs. The server answers Health on its IO thread after
+  // admitting every earlier frame of the connection, so each probe sees
+  // all Train frames sent before it.
+  std::uint64_t probe_id = 100;
+  auto wait_for_queued_jobs = [&](std::int32_t depth) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      FrameHeader probe;
+      probe.verb = Verb::kHealth;
+      probe.request_id = ++probe_id;
+      conn.SendRaw(FrameBytes(probe, HealthPayload("t")));
+      HealthResponseWire health;
+      for (;;) {
+        Frame frame;
+        const Status read = ReadFrame(conn.fd(), &frame);
+        ASSERT_TRUE(read.ok()) << read.ToString();
+        WireReader reader(frame.payload.data(), frame.payload.size());
+        ResponseEnvelope envelope;
+        ASSERT_TRUE(Decode(&reader, &envelope).ok());
+        if (frame.header.request_id != probe_id) {
+          by_id[frame.header.request_id] = envelope;
+          continue;
+        }
+        ASSERT_TRUE(Decode(&reader, &health).ok());
+        break;
+      }
+      if (health.queued_jobs == depth) return;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "queue never reached depth " << depth;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // Frame 1 occupies the runner (held by the delay failpoint), frame 2
+  // waits in the queue behind it, so frame 3 finds the queue at its
+  // high-water mark and must shed — rejected BEFORE enqueue, with the
+  // configured hint.
+  send_train(1);
+  ASSERT_NO_FATAL_FAILURE(wait_for_queued_jobs(0));
+  send_train(2);
+  ASSERT_NO_FATAL_FAILURE(wait_for_queued_jobs(1));
+  send_train(3);
+  while (by_id.size() < 3) {
     std::uint64_t id = 0;
     const ResponseEnvelope envelope = conn.ReadEnvelope(&id);
     by_id[id] = envelope;

@@ -7,12 +7,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -266,7 +269,21 @@ TEST(Trace, TracedSocketTrainProducesCorrelatedSpans) {
   train.epsilon = 0.05;
   train.delta = 0.05;
   ASSERT_TRUE(client->Train(train).ok());
-  const std::vector<obs::TraceEvent> events = obs::Tracer::Global().Snapshot();
+  // The server records the verb span when the job returns, just after it
+  // wrote the response, so the reply can arrive first: wait (bounded) for
+  // the span to be recorded before taking the snapshot.
+  std::vector<obs::TraceEvent> events;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    events = obs::Tracer::Global().Snapshot();
+    const bool verb_recorded =
+        std::any_of(events.begin(), events.end(), [](const auto& event) {
+          return std::string(event.name) == "Train";
+        });
+    if (verb_recorded || std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ASSERT_TRUE(obs::Tracer::Global().Stop().ok());
 
   // One traced request: every span carries the Train frame's request_id.

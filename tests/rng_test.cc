@@ -4,16 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/cholesky.h"
-#include "random/multivariate.h"
 #include "random/rng.h"
 #include "tests/test_util.h"
 #include "util/stats.h"
 
 namespace blinkml {
 namespace {
-
-using testing::RandomSpd;
 
 TEST(Rng, DeterministicGivenSeed) {
   Rng a(123), b(123);
@@ -202,65 +198,6 @@ TEST(SampleWithoutReplacement, MarginalInclusionIsUniform) {
     EXPECT_NEAR(c / static_cast<double>(trials),
                 static_cast<double>(k) / n, 0.012);
   }
-}
-
-TEST(FactorMvnSampler, CovarianceMatchesFactor) {
-  Rng rng(18);
-  // W = [[1,0],[1,1],[0,2]]; Sigma = W W^T.
-  const Matrix w = {{1.0, 0.0}, {1.0, 1.0}, {0.0, 2.0}};
-  const FactorMvnSampler sampler(w);
-  EXPECT_EQ(sampler.dim(), 3);
-  EXPECT_EQ(sampler.rank(), 2);
-  const int trials = 40000;
-  Matrix cov(3, 3);
-  for (int t = 0; t < trials; ++t) {
-    const Vector x = sampler.Draw(&rng);
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) cov(i, j) += x[i] * x[j];
-    }
-  }
-  cov *= 1.0 / trials;
-  const Matrix expected = MatMulT(w, w);
-  EXPECT_LT(MaxAbsDiff(cov, expected), 0.1);
-}
-
-TEST(FactorMvnSampler, DrawWithZIsDeterministic) {
-  const Matrix w = {{2.0, 0.0}, {0.0, 3.0}};
-  const FactorMvnSampler sampler(w);
-  const Vector z{1.0, -1.0};
-  testing::ExpectVectorNear(sampler.DrawWithZ(z), Vector{2.0, -3.0}, 0.0);
-  EXPECT_THROW(sampler.DrawWithZ(Vector{1.0}), CheckError);
-}
-
-TEST(DenseMvnSampler, CovarianceMatchesTarget) {
-  Rng rng(19);
-  const Matrix sigma = RandomSpd(4, &rng);
-  const auto sampler = DenseMvnSampler::Create(sigma);
-  ASSERT_TRUE(sampler.ok());
-  const int trials = 60000;
-  Matrix cov(4, 4);
-  for (int t = 0; t < trials; ++t) {
-    const Vector x = sampler->Draw(&rng);
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) cov(i, j) += x[i] * x[j];
-    }
-  }
-  cov *= 1.0 / trials;
-  EXPECT_LT(MaxAbsDiff(cov, sigma), 0.35 * sigma.MaxAbs());
-}
-
-TEST(DenseMvnSampler, HandlesSemiDefiniteWithJitter) {
-  // Rank-1 covariance: [[1,1],[1,1]].
-  const Matrix sigma = {{1.0, 1.0}, {1.0, 1.0}};
-  const auto sampler = DenseMvnSampler::Create(sigma);
-  ASSERT_TRUE(sampler.ok());
-  Rng rng(20);
-  const Vector x = sampler->Draw(&rng);
-  EXPECT_NEAR(x[0], x[1], 1e-3);  // perfectly correlated up to jitter
-}
-
-TEST(DenseMvnSampler, RejectsNonSquare) {
-  EXPECT_FALSE(DenseMvnSampler::Create(Matrix(2, 3)).ok());
 }
 
 }  // namespace

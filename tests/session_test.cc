@@ -2,10 +2,9 @@
 // identical to standalone Coordinator::Train at any thread count, and the
 // search must keep deterministic candidate ordering under concurrency.
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -55,25 +54,26 @@ TEST(TrainingSession, MatchesStandaloneCoordinatorBitwise) {
 }
 
 // Sparse workload through the ObservedFisher Gram path: the session's
-// shared feature Gram (reuse_feature_gram on, the default) and the
-// per-candidate merge oracle (off) must BOTH be bitwise identical to a
-// standalone Coordinator with the same flag — the cache only removes a
-// recomputation, and the rescale algebra is applied identically with or
-// without a session.
+// shared feature Gram (logistic regression rescales it) and the
+// per-candidate merge path (the same model without gradient coefficients)
+// must BOTH be bitwise identical to a standalone Coordinator — the cache
+// only removes a recomputation, and the rescale algebra is applied
+// identically with or without a session.
 TEST(TrainingSession, SparseStatisticsMatchStandaloneWithGramReuseOnAndOff) {
   const Dataset data = testing::SparseBinaryData(20000, /*dim=*/400,
                                                  /*seed=*/13,
                                                  /*nnz_per_row=*/12);
   for (const bool reuse : {true, false}) {
     BlinkConfig config = FastConfig(11);
-    config.reuse_feature_gram = reuse;
     config.stats_sample_size = 256;  // below dim: sparse Gram path engaged
     TrainingSession session(Dataset(data), config);
     const Coordinator coordinator(config);
     for (const double l2 : {1e-3, 1e-2}) {
-      LogisticRegressionSpec spec(l2);
-      const auto via_session = session.Train(spec, kTightContract);
-      const auto standalone = coordinator.Train(spec, data, kTightContract);
+      const std::unique_ptr<ModelSpec> spec =
+          reuse ? std::make_unique<LogisticRegressionSpec>(l2)
+                : std::make_unique<testing::MergePathLogistic>(l2);
+      const auto via_session = session.Train(*spec, kTightContract);
+      const auto standalone = coordinator.Train(*spec, data, kTightContract);
       ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
       ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
       ExpectBitwiseEqual(*via_session, *standalone,
@@ -285,43 +285,52 @@ TEST(HyperparamSearch, ExhaustedTimeBudgetSkipsAndFlagsCandidates) {
   EXPECT_EQ(outcome.session_stats.runs, 0);
 }
 
+// The scores a search reports, recomputed one candidate at a time with
+// ModelSpec::GeneralizationError on the candidate's holdout.
+std::vector<double> PerCandidateScores(const SearchOutcome& outcome,
+                                       const std::vector<Candidate>& candidates,
+                                       const SpecFactory& factory) {
+  std::vector<double> scores;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const ApproxResult& result = outcome.candidates[i].result;
+    scores.push_back(1.0 - factory(candidates[i])->GeneralizationError(
+                               result.model.theta, *result.holdout));
+  }
+  return scores;
+}
+
 // Batched candidate scoring must be a pure execution-strategy change: the
-// scores (and hence the winner) are bitwise identical to the
-// per-candidate holdout passes, and the batch path actually engages (one
-// prediction matrix for the whole same-seed group).
+// scores (and hence the winner) are bitwise identical to per-candidate
+// holdout passes, and the batch path actually engages (one prediction
+// matrix for the whole same-seed group).
 TEST(HyperparamSearch, BatchedScoringMatchesPerCandidateScoresBitwise) {
   const Dataset data = testing::SmallDenseLogistic(20000, 6, 5);
   const std::vector<Candidate> candidates =
       HyperparamSearch::LogGrid(1e-4, 1e-1, 5);
-  const auto factory = [](const Candidate& c) {
+  const SpecFactory factory = [](const Candidate& c) {
     return std::make_shared<LogisticRegressionSpec>(c.l2);
   };
 
-  SearchOutcome outcomes[2];
-  for (const bool batched : {false, true}) {
-    TrainingSession session(Dataset(data), FastConfig(11));
-    SearchOptions options;
-    options.contract = kTightContract;
-    options.batched_scoring = batched;
-    HyperparamSearch search(&session, options);
-    outcomes[batched ? 1 : 0] = search.Run(factory, candidates);
-  }
+  TrainingSession session(Dataset(data), FastConfig(11));
+  SearchOptions options;
+  options.contract = kTightContract;
+  const SearchOutcome batched =
+      HyperparamSearch(&session, options).Run(factory, candidates);
 
-  const SearchOutcome& per_candidate = outcomes[0];
-  const SearchOutcome& batched = outcomes[1];
-  EXPECT_EQ(per_candidate.batched_score_groups, 0);
   // All candidates share the session seed => one holdout => one matrix.
   EXPECT_EQ(batched.batched_score_groups, 1);
-  ASSERT_EQ(batched.candidates.size(), per_candidate.candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    ASSERT_TRUE(batched.candidates[i].status.ok());
-    ASSERT_TRUE(per_candidate.candidates[i].status.ok());
-    EXPECT_EQ(batched.candidates[i].score, per_candidate.candidates[i].score)
-        << "candidate " << i;
-    ExpectBitwiseEqual(batched.candidates[i].result,
-                       per_candidate.candidates[i].result, "batched scoring");
+  ASSERT_EQ(batched.candidates.size(), candidates.size());
+  for (const CandidateResult& c : batched.candidates) {
+    ASSERT_TRUE(c.status.ok());
   }
-  EXPECT_EQ(batched.best_index, per_candidate.best_index);
+  const std::vector<double> expected =
+      PerCandidateScores(batched, candidates, factory);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(batched.candidates[i].score, expected[i]) << "candidate " << i;
+  }
+  EXPECT_EQ(batched.best_index,
+            std::max_element(expected.begin(), expected.end()) -
+                expected.begin());
 }
 
 // A logistic spec with inverted predictions: same training (objective and
@@ -405,104 +414,29 @@ TEST(HyperparamSearch, BatchedScoringSplitsMixedSpecTypes) {
     return std::make_shared<LogisticRegressionSpec>(c.l2);
   };
 
-  SearchOutcome outcomes[2];
-  for (const bool batched : {false, true}) {
-    TrainingSession session(Dataset(data), FastConfig(11));
-    SearchOptions options;
-    options.contract = kTightContract;
-    options.batched_scoring = batched;
-    HyperparamSearch search(&session, options);
-    outcomes[batched ? 1 : 0] = search.Run(typed_factory, candidates);
-  }
+  TrainingSession session(Dataset(data), FastConfig(11));
+  SearchOptions options;
+  options.contract = kTightContract;
+  const SearchOutcome outcome =
+      HyperparamSearch(&session, options).Run(typed_factory, candidates);
 
   // Matrices built: {base x2} and {flipped x2} (the typeid split keeps a
   // subclass off its base's matrix even though name() matches). The
   // threshold spec opted out via has_theta_only_predictions(), and the
   // inconsistent pair's group failed the Predict-vs-PredictBatch
   // self-check — both scored per candidate, contributing no matrix.
-  EXPECT_EQ(outcomes[1].batched_score_groups, 2);
+  EXPECT_EQ(outcome.batched_score_groups, 2);
+  for (const CandidateResult& c : outcome.candidates) {
+    ASSERT_TRUE(c.status.ok());
+  }
+  const std::vector<double> expected =
+      PerCandidateScores(outcome, candidates, typed_factory);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    ASSERT_TRUE(outcomes[0].candidates[i].status.ok());
-    ASSERT_TRUE(outcomes[1].candidates[i].status.ok());
-    EXPECT_EQ(outcomes[1].candidates[i].score, outcomes[0].candidates[i].score)
-        << "candidate " << i;
+    EXPECT_EQ(outcome.candidates[i].score, expected[i]) << "candidate " << i;
   }
-  EXPECT_EQ(outcomes[1].best_index, outcomes[0].best_index);
-}
-
-TEST(HyperparamSearch, QuantizedFinalSampleSizeOnlyRoundsUpOntoTheGrid) {
-  // SearchOptions::quantize_final_n rounds each candidate's estimated
-  // final n UP to the 2^(1/4) log-grid so near-identical estimates share
-  // the (seed, final n) sample-cache / feature-Gram keys. The contract
-  // must be unaffected: rounding up can only shrink v (Theorem 2).
-  const auto data = std::make_shared<const Dataset>(
-      testing::SparseBinaryData(20000, /*dim=*/400, /*seed=*/13,
-                                /*nnz_per_row=*/12));
-  const std::vector<Candidate> candidates =
-      HyperparamSearch::LogGrid(1e-4, 1e-3, 5);
-  const auto factory = [](const Candidate& c) {
-    return std::make_shared<LogisticRegressionSpec>(c.l2);
-  };
-  BlinkConfig config = FastConfig(11);
-  config.stats_sample_size = 128;  // p = 400 > n_s: sparse Gram path
-
-  SearchOutcome outcomes[2];
-  for (const bool quantize : {false, true}) {
-    TrainingSession session(data, config);
-    SearchOptions options;
-    options.contract = kTightContract;
-    options.quantize_final_n = quantize;
-    outcomes[quantize ? 1 : 0] =
-        HyperparamSearch(&session, options).Run(factory, candidates);
-  }
-  const SearchOutcome& off = outcomes[0];
-  const SearchOutcome& on = outcomes[1];
-
-  std::set<Dataset::Index> distinct_off, distinct_on;
-  int finals = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const ApproxResult& r_off = off.candidates[i].result;
-    const ApproxResult& r_on = on.candidates[i].result;
-    ASSERT_TRUE(off.candidates[i].status.ok());
-    ASSERT_TRUE(on.candidates[i].status.ok());
-    EXPECT_EQ(r_off.size_estimate.quantized_from, 0);
-    if (r_off.used_initial_only) {
-      EXPECT_TRUE(r_on.used_initial_only);
-      continue;
-    }
-    ++finals;
-    distinct_off.insert(r_off.sample_size);
-    distinct_on.insert(r_on.sample_size);
-    // Quantization only rounds UP, from the same raw estimate (the stages
-    // before it are untouched).
-    EXPECT_GE(r_on.size_estimate.sample_size, r_off.size_estimate.sample_size)
-        << "candidate " << i;
-    if (r_on.size_estimate.quantized_from > 0) {
-      EXPECT_EQ(r_on.size_estimate.quantized_from,
-                r_off.size_estimate.sample_size)
-          << "candidate " << i;
-      // The quantized n sits on the 2^(1/4) grid (or the pool cap).
-      const Dataset::Index n = r_on.size_estimate.sample_size;
-      bool on_grid = n == r_on.full_size;
-      double g = 1.0;
-      while (!on_grid && static_cast<Dataset::Index>(std::llround(g)) <= n) {
-        on_grid = static_cast<Dataset::Index>(std::llround(g)) == n;
-        g *= std::pow(2.0, 0.25);
-      }
-      EXPECT_TRUE(on_grid) << "n=" << n;
-    } else {
-      EXPECT_EQ(r_on.size_estimate.sample_size,
-                r_off.size_estimate.sample_size);
-    }
-    // The guarantee survives rounding up: any candidate that met the
-    // contract without quantization still meets it with.
-    if (r_off.contract_satisfied) {
-      EXPECT_TRUE(r_on.contract_satisfied) << "candidate " << i;
-    }
-  }
-  ASSERT_GT(finals, 0) << "fixture regression: no candidate trained a final";
-  // Rounding onto a coarser grid can only merge final sizes, never split.
-  EXPECT_LE(distinct_on.size(), distinct_off.size());
+  EXPECT_EQ(outcome.best_index,
+            std::max_element(expected.begin(), expected.end()) -
+                expected.begin());
 }
 
 TEST(HyperparamSearch, GridAndRandomCandidateGenerators) {

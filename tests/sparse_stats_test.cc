@@ -107,27 +107,28 @@ TEST(RescaleVsMerge, GramEntriesAgreeToTightRelativeTolerance) {
   EXPECT_LE(max_rel, 1e-12);
 }
 
-StatsOptions GramPathOptions(bool reuse) {
+StatsOptions GramPathOptions() {
   StatsOptions options;
   options.stats_sample_size = 128;
   options.max_rank = 64;
-  options.reuse_feature_gram = reuse;
   return options;
 }
 
-// End-to-end: ComputeStatistics with the rescale path on vs off produces
-// samplers whose variances agree to 1e-12 relative tolerance (they are
-// the same operator up to Gram rounding).
+// End-to-end: ComputeStatistics on the rescale path and on the merge path
+// (the same model without gradient coefficients) produces samplers whose
+// variances agree to 1e-12 relative tolerance (they are the same operator
+// up to Gram rounding).
 TEST(RescaleVsMerge, ObservedFisherSamplersAgree) {
   const Dataset data = SparseBinaryData();
   const Vector theta = Trainedish(data, 3);
   const LogisticRegressionSpec spec(1e-3);
+  const testing::MergePathLogistic merge_spec(1e-3);
 
   Rng rng_a(17), rng_b(17);
   const auto with_rescale =
-      ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng_a);
+      ComputeStatistics(spec, theta, data, GramPathOptions(), &rng_a);
   const auto with_merge =
-      ComputeStatistics(spec, theta, data, GramPathOptions(false), &rng_b);
+      ComputeStatistics(merge_spec, theta, data, GramPathOptions(), &rng_b);
   ASSERT_TRUE(with_rescale.ok());
   ASSERT_TRUE(with_merge.ok());
   EXPECT_EQ(with_rescale->rank(), with_merge->rank());
@@ -248,7 +249,7 @@ TEST(FeatureGramCacheTest, CachedStatisticsAreBitwiseIdentical) {
   const LogisticRegressionSpec spec(1e-3);
 
   FeatureGramCache cache;
-  StatsOptions cached = GramPathOptions(true);
+  StatsOptions cached = GramPathOptions();
   cached.gram_cache = &cache;
   cached.gram_key = {FeatureGramCache::Phase::kInitialStats, 7,
                      data.num_rows()};
@@ -257,7 +258,7 @@ TEST(FeatureGramCacheTest, CachedStatisticsAreBitwiseIdentical) {
   const auto first = ComputeStatistics(spec, theta, data, cached, &rng_a);
   const auto second = ComputeStatistics(spec, theta, data, cached, &rng_b);
   const auto uncached =
-      ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng_c);
+      ComputeStatistics(spec, theta, data, GramPathOptions(), &rng_c);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(uncached.ok());
@@ -285,7 +286,7 @@ TEST(SparseStatsDeterminism, StatisticsBitwiseIdenticalAcrossThreadCounts) {
       [&] {
         Rng rng(31);
         auto sampler =
-            ComputeStatistics(spec, theta, data, GramPathOptions(true), &rng);
+            ComputeStatistics(spec, theta, data, GramPathOptions(), &rng);
         EXPECT_TRUE(sampler.ok());
         Rng draw_rng(77);
         return sampler->Draw(1.0, &draw_rng);

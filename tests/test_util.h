@@ -19,6 +19,7 @@
 #include "data/dataset.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "models/logistic_regression.h"
 #include "random/rng.h"
 
 namespace blinkml {
@@ -83,6 +84,16 @@ Dataset SparseBinaryData(Dataset::Index rows = 400, Dataset::Index dim = 600,
 
 /// A plausible (not trained) parameter vector: small i.i.d. normal entries.
 Vector Trainedish(const Dataset& data, std::uint64_t seed);
+
+/// Logistic regression without per-example gradient coefficients, so
+/// ObservedFisher builds and Grams each candidate's gradient matrix (the
+/// path max-entropy takes) instead of rescaling the shared feature Gram:
+/// the reference side of the rescale-vs-merge equivalence tests.
+class MergePathLogistic : public LogisticRegressionSpec {
+ public:
+  using LogisticRegressionSpec::LogisticRegressionSpec;
+  bool has_gradient_coeffs() const override { return false; }
+};
 
 // ---- Thread-count sweeps ----
 
