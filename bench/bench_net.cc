@@ -1,24 +1,20 @@
-// Networked-serving smoke benchmark: starts a BlinkServer on a Unix
-// socket, drives it with the blocking BlinkClient (register, one Train,
-// a burst of Predict calls), and reports per-request wire latency
-// percentiles plus throughput. Exit status asserts the transparency
-// contract: the Train result and the Predict outputs that came back over
-// the socket must be bitwise identical to the same calls against an
-// in-process SessionManager.
+// Networked-serving smoke benchmark under injected faults: starts a
+// BlinkServer on a Unix socket, drives it with retrying BlinkClients
+// (register, one Train, a burst of Predict calls) while a deterministic
+// fault schedule (util/failpoints.h) severs every 9th response write and
+// rejects every 13th enqueue, and reports goodput, per-request latency
+// percentiles and retry/reconnect/injection counts. Exit status asserts
+// the transparency contract: every call must converge to results bitwise
+// identical to the same calls against an in-process SessionManager.
+// (Fault-free socket latency is the end-to-end benchmark's job:
+// bench_e2e predict-sharded.)
 //
 //   $ ./build/bench_net [--json[=path]] [--threads=N]
 //                       [--requests=N] [--runner-threads=N] [--clients=N]
-//                       [--faults=0|1] [--shards=N]
+//                       [--shards=N]
 //
 // Honors BLINKML_SCALE (dataset rows). With --json the summary is
 // written to BENCH_net.json.
-//
-// --faults=1 arms a deterministic fault schedule (util/failpoints.h)
-// across the predict burst — every 9th response write severed, every
-// 13th enqueue rejected — and gives each driver a RetryPolicy. The
-// bitwise exit-status contract is unchanged: retries must converge every
-// call to the exact reference bits. The summary gains goodput under
-// faults plus retry/reconnect/injection counts.
 //
 // --shards=N (N > 0) benches the supervised shard router instead of a
 // bare BlinkServer: N worker processes behind shard/router.h, a Train
@@ -387,17 +383,12 @@ int main(int argc, char** argv) {
   int requests = 64;
   int runner_threads = 2;
   int clients = 1;
-  int faults = 0;
   int shards = 0;
   const std::vector<ExtraIntFlag> extra = {
       {"requests", "Predict calls per client (default 64)", &requests},
       {"runner-threads", "server runner threads (default 2)",
        &runner_threads},
       {"clients", "concurrent client connections (default 1)", &clients},
-      {"faults",
-       "1 = run the predict burst under an injected fault schedule with "
-       "retrying clients (default 0)",
-       &faults},
       {"shards",
        "N > 0 = bench the supervised shard router (N workers) with a "
        "scripted worker kill instead of a bare server (default 0)",
@@ -421,7 +412,7 @@ int main(int argc, char** argv) {
   train.epsilon = 0.05;
   train.delta = 0.05;
 
-  PrintHeader("Networked serving: BlinkServer over a Unix socket");
+  PrintHeader("Networked serving under faults: BlinkServer over a Unix socket");
   std::printf("rows=%lld dim=%lld requests=%d clients=%d runner_threads=%d\n",
               static_cast<long long>(registration.rows),
               static_cast<long long>(registration.dim), requests, clients,
@@ -539,15 +530,13 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(clients), 0);
   std::vector<std::uint64_t> client_reconnects(
       static_cast<std::size_t>(clients), 0);
-  if (faults != 0) {
-    fail::Failpoints::Global().DisarmAll();
-    const Status armed = fail::Failpoints::Global().ArmFromSpec(
-        "net.write_frame=err@every:9;queue.enqueue=err@every:13");
-    if (!armed.ok()) {
-      std::fprintf(stderr, "arming faults failed: %s\n",
-                   armed.ToString().c_str());
-      return 1;
-    }
+  fail::Failpoints::Global().DisarmAll();
+  const Status armed = fail::Failpoints::Global().ArmFromSpec(
+      "net.write_frame=err@every:9;queue.enqueue=err@every:13");
+  if (!armed.ok()) {
+    std::fprintf(stderr, "arming faults failed: %s\n",
+                 armed.ToString().c_str());
+    return 1;
   }
   WallTimer burst_timer;
   {
@@ -560,13 +549,11 @@ int main(int argc, char** argv) {
                        conn.status().ToString().c_str());
           return;
         }
-        if (faults != 0) {
-          RetryPolicy policy;
-          policy.max_attempts = 6;
-          policy.initial_backoff_ms = 1;
-          policy.reconnect = true;
-          conn->set_retry_policy(policy);
-        }
+        RetryPolicy policy;
+        policy.max_attempts = 6;
+        policy.initial_backoff_ms = 1;
+        policy.reconnect = true;
+        conn->set_retry_policy(policy);
         bool all_bitwise = true;
         for (int j = 0; j < requests; ++j) {
           WallTimer call_timer;
@@ -601,8 +588,8 @@ int main(int argc, char** argv) {
   }
   const double burst_seconds = burst_timer.Seconds();
   const std::uint64_t faults_injected =
-      faults != 0 ? fail::Failpoints::Global().TotalFires() : 0;
-  if (faults != 0) fail::Failpoints::Global().DisarmAll();
+      fail::Failpoints::Global().TotalFires();
+  fail::Failpoints::Global().DisarmAll();
   std::uint64_t total_retries = 0;
   std::uint64_t total_reconnects = 0;
   for (int c = 0; c < clients; ++c) {
@@ -635,16 +622,14 @@ int main(int argc, char** argv) {
               total_requests, HumanSeconds(burst_seconds).c_str(), qps);
   std::printf("predict latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n",
               p50_ms, p95_ms, p99_ms);
-  if (faults != 0) {
-    // Under --faults the qps above IS goodput: only bitwise-verified
-    // successes are counted, faults and retries included in the clock.
-    std::printf(
-        "faults: %llu injected, %llu retries, %llu reconnects  ->  "
-        "goodput %.0f req/s\n",
-        static_cast<unsigned long long>(faults_injected),
-        static_cast<unsigned long long>(total_retries),
-        static_cast<unsigned long long>(total_reconnects), qps);
-  }
+  // The qps above IS goodput: only bitwise-verified successes are
+  // counted, faults and retries included in the clock.
+  std::printf(
+      "faults: %llu injected, %llu retries, %llu reconnects  ->  "
+      "goodput %.0f req/s\n",
+      static_cast<unsigned long long>(faults_injected),
+      static_cast<unsigned long long>(total_retries),
+      static_cast<unsigned long long>(total_reconnects), qps);
   std::printf("train round trip:   %s\n",
               bitwise_train ? "bitwise identical" : "MISMATCH");
   std::printf("predict round trip: %s\n",
@@ -672,7 +657,6 @@ int main(int argc, char** argv) {
         .Number("register_seconds", register_seconds)
         .Number("train_seconds", train_seconds)
         .Number("predict_seconds", burst_seconds)
-        .Number("predict_qps", qps)
         .Number("predict_p50_ms", p50_ms)
         .Number("predict_p95_ms", p95_ms)
         .Number("predict_p99_ms", p99_ms)
@@ -682,11 +666,10 @@ int main(int argc, char** argv) {
              static_cast<long long>(server_stats.responses_sent))
         .Bool("bitwise_train", bitwise_train)
         .Bool("bitwise_predict", bitwise_predict)
-        .Bool("faults", faults != 0)
         .Int("faults_injected", static_cast<long long>(faults_injected))
         .Int("retries", static_cast<long long>(total_retries))
         .Int("reconnects", static_cast<long long>(total_reconnects))
-        .Number("goodput_qps", faults != 0 ? qps : 0.0);
+        .Number("goodput_qps", qps);
     if (!WriteBenchFile(flags.json_path, root.ToString())) return 1;
   }
   return (bitwise_train && bitwise_predict) ? 0 : 1;

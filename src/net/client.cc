@@ -6,7 +6,6 @@
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,24 +35,7 @@ std::uint64_t SplitMix64(std::uint64_t x) {
 }  // namespace
 
 Result<BlinkClient> BlinkClient::ConnectUnix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("unix socket path too long: %s", path.c_str()));
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(StrFormat("socket: %s", ::strerror(errno)));
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    const Status status = Status::IOError(
-        StrFormat("connect(%s): %s", path.c_str(), ::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
+  BLINKML_ASSIGN_OR_RETURN(const int fd, DialUnix(path));
   Endpoint endpoint;
   endpoint.is_unix = true;
   endpoint.unix_path = path;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -105,6 +106,22 @@ std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
 }
 
 }  // namespace
+
+bool SameRegistration(const RegisterDatasetRequest& a,
+                      const RegisterDatasetRequest& b) {
+  return a.tenant == b.tenant && a.name == b.name &&
+         a.generator == b.generator && a.rows == b.rows && a.dim == b.dim &&
+         a.data_seed == b.data_seed &&
+         std::memcmp(&a.sparsity, &b.sparsity, sizeof(double)) == 0 &&
+         std::memcmp(&a.noise, &b.noise, sizeof(double)) == 0 &&
+         a.nnz_per_row == b.nnz_per_row &&
+         a.config.seed == b.config.seed &&
+         a.config.initial_sample_size == b.config.initial_sample_size &&
+         a.config.holdout_size == b.config.holdout_size &&
+         a.config.stats_sample_size == b.config.stats_sample_size &&
+         a.config.accuracy_samples == b.config.accuracy_samples &&
+         a.config.size_samples == b.config.size_samples;
+}
 
 std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request) {
   if (request.rows <= 0 || request.dim <= 0) return 0;

@@ -84,6 +84,12 @@ struct RegisterDatasetRequest {
   WireConfig config;
 };
 
+/// The idempotent re-registration rule of both serving fronts: field-wise
+/// equality, doubles compared bitwise (a request comes off the wire as bit
+/// patterns, so an identical retry is bit-identical).
+bool SameRegistration(const RegisterDatasetRequest& a,
+                      const RegisterDatasetRequest& b);
+
 struct RegisterDatasetResponse {
   /// Dataset::MemoryBytes of the registered data; charged against the
   /// tenant's resident-byte quota (net/quotas.h).

@@ -1,4 +1,5 @@
-// Priority job queue for the networked serving front (net/server.h).
+// Priority job queue for the serving fronts' connection core
+// (net/frame_server.h).
 //
 // Jobs carry a signed priority (higher drains first; equal priorities
 // drain FIFO by arrival) and an optional absolute deadline. The queue

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "util/string_util.h"
@@ -363,6 +364,28 @@ Status ReadFrame(int fd, Frame* out) {
         ReadAll(fd, out->payload.data(), out->payload.size()));
   }
   return Status::OK();
+}
+
+Result<int> DialUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return Status::InvalidArgument(
+        StrFormat("unix socket path too long: %s", path.c_str()));
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
+  }
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError(
+        StrFormat("connect(%s): %s", path.c_str(), std::strerror(err)));
+  }
+  return fd;
 }
 
 }  // namespace net

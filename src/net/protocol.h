@@ -222,6 +222,10 @@ Status WriteFrame(int fd, const FrameHeader& header,
 /// (malformed) on bad magic / oversized payload.
 Status ReadFrame(int fd, Frame* out);
 
+/// Opens a blocking stream socket connected to the Unix-domain socket at
+/// `path`; the caller owns (and closes) the returned fd.
+Result<int> DialUnix(const std::string& path);
+
 }  // namespace net
 }  // namespace blinkml
 

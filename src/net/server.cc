@@ -1,824 +1,98 @@
 #include "net/server.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <exception>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 
 #include "data/dataset.h"
-#include "obs/trace.h"
-#include "util/failpoints.h"
+#include "obs/metrics.h"
 #include "util/string_util.h"
 
 namespace blinkml {
 namespace net {
 
-namespace {
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IOError(
-        StrFormat("fcntl(O_NONBLOCK): %s", ::strerror(errno)));
-  }
-  return Status::OK();
-}
-
-/// Steady-clock milliseconds for connection activity stamps (monotonic;
-/// only compared against itself).
-std::int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void ApplyInjectedDelay(const fail::FaultAction& action) {
-  if (action.kind == fail::FaultKind::kDelay) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(action.arg));
-  }
-}
-
-/// Field-wise equality of wire registrations (doubles compared bitwise:
-/// the request came off the wire as bit patterns, so an identical retry
-/// is bit-identical).
-bool SameRegistration(const RegisterDatasetRequest& a,
-                      const RegisterDatasetRequest& b) {
-  return a.tenant == b.tenant && a.name == b.name &&
-         a.generator == b.generator && a.rows == b.rows && a.dim == b.dim &&
-         a.data_seed == b.data_seed &&
-         std::memcmp(&a.sparsity, &b.sparsity, sizeof(double)) == 0 &&
-         std::memcmp(&a.noise, &b.noise, sizeof(double)) == 0 &&
-         a.nnz_per_row == b.nnz_per_row &&
-         a.config.seed == b.config.seed &&
-         a.config.initial_sample_size == b.config.initial_sample_size &&
-         a.config.holdout_size == b.config.holdout_size &&
-         a.config.stats_sample_size == b.config.stats_sample_size &&
-         a.config.accuracy_samples == b.config.accuracy_samples &&
-         a.config.size_samples == b.config.size_samples;
-}
-
-}  // namespace
-
-BlinkServer::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
 BlinkServer::BlinkServer(SessionManager* manager, ServerOptions options)
     : manager_(manager),
       options_(std::move(options)),
       quotas_(options_.default_quota),
-      queue_(options_.max_queued_jobs),
-      h_queue_wait_(manager_->metrics().Histogram("net_queue_wait_seconds")),
-      g_net_queued_jobs_(manager_->metrics().Gauge("net_queued_jobs")),
-      g_net_open_connections_(
-          manager_->metrics().Gauge("net_open_connections")) {}
+      front_(options_, this, &manager_->metrics()) {}
 
 BlinkServer::~BlinkServer() { Stop(); }
 
-Status BlinkServer::Start() {
-  if (started_) return Status::InvalidArgument("server already started");
-
-  if (!options_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument(
-          StrFormat("unix socket path too long: %s",
-                    options_.unix_path.c_str()));
-    }
-    std::strncpy(addr.sun_path, options_.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(StrFormat("socket: %s", ::strerror(errno)));
-    }
-    ::unlink(options_.unix_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) < 0) {
-      const Status status = Status::IOError(StrFormat(
-          "bind(%s): %s", options_.unix_path.c_str(), ::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return status;
-    }
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(StrFormat("socket: %s", ::strerror(errno)));
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Status::InvalidArgument(
-          StrFormat("bad listen host: %s", options_.host.c_str()));
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) < 0) {
-      const Status status = Status::IOError(StrFormat(
-          "bind(%s:%d): %s", options_.host.c_str(), options_.port,
-          ::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return status;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &len) == 0) {
-      port_ = ntohs(bound.sin_port);
-    }
-  }
-
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
-    const Status status =
-        Status::IOError(StrFormat("listen: %s", ::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  Status status = SetNonBlocking(listen_fd_);
-  if (!status.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) < 0) {
-    const Status pipe_status =
-        Status::IOError(StrFormat("pipe: %s", ::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return pipe_status;
-  }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  (void)SetNonBlocking(wake_read_fd_);
-
-  stopping_.store(false);
-  started_ = true;
-  io_thread_ = std::thread([this] { IoLoop(); });
-  const int runner_count = std::max(1, options_.runner_threads);
-  runners_.reserve(static_cast<std::size_t>(runner_count));
-  for (int i = 0; i < runner_count; ++i) {
-    runners_.emplace_back([this] { RunnerLoop(); });
-  }
-  return Status::OK();
-}
-
-void BlinkServer::Stop() {
-  if (!started_) return;
-  stopping_.store(true);
-  // Wake the poll() so the IO thread observes stopping_ and exits; it
-  // stops accepting and reading, so no new jobs arrive after this point.
-  const char byte = 'x';
-  while (::write(wake_write_fd_, &byte, 1) < 0 && errno == EINTR) {
-  }
-  io_thread_.join();
-
-  // Drain: runners keep popping until the queue empties, answering every
-  // admitted job (run or expire), then exit.
-  queue_.Shutdown();
-  for (std::thread& runner : runners_) runner.join();
-  runners_.clear();
-
-  connections_.clear();
-  open_connections_.store(0);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
-  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
-  started_ = false;
-}
-
-ServerStatsWire BlinkServer::stats() const {
-  ServerStatsWire out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  out.open_connections = open_connections_.load();
-  out.queued_jobs = static_cast<std::int32_t>(queue_.size());
-  return out;
-}
-
-void BlinkServer::IoLoop() {
-  std::vector<pollfd> poll_fds;
-  std::vector<std::uint8_t> chunk(64 * 1024);
-
-  while (!stopping_.load()) {
-    poll_fds.clear();
-    poll_fds.push_back({wake_read_fd_, POLLIN, 0});
-    poll_fds.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& [fd, conn] : connections_) {
-      poll_fds.push_back({fd, POLLIN, 0});
-    }
-
-    // With an idle deadline configured, the poll timeout is the time to
-    // the nearest reapable connection's deadline (otherwise block
-    // indefinitely — the wake pipe handles shutdown).
-    int timeout_ms = -1;
-    if (options_.idle_timeout_ms > 0 && !connections_.empty()) {
-      const std::int64_t now = NowMs();
-      std::int64_t nearest = options_.idle_timeout_ms;
-      for (const auto& [fd, conn] : connections_) {
-        if (conn->inflight.load() > 0) continue;
-        nearest = std::min(
-            nearest, conn->last_activity_ms.load() +
-                         options_.idle_timeout_ms - now);
-      }
-      timeout_ms = static_cast<int>(std::max<std::int64_t>(nearest, 0));
-    }
-
-    const int ready = ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;  // unrecoverable poll failure; Stop() still drains
-    }
-    if (stopping_.load()) break;
-
-    if (poll_fds[0].revents != 0) {
-      char buf[64];
-      while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
-      }
-    }
-
-    if (poll_fds[1].revents != 0) {
-      for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;  // EAGAIN (drained) or transient error
-        fail::FaultAction fault;
-        if (BLINKML_FAILPOINT("net.accept", &fault)) {
-          NoteFault("net.accept");
-          ApplyInjectedDelay(fault);
-          if (fault.kind != fail::FaultKind::kDelay) {
-            ::close(fd);  // injected accept failure: drop the connection
-            continue;
-          }
-        }
-        if (!SetNonBlocking(fd).ok()) {
-          ::close(fd);
-          continue;
-        }
-        if (options_.max_connections > 0 &&
-            static_cast<int>(connections_.size()) >=
-                options_.max_connections) {
-          // Structured reject: one kOverloaded error frame with a
-          // retry-after hint, then close — a client sees a parseable
-          // rejection, not a silent RST.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.rejected_max_connections;
-          }
-          NoteRejected("max_connections");
-          RecordFailureEvent("max_connections");
-          ResponseEnvelope envelope;
-          envelope.status = WireStatus::kOverloaded;
-          envelope.message =
-              StrFormat("connection limit (%d) reached",
-                        options_.max_connections);
-          envelope.retry_after_ms = options_.shed_retry_ms;
-          WireWriter payload;
-          Encode(envelope, &payload);
-          FrameHeader reject;
-          reject.verb = Verb::kError;
-          // The socket buffer of a fresh connection always fits one
-          // small frame; a tiny stall timeout keeps a pathological peer
-          // from pinning the IO thread.
-          WriteOptions wopts;
-          wopts.stall_timeout_ms = 100;
-          (void)WriteFrame(fd, reject, payload.bytes().data(),
-                           payload.bytes().size(), wopts);
-          ::close(fd);
-          continue;
-        }
-        auto conn = std::make_shared<Connection>(fd);
-        conn->last_activity_ms.store(NowMs());
-        connections_.emplace(fd, std::move(conn));
-        open_connections_.fetch_add(1);
-      }
-    }
-
-    for (std::size_t i = 2; i < poll_fds.size(); ++i) {
-      if (poll_fds[i].revents == 0) continue;
-      const auto it = connections_.find(poll_fds[i].fd);
-      if (it == connections_.end()) continue;
-      const ConnPtr conn = it->second;
-
-      // Read-path fault injection: kError simulates the peer vanishing
-      // mid-frame (teardown of exactly this connection); kPartial caps
-      // this wakeup's read so frames arrive in deterministic dribbles,
-      // exercising the incremental parser (poll is level-triggered, so
-      // the remainder re-arms it).
-      bool closed = false;
-      std::size_t read_cap = chunk.size();
-      fail::FaultAction fault;
-      if (BLINKML_FAILPOINT("net.read_frame", &fault)) {
-        NoteFault("net.read_frame");
-        ApplyInjectedDelay(fault);
-        if (fault.kind == fail::FaultKind::kError) {
-          closed = true;
-        } else if (fault.kind == fail::FaultKind::kPartial) {
-          read_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
-              1, std::min<std::uint64_t>(fault.arg, read_cap)));
-        }
-      }
-      while (!closed) {
-        const ssize_t n = ::recv(conn->fd, chunk.data(), read_cap, 0);
-        if (n > 0) {
-          conn->in.insert(conn->in.end(), chunk.data(), chunk.data() + n);
-          conn->last_activity_ms.store(NowMs());
-          if (read_cap < chunk.size()) break;  // injected partial read
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        closed = true;  // EOF or hard error
-        break;
-      }
-      if (!closed && !DrainConnectionBuffer(conn)) closed = true;
-      if (closed) {
-        conn->closed.store(true);
-        connections_.erase(it);
-        open_connections_.fetch_sub(1);
-        // Queued jobs from this connection still hold their ConnPtr; their
-        // writes no-op on the closed flag and the fd closes with the last
-        // reference.
-      }
-    }
-
-    if (options_.idle_timeout_ms > 0) {
-      const std::int64_t now = NowMs();
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        const ConnPtr& conn = it->second;
-        if (conn->inflight.load() == 0 &&
-            now - conn->last_activity_ms.load() >= options_.idle_timeout_ms) {
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.idle_reaped;
-          }
-          manager_->metrics().Counter("net_idle_reaped_total")->Inc();
-          RecordFailureEvent("idle_reap");
-          conn->closed.store(true);
-          it = connections_.erase(it);
-          open_connections_.fetch_sub(1);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-}
-
-bool BlinkServer::DrainConnectionBuffer(const ConnPtr& conn) {
-  std::size_t consumed = 0;
-  bool keep_open = true;
-  while (conn->in.size() - consumed >= kFrameHeaderBytes) {
-    FrameHeader header;
-    const Status status =
-        DecodeFrameHeader(conn->in.data() + consumed, &header);
-    if (!status.ok()) {
-      // Unsynchronizable framing corruption: answer once, then close.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.frames_received;
-        ++stats_.rejected_malformed;
-      }
-      NoteRejected("malformed");
-      SendError(conn, header.request_id, Verb::kError,
-                WireStatus::kMalformedFrame, status.message());
-      keep_open = false;
-      break;
-    }
-    if (conn->in.size() - consumed < kFrameHeaderBytes + header.payload_len) {
-      break;  // incomplete frame; wait for more bytes
-    }
-    std::vector<std::uint8_t> payload(
-        conn->in.begin() +
-            static_cast<std::ptrdiff_t>(consumed + kFrameHeaderBytes),
-        conn->in.begin() + static_cast<std::ptrdiff_t>(
-                               consumed + kFrameHeaderBytes +
-                               header.payload_len));
-    consumed += kFrameHeaderBytes + header.payload_len;
-    HandleFrame(conn, header, std::move(payload));
-  }
-  if (consumed > 0) {
-    conn->in.erase(conn->in.begin(),
-                   conn->in.begin() + static_cast<std::ptrdiff_t>(consumed));
-  }
-  return keep_open;
-}
-
-void BlinkServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
-                              std::vector<std::uint8_t> payload) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_received;
-  }
-
-  if (header.version != kWireVersion) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_version;
-    }
-    NoteRejected("version");
-    SendError(conn, header.request_id, Verb::kError,
-              WireStatus::kVersionMismatch,
-              StrFormat("wire version %u, server speaks %u",
-                        static_cast<unsigned>(header.version),
-                        static_cast<unsigned>(kWireVersion)));
-    return;
-  }
-  switch (header.verb) {
-    case Verb::kHealth:
-      // Answered inline on the IO thread: a health probe must work while
-      // the queue is full, the tenant is over quota, or the server sheds
-      // — the states it exists to report.
-      HandleHealth(conn, header);
-      return;
-    case Verb::kRegisterDataset:
-    case Verb::kTrain:
-    case Verb::kSearch:
-    case Verb::kPredict:
-    case Verb::kStats:
-    case Verb::kEvictIdle:
-    case Verb::kMetrics:
-      break;
-    default: {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.rejected_unknown_verb;
-      }
-      NoteRejected("unknown_verb");
-      SendError(conn, header.request_id, Verb::kError,
-                WireStatus::kUnknownVerb,
-                StrFormat("unknown verb %u",
-                          static_cast<unsigned>(header.verb)));
-      return;
-    }
-  }
-
-  std::string tenant;
-  const Status peek = PeekTenant(payload.data(), payload.size(), &tenant);
-  if (!peek.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_decode;
-    }
-    NoteRejected("decode");
-    SendError(conn, header.request_id, header.verb, WireStatus::kDecodeError,
-              peek.message());
-    return;
-  }
-
-  // Load shed BEFORE the quota check: while the queue sits at the
-  // high-water mark the server rejects in O(1) with an explicit hint —
-  // and without burning the tenant's rate tokens on work it won't run.
-  if (options_.shed_queue_depth > 0 &&
-      queue_.size() >= options_.shed_queue_depth) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_shed;
-    }
-    NoteRejected("shed");
-    RecordFailureEvent("shed");
-    SendError(conn, header.request_id, header.verb, WireStatus::kOverloaded,
-              StrFormat("load shed: %u jobs queued (high-water mark %u)",
-                        static_cast<unsigned>(queue_.size()),
-                        static_cast<unsigned>(options_.shed_queue_depth)),
-              options_.shed_retry_ms);
-    return;
-  }
-
-  const std::uint64_t payload_bytes = payload.size();
-  const AdmissionDecision decision = quotas_.Admit(tenant, payload_bytes);
-  if (!decision.admitted()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (decision.status == WireStatus::kRateLimited) {
-        ++stats_.rejected_rate;
-      } else {
-        ++stats_.rejected_quota;
-      }
-    }
-    NoteRejected(decision.status == WireStatus::kRateLimited ? "rate"
-                                                             : "quota");
-    SendError(conn, header.request_id, header.verb, decision.status,
-              decision.message, decision.retry_after_ms);
-    return;
-  }
-
-  // Admitted: this is where the request's observable life begins (the
-  // net_requests_total counter and, under tracing, the queue_wait span —
-  // see the header comment).
-  manager_->metrics()
-      .Counter("net_requests_total",
-               {{"tenant", tenant}, {"verb", VerbName(header.verb)}})
-      ->Inc();
-
-  JobQueue::Job job;
-  job.priority = header.priority;
-  const JobQueue::SteadyTime admitted_at = std::chrono::steady_clock::now();
-  job.enqueued = admitted_at;
-  if (header.deadline_ms > 0) {
-    job.has_deadline = true;
-    job.deadline =
-        admitted_at + std::chrono::milliseconds(header.deadline_ms);
-  }
-  // The run/expire closures both release the admission charge exactly
-  // once (they are mutually exclusive by construction: the runner calls
-  // one or the other).
-  auto shared_payload = std::make_shared<std::vector<std::uint8_t>>(
-      std::move(payload));
-  job.run = [this, conn, header, shared_payload, tenant, payload_bytes,
-             admitted_at] {
-    // Queue wait = admission to pop, measured on the runner before any
-    // decode work. Wall-clock observation only; never feeds back.
-    const double wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      admitted_at)
-            .count();
-    h_queue_wait_->Observe(wait_seconds);
-    obs::Tracer& tracer = obs::Tracer::Global();
-    if (tracer.enabled()) {
-      obs::TraceEvent event;
-      event.name = "queue_wait";
-      event.cat = "net";
-      event.dur_us = wait_seconds * 1e6;
-      event.ts_us = tracer.NowUs() - event.dur_us;
-      event.request_id = header.request_id;
-      event.tenant = tenant;
-      event.verb = VerbName(header.verb);
-      tracer.Record(std::move(event));
-    }
-    ExecuteJob(conn, header, tenant, *shared_payload);
-    quotas_.Release(tenant, payload_bytes);
-    conn->inflight.fetch_sub(1);
-  };
-  job.expire = [this, conn, header, tenant, payload_bytes] {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_deadline;
-    }
-    NoteRejected("deadline");
-    SendError(conn, header.request_id, header.verb,
-              WireStatus::kDeadlineExceeded,
-              StrFormat("deadline (%u ms) expired before execution",
-                        static_cast<unsigned>(header.deadline_ms)));
-    quotas_.Release(tenant, payload_bytes);
-    conn->inflight.fetch_sub(1);
-  };
-
-  // Counted before Push: a runner can pop and execute the job (a Stats
-  // verb snapshots these counters) before a post-Push increment would
-  // land.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.jobs_enqueued;
-  }
-  conn->inflight.fetch_add(1);
-  if (!queue_.Push(std::move(job))) {
-    const bool shutting_down = stopping_.load();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      --stats_.jobs_enqueued;
-      if (!shutting_down) ++stats_.rejected_queue_full;
-    }
-    if (!shutting_down) NoteRejected("queue_full");
-    SendError(conn, header.request_id, header.verb,
-              shutting_down ? WireStatus::kShuttingDown
-                            : WireStatus::kQueueFull,
-              shutting_down ? "server shutting down" : "job queue full",
-              shutting_down ? 0 : options_.default_quota.over_quota_retry_ms);
-    quotas_.Release(tenant, payload_bytes);
-    conn->inflight.fetch_sub(1);
-    return;
-  }
-}
-
-void BlinkServer::RunnerLoop() {
-  JobQueue::Job job;
-  while (queue_.Pop(&job)) {
-    if (JobQueue::Expired(job)) {
-      job.expire();
-    } else {
-      job.run();
-    }
-    job = JobQueue::Job{};  // drop closures (ConnPtr refs) promptly
-  }
-}
-
-void BlinkServer::NoteRejected(const char* reason) {
-  manager_->metrics()
-      .Counter("net_rejected_total", {{"reason", reason}})
-      ->Inc();
-}
-
-void BlinkServer::RecordFailureEvent(const char* name) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  if (!tracer.enabled()) return;
-  obs::TraceEvent event;
-  event.name = name;
-  event.cat = "fault";
-  event.ts_us = tracer.NowUs();
-  event.dur_us = 0;
-  tracer.Record(std::move(event));
-}
-
-void BlinkServer::NoteFault(const char* point) {
-  manager_->metrics()
-      .Counter("net_faults_injected_total", {{"point", point}})
-      ->Inc();
-  RecordFailureEvent(point);
-}
-
-void BlinkServer::HandleHealth(const ConnPtr& conn,
-                               const FrameHeader& header) {
-  HealthResponseWire health;
-  health.accepting = !stopping_.load();
-  const std::size_t depth = queue_.size();
-  health.shedding = options_.shed_queue_depth > 0 &&
-                    depth >= options_.shed_queue_depth;
-  health.open_connections = open_connections_.load();
-  health.queued_jobs = static_cast<std::int32_t>(depth);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    health.rejected_shed = stats_.rejected_shed;
-    health.idle_reaped = stats_.idle_reaped;
-  }
-  WireWriter body;
-  Encode(health, &body);
-  SendResponse(conn, header.request_id, Verb::kHealth, ResponseEnvelope{},
-               &body);
-}
-
-void BlinkServer::ExecuteJob(const ConnPtr& conn, const FrameHeader& header,
+Admission BlinkServer::Admit(const FrameHeader& /*header*/,
                              const std::string& tenant,
                              const std::vector<std::uint8_t>& payload) {
-  // Everything below this point — SessionManager submit closures,
-  // pipeline phases, kernel scopes — inherits this context (it is
-  // captured into cross-thread closures and re-installed there), so every
-  // span the request produces carries the same request_id.
-  obs::TraceContext trace_ctx;
-  trace_ctx.request_id = header.request_id;
-  trace_ctx.tenant = tenant;
-  trace_ctx.verb = VerbName(header.verb);
-  trace_ctx.valid = true;
-  obs::ScopedTraceContext scoped_trace(std::move(trace_ctx));
-  obs::SpanScope verb_span(VerbName(header.verb), "net");
+  const std::uint64_t payload_bytes = payload.size();
+  const AdmissionDecision decision = quotas_.Admit(tenant, payload_bytes);
+  Admission admission;
+  admission.status = decision.status;
+  admission.message = decision.message;
+  if (!decision.admitted()) {
+    admission.retry_after_ms = decision.retry_after_ms;
+    admission.reason = decision.status == WireStatus::kRateLimited
+                           ? Rejection::kRate
+                           : Rejection::kQuota;
+    return admission;
+  }
+  // A full queue is an admission-time rejection too: same hint as a byte
+  // quota rejection.
+  admission.retry_after_ms = options_.default_quota.over_quota_retry_ms;
+  admission.release = [this, tenant, payload_bytes] {
+    quotas_.Release(tenant, payload_bytes);
+  };
+  return admission;
+}
 
+std::vector<std::uint8_t> BlinkServer::Execute(
+    const FrameHeader& header, const std::string& /*tenant*/,
+    const std::vector<std::uint8_t>& payload) {
   ResponseEnvelope envelope;
   WireWriter body;
-  try {
-    switch (header.verb) {
-      case Verb::kRegisterDataset:
-        envelope = RunRegisterDataset(payload.data(), payload.size(), &body);
-        break;
-      case Verb::kTrain:
-        envelope = RunTrain(payload.data(), payload.size(), &body);
-        break;
-      case Verb::kSearch:
-        envelope = RunSearch(payload.data(), payload.size(), &body);
-        break;
-      case Verb::kPredict:
-        envelope = RunPredict(payload.data(), payload.size(), &body);
-        break;
-      case Verb::kStats:
-        envelope = RunStats(&body);
-        break;
-      case Verb::kEvictIdle:
-        envelope = RunEvictIdle(&body);
-        break;
-      case Verb::kMetrics:
-        envelope = RunMetrics(&body);
-        break;
-      default:
-        envelope.status = WireStatus::kUnknownVerb;
-        envelope.message = "unknown verb reached execution";
-        break;
+  switch (header.verb) {
+    case Verb::kRegisterDataset:
+      envelope = RunRegisterDataset(payload.data(), payload.size(), &body);
+      break;
+    case Verb::kTrain:
+      envelope = RunTrain(payload.data(), payload.size(), &body);
+      break;
+    case Verb::kSearch:
+      envelope = RunSearch(payload.data(), payload.size(), &body);
+      break;
+    case Verb::kPredict:
+      envelope = RunPredict(payload.data(), payload.size(), &body);
+      break;
+    case Verb::kStats: {
+      StatsResponseWire response;
+      response.manager = manager_->stats();
+      response.server = front_.stats();
+      Encode(response, &body);
+      break;
     }
-  } catch (const std::exception& e) {
-    // Job bodies may throw (dataset factories propagate through the
-    // manager's futures); the connection must survive it.
-    envelope = ResponseEnvelope{};
-    envelope.status = WireStatus::kInternal;
-    envelope.message = StrFormat("job threw: %s", e.what());
-  } catch (...) {
-    envelope = ResponseEnvelope{};
-    envelope.status = WireStatus::kInternal;
-    envelope.message = "job threw a non-exception";
-  }
-  SendResponse(conn, header.request_id, header.verb, envelope,
-               envelope.status == WireStatus::kOk ? &body : nullptr);
-}
-
-void BlinkServer::SendResponse(const ConnPtr& conn, std::uint64_t request_id,
-                               Verb verb, const ResponseEnvelope& envelope,
-                               const WireWriter* body) {
-  WireWriter payload;
-  Encode(envelope, &payload);
-  if (body != nullptr) {
-    payload.Bytes(body->bytes().data(), body->bytes().size());
-  }
-
-  FrameHeader header;
-  header.verb = verb;
-  header.request_id = request_id;
-  header.payload_len = static_cast<std::uint32_t>(payload.bytes().size());
-
-  if (conn->closed.load()) return;
-
-  // Write-path fault injection: kError severs the connection before the
-  // response (the client sees EOF and must reconnect + retry); kPartial
-  // leaks a truncated frame prefix first (a mid-frame cut from the
-  // client's perspective); kDelay stalls the write.
-  fail::FaultAction fault;
-  bool sever = false;
-  std::size_t partial_bytes = 0;
-  if (BLINKML_FAILPOINT("net.write_frame", &fault)) {
-    NoteFault("net.write_frame");
-    ApplyInjectedDelay(fault);
-    if (fault.kind == fail::FaultKind::kError) {
-      sever = true;
-    } else if (fault.kind == fail::FaultKind::kPartial) {
-      sever = true;
-      partial_bytes = static_cast<std::size_t>(fault.arg);
+    case Verb::kEvictIdle: {
+      EvictIdleResponseWire response;
+      response.sessions_evicted = manager_->EvictIdle();
+      Encode(response, &body);
+      break;
     }
-  }
-
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->closed.load()) return;
-  if (sever) {
-    if (partial_bytes > 0) {
-      std::vector<std::uint8_t> frame(kFrameHeaderBytes +
-                                      payload.bytes().size());
-      EncodeFrameHeader(header, frame.data());
-      std::memcpy(frame.data() + kFrameHeaderBytes, payload.bytes().data(),
-                  payload.bytes().size());
-      // Best-effort single send of the truncated prefix (a fault
-      // simulation; the bytes fitting the buffer is not load-bearing).
-      (void)::send(conn->fd, frame.data(),
-                   std::min(partial_bytes, frame.size()), MSG_NOSIGNAL);
+    case Verb::kMetrics: {
+      // Sampled gauges refresh at scrape time (same convention as the
+      // manager's MetricsText refresh). The manager registry (serve_* /
+      // net_* metrics) is followed by the process-global registry
+      // (pipeline_*, kernel_*, estimator_*, session_*).
+      front_.SampleGauges();
+      MetricsResponseWire response;
+      response.text =
+          manager_->MetricsText() + obs::Registry::Global().TextSnapshot();
+      Encode(response, &body);
+      break;
     }
-    // shutdown(), not close(): the fd number stays reserved until the
-    // last ConnPtr drops, but both directions die now — the client sees
-    // EOF and the IO thread reaps the connection on its read event.
-    ::shutdown(conn->fd, SHUT_RDWR);
-    conn->closed.store(true);
-    return;
+    default:
+      envelope.status = WireStatus::kUnknownVerb;
+      envelope.message = "unknown verb reached execution";
+      break;
   }
-
-  WriteOptions write_options;
-  write_options.stall_timeout_ms = options_.write_stall_timeout_ms;
-  bool stalled = false;
-  if (WriteFrame(conn->fd, header, payload.bytes().data(),
-                 payload.bytes().size(), write_options, &stalled)
-          .ok()) {
-    conn->last_activity_ms.store(NowMs());
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.responses_sent;
-  } else {
-    if (stalled) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.write_stalls;
-      }
-      manager_->metrics().Counter("net_write_stalls_total")->Inc();
-      RecordFailureEvent("write_stall");
-    }
-    // The peer is gone (or stopped draining); the IO thread will reap
-    // the connection.
-    conn->closed.store(true);
-  }
-}
-
-void BlinkServer::SendError(const ConnPtr& conn, std::uint64_t request_id,
-                            Verb verb, WireStatus status,
-                            const std::string& message,
-                            std::uint32_t retry_after_ms) {
-  ResponseEnvelope envelope;
-  envelope.status = status;
-  envelope.message = message;
-  envelope.retry_after_ms = retry_after_ms;
-  SendResponse(conn, request_id, verb, envelope, nullptr);
+  return ResponsePayload(envelope,
+                         envelope.status == WireStatus::kOk ? &body : nullptr);
 }
 
 ResponseEnvelope BlinkServer::RunRegisterDataset(const std::uint8_t* payload,
@@ -872,10 +146,7 @@ ResponseEnvelope BlinkServer::RunRegisterDataset(const std::uint8_t* payload,
   }
   const AdmissionDecision fit = quotas_.CheckResident(request.tenant, estimate);
   if (!fit.admitted()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_quota;
-    }
+    front_.NoteRejected(Rejection::kQuota);
     envelope.status = fit.status;
     envelope.message = fit.message;
     envelope.retry_after_ms = fit.retry_after_ms;
@@ -1095,39 +366,6 @@ ResponseEnvelope BlinkServer::RunPredict(const std::uint8_t* payload,
   (*spec)->Predict(request.model.theta, data, &predictions);
   response.predictions.assign(predictions.data(),
                               predictions.data() + predictions.size());
-  Encode(response, body);
-  return envelope;
-}
-
-ResponseEnvelope BlinkServer::RunStats(WireWriter* body) {
-  ResponseEnvelope envelope;
-  StatsResponseWire response;
-  response.manager = manager_->stats();
-  response.server = stats();
-  Encode(response, body);
-  return envelope;
-}
-
-ResponseEnvelope BlinkServer::RunEvictIdle(WireWriter* body) {
-  ResponseEnvelope envelope;
-  EvictIdleResponseWire response;
-  response.sessions_evicted = manager_->EvictIdle();
-  Encode(response, body);
-  return envelope;
-}
-
-ResponseEnvelope BlinkServer::RunMetrics(WireWriter* body) {
-  // Sampled gauges refresh at scrape time (same convention as the
-  // manager's MetricsText refresh).
-  g_net_queued_jobs_->Set(static_cast<std::int64_t>(queue_.size()));
-  g_net_open_connections_->Set(open_connections_.load());
-
-  ResponseEnvelope envelope;
-  MetricsResponseWire response;
-  // Manager registry (serve_* / net_* metrics) followed by the process-
-  // global registry (pipeline_*, kernel_*, estimator_*, session_*).
-  response.text =
-      manager_->MetricsText() + obs::Registry::Global().TextSnapshot();
   Encode(response, body);
   return envelope;
 }

@@ -1,27 +1,10 @@
 // BlinkServer: the networked serving front over SessionManager.
 //
 // Promotes the in-process serving layer (serve/session_manager.h) to an
-// actual service: a TCP or Unix-domain listener speaking the framed wire
-// protocol (net/protocol.h), one IO thread multiplexing accept + reads
-// over poll(), a priority job queue with per-request deadlines
-// (net/job_queue.h), per-tenant admission control (net/quotas.h), and a
-// small set of runner threads that execute admitted jobs against the
-// SessionManager's async API and write the responses.
-//
-// Request path:
-//   IO thread: parse frame -> version/verb checks -> peek tenant ->
-//              quota admission -> enqueue (priority + absolute deadline)
-//   runner:    deadline check -> decode payload -> execute verb ->
-//              response frame (status envelope + body)
-//
-// Failure containment: every malformed input is answered with an error
-// frame and NEVER kills the server loop. Bad version, unknown verb, and
-// payload decode errors keep the connection alive; only unsynchronizable
-// framing corruption (bad magic, payload above the cap) closes that one
-// connection — the listener and every other connection are unaffected.
-// Expired-deadline jobs are rejected with kDeadlineExceeded before
-// execution; over-quota requests are rejected at enqueue with a
-// retry-after hint. Neither disturbs jobs already running.
+// actual service. It is the FrameHandler on the connection core
+// (net/frame_server.h): Admit applies per-tenant quotas (net/quotas.h)
+// on the IO thread; Execute decodes the payload, runs the verb against
+// the SessionManager's async API, and answers a status envelope + body.
 //
 // Transparency: the service adds scheduling, never arithmetic. A job
 // executed through the socket returns results BITWISE IDENTICAL to the
@@ -30,72 +13,30 @@
 // (models/serialization.h), both exact (tests/net_test.cc holds this at
 // 1/2/8 runner threads).
 //
-// Writes from runner threads interleave with the IO thread's error
-// frames on the same socket; a per-connection write lock plus
-// frame-at-a-time writes keep frames atomic. Connection fds are
-// non-blocking (one IO thread polls the reads), so a response that
-// overruns the free send-buffer space polls for POLLOUT and resumes
-// (protocol.cc WriteAll); a client that never drains its socket stalls
-// one runner for at most the write-stall timeout before that one
-// connection is dropped — never the listener or other connections.
-//
-// Observability (obs/trace.h, obs/metrics.h): a request's spans start at
-// ADMISSION, not at the socket read — pre-admission work (frame parse,
-// version/verb checks, tenant peek, quota check) is queue-position-
-// dependent bookkeeping measured only by the stats counters. HandleFrame
-// stamps the job at enqueue; the runner's first act on pop is to close
-// the "queue_wait" span (enqueue -> pop) and feed the
-// net_queue_wait_seconds histogram, then ExecuteJob installs the
-// request's TraceContext (request_id/tenant/verb from the frame header)
-// and opens the verb span, which everything below — SessionManager
-// submit, pipeline phases, kernel scopes — nests under and tags with the
-// same request_id. Rejected frames (version, verb, decode, quota, rate,
-// deadline, queue-full) never open spans; they only bump
-// net_rejected_total{reason=...}. The resilience-layer failure paths
-// (shed, connection cap, idle reap, write stall, injected faults) add a
-// zero-duration "fault"-category trace event on top of their counters —
-// cheap enough for cold paths and it puts failures on the same timeline
-// as the request spans. Server-scoped metrics live in the
-// manager's registry (SessionManager::metrics()); the Metrics verb
-// returns that snapshot concatenated with the process-global registry.
+// The front's net_* metrics live in the manager's registry
+// (SessionManager::metrics()); the Metrics verb returns that snapshot
+// concatenated with the process-global registry.
 
 #ifndef BLINKML_NET_SERVER_H_
 #define BLINKML_NET_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/codec.h"
-#include "net/job_queue.h"
+#include "net/frame_server.h"
 #include "net/protocol.h"
 #include "net/quotas.h"
-#include "obs/metrics.h"
 #include "serve/session_manager.h"
 
 namespace blinkml {
 namespace net {
 
-struct ServerOptions {
-  /// Non-empty: listen on this Unix-domain socket path (an existing file
-  /// at the path is replaced). Empty: listen on TCP host:port.
-  std::string unix_path;
-  std::string host = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
-  int port = 0;
-  /// Runner threads executing admitted jobs (each blocks on the
-  /// SessionManager future it submitted; size the manager's
-  /// max_concurrent_jobs accordingly).
-  int runner_threads = 2;
-  /// Bound on queued (admitted, not yet running) jobs; pushes beyond it
-  /// are rejected with kQueueFull. 0 = unbounded.
-  std::size_t max_queued_jobs = 1024;
+struct ServerOptions : FrontOptions {
   /// Default per-tenant quotas (override per tenant via quotas()).
   TenantQuotaOptions default_quota;
   /// Hard cap on the estimated size of any single RegisterDataset
@@ -103,32 +44,13 @@ struct ServerOptions {
   /// and independent of tenant quotas — it protects the server even from
   /// tenants with unlimited byte quotas). 0 = unlimited.
   std::uint64_t max_dataset_bytes = 1ull << 30;
-  int listen_backlog = 64;
-  /// Cap on concurrently open connections. A connection accepted past the
-  /// cap gets one structured kOverloaded error frame (with a retry-after
-  /// hint) and is closed before it can send anything. 0 = unlimited.
-  int max_connections = 0;
-  /// Load-shed high-water mark: while the queue holds at least this many
-  /// jobs, new requests are rejected before enqueue with kOverloaded and
-  /// a shed_retry_ms hint (cheaper than admitting work the queue will
-  /// only age out, and it keeps rejection latency flat under overload).
-  /// 0 = off.
-  std::size_t shed_queue_depth = 0;
-  /// Retry-after hint on shed/connection-cap rejections.
-  std::uint32_t shed_retry_ms = 50;
-  /// Connections with no traffic and no in-flight jobs for this long are
-  /// reaped by the IO loop (poll timeout is derived from the nearest
-  /// deadline, so reaping needs no extra thread). 0 = never.
-  int idle_timeout_ms = 0;
-  /// How long a response write blocked on a full send buffer waits for
-  /// the peer to drain before the connection is dropped
-  /// (protocol.h WriteOptions; stalls count net_write_stalls_total).
-  int write_stall_timeout_ms = kDefaultWriteStallTimeoutMs;
 };
 
-class BlinkServer {
+class BlinkServer : private FrameHandler {
  public:
-  /// The manager must outlive the server.
+  /// The manager must outlive the server. Size the manager's
+  /// max_concurrent_jobs to the runner count: each runner blocks on the
+  /// SessionManager future it submitted.
   BlinkServer(SessionManager* manager, ServerOptions options);
 
   /// Stops and joins (drains queued jobs first).
@@ -138,87 +60,29 @@ class BlinkServer {
   BlinkServer& operator=(const BlinkServer&) = delete;
 
   /// Binds the listener and starts the IO + runner threads.
-  Status Start();
+  Status Start() { return front_.Start(); }
 
   /// Idempotent. Stops accepting, drains the job queue (every admitted
   /// job runs or expires, every response is written), joins all threads,
   /// closes every connection.
-  void Stop();
+  void Stop() { front_.Stop(); }
 
   /// The bound TCP port (after Start; 0 for Unix listeners).
-  int port() const { return port_; }
-
-  const ServerOptions& options() const { return options_; }
+  int port() const { return front_.port(); }
 
   /// Admission control (set per-tenant overrides before or while
   /// serving).
   TenantQuotas& quotas() { return quotas_; }
 
-  ServerStatsWire stats() const;
+  ServerStatsWire stats() const { return front_.stats(); }
 
  private:
-  struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
-    ~Connection();
-    const int fd;
-    /// Unparsed received bytes (IO thread only).
-    std::vector<std::uint8_t> in;
-    /// Serializes whole-frame writes (IO thread error frames vs runner
-    /// responses).
-    std::mutex write_mu;
-    std::atomic<bool> closed{false};
-    /// Last read/write on this connection (steady-clock ms; atomic so the
-    /// IO thread's idle reaper can read against runner-thread writes).
-    std::atomic<std::int64_t> last_activity_ms{0};
-    /// Admitted-but-unanswered jobs. The idle reaper never closes a
-    /// connection that is only "idle" because its job is still running.
-    std::atomic<int> inflight{0};
-  };
-  using ConnPtr = std::shared_ptr<Connection>;
-
-  void IoLoop();
-  void RunnerLoop();
-
-  /// Parses every complete frame out of conn->in; returns false when the
-  /// connection must close (framing corruption).
-  bool DrainConnectionBuffer(const ConnPtr& conn);
-
-  /// Admission + enqueue (IO thread).
-  void HandleFrame(const ConnPtr& conn, const FrameHeader& header,
-                   std::vector<std::uint8_t> payload);
-
-  /// Decode + execute + respond (runner thread). Installs the request's
-  /// TraceContext and verb span for the duration of the call.
-  void ExecuteJob(const ConnPtr& conn, const FrameHeader& header,
-                  const std::string& tenant,
-                  const std::vector<std::uint8_t>& payload);
-
-  /// Bumps net_rejected_total{reason=...} in the manager's registry
-  /// (`reason` must be a string literal). Rejections are cold paths; the
-  /// registry lookup cost is irrelevant there.
-  void NoteRejected(const char* reason);
-
-  /// Failure-path observability added with the resilience layer: every
-  /// NEW failure path (shed, connection cap, idle reap, write stall,
-  /// injected fault) gets a zero-duration trace event under cat "fault"
-  /// in addition to its counter. (Pre-existing rejections stay
-  /// counter-only; see the header comment.) `name` must be a string
-  /// literal.
-  void RecordFailureEvent(const char* name);
-  /// Injected-fault bookkeeping: net_faults_injected_total{point=...} +
-  /// a failure trace event.
-  void NoteFault(const char* point);
-
-  /// Answers a Health probe inline on the IO thread (no quota charge, no
-  /// queue hop — probes must work while the server sheds or drains).
-  void HandleHealth(const ConnPtr& conn, const FrameHeader& header);
-
-  void SendResponse(const ConnPtr& conn, std::uint64_t request_id, Verb verb,
-                    const ResponseEnvelope& envelope,
-                    const WireWriter* body);
-  void SendError(const ConnPtr& conn, std::uint64_t request_id, Verb verb,
-                 WireStatus status, const std::string& message,
-                 std::uint32_t retry_after_ms = 0);
+  // FrameHandler: quota admission, verb execution.
+  Admission Admit(const FrameHeader& header, const std::string& tenant,
+                  const std::vector<std::uint8_t>& payload) override;
+  std::vector<std::uint8_t> Execute(
+      const FrameHeader& header, const std::string& tenant,
+      const std::vector<std::uint8_t>& payload) override;
 
   // Verb bodies: decode the payload, run, fill `body`; the returned
   // envelope carries any failure.
@@ -230,32 +94,11 @@ class BlinkServer {
                              WireWriter* body);
   ResponseEnvelope RunPredict(const std::uint8_t* payload, std::size_t size,
                               WireWriter* body);
-  ResponseEnvelope RunStats(WireWriter* body);
-  ResponseEnvelope RunEvictIdle(WireWriter* body);
-  ResponseEnvelope RunMetrics(WireWriter* body);
 
   SessionManager* const manager_;
   const ServerOptions options_;
 
   TenantQuotas quotas_;
-  JobQueue queue_;
-
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  /// IO-thread-owned connection table (fd -> connection).
-  std::unordered_map<int, ConnPtr> connections_;
-  std::atomic<int> open_connections_{0};
-
-  std::thread io_thread_;
-  std::vector<std::thread> runners_;
-
-  mutable std::mutex stats_mu_;
-  ServerStatsWire stats_;
 
   /// Wire registrations by dataset name, for idempotent retries: a client
   /// whose RegisterDataset response was lost to a connection fault
@@ -269,11 +112,8 @@ class BlinkServer {
                                             std::uint64_t>>
       registered_;
 
-  // Hot-path metrics in the manager's registry, resolved once here
-  // (pointers are stable; see obs/metrics.h).
-  obs::Histogram* const h_queue_wait_;
-  obs::Gauge* const g_net_queued_jobs_;
-  obs::Gauge* const g_net_open_connections_;
+  /// Declared last: its runners call back into the members above.
+  FrameServer front_;
 };
 
 }  // namespace net

@@ -13,31 +13,16 @@ std::string JournalKey(const std::string& tenant, const std::string& name) {
   return key;
 }
 
-bool SameConfig(const net::WireConfig& a, const net::WireConfig& b) {
-  return a.seed == b.seed && a.initial_sample_size == b.initial_sample_size &&
-         a.holdout_size == b.holdout_size &&
-         a.stats_sample_size == b.stats_sample_size &&
-         a.accuracy_samples == b.accuracy_samples &&
-         a.size_samples == b.size_samples;
-}
-
 }  // namespace
-
-bool SameRegistration(const net::RegisterDatasetRequest& a,
-                      const net::RegisterDatasetRequest& b) {
-  return a.tenant == b.tenant && a.name == b.name &&
-         a.generator == b.generator && a.rows == b.rows && a.dim == b.dim &&
-         a.data_seed == b.data_seed && a.sparsity == b.sparsity &&
-         a.noise == b.noise && a.nnz_per_row == b.nnz_per_row &&
-         SameConfig(a.config, b.config);
-}
 
 Status RegistrationJournal::Record(const net::RegisterDatasetRequest& request) {
   const std::string key = JournalKey(request.tenant, request.name);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    if (SameRegistration(entries_[it->second], request)) return Status::OK();
+    if (net::SameRegistration(entries_[it->second], request)) {
+      return Status::OK();
+    }
     return Status::InvalidArgument(
         "dataset '" + request.name + "' already journaled for tenant '" +
         request.tenant + "' with different parameters");

@@ -18,11 +18,11 @@
 // moves; the global journal just answers "all registrations", and the
 // router filters by Owner(key, members) at each replay/migration site.
 //
-// Idempotency contract (matches the server's re-registration rule): an
-// identical re-record is kOk and a no-op; a conflicting re-record (same
-// key, different parameters) is InvalidArgument and leaves the original
-// in place. Thread-safe; snapshot order is insertion order, so replays
-// are deterministic.
+// Idempotency contract (the server's re-registration rule,
+// net::SameRegistration): an identical re-record is kOk and a no-op; a
+// conflicting re-record (same key, different parameters) is
+// InvalidArgument and leaves the original in place. Thread-safe;
+// snapshot order is insertion order, so replays are deterministic.
 
 #ifndef BLINKML_SHARD_JOURNAL_H_
 #define BLINKML_SHARD_JOURNAL_H_
@@ -38,11 +38,6 @@
 
 namespace blinkml {
 namespace shard {
-
-/// Field-wise equality of two wire registrations (every parameter that
-/// affects the materialized dataset or its serving config).
-bool SameRegistration(const net::RegisterDatasetRequest& a,
-                      const net::RegisterDatasetRequest& b);
 
 class RegistrationJournal {
  public:

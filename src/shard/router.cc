@@ -1,13 +1,10 @@
 #include "shard/router.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <thread>
 
 #include "net/client.h"
 #include "obs/trace.h"
@@ -24,25 +21,14 @@ using net::WireReader;
 using net::WireStatus;
 using net::WireWriter;
 
-Result<int> DialUnix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IOError(
-        StrFormat("connect(%s): %s", path.c_str(), std::strerror(err)));
-  }
-  return fd;
-}
+/// Floor for the retry-after hint on kUnavailable answers (the
+/// supervisor's backoff-aware hint can raise it).
+constexpr std::uint32_t kUnavailableRetryMs = 25;
+/// Control-plane clients (journal replay, drain/trip migration): connect
+/// retry budget and per-call retry policy attempts.
+constexpr int kControlConnectAttempts = 40;
+constexpr std::uint32_t kControlConnectBackoffMs = 25;
+constexpr int kControlCallAttempts = 5;
 
 /// Routable worker states: kUp, plus kDraining — a draining worker keeps
 /// serving until DrainShard flips routing away from it.
@@ -103,7 +89,8 @@ class InflightGuard {
 
 }  // namespace
 
-ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
+ShardRouter::ShardRouter(RouterOptions options)
+    : options_(std::move(options)), front_(options_, this, &metrics_) {
   supervisor_ = std::make_unique<WorkerSupervisor>(options_.num_shards,
                                                    options_.worker);
   supervisor_->set_on_worker_up(
@@ -116,95 +103,39 @@ ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
   for (int i = 0; i < options_.num_shards; ++i) {
     members_.push_back(static_cast<std::uint32_t>(i));
     inflight_.push_back(std::make_unique<std::atomic<int>>(0));
+    sockets_.push_back(std::make_unique<WorkerSockets>());
     const obs::Labels labels = {{"shard", std::to_string(i)}};
     c_forwarded_.push_back(metrics_.Counter("shard_forwarded_total", labels));
     c_unavailable_.push_back(
         metrics_.Counter("shard_unavailable_total", labels));
+    h_forward_.push_back(metrics_.Histogram("shard_forward_seconds", labels));
   }
   c_replayed_ = metrics_.Counter("shard_replayed_registrations_total");
   c_migrated_ = metrics_.Counter("shard_migrated_registrations_total");
   c_restarts_ = metrics_.Counter("shard_worker_restarts_total");
   c_tripped_ = metrics_.Counter("shard_workers_tripped_total");
-  g_connections_ = metrics_.Gauge("shard_router_connections");
   g_up_workers_ = metrics_.Gauge("shard_up_workers");
 }
 
 ShardRouter::~ShardRouter() { Stop(); }
 
 Status ShardRouter::Start() {
-  if (started_) return Status::InvalidArgument("router already started");
-  if (options_.unix_path.empty()) {
-    return Status::InvalidArgument("router needs a unix_path");
-  }
   BLINKML_RETURN_NOT_OK(supervisor_->Start());
-
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.unix_path.size() >= sizeof(addr.sun_path)) {
-    supervisor_->Stop();
-    return Status::InvalidArgument("router socket path too long: " +
-                                   options_.unix_path);
-  }
-  std::memcpy(addr.sun_path, options_.unix_path.c_str(),
-              options_.unix_path.size() + 1);
-  ::unlink(options_.unix_path.c_str());
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    supervisor_->Stop();
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    supervisor_->Stop();
-    return Status::IOError(StrFormat("bind(%s): %s",
-                                     options_.unix_path.c_str(),
-                                     std::strerror(err)));
-  }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    supervisor_->Stop();
-    return Status::IOError(StrFormat("listen(%s): %s",
-                                     options_.unix_path.c_str(),
-                                     std::strerror(err)));
-  }
-  started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  const Status started = front_.Start();
+  if (!started.ok()) supervisor_->Stop();
+  return started;
 }
 
 void ShardRouter::Stop() {
-  std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  if (stopped_) return;
-  stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
-  // shutdown() unblocks the accept; the fd is closed only after the
-  // accept thread joined, so it can neither read a stale value nor
-  // accept on a recycled fd number.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    for (auto& [fd, thread] : handlers_) {
-      ::shutdown(fd, SHUT_RDWR);
-      handlers.push_back(std::move(thread));
-    }
-    handlers_.clear();
-    for (std::thread& t : finished_handlers_) handlers.push_back(std::move(t));
-    finished_handlers_.clear();
-  }
-  for (std::thread& t : handlers) t.join();
+  // The front drains first: its admitted jobs still forward to live
+  // workers.
+  front_.Stop();
   supervisor_->Stop();
-  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
+  for (const auto& pool : sockets_) {
+    std::lock_guard<std::mutex> lock(pool->mu);
+    for (const int fd : pool->idle) ::close(fd);
+    pool->idle.clear();
+  }
 }
 
 int ShardRouter::OwnerShard(const ShardKey& key) const {
@@ -228,209 +159,141 @@ RouterStatsSnapshot ShardRouter::stats() const {
   return s;
 }
 
-void ShardRouter::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed (Stop) or fatal
-    }
-    std::vector<std::thread> finished;
-    {
-      std::lock_guard<std::mutex> lock(handlers_mu_);
-      if (stopping_.load(std::memory_order_acquire)) {
-        ::close(fd);
-        break;
-      }
-      finished.swap(finished_handlers_);
-      g_connections_->Add(1);
-      // The new handler cannot reach its own erase before this insert:
-      // both hold handlers_mu_.
-      handlers_.emplace(fd, std::thread([this, fd] { HandleConnection(fd); }));
-    }
-    for (std::thread& t : finished) t.join();
+net::Admission ShardRouter::Admit(const FrameHeader& header,
+                                  const std::string& /*tenant*/,
+                                  const std::vector<std::uint8_t>& payload) {
+  net::Admission admission;
+  ShardKey key;
+  const Status peek = net::PeekRoutingKey(header.verb, payload.data(),
+                                          payload.size(), &key.tenant,
+                                          &key.dataset);
+  if (!peek.ok()) {
+    admission.status = WireStatus::kDecodeError;
+    admission.message = peek.ToString();
+    admission.reason = net::Rejection::kDecode;
+    return admission;
   }
+  // A forward the router's queue refuses is retried like one routed at
+  // an unavailable shard.
+  admission.retry_after_ms = kUnavailableRetryMs;
+  return admission;
 }
 
-void ShardRouter::HandleConnection(int fd) {
-  ClientConn conn;
-  conn.fd = fd;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Frame frame;
-    const Status st = net::ReadFrame(fd, &frame);
-    if (!st.ok()) {
-      // EOF / reset closes silently; framing corruption gets one error
-      // frame first (the stream cannot be resynchronized either way).
-      if (st.code() == StatusCode::kInvalidArgument) {
-        SendEnvelopeOnly(&conn, 0, Verb::kError, WireStatus::kMalformedFrame,
-                         st.ToString());
-      }
-      break;
-    }
-    if (!HandleFrame(&conn, frame)) break;
-  }
-  for (auto& entry : conn.shard_conns) {
-    if (entry.second.fd >= 0) ::close(entry.second.fd);
-  }
-  {
-    // Leave the table before closing: once the fd is closed, accept may
-    // reuse its number for a new connection's entry.
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    const auto it = handlers_.find(fd);
-    if (it != handlers_.end()) {  // else Stop() has taken the thread
-      finished_handlers_.push_back(std::move(it->second));
-      handlers_.erase(it);
-    }
-    g_connections_->Add(-1);
-  }
-  ::close(fd);
-}
-
-bool ShardRouter::HandleFrame(ClientConn* conn, const Frame& frame) {
-  const FrameHeader& h = frame.header;
-  if (h.version != net::kWireVersion) {
-    SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kVersionMismatch,
-                     StrFormat("wire version %u, want %u",
-                               static_cast<unsigned>(h.version),
-                               static_cast<unsigned>(net::kWireVersion)));
-    return true;
-  }
-  switch (h.verb) {
-    case Verb::kHealth:
-      HandleHealth(conn, frame);
-      return true;
-    case Verb::kStats:
-      HandleStats(conn, frame);
-      return true;
-    case Verb::kMetrics:
-      HandleMetrics(conn, frame);
-      return true;
-    case Verb::kEvictIdle:
-      HandleEvictIdle(conn, frame);
-      return true;
+std::vector<std::uint8_t> ShardRouter::Execute(
+    const FrameHeader& header, const std::string& /*tenant*/,
+    const std::vector<std::uint8_t>& payload) {
+  switch (header.verb) {
     case Verb::kRegisterDataset:
-      HandleRegisterDataset(conn, frame);
-      return true;
-    case Verb::kTrain:
-    case Verb::kSearch:
-    case Verb::kPredict: {
+      return RunRegisterDataset(header, payload);
+    case Verb::kStats:
+      return RunStats(header, payload);
+    case Verb::kMetrics:
+      return RunMetrics(header, payload);
+    case Verb::kEvictIdle:
+      return RunEvictIdle(header, payload);
+    default: {
+      // Train / Search / Predict; Admit already checked the key peeks.
       ShardKey key;
-      const Status st =
-          net::PeekRoutingKey(h.verb, frame.payload.data(),
-                              frame.payload.size(), &key.tenant, &key.dataset);
-      if (!st.ok()) {
-        SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kDecodeError,
-                         st.ToString());
-        return true;
-      }
-      RouteAndForward(conn, frame, key);
-      return true;
+      (void)net::PeekRoutingKey(header.verb, payload.data(), payload.size(),
+                                &key.tenant, &key.dataset);
+      return RouteAndForward(header, payload, key);
     }
-    default:
-      SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kUnknownVerb,
-                       StrFormat("unknown verb %u",
-                                 static_cast<unsigned>(h.verb)));
-      return true;
   }
 }
 
-void ShardRouter::RouteAndForward(ClientConn* conn, const Frame& frame,
-                                  const ShardKey& key) {
-  const FrameHeader& h = frame.header;
-  obs::TraceContext ctx;
-  ctx.request_id = h.request_id;
-  ctx.tenant = key.tenant;
-  ctx.verb = net::VerbName(h.verb);
-  ctx.valid = true;
-  obs::ScopedTraceContext scoped_ctx(ctx);
-
+std::vector<std::uint8_t> ShardRouter::RouteAndForward(
+    const FrameHeader& header, const std::vector<std::uint8_t>& payload,
+    const ShardKey& key) {
   const int owner = OwnerShard(key);
   if (owner < 0) {
-    SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kUnavailable,
-                     "no shards in the member set",
-                     options_.unavailable_retry_ms);
-    return;
+    return net::ErrorPayload(WireStatus::kUnavailable,
+                             "no shards in the member set",
+                             kUnavailableRetryMs);
   }
   const std::uint32_t shard = static_cast<std::uint32_t>(owner);
   obs::SpanScope span("shard_forward", "router", "shard",
                       static_cast<long long>(shard));
   const WorkerStatus ws = supervisor_->status(shard);
   if (!Routable(ws.state)) {
-    ReplyUnavailable(conn, frame, shard,
-                     StrFormat("shard %u is %s", shard,
-                               WorkerStateName(ws.state)));
-    return;
+    return Unavailable(shard, StrFormat("shard %u is %s", shard,
+                                        WorkerStateName(ws.state)));
   }
   InflightGuard guard(inflight_[shard].get());
   Frame response;
-  const Status st = ForwardToShard(conn, shard, frame, &response);
+  const Status st = ForwardToShard(shard, header, payload, &response);
   if (!st.ok()) {
     // Transport-level failure: the worker died (or wedged) under this
     // request. Tell the supervisor now rather than at the next probe,
     // and answer a structured retryable rejection — the client's
     // RetryPolicy re-sends and converges once the worker is back.
     supervisor_->NoteSuspect(shard);
-    ReplyUnavailable(conn, frame, shard, st.ToString());
-    return;
+    return Unavailable(shard, st.ToString());
   }
   c_forwarded_[shard]->Inc();
-  FrameHeader out;
-  out.verb = h.verb;
-  out.request_id = h.request_id;
-  out.payload_len = static_cast<std::uint32_t>(response.payload.size());
-  (void)net::WriteFrame(conn->fd, out, response.payload.data(),
-                        response.payload.size());
+  return std::move(response.payload);
 }
 
-Status ShardRouter::ForwardToShard(ClientConn* conn, std::uint32_t shard_id,
-                                   const Frame& frame, Frame* response) {
+Status ShardRouter::ForwardToShard(std::uint32_t shard_id,
+                                   const FrameHeader& header,
+                                   const std::vector<std::uint8_t>& payload,
+                                   Frame* response) {
   const WorkerStatus ws = supervisor_->status(shard_id);
   if (!Routable(ws.state)) {
     return Status::IOError(StrFormat("shard %u is %s", shard_id,
                                      WorkerStateName(ws.state)));
   }
-  ShardConn& sc = conn->shard_conns[shard_id];
-  if (sc.fd >= 0 && sc.generation != ws.generation) {
-    // The worker restarted since this connection was dialed.
-    ::close(sc.fd);
-    sc.fd = -1;
+  const auto start = std::chrono::steady_clock::now();
+  WorkerSockets& pool = *sockets_[shard_id];
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    if (pool.generation != ws.generation) {
+      // The worker restarted since these sockets were dialed.
+      for (const int idle : pool.idle) ::close(idle);
+      pool.idle.clear();
+      pool.generation = ws.generation;
+    }
+    if (!pool.idle.empty()) {
+      fd = pool.idle.back();
+      pool.idle.pop_back();
+    }
   }
-  if (sc.fd < 0) {
-    Result<int> fd = DialUnix(ws.socket_path);
-    if (!fd.ok()) return fd.status();
-    sc.fd = fd.value();
-    sc.generation = ws.generation;
+  if (fd < 0) {
+    Result<int> dialed = net::DialUnix(ws.socket_path);
+    if (!dialed.ok()) return dialed.status();
+    fd = dialed.value();
   }
   // Raw forward: same request_id/priority/deadline, so the worker's
   // spans and queue scheduling see exactly what the client asked for.
-  FrameHeader out = frame.header;
-  out.payload_len = static_cast<std::uint32_t>(frame.payload.size());
-  Status st = net::WriteFrame(sc.fd, out, frame.payload.data(),
-                              frame.payload.size());
-  if (st.ok()) st = net::ReadFrame(sc.fd, response);
-  if (st.ok() && response->header.request_id != frame.header.request_id) {
+  Status st = net::WriteFrame(fd, header, payload.data(), payload.size());
+  if (st.ok()) st = net::ReadFrame(fd, response);
+  if (st.ok() && response->header.request_id != header.request_id) {
     st = Status::IOError(StrFormat(
         "shard %u response desync: sent id %llu, got %llu", shard_id,
-        static_cast<unsigned long long>(frame.header.request_id),
+        static_cast<unsigned long long>(header.request_id),
         static_cast<unsigned long long>(response->header.request_id)));
   }
-  if (!st.ok()) {
-    ::close(sc.fd);
-    sc.fd = -1;
-    return st;
+  h_forward_[shard_id]->Observe(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+  if (st.ok()) {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    if (pool.generation == ws.generation) {
+      pool.idle.push_back(fd);
+      fd = -1;
+    }
   }
-  return Status::OK();
+  if (fd >= 0) ::close(fd);
+  return st;
 }
 
-void ShardRouter::HandleRegisterDataset(ClientConn* conn, const Frame& frame) {
-  const FrameHeader& h = frame.header;
-  WireReader reader(frame.payload.data(), frame.payload.size());
+std::vector<std::uint8_t> ShardRouter::RunRegisterDataset(
+    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
+  WireReader reader(payload.data(), payload.size());
   net::RegisterDatasetRequest request;
   Status st = net::Decode(&reader, &request);
   if (!st.ok()) {
-    SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kDecodeError,
-                     st.ToString());
-    return;
+    return net::ErrorPayload(WireStatus::kDecodeError, st.ToString());
   }
   // Journal BEFORE forwarding: registrations are idempotent at the
   // worker, so an entry whose forward fails is re-appliable — by the
@@ -438,184 +301,135 @@ void ShardRouter::HandleRegisterDataset(ClientConn* conn, const Frame& frame) {
   // re-registration is rejected here, before any worker sees it.
   st = journal_.Record(request);
   if (!st.ok()) {
-    SendEnvelopeOnly(conn, h.request_id, h.verb, WireStatus::kInvalidArgument,
-                     st.ToString());
-    return;
+    return net::ErrorPayload(WireStatus::kInvalidArgument, st.ToString());
   }
-  RouteAndForward(conn, frame, ShardKey{request.tenant, request.name});
+  return RouteAndForward(header, payload,
+                         ShardKey{request.tenant, request.name});
 }
 
-void ShardRouter::HandleHealth(ClientConn* conn, const Frame& frame) {
-  net::HealthResponseWire health;
-  health.accepting = !stopping_.load(std::memory_order_acquire);
-  const std::vector<std::uint32_t> members = Members();
+void ShardRouter::AddHealth(net::HealthResponseWire* health) {
   std::int64_t up = 0;
   bool degraded = false;
-  for (const std::uint32_t id : members) {
-    const WorkerStatus ws = supervisor_->status(id);
-    if (Routable(ws.state)) {
+  for (const std::uint32_t id : Members()) {
+    if (Routable(supervisor_->status(id).state)) {
       ++up;
     } else {
       degraded = true;
     }
   }
   g_up_workers_->Set(up);
-  // `shedding` is the router's degraded bit: some member shard is not
-  // routable, so a slice of the keyspace is answering kUnavailable.
-  health.shedding = degraded;
-  health.open_connections =
-      static_cast<std::int32_t>(g_connections_->value());
-  health.queued_jobs = 0;  // the router holds no queue; workers do
+  // The router's degraded bit rides `shedding`: some member shard is not
+  // routable, so a slice of the keyspace is answering kUnavailable. Those
+  // answers count with the front's own shed rejections.
+  health->shedding = health->shedding || degraded;
   for (const obs::Counter* c : c_unavailable_) {
-    health.rejected_shed += c->value();
+    health->rejected_shed += c->value();
   }
-  WireWriter body;
-  net::Encode(health, &body);
-  SendBody(conn, frame.header.request_id, frame.header.verb, body);
 }
 
-void ShardRouter::HandleStats(ClientConn* conn, const Frame& frame) {
-  net::StatsResponseWire agg;
-  bool any = false;
-  std::uint32_t hint = options_.unavailable_retry_ms;
+template <typename Body, typename OnAnswer>
+std::uint32_t ShardRouter::FanOut(const FrameHeader& header,
+                                  const std::vector<std::uint8_t>& payload,
+                                  OnAnswer on_answer) {
+  std::uint32_t hint = kUnavailableRetryMs;
   for (const std::uint32_t id : Members()) {
     Frame response;
-    if (!ForwardToShard(conn, id, frame, &response).ok()) {
+    Body body;
+    bool answered = false;
+    if (ForwardToShard(id, header, payload, &response).ok()) {
+      WireReader reader(response.payload.data(), response.payload.size());
+      net::ResponseEnvelope envelope;
+      answered = net::Decode(&reader, &envelope).ok() &&
+                 envelope.status == WireStatus::kOk &&
+                 net::Decode(&reader, &body).ok();
+    } else {
       hint = std::max(hint, supervisor_->RetryAfterHintMs(id));
-      continue;
     }
-    WireReader reader(response.payload.data(), response.payload.size());
-    net::ResponseEnvelope envelope;
-    if (!net::Decode(&reader, &envelope).ok() ||
-        envelope.status != WireStatus::kOk) {
-      continue;
-    }
-    net::StatsResponseWire stats;
-    if (!net::Decode(&reader, &stats).ok()) continue;
-    AddServeStats(stats.manager, &agg.manager);
-    AddServerStats(stats.server, &agg.server);
-    any = true;
+    on_answer(id, answered ? &body : nullptr);
   }
+  return hint;
+}
+
+std::vector<std::uint8_t> ShardRouter::RunStats(
+    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
+  net::StatsResponseWire agg;
+  // The router front's own counters (its rejections, connections and
+  // queue), then every worker's on top.
+  agg.server = front_.stats();
+  bool any = false;
+  const std::uint32_t hint = FanOut<net::StatsResponseWire>(
+      header, payload,
+      [&](std::uint32_t, const net::StatsResponseWire* stats) {
+        if (stats == nullptr) return;
+        AddServeStats(stats->manager, &agg.manager);
+        AddServerStats(stats->server, &agg.server);
+        any = true;
+      });
   if (!any) {
-    SendEnvelopeOnly(conn, frame.header.request_id, frame.header.verb,
-                     WireStatus::kUnavailable, "no shard answered Stats",
-                     hint);
-    return;
+    return net::ErrorPayload(WireStatus::kUnavailable,
+                             "no shard answered Stats", hint);
   }
   WireWriter body;
   net::Encode(agg, &body);
-  SendBody(conn, frame.header.request_id, frame.header.verb, body);
+  return net::ResponsePayload(net::ResponseEnvelope{}, &body);
 }
 
-void ShardRouter::HandleMetrics(ClientConn* conn, const Frame& frame) {
+std::vector<std::uint8_t> ShardRouter::RunMetrics(
+    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
   net::MetricsResponseWire out;
-  for (const std::uint32_t id : Members()) {
-    const WorkerStatus ws = supervisor_->status(id);
-    out.text += StrFormat("# shard %u (%s, gen %llu)\n", id,
-                          WorkerStateName(ws.state),
-                          static_cast<unsigned long long>(ws.generation));
-    Frame response;
-    if (!ForwardToShard(conn, id, frame, &response).ok()) {
-      out.text += "# unreachable\n";
-      continue;
-    }
-    WireReader reader(response.payload.data(), response.payload.size());
-    net::ResponseEnvelope envelope;
-    net::MetricsResponseWire shard_metrics;
-    if (net::Decode(&reader, &envelope).ok() &&
-        envelope.status == WireStatus::kOk &&
-        net::Decode(&reader, &shard_metrics).ok()) {
-      out.text += shard_metrics.text;
-    }
-  }
+  FanOut<net::MetricsResponseWire>(
+      header, payload,
+      [&](std::uint32_t id, const net::MetricsResponseWire* shard_metrics) {
+        const WorkerStatus ws = supervisor_->status(id);
+        out.text += StrFormat("# shard %u (%s, gen %llu)\n", id,
+                              WorkerStateName(ws.state),
+                              static_cast<unsigned long long>(ws.generation));
+        out.text += shard_metrics != nullptr ? shard_metrics->text
+                                             : "# unreachable\n";
+      });
+  front_.SampleGauges();
   out.text += "# router\n";
   out.text += metrics_.TextSnapshot();
   WireWriter body;
   net::Encode(out, &body);
-  SendBody(conn, frame.header.request_id, frame.header.verb, body);
+  return net::ResponsePayload(net::ResponseEnvelope{}, &body);
 }
 
-void ShardRouter::HandleEvictIdle(ClientConn* conn, const Frame& frame) {
+std::vector<std::uint8_t> ShardRouter::RunEvictIdle(
+    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
   net::EvictIdleResponseWire agg;
   bool any = false;
-  std::uint32_t hint = options_.unavailable_retry_ms;
-  for (const std::uint32_t id : Members()) {
-    Frame response;
-    if (!ForwardToShard(conn, id, frame, &response).ok()) {
-      hint = std::max(hint, supervisor_->RetryAfterHintMs(id));
-      continue;
-    }
-    WireReader reader(response.payload.data(), response.payload.size());
-    net::ResponseEnvelope envelope;
-    net::EvictIdleResponseWire evicted;
-    if (net::Decode(&reader, &envelope).ok() &&
-        envelope.status == WireStatus::kOk &&
-        net::Decode(&reader, &evicted).ok()) {
-      agg.sessions_evicted += evicted.sessions_evicted;
-      any = true;
-    }
-  }
+  const std::uint32_t hint = FanOut<net::EvictIdleResponseWire>(
+      header, payload,
+      [&](std::uint32_t, const net::EvictIdleResponseWire* evicted) {
+        if (evicted == nullptr) return;
+        agg.sessions_evicted += evicted->sessions_evicted;
+        any = true;
+      });
   if (!any) {
-    SendEnvelopeOnly(conn, frame.header.request_id, frame.header.verb,
-                     WireStatus::kUnavailable, "no shard answered EvictIdle",
-                     hint);
-    return;
+    return net::ErrorPayload(WireStatus::kUnavailable,
+                             "no shard answered EvictIdle", hint);
   }
   WireWriter body;
   net::Encode(agg, &body);
-  SendBody(conn, frame.header.request_id, frame.header.verb, body);
+  return net::ResponsePayload(net::ResponseEnvelope{}, &body);
 }
 
-void ShardRouter::SendEnvelopeOnly(ClientConn* conn, std::uint64_t request_id,
-                                   Verb verb, WireStatus status,
-                                   const std::string& message,
-                                   std::uint32_t retry_after_ms) {
-  net::ResponseEnvelope envelope;
-  envelope.status = status;
-  envelope.message = message;
-  envelope.retry_after_ms = retry_after_ms;
-  WireWriter payload;
-  net::Encode(envelope, &payload);
-  FrameHeader h;
-  h.verb = verb;
-  h.request_id = request_id;
-  h.payload_len = static_cast<std::uint32_t>(payload.bytes().size());
-  (void)net::WriteFrame(conn->fd, h, payload.bytes().data(),
-                        payload.bytes().size());
-}
-
-void ShardRouter::SendBody(ClientConn* conn, std::uint64_t request_id,
-                           Verb verb, const WireWriter& body) {
-  net::ResponseEnvelope envelope;  // kOk
-  WireWriter payload;
-  net::Encode(envelope, &payload);
-  payload.Bytes(body.bytes().data(), body.bytes().size());
-  FrameHeader h;
-  h.verb = verb;
-  h.request_id = request_id;
-  h.payload_len = static_cast<std::uint32_t>(payload.bytes().size());
-  (void)net::WriteFrame(conn->fd, h, payload.bytes().data(),
-                        payload.bytes().size());
-}
-
-void ShardRouter::ReplyUnavailable(ClientConn* conn, const Frame& frame,
-                                   std::uint32_t shard_id,
-                                   const std::string& why) {
+std::vector<std::uint8_t> ShardRouter::Unavailable(std::uint32_t shard_id,
+                                                   const std::string& why) {
   c_unavailable_[shard_id]->Inc();
-  const std::uint32_t hint = std::max(options_.unavailable_retry_ms,
-                                      supervisor_->RetryAfterHintMs(shard_id));
-  SendEnvelopeOnly(conn, frame.header.request_id, frame.header.verb,
-                   WireStatus::kUnavailable, why, hint);
+  const std::uint32_t hint =
+      std::max(kUnavailableRetryMs, supervisor_->RetryAfterHintMs(shard_id));
+  return net::ErrorPayload(WireStatus::kUnavailable, why, hint);
 }
 
 Result<net::BlinkClient> ShardRouter::ControlClient(
     const std::string& socket_path) {
   Result<net::BlinkClient> client = net::BlinkClient::ConnectUnixRetry(
-      socket_path, options_.control_connect_attempts,
-      options_.control_connect_backoff_ms);
+      socket_path, kControlConnectAttempts, kControlConnectBackoffMs);
   if (!client.ok()) return client;
   net::RetryPolicy policy;
-  policy.max_attempts = options_.control_call_attempts;
+  policy.max_attempts = kControlCallAttempts;
   policy.reconnect = true;
   client.value().set_retry_policy(policy);
   return client;

@@ -1,15 +1,17 @@
 // ShardRouter: a supervised cross-process shard front over the
 // networked serving protocol.
 //
-// The router listens on its own Unix socket speaking the same framed
-// wire protocol as BlinkServer — a BlinkClient cannot tell the two
-// apart — and partitions the dataset registry across N worker processes
+// The router is a FrameHandler on BlinkServer's connection core
+// (net/frame_server.h) — a BlinkClient cannot tell the two apart — and
+// partitions the dataset registry across N worker processes
 // (example_serve_daemon instances spawned and lifecycle-managed by
 // shard/supervisor.h). Routing is rendezvous hashing (shard/hashing.h)
-// on the request's (tenant, dataset) key; frames are forwarded RAW
-// (header re-written with the same request_id/priority/deadline), so a
-// worker's trace spans carry the client's request id across the hop and
-// the payload bytes the worker sees are the bytes the client sent.
+// on the request's (tenant, dataset) key, peeked at admission; frames
+// are forwarded RAW (same request_id/priority/deadline) over worker
+// sockets pooled per shard and re-dialed only when the worker's
+// generation changes, so a worker's trace spans carry the client's
+// request id across the hop and the payload bytes the worker sees are
+// the bytes the client sent.
 //
 // Verb handling:
 //   RegisterDataset  decode -> journal (idempotent; conflicts answer
@@ -20,11 +22,13 @@
 //                    spreads tenants
 //   EvictIdle        broadcast to every up shard, sum evictions
 //   Stats            fan out, sum manager + server counters per field
+//                    onto the router front's own
 //   Metrics          fan out, concatenate per-shard snapshots under
 //                    "# shard <i>" headers, append the router's own
-//   Health           answered locally from supervisor state (accepting,
-//                    any-shard-degraded as `shedding`, rolled-up
-//                    counters) — works whatever the workers are doing
+//                    registry (front net_* + shard_*) under "# router"
+//   Health           answered by the front; a member shard that is not
+//                    routable sets `shedding` — works whatever the
+//                    workers are doing
 //
 // Failure model (the contract tests/shard_test.cc and chaos_test.cc
 // hold): every response is either bitwise identical to the same request
@@ -52,12 +56,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/client.h"
 #include "net/codec.h"
+#include "net/frame_server.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "shard/hashing.h"
@@ -68,20 +71,11 @@
 namespace blinkml {
 namespace shard {
 
-struct RouterOptions {
-  /// The router's own listening socket.
-  std::string unix_path;
+/// The router front's listener and limits come from FrontOptions (the
+/// same fields and defaults as a BlinkServer's).
+struct RouterOptions : net::FrontOptions {
   int num_shards = 2;
   WorkerOptions worker;
-  int listen_backlog = 64;
-  /// Floor for the retry-after hint on kUnavailable responses (the
-  /// supervisor's backoff-aware hint can raise it).
-  std::uint32_t unavailable_retry_ms = 25;
-  /// Control-plane clients (journal replay, drain/trip migration):
-  /// connect retry budget and per-call retry policy attempts.
-  int control_connect_attempts = 40;
-  std::uint32_t control_connect_backoff_ms = 25;
-  int control_call_attempts = 5;
 };
 
 /// Rolled-up router counters (mirrors of the registry metrics, for
@@ -95,7 +89,7 @@ struct RouterStatsSnapshot {
   std::uint64_t workers_tripped = 0;
 };
 
-class ShardRouter {
+class ShardRouter : private net::FrameHandler {
  public:
   explicit ShardRouter(RouterOptions options);
   ~ShardRouter();
@@ -106,8 +100,8 @@ class ShardRouter {
   /// then binds the router socket and begins serving.
   Status Start();
 
-  /// Idempotent: stops accepting, unblocks and joins every connection
-  /// handler, stops the workers.
+  /// Idempotent: stops accepting, drains the front's admitted jobs,
+  /// stops the workers.
   void Stop();
 
   /// Planned removal of one shard: migrate its journaled registrations
@@ -125,53 +119,67 @@ class ShardRouter {
 
   WorkerSupervisor& supervisor() { return *supervisor_; }
   const RegistrationJournal& journal() const { return journal_; }
-  /// Router-scoped metrics (shard_* series; the Metrics verb appends
-  /// this snapshot after the per-shard ones).
+  /// Router-scoped metrics (the front's net_* and the shard_* series;
+  /// the Metrics verb appends this snapshot after the per-shard ones).
   obs::Registry& metrics() { return metrics_; }
   RouterStatsSnapshot stats() const;
 
  private:
-  /// One client connection's forwarding state: a cached socket per
-  /// shard, keyed by worker generation so a restart redials.
-  struct ShardConn {
-    int fd = -1;
+  /// Idle sockets to one shard's worker, shared by the front's runners.
+  /// All belong to `generation`; a restart (new generation) closes them.
+  struct WorkerSockets {
+    std::mutex mu;
     std::uint64_t generation = 0;
-  };
-  struct ClientConn {
-    int fd = -1;
-    std::unordered_map<std::uint32_t, ShardConn> shard_conns;
+    std::vector<int> idle;
   };
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  /// Dispatches one parsed frame; returns false when the connection
-  /// must close (framing desync).
-  bool HandleFrame(ClientConn* conn, const net::Frame& frame);
+  // FrameHandler: routing-key peek, then forward or fan out.
+  net::Admission Admit(const net::FrameHeader& header,
+                       const std::string& tenant,
+                       const std::vector<std::uint8_t>& payload) override;
+  std::vector<std::uint8_t> Execute(
+      const net::FrameHeader& header, const std::string& tenant,
+      const std::vector<std::uint8_t>& payload) override;
+  void AddHealth(net::HealthResponseWire* health) override;
 
-  /// Routes + forwards a data-plane frame, writing the worker's
-  /// response (or a structured rejection) back to the client.
-  void RouteAndForward(ClientConn* conn, const net::Frame& frame,
-                       const ShardKey& key);
+  /// Routes + forwards a data-plane frame; returns the worker's response
+  /// payload or a structured rejection.
+  std::vector<std::uint8_t> RouteAndForward(
+      const net::FrameHeader& header,
+      const std::vector<std::uint8_t>& payload, const ShardKey& key);
   /// Raw forward to one shard: preserves request_id/priority/deadline,
   /// returns the response frame. IOError = transport-level failure
   /// (the caller answers kUnavailable and flags the shard suspect).
-  Status ForwardToShard(ClientConn* conn, std::uint32_t shard_id,
-                        const net::Frame& frame, net::Frame* response);
+  Status ForwardToShard(std::uint32_t shard_id,
+                        const net::FrameHeader& header,
+                        const std::vector<std::uint8_t>& payload,
+                        net::Frame* response);
 
-  void HandleRegisterDataset(ClientConn* conn, const net::Frame& frame);
-  void HandleHealth(ClientConn* conn, const net::Frame& frame);
-  void HandleStats(ClientConn* conn, const net::Frame& frame);
-  void HandleMetrics(ClientConn* conn, const net::Frame& frame);
-  void HandleEvictIdle(ClientConn* conn, const net::Frame& frame);
+  /// Forwards a fan-out verb to every member shard and decodes each kOk
+  /// answer's body as a `Body`; `on_answer(shard_id, body)` gets nullptr
+  /// for a shard that did not answer. Returns the retry-after hint for a
+  /// fan-out no shard answered.
+  template <typename Body, typename OnAnswer>
+  std::uint32_t FanOut(const net::FrameHeader& header,
+                       const std::vector<std::uint8_t>& payload,
+                       OnAnswer on_answer);
 
-  void SendEnvelopeOnly(ClientConn* conn, std::uint64_t request_id,
-                        net::Verb verb, net::WireStatus status,
-                        const std::string& message,
-                        std::uint32_t retry_after_ms = 0);
-  void SendBody(ClientConn* conn, std::uint64_t request_id, net::Verb verb,
-                const net::WireWriter& body);
-  void ReplyUnavailable(ClientConn* conn, const net::Frame& frame,
-                        std::uint32_t shard_id, const std::string& why);
+  std::vector<std::uint8_t> RunRegisterDataset(
+      const net::FrameHeader& header,
+      const std::vector<std::uint8_t>& payload);
+  std::vector<std::uint8_t> RunStats(const net::FrameHeader& header,
+                                     const std::vector<std::uint8_t>& payload);
+  std::vector<std::uint8_t> RunMetrics(
+      const net::FrameHeader& header,
+      const std::vector<std::uint8_t>& payload);
+  std::vector<std::uint8_t> RunEvictIdle(
+      const net::FrameHeader& header,
+      const std::vector<std::uint8_t>& payload);
+
+  /// kUnavailable answer for a request routed at `shard_id`, with a
+  /// retry-after hint sized from the shard's restart backoff.
+  std::vector<std::uint8_t> Unavailable(std::uint32_t shard_id,
+                                        const std::string& why);
 
   /// Supervisor callbacks.
   Status ReplayShard(std::uint32_t shard_id, const std::string& socket_path);
@@ -197,31 +205,20 @@ class ShardRouter {
 
   /// In-flight forwards per shard (drain waits for zero).
   std::vector<std::unique_ptr<std::atomic<int>>> inflight_;
+  std::vector<std::unique_ptr<WorkerSockets>> sockets_;
 
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::mutex stop_mu_;
-  bool stopped_ = false;
-  bool started_ = false;
-  std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  /// Live connections: client fd -> its handler thread (shutdown() at
-  /// Stop unblocks them). A handler erases its entry before it closes the
-  /// fd, so accept cannot hand out a number that is still a key.
-  std::unordered_map<int, std::thread> handlers_;
-  /// Handlers that have exited, joined at the next accept (or Stop), so
-  /// the bookkeeping stays bounded by the live connections.
-  std::vector<std::thread> finished_handlers_;
-
-  // Registry-resolved hot-path counters, one per shard.
+  // Registry-resolved hot-path metrics, one per shard.
   std::vector<obs::Counter*> c_forwarded_;
   std::vector<obs::Counter*> c_unavailable_;
+  std::vector<obs::Histogram*> h_forward_;
   obs::Counter* c_replayed_;
   obs::Counter* c_migrated_;
   obs::Counter* c_restarts_;
   obs::Counter* c_tripped_;
-  obs::Gauge* g_connections_;
   obs::Gauge* g_up_workers_;
+
+  /// Declared last: its runners forward through the members above.
+  net::FrameServer front_;
 };
 
 }  // namespace shard

@@ -3,9 +3,12 @@
 // call in-process at any server runner-thread count; malformed frames
 // must be answered with error frames without killing the server;
 // deadline-expired and over-quota requests must be rejected with their
-// distinct statuses without disturbing concurrent jobs.
+// distinct statuses without disturbing concurrent jobs. The connection
+// core's overload and failure-containment tests run against both fronts
+// that share it (BlinkServer and ShardRouter).
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -30,6 +33,7 @@
 #include "net/quotas.h"
 #include "net/server.h"
 #include "serve/session_manager.h"
+#include "shard/router.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -249,8 +253,12 @@ TEST(BlinkServer, SearchRoundTripBitwise) {
 
 class RawConnection {
  public:
-  explicit RawConnection(const std::string& path) {
+  /// `rcvbuf` > 0 shrinks the socket's receive buffer before connecting.
+  explicit RawConnection(const std::string& path, int rcvbuf = 0) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -324,11 +332,79 @@ std::vector<std::uint8_t> HealthPayload(const std::string& tenant) {
   return writer.bytes();
 }
 
-TEST(BlinkServer, MalformedFramesAnswerErrorsAndServerStaysUp) {
-  SessionManager manager;
-  ServerOptions options;
+// --- Both fronts --------------------------------------------------------
+
+// A front under test, started from FrontOptions: BlinkServer over an
+// in-process SessionManager, or ShardRouter over one worker process.
+// `hold_failpoints` arms the failpoints that hold a Train job: in this
+// process for the server, in the worker for the router.
+class ServerFront {
+ public:
+  static constexpr const char* kName = "BlinkServer";
+
+  explicit ServerFront(const FrontOptions& front,
+                       const std::string& hold_failpoints = "")
+      : hold_failpoints_(hold_failpoints) {
+    ServerOptions options;
+    static_cast<FrontOptions&>(options) = front;
+    server_ = std::make_unique<BlinkServer>(&manager_, options);
+  }
+
+  Status Start() {
+    if (!hold_failpoints_.empty()) {
+      BLINKML_RETURN_NOT_OK(
+          fail::Failpoints::Global().ArmFromSpec(hold_failpoints_));
+    }
+    return server_->Start();
+  }
+
+ private:
+  const std::string hold_failpoints_;
+  SessionManager manager_;
+  std::unique_ptr<BlinkServer> server_;
+};
+
+class RouterFront {
+ public:
+  static constexpr const char* kName = "ShardRouter";
+
+  explicit RouterFront(const FrontOptions& front,
+                       const std::string& hold_failpoints = "") {
+    static int instance = 0;
+    shard::RouterOptions options;
+    static_cast<FrontOptions&>(options) = front;
+    options.num_shards = 1;
+    options.worker.socket_dir = "/tmp";
+    options.worker.socket_prefix = "blinkml_nf_" +
+                                   std::to_string(::getpid()) + "_" +
+                                   std::to_string(instance++);
+    options.worker.inherit_env_failpoints = false;
+    options.worker.worker_failpoints = hold_failpoints;
+    router_ = std::make_unique<shard::ShardRouter>(options);
+  }
+
+  Status Start() { return router_->Start(); }
+
+ private:
+  std::unique_ptr<shard::ShardRouter> router_;
+};
+
+template <typename FrontT>
+class Front : public ::testing::Test {};
+
+struct FrontName {
+  template <typename FrontT>
+  static std::string GetName(int) {
+    return FrontT::kName;
+  }
+};
+using Fronts = ::testing::Types<ServerFront, RouterFront>;
+TYPED_TEST_SUITE(Front, Fronts, FrontName);
+
+TYPED_TEST(Front, MalformedFramesAnswerErrorsAndServerStaysUp) {
+  FrontOptions options;
   options.unix_path = SocketPath("malformed");
-  BlinkServer server(&manager, options);
+  TypeParam server(options);
   ASSERT_TRUE(server.Start().ok());
 
   // Bad magic: unsynchronizable -> error frame, then the connection
@@ -853,19 +929,15 @@ std::vector<std::uint8_t> TrainPayload(const std::string& tenant,
   return writer.bytes();
 }
 
-TEST(BlinkServer, ShedsAtQueueHighWaterWithRetryHint) {
+TYPED_TEST(Front, ShedsAtQueueHighWaterWithRetryHint) {
   ScopedFailpoints guard;
-  // Hold the single runner on the first job so the queue backs up.
-  ASSERT_TRUE(fail::Failpoints::Global()
-                  .ArmFromSpec("manager.train=delay:300@limit:2")
-                  .ok());
-  SessionManager manager;
-  ServerOptions options;
+  FrontOptions options;
   options.unix_path = SocketPath("shed");
   options.runner_threads = 1;
   options.shed_queue_depth = 1;
   options.shed_retry_ms = 77;
-  BlinkServer server(&manager, options);
+  // Hold the single runner on the first job so the queue backs up.
+  TypeParam server(options, "manager.train=delay:300@limit:2");
   ASSERT_TRUE(server.Start().ok());
 
   RawConnection conn(options.unix_path);
@@ -940,13 +1012,12 @@ TEST(BlinkServer, ShedsAtQueueHighWaterWithRetryHint) {
   EXPECT_GE(stats->server.rejected_shed, 1u);
 }
 
-TEST(BlinkServer, ConnectionCapRejectsWithStructuredFrameAtAccept) {
-  SessionManager manager;
-  ServerOptions options;
+TYPED_TEST(Front, ConnectionCapRejectsWithStructuredFrameAtAccept) {
+  FrontOptions options;
   options.unix_path = SocketPath("conncap");
   options.max_connections = 1;
   options.shed_retry_ms = 33;
-  BlinkServer server(&manager, options);
+  TypeParam server(options);
   ASSERT_TRUE(server.Start().ok());
 
   auto first = BlinkClient::ConnectUnix(options.unix_path);
@@ -983,12 +1054,11 @@ TEST(BlinkServer, ConnectionCapRejectsWithStructuredFrameAtAccept) {
   EXPECT_TRUE(reused);
 }
 
-TEST(BlinkServer, IdleConnectionsAreReapedWithoutAnExtraThread) {
-  SessionManager manager;
-  ServerOptions options;
+TYPED_TEST(Front, IdleConnectionsAreReapedWithoutAnExtraThread) {
+  FrontOptions options;
   options.unix_path = SocketPath("idle");
   options.idle_timeout_ms = 60;
-  BlinkServer server(&manager, options);
+  TypeParam server(options);
   ASSERT_TRUE(server.Start().ok());
 
   RawConnection idle(options.unix_path);
@@ -1002,6 +1072,49 @@ TEST(BlinkServer, IdleConnectionsAreReapedWithoutAnExtraThread) {
   const auto stats = client->Stats("t");
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->server.idle_reaped, 1u);
+}
+
+// A client that never reads its response costs one runner the
+// write-stall timeout, then loses its connection (it sees the hang-up),
+// while other connections keep being served.
+TYPED_TEST(Front, StalledReaderIsDroppedAndOthersAreServed) {
+  FrontOptions options;
+  options.unix_path = SocketPath("stall");
+  options.write_stall_timeout_ms = 200;
+  TypeParam server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // ~2 MB of predictions (one double per row), far beyond what the
+  // socket buffers between the front and this client hold.
+  PredictRequestWire predict;
+  predict.tenant = "stall";
+  predict.model_class = "LogisticRegression";
+  predict.model.theta = Vector(1);
+  predict.rows = 256 * 1024;
+  predict.dim = 1;
+  predict.features.assign(static_cast<std::size_t>(predict.rows), 0.5);
+  WireWriter writer;
+  ASSERT_TRUE(Encode(predict, &writer).ok());
+  RawConnection stalled(options.unix_path, /*rcvbuf=*/4096);
+  ASSERT_TRUE(stalled.ok());
+  FrameHeader header;
+  header.verb = Verb::kPredict;
+  header.request_id = 60;
+  stalled.SendRaw(FrameBytes(header, writer.bytes()));
+
+  auto other = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(other->Stats("t").ok());
+
+  // Never reads: the front must hang up on it within a few seconds.
+  pollfd hangup{stalled.fd(), POLLRDHUP, 0};
+  ASSERT_EQ(::poll(&hangup, 1, 5000), 1) << "stalled reader never dropped";
+  EXPECT_NE(hangup.revents & (POLLRDHUP | POLLHUP), 0);
+
+  const auto metrics = other->Metrics("t");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->text.find("net_write_stalls_total 1"), std::string::npos)
+      << metrics->text;
 }
 
 TEST(BlinkServer, HealthProbeReportsShedAndDrainState) {

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -291,6 +292,15 @@ TEST_F(ShardTest, RoutedTrainsAreBitwiseIdenticalToSingleProcess) {
     EXPECT_NE(metrics->text.find("# shard 0"), std::string::npos);
     EXPECT_NE(metrics->text.find("# router"), std::string::npos);
     EXPECT_NE(metrics->text.find("shard_forwarded_total"), std::string::npos);
+    // The router section carries the hop next to the router front's own
+    // queue, connection and rejection series.
+    const std::string router_section = metrics->text.substr(
+        std::min(metrics->text.find("# router"), metrics->text.size()));
+    for (const char* name :
+         {"shard_forward_seconds", "net_queue_wait_seconds",
+          "net_open_connections", "net_rejected_total"}) {
+      EXPECT_NE(router_section.find(name), std::string::npos) << name;
+    }
 
     EXPECT_GE(router.stats().forwarded, 2u * regs.size());
     EXPECT_EQ(router.stats().unavailable, 0u);
