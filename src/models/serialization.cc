@@ -1,7 +1,6 @@
 #include "models/serialization.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -10,14 +9,16 @@ namespace blinkml {
 namespace {
 constexpr const char kMagic[] = "blinkml-model";
 constexpr int kVersion = 1;
+}  // namespace
 
-Status WriteModelText(std::ostream& out, const std::string& model_class,
-                      const TrainedModel& model, double epsilon,
-                      double delta) {
+Status SaveModel(const std::string& path, const std::string& model_class,
+                 const TrainedModel& model, double epsilon, double delta) {
   if (model_class.empty() ||
       model_class.find_first_of(" \t\n") != std::string::npos) {
     return Status::InvalidArgument("model class must be a single token");
   }
+  std::ofstream out(path);
+  if (!out) return Status::IOError("cannot open " + path + " for writing");
   out.precision(17);
   out << kMagic << " " << kVersion << "\n";
   out << "class " << model_class << "\n";
@@ -32,15 +33,17 @@ Status WriteModelText(std::ostream& out, const std::string& model_class,
   for (Vector::Index i = 0; i < model.theta.size(); ++i) {
     out << model.theta[i] << "\n";
   }
+  if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
 }
 
-/// `source` names the input in error messages (a path or "model text").
-Result<SavedModel> ReadModelText(std::istream& in, const std::string& source) {
+Result<SavedModel> LoadModel(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open " + path);
   std::string magic;
   int version = 0;
   if (!(in >> magic >> version) || magic != kMagic) {
-    return Status::InvalidArgument(source + " is not a BlinkML model");
+    return Status::InvalidArgument(path + " is not a BlinkML model");
   }
   if (version != kVersion) {
     return Status::InvalidArgument(
@@ -75,56 +78,24 @@ Result<SavedModel> ReadModelText(std::istream& in, const std::string& source) {
       in >> value;
     }
     if (!in) {
-      return Status::InvalidArgument("malformed header in " + source);
+      return Status::InvalidArgument("malformed header in " + path);
     }
   }
   if (key != "theta") {
-    return Status::InvalidArgument("missing theta section in " + source);
+    return Status::InvalidArgument("missing theta section in " + path);
   }
   if (params < 0) {
-    return Status::InvalidArgument("missing params count in " + source);
+    return Status::InvalidArgument("missing params count in " + path);
   }
   out.model.theta.Resize(params);
   for (Vector::Index i = 0; i < params; ++i) {
     if (!(in >> out.model.theta[i])) {
       return Status::InvalidArgument(
           StrFormat("model truncated at parameter %lld in %s",
-                    static_cast<long long>(i), source.c_str()));
+                    static_cast<long long>(i), path.c_str()));
     }
   }
   return out;
-}
-
-}  // namespace
-
-Result<std::string> EncodeModelText(const std::string& model_class,
-                                    const TrainedModel& model, double epsilon,
-                                    double delta) {
-  std::ostringstream out;
-  BLINKML_RETURN_NOT_OK(
-      WriteModelText(out, model_class, model, epsilon, delta));
-  return out.str();
-}
-
-Result<SavedModel> DecodeModelText(const std::string& text) {
-  std::istringstream in(text);
-  return ReadModelText(in, "model text");
-}
-
-Status SaveModel(const std::string& path, const std::string& model_class,
-                 const TrainedModel& model, double epsilon, double delta) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  BLINKML_RETURN_NOT_OK(
-      WriteModelText(out, model_class, model, epsilon, delta));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<SavedModel> LoadModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return ReadModelText(in, path);
 }
 
 }  // namespace blinkml

@@ -5,9 +5,9 @@
 // name, parameter count, training metadata) followed by one parameter per
 // line at full precision. Text keeps the files diffable and portable; the
 // parameter vectors involved are small (<= a few hundred thousand doubles).
-// Parameters render with 17 significant digits, so every IEEE-754 double
-// round-trips bitwise — the networked serving front (net/codec.h) embeds
-// exactly this text as its model payload and relies on that exactness.
+// Finite parameters render with 17 significant digits and so round-trip
+// bitwise. This is a file format only: the wire (net/codec.h) ships models
+// as IEEE-754 bits.
 
 #ifndef BLINKML_MODELS_SERIALIZATION_H_
 #define BLINKML_MODELS_SERIALIZATION_H_
@@ -27,21 +27,10 @@ struct SavedModel {
   double delta = -1.0;
 };
 
-/// Renders `model` in the model-file format (what SaveModel writes).
-/// `model_class` should be spec.name(); epsilon/delta record the contract
-/// the model was trained under (negatives = none). Fails on a model class
-/// that is not a single token.
-Result<std::string> EncodeModelText(const std::string& model_class,
-                                    const TrainedModel& model,
-                                    double epsilon = -1.0,
-                                    double delta = -1.0);
-
-/// Parses the model-file format; fails with InvalidArgument on malformed
-/// or truncated input. DecodeModelText(EncodeModelText(...)) reproduces
-/// the parameters bitwise.
-Result<SavedModel> DecodeModelText(const std::string& text);
-
-/// Writes `model` to `path` in the EncodeModelText format.
+/// Writes `model` to `path` in the model-file format. `model_class`
+/// should be spec.name(); epsilon/delta record the contract the model was
+/// trained under (negatives = none). Fails on a model class that is not a
+/// single token.
 Status SaveModel(const std::string& path, const std::string& model_class,
                  const TrainedModel& model, double epsilon = -1.0,
                  double delta = -1.0);

@@ -10,7 +10,6 @@
 #include "models/linear_regression.h"
 #include "models/logistic_regression.h"
 #include "models/poisson_regression.h"
-#include "models/serialization.h"
 #include "util/string_util.h"
 
 namespace blinkml {
@@ -23,22 +22,37 @@ Status ReaderStatus(const WireReader& in) {
   return Status::OK();
 }
 
-/// Embeds a TrainedModel as the serialization.h text blob.
-Status EncodeModelBlob(const std::string& model_class,
-                       const TrainedModel& model, WireWriter* out) {
-  BLINKML_ASSIGN_OR_RETURN(std::string text,
-                           EncodeModelText(model_class, model));
-  out->Str(text);
+/// The model blob shared by Train, Search and Predict (README "Wire
+/// format"): the fixed header, then theta as a u32 count and its
+/// IEEE-754 bits. The class name travels outside the blob.
+Status EncodeModelBlob(const TrainedModel& model, WireWriter* out) {
+  if (model.theta.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("model of %lld parameters exceeds the wire's u32 count",
+                  static_cast<long long>(model.theta.size())));
+  }
+  out->F64(model.objective);
+  out->I32(model.iterations);
+  out->U8(model.converged ? 1 : 0);
+  out->I64(model.sample_size);
+  out->U32(static_cast<std::uint32_t>(model.theta.size()));
+  out->Doubles(model.theta.data(),
+               static_cast<std::size_t>(model.theta.size()));
   return Status::OK();
 }
 
-Status DecodeModelBlob(WireReader* in, std::string* model_class,
-                       TrainedModel* model) {
-  const std::string text = in->Str();
-  BLINKML_RETURN_NOT_OK(ReaderStatus(*in));
-  BLINKML_ASSIGN_OR_RETURN(SavedModel saved, DecodeModelText(text));
-  *model_class = std::move(saved.model_class);
-  *model = std::move(saved.model);
+Status DecodeModelBlob(WireReader* in, TrainedModel* model) {
+  model->objective = in->F64();
+  model->iterations = in->I32();
+  model->converged = in->U8() != 0;
+  model->sample_size = in->I64();
+  const std::uint32_t params = in->U32();
+  // Doubles refuses a count the remaining bytes cannot hold before it
+  // allocates, so a forged count costs nothing.
+  std::vector<double> theta;
+  in->Doubles(params, &theta);
+  if (!in->ok()) return Status::InvalidArgument("truncated model blob");
+  model->theta = Vector(std::move(theta));
   return Status::OK();
 }
 
@@ -263,7 +277,8 @@ Status Decode(WireReader* in, TrainRequestWire* out) {
 }
 
 Status Encode(const TrainResponseWire& v, WireWriter* out) {
-  BLINKML_RETURN_NOT_OK(EncodeModelBlob(v.model_class, v.model, out));
+  out->Str(v.model_class);
+  BLINKML_RETURN_NOT_OK(EncodeModelBlob(v.model, out));
   out->I64(v.sample_size);
   out->I64(v.full_size);
   out->F64(v.initial_epsilon);
@@ -276,7 +291,8 @@ Status Encode(const TrainResponseWire& v, WireWriter* out) {
 }
 
 Status Decode(WireReader* in, TrainResponseWire* out) {
-  BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &out->model_class, &out->model));
+  out->model_class = in->Str();
+  BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &out->model));
   out->sample_size = in->I64();
   out->full_size = in->I64();
   out->initial_epsilon = in->F64();
@@ -338,7 +354,7 @@ Status Encode(const SearchResponseWire& v, WireWriter* out) {
     out->F64(c.final_epsilon);
     out->I64(c.sample_size);
     if (c.status == WireStatus::kOk) {
-      BLINKML_RETURN_NOT_OK(EncodeModelBlob("model", c.model, out));
+      BLINKML_RETURN_NOT_OK(EncodeModelBlob(c.model, out));
     }
   }
   return Status::OK();
@@ -359,8 +375,7 @@ Status Decode(WireReader* in, SearchResponseWire* out) {
     c.final_epsilon = in->F64();
     c.sample_size = in->I64();
     if (c.status == WireStatus::kOk) {
-      std::string ignored_class;
-      BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &ignored_class, &c.model));
+      BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &c.model));
     }
   }
   return ReaderStatus(*in);
@@ -374,7 +389,7 @@ Status Encode(const PredictRequestWire& v, WireWriter* out) {
   }
   out->Str(v.tenant);
   out->Str(v.model_class);
-  BLINKML_RETURN_NOT_OK(EncodeModelBlob(v.model_class, v.model, out));
+  BLINKML_RETURN_NOT_OK(EncodeModelBlob(v.model, out));
   out->I64(v.rows);
   out->I64(v.dim);
   out->Doubles(v.features.data(), v.features.size());
@@ -384,8 +399,7 @@ Status Encode(const PredictRequestWire& v, WireWriter* out) {
 Status Decode(WireReader* in, PredictRequestWire* out) {
   out->tenant = in->Str();
   out->model_class = in->Str();
-  std::string blob_class;
-  BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &blob_class, &out->model));
+  BLINKML_RETURN_NOT_OK(DecodeModelBlob(in, &out->model));
   out->rows = in->I64();
   out->dim = in->I64();
   BLINKML_RETURN_NOT_OK(ReaderStatus(*in));

@@ -7,16 +7,19 @@
 //  * every response payload begins with a ResponseEnvelope (wire status,
 //    message, retry-after hint); the verb body follows only when the
 //    status is kOk;
-//  * model parameters travel as the models/serialization.h text format
-//    embedded as a length-prefixed string — 17-significant-digit doubles
-//    round-trip bitwise, so a served model is bit-identical to the
-//    in-process one;
-//  * raw numeric vectors (features, predictions) travel as IEEE-754 bit
-//    patterns (WireWriter::F64), also bitwise exact.
+//  * every double — model parameters and training diagnostics, features,
+//    predictions — travels as its IEEE-754 bit pattern (WireWriter::F64 /
+//    Doubles), so a served model or prediction is bit-identical to the
+//    in-process one, non-finite values included;
+//  * Train, Search and Predict carry models in one binary blob (objective,
+//    iterations, converged, sample_size, then theta as a u32 count and
+//    its doubles); the class name, where a message needs it, is a
+//    separate string field before the blob.
 //
 // Decode functions fail with InvalidArgument on truncated payloads or
-// out-of-range enums; the server answers such failures with a
-// kDecodeError frame and keeps the connection alive.
+// out-of-range enums, and check every count against the bytes left before
+// allocating for it; the server answers such failures with a kDecodeError
+// frame and keeps the connection alive.
 
 #ifndef BLINKML_NET_CODEC_H_
 #define BLINKML_NET_CODEC_H_

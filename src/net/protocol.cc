@@ -211,8 +211,26 @@ void WireWriter::Bytes(const std::uint8_t* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
+// A little-endian host stores a double as exactly the bytes F64 writes,
+// so whole arrays cross the wire with one copy; any other host converts
+// element by element. Chosen at compile time.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define BLINKML_WIRE_DOUBLES_BULK 1
+#else
+#define BLINKML_WIRE_DOUBLES_BULK 0
+#endif
+
 void WireWriter::Doubles(const double* data, std::size_t count) {
+  // An empty array's data() may be null, and copying from a null pointer
+  // is undefined even for zero bytes.
+  if (count == 0) return;
+#if BLINKML_WIRE_DOUBLES_BULK
+  // One growth and one copy of the array's bytes.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
+  buf_.insert(buf_.end(), bytes, bytes + count * sizeof(double));
+#else
   for (std::size_t i = 0; i < count; ++i) F64(data[i]);
+#endif
 }
 
 bool WireReader::Need(std::size_t n) {
@@ -273,7 +291,13 @@ void WireReader::Doubles(std::size_t count, std::vector<double>* out) {
     return;
   }
   out->resize(count);
+  if (count == 0) return;
+#if BLINKML_WIRE_DOUBLES_BULK
+  std::memcpy(out->data(), data_ + pos_, count * sizeof(double));
+  pos_ += count * sizeof(double);
+#else
   for (std::size_t i = 0; i < count; ++i) (*out)[i] = F64();
+#endif
 }
 
 namespace {

@@ -36,7 +36,7 @@ namespace blinkml {
 namespace net {
 
 inline constexpr std::uint32_t kWireMagic = 0x424C4E4Bu;  // "BLNK"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 28;
 /// Frames advertising a larger payload are treated as framing corruption
 /// (the connection closes after an error frame).
@@ -145,6 +145,8 @@ class WireWriter {
   void F64(double v);
   /// u32 length + raw bytes.
   void Str(const std::string& s);
+  /// `count` F64s, no length prefix; the same bytes as calling F64 per
+  /// element, written with one copy on little-endian hosts.
   void Doubles(const double* data, std::size_t count);
   /// Raw bytes appended verbatim, no length prefix (splicing one writer's
   /// finished body after another's envelope).
@@ -173,7 +175,9 @@ class WireReader {
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   double F64();
   std::string Str();
-  /// Reads `count` doubles into `out` (resized).
+  /// Reads `count` doubles into `out` (resized). A count the remaining
+  /// bytes cannot hold fails before `out` is touched, so a forged count
+  /// never allocates.
   void Doubles(std::size_t count, std::vector<double>* out);
 
   bool ok() const { return !failed_; }

@@ -9,9 +9,8 @@
 // Transparency: the service adds scheduling, never arithmetic. A job
 // executed through the socket returns results BITWISE IDENTICAL to the
 // same SessionManager call in-process, at any server thread count — the
-// wire codecs ship doubles as IEEE-754 bit patterns or 17-digit text
-// (models/serialization.h), both exact (tests/net_test.cc holds this at
-// 1/2/8 runner threads).
+// wire codecs ship every double, models included, as its IEEE-754 bit
+// pattern (tests/net_test.cc holds this at 1/2/8 runner threads).
 //
 // The front's net_* metrics live in the manager's registry
 // (SessionManager::metrics()); the Metrics verb returns that snapshot

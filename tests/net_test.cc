@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -247,6 +248,90 @@ TEST(BlinkServer, SearchRoundTripBitwise) {
     EXPECT_EQ(served.sample_size, expected.result.sample_size);
     ExpectModelBitwise(served.model, expected.result.model, "search");
   }
+}
+
+// --- Codec -------------------------------------------------------------
+
+// A quiet NaN whose payload has its lowest bit set: a codec that
+// canonicalizes NaNs (or parses text) loses that bit.
+double NanWithPayload() {
+  const std::uint64_t bits = 0x7FF8000000000001ull;
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+void ExpectSameBits(const double* a, const double* b, std::size_t count,
+                    const char* what) {
+  EXPECT_EQ(count == 0 ? 0 : std::memcmp(a, b, count * sizeof(double)), 0)
+      << what;
+}
+
+void ExpectModelBits(const TrainedModel& sent, const TrainedModel& got,
+                     const char* what) {
+  ExpectSameBits(&sent.objective, &got.objective, 1, what);
+  EXPECT_EQ(sent.iterations, got.iterations) << what;
+  EXPECT_EQ(sent.converged, got.converged) << what;
+  EXPECT_EQ(sent.sample_size, got.sample_size) << what;
+  ASSERT_EQ(sent.theta.size(), got.theta.size()) << what;
+  ExpectSameBits(sent.theta.data(), got.theta.data(),
+                 static_cast<std::size_t>(sent.theta.size()), what);
+}
+
+template <typename Wire>
+Wire EncodeDecode(const Wire& sent) {
+  WireWriter writer;
+  const Status encoded = Encode(sent, &writer);
+  EXPECT_TRUE(encoded.ok()) << encoded.ToString();
+  const std::vector<std::uint8_t> bytes = writer.Take();
+  WireReader reader(bytes.data(), bytes.size());
+  Wire got;
+  const Status decoded = Decode(&reader, &got);
+  EXPECT_TRUE(decoded.ok()) << decoded.ToString();
+  EXPECT_EQ(reader.remaining(), 0u);
+  return got;
+}
+
+// Every double in a model must cross the wire as its bits, including the
+// ones a trainer can really produce at the edges: a diverged objective,
+// NaN and infinite parameters, a signed zero and a subnormal.
+TEST(Codec, NonFiniteModelDoublesRoundTripBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  TrainedModel model;
+  model.objective = inf;
+  model.iterations = 17;
+  model.converged = false;
+  model.sample_size = 1234;
+  model.theta = Vector{NanWithPayload(), -inf, -0.0, 4.9e-324};
+
+  TrainResponseWire train;
+  train.model_class = "LogisticRegression";
+  train.model = model;
+  const TrainResponseWire train_got = EncodeDecode(train);
+  EXPECT_EQ(train_got.model_class, train.model_class);
+  ExpectModelBits(model, train_got.model, "train");
+
+  SearchResponseWire search;
+  search.best_index = 0;
+  search.candidates.resize(1);
+  search.candidates[0].model = model;
+  const SearchResponseWire search_got = EncodeDecode(search);
+  ASSERT_EQ(search_got.candidates.size(), 1u);
+  ExpectModelBits(model, search_got.candidates[0].model, "search");
+
+  PredictRequestWire predict;
+  predict.tenant = "t";
+  predict.model_class = "LogisticRegression";
+  predict.model = model;
+  predict.rows = 1;
+  predict.dim = 3;
+  predict.features = {inf, NanWithPayload(), -0.0};
+  const PredictRequestWire predict_got = EncodeDecode(predict);
+  EXPECT_EQ(predict_got.model_class, predict.model_class);
+  ExpectModelBits(model, predict_got.model, "predict");
+  ASSERT_EQ(predict_got.features.size(), predict.features.size());
+  ExpectSameBits(predict.features.data(), predict_got.features.data(),
+                 predict.features.size(), "predict features");
 }
 
 // --- Malformed input ---------------------------------------------------
@@ -567,6 +652,78 @@ TEST(BlinkServer, PredictRowsTimesDimOverflowIsADecodeError) {
   header.request_id = 51;
   conn.SendRaw(FrameBytes(header, StatsPayload("raw")));
   EXPECT_EQ(conn.ReadEnvelope().status, WireStatus::kOk);
+}
+
+// A Predict's model blob is outside input: a forged parameter count, a
+// theta cut short and a blob cut inside its fixed header must each be a
+// decode error and leave the connection serving. The forged count must be
+// refused by the byte-count guard; resizing theta to it first would ask
+// for 32 GB.
+TEST(BlinkServer, MalformedModelBlobsAreDecodeErrors) {
+  SessionManager manager;
+  ServerOptions options;
+  options.unix_path = SocketPath("badblob");
+  BlinkServer server(&manager, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The Predict payload up to the blob, then the blob's fixed header.
+  const auto blob_header = [](WireWriter* out) {
+    out->Str("raw");
+    out->Str("LogisticRegression");
+    out->F64(0.5);  // objective
+    out->I32(3);    // iterations
+    out->U8(1);     // converged
+    out->I64(100);  // sample_size
+  };
+  std::vector<std::vector<std::uint8_t>> payloads;
+  {
+    // 0xFFFFFFFF parameters (32 GB) claimed with 16 payload bytes left.
+    WireWriter out;
+    blob_header(&out);
+    out.U32(0xFFFFFFFFu);
+    out.I64(1);
+    out.I64(1);
+    payloads.push_back(out.Take());
+  }
+  {
+    // Theta ends halfway: 4 parameters claimed, 2 sent.
+    WireWriter out;
+    blob_header(&out);
+    out.U32(4);
+    out.F64(1.0);
+    out.F64(2.0);
+    payloads.push_back(out.Take());
+  }
+  {
+    // The blob ends inside its fixed header, halfway through iterations.
+    WireWriter out;
+    out.Str("raw");
+    out.Str("LogisticRegression");
+    out.F64(0.5);
+    out.U16(3);
+    payloads.push_back(out.Take());
+  }
+
+  RawConnection conn(options.unix_path);
+  ASSERT_TRUE(conn.ok());
+  std::uint64_t request_id = 60;
+  for (const std::vector<std::uint8_t>& payload : payloads) {
+    FrameHeader header;
+    header.verb = Verb::kPredict;
+    header.request_id = request_id;
+    conn.SendRaw(FrameBytes(header, payload));
+    std::uint64_t echoed = 0;
+    const ResponseEnvelope envelope = conn.ReadEnvelope(&echoed);
+    EXPECT_EQ(envelope.status, WireStatus::kDecodeError)
+        << "request " << request_id << ": " << envelope.message;
+    EXPECT_EQ(echoed, request_id);
+
+    header.verb = Verb::kStats;
+    header.request_id = request_id + 100;
+    conn.SendRaw(FrameBytes(header, StatsPayload("raw")));
+    EXPECT_EQ(conn.ReadEnvelope().status, WireStatus::kOk);
+    ++request_id;
+  }
 }
 
 // Multi-MB responses must survive the server's non-blocking connection
@@ -1247,6 +1404,49 @@ TEST(Protocol, ReaderDoublesRejectsCountsWhoseByteSizeWraps) {
   reader.Doubles(std::size_t{1} << 61, &out);
   EXPECT_FALSE(reader.ok());
   EXPECT_TRUE(out.empty());
+}
+
+// The bulk Doubles path must write exactly the bytes of per-element F64
+// calls and read them back bitwise, starting at an unaligned offset, for
+// counts from empty to past 64K; a count one past the bytes left must
+// fail.
+TEST(Protocol, DoublesBulkMatchesPerElementLayout) {
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             NanWithPayload(),
+                             -0.0,
+                             4.9e-324,
+                             std::numeric_limits<double>::max()};
+  for (const std::size_t count : {0u, 1u, 7u, 65537u}) {
+    std::vector<double> values(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      values[i] = i % 3 == 0 ? specials[(i / 3) % std::size(specials)]
+                             : 1.0 / static_cast<double>(i + 1) - 0.5;
+    }
+    WireWriter bulk;
+    bulk.U8(0xA5);
+    bulk.Doubles(values.data(), count);
+    WireWriter per_element;
+    per_element.U8(0xA5);
+    for (const double v : values) per_element.F64(v);
+    ASSERT_EQ(bulk.bytes(), per_element.bytes()) << count << " doubles";
+
+    const std::vector<std::uint8_t>& bytes = bulk.bytes();
+    WireReader reader(bytes.data(), bytes.size());
+    EXPECT_EQ(reader.U8(), 0xA5);
+    std::vector<double> back;
+    reader.Doubles(count, &back);
+    ASSERT_TRUE(reader.ok()) << count << " doubles";
+    EXPECT_EQ(reader.remaining(), 0u);
+    ASSERT_EQ(back.size(), count);
+    ExpectSameBits(values.data(), back.data(), count, "bulk read");
+
+    WireReader over(bytes.data(), bytes.size());
+    over.U8();
+    std::vector<double> none;
+    over.Doubles(count + 1, &none);
+    EXPECT_FALSE(over.ok()) << count + 1 << " doubles";
+  }
 }
 
 // --- JobQueue unit tests -----------------------------------------------
