@@ -4,7 +4,9 @@
 // actually run:
 //   * dense Gram over a stats-sample-sized gradient matrix;
 //   * sparse Gram over heavy hashed-feature rows;
-//   * CSR matvec / transposed matvec (the sampler-draw kernels).
+//   * CSR matvec / transposed matvec (the sampler-draw kernels);
+//   * dense batched margins, 8 draws over a 2,000 x 100 holdout (the
+//     Monte-Carlo scoring pass of a dense train; fixed, not scaled).
 // End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
@@ -153,6 +155,20 @@ int main(int argc, char** argv) {
   for (Matrix::Index i = 0; i < vmat.size(); ++i) {
     vmat.data()[i] = rng.Normal(0.0, 1.0);
   }
+  // Dense batched margins at the dense-train holdout shape: every
+  // Monte-Carlo draw of both estimators is scored by one such pass.
+  const Dataset margin_data = MakeSyntheticLogistic(
+      /*n=*/2'000, /*dim=*/100, /*seed=*/23);
+  std::vector<Vector> draw_store;
+  for (int t = 0; t < 8; ++t) {
+    Vector draw(margin_data.dim());
+    for (Vector::Index i = 0; i < draw.size(); ++i) {
+      draw[i] = rng.Normal(0.0, 1.0);
+    }
+    draw_store.push_back(std::move(draw));
+  }
+  std::vector<const Vector*> draws;
+  for (const Vector& draw : draw_store) draws.push_back(&draw);
   // The reference for the multi-column transposed apply is one serial
   // scatter per column.
   const auto reference_multi_apply_t = [&]() -> Matrix {
@@ -184,6 +200,12 @@ int main(int argc, char** argv) {
       &pool, threads, repeats,
       [&] { return kernels::ApplyTransposedMulti(x, vmat); },
       reference_multi_apply_t));
+  micros.push_back(RunMicro<Matrix>(
+      StrFormat("dense_margins x8 %s x %lld",
+                WithThousands(margin_data.num_rows()).c_str(),
+                static_cast<long long>(margin_data.dim())),
+      &pool, threads, repeats, [&] { return BatchMargins(margin_data, draws); },
+      [&] { return reference::BatchMargins(margin_data, draws); }));
   // Single-vector CSR applies: a gather dot is load-port-bound, so their
   // kernel win is lane scaling — parity is expected when the pool has one
   // hardware core under it (the multi-vector rows above carry the
@@ -249,6 +271,7 @@ int main(int argc, char** argv) {
         .Number("sparse_gram_speedup", micros[1].speedup())
         .Number("sparse_matvec_speedup", micros[2].speedup())
         .Number("sparse_matvec_t_speedup", micros[3].speedup())
+        .Number("dense_margins_speedup", micros[4].speedup())
         .Array("micro", micro_json)
         .Array("thread_scaling", thread_json)
         .Str("kernel_isa", isa_name)

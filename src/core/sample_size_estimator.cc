@@ -192,18 +192,16 @@ Result<SampleSizeEstimate> EstimateSampleSize(
               // scores(theta_N,i) = S0 + a1 * Su_i + a2 * Sw_i.
               // Written fused: s1 = Su_i * a1 + S0 (the same operand order
               // as the copy/scale/add sequence, so the bits are unchanged).
-              const Matrix& su = score_u[static_cast<std::size_t>(i)];
-              const Matrix& sw = score_w[static_cast<std::size_t>(i)];
-              for (Matrix::Index r = 0; r < s1.rows(); ++r) {
-                const double* surow = su.row_data(r);
-                const double* swrow = sw.row_data(r);
-                const double* base_row = base_scores.row_data(r);
-                double* s1row = s1.row_data(r);
-                double* s2row = s2.row_data(r);
-                for (Matrix::Index j = 0; j < score_cols; ++j) {
-                  s1row[j] = surow[j] * s.a1 + base_row[j];
-                  s2row[j] = swrow[j] * s.a2 + s1row[j];
-                }
+              // All five h x c blocks are contiguous row-major, so one
+              // flat loop covers them element by element.
+              const double* su = score_u[static_cast<std::size_t>(i)].data();
+              const double* sw = score_w[static_cast<std::size_t>(i)].data();
+              const double* base = base_scores.data();
+              double* s1d = s1.data();
+              double* s2d = s2.data();
+              for (Matrix::Index j = 0; j < s1.size(); ++j) {
+                s1d[j] = su[j] * s.a1 + base[j];
+                s2d[j] = sw[j] * s.a2 + s1d[j];
               }
               v = spec.DiffFromScores(s1, s2, holdout);
             } else {

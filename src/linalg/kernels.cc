@@ -178,47 +178,6 @@ void BatchRowGatherTail(const SIndex* cols, const double* vals, SIndex nnz,
   }
 }
 
-// Dense counterpart of BatchRowGather: W margins of one feature row, the
-// row loaded once per group, each column bitwise DotUnrolled.
-template <int W>
-void BatchRowDense(const double* row, DIndex d, const double* const* th,
-                   double* out) {
-  double acc[4][W];
-  for (int t = 0; t < W; ++t) {
-    acc[0][t] = acc[1][t] = acc[2][t] = acc[3][t] = 0.0;
-  }
-  DIndex p = 0;
-  for (; p + 4 <= d; p += 4) {
-    const double a0 = row[p], a1 = row[p + 1];
-    const double a2 = row[p + 2], a3 = row[p + 3];
-    for (int t = 0; t < W; ++t) {
-      acc[0][t] += a0 * th[t][p];
-      acc[1][t] += a1 * th[t][p + 1];
-      acc[2][t] += a2 * th[t][p + 2];
-      acc[3][t] += a3 * th[t][p + 3];
-    }
-  }
-  for (int t = 0; t < W; ++t) {
-    double s = (acc[0][t] + acc[1][t]) + (acc[2][t] + acc[3][t]);
-    for (DIndex q = p; q < d; ++q) s += row[q] * th[t][q];
-    out[t] = s;
-  }
-}
-
-void BatchRowDenseTail(const double* row, DIndex d, const double* const* th,
-                       DIndex width, double* out) {
-  switch (width) {
-    case 1: return BatchRowDense<1>(row, d, th, out);
-    case 2: return BatchRowDense<2>(row, d, th, out);
-    case 3: return BatchRowDense<3>(row, d, th, out);
-    case 4: return BatchRowDense<4>(row, d, th, out);
-    case 5: return BatchRowDense<5>(row, d, th, out);
-    case 6: return BatchRowDense<6>(row, d, th, out);
-    case 7: return BatchRowDense<7>(row, d, th, out);
-    default: return BatchRowDense<8>(row, d, th, out);
-  }
-}
-
 // W dots of one dense row against W vectors interleaved into a pack
 // (pack[p * W + t] = vec_t[p]): the row is loaded once for the whole
 // group and every step touches one contiguous W-slab per unrolled lane.
@@ -996,35 +955,6 @@ void SparseMargins(const SparseMatrix& x, const double* theta, SIndex b,
     out[i - b] =
         SparseDotUnrolled(x.RowCols(i), x.RowValues(i), x.RowNnz(i), theta);
   }
-}
-
-Matrix BatchMarginsDense(const Matrix& x,
-                         const std::vector<const Vector*>& thetas) {
-  const auto k = static_cast<DIndex>(thetas.size());
-  const DIndex d = x.cols();
-  Matrix margins(x.rows(), k);
-  // Column groups of kMultiVec candidates share each load of the feature
-  // row (BatchRowDense; every entry bitwise DotUnrolled(row, theta_t)).
-  static_assert(kMultiVec == 8, "BatchRowDenseTail's default case");
-  ParallelFor(0, x.rows(), [&](DIndex b, DIndex e) {
-    const double* th[kMultiVec];
-    for (DIndex i = b; i < e; ++i) {
-      const double* row = x.row_data(i);
-      double* orow = margins.row_data(i);
-      for (DIndex c0 = 0; c0 < k; c0 += kMultiVec) {
-        const DIndex width = std::min<DIndex>(kMultiVec, k - c0);
-        for (DIndex t = 0; t < width; ++t) {
-          th[t] = thetas[static_cast<std::size_t>(c0 + t)]->data();
-        }
-        if (width == kMultiVec) {
-          BatchRowDense<kMultiVec>(row, d, th, orow + c0);
-        } else {
-          BatchRowDenseTail(row, d, th, width, orow + c0);
-        }
-      }
-    }
-  });
-  return margins;
 }
 
 Matrix BatchMarginsSparse(const SparseMatrix& x,

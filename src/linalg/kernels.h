@@ -28,12 +28,12 @@
 // summation order.
 //
 // ISA dispatch: RuntimeOptions::kernel_isa selects AVX2 variants of the
-// hottest inner loops (the canonical dot, the batched gather/packed row
-// kernels, and the multi-z scatter slabs). The vector variants keep the
-// scalar association exactly — the 4 unrolled chains become the 4 lanes
-// of one ymm register merged in the same (s0+s1)+(s2+s3) order (or one
-// lane per batched column), and FMA is never used — so AVX2 output is
-// bitwise identical to the scalar output.
+// hottest inner loops (the canonical dot, the sparse batched gather row,
+// the packed dense row behind MatVecMulti, and the multi-z scatter slabs).
+// The vector variants keep the scalar association exactly — the 4
+// unrolled chains become the 4 lanes of one ymm register merged in the
+// same (s0+s1)+(s2+s3) order (or one lane per batched column), and FMA is
+// never used — so AVX2 output is bitwise identical to the scalar output.
 
 #ifndef BLINKML_LINALG_KERNELS_H_
 #define BLINKML_LINALG_KERNELS_H_
@@ -109,13 +109,16 @@ Vector MatVec(const Matrix& a, const Vector& x);
 /// A^T x via per-chunk partial outputs merged in fixed chunk order.
 Vector MatTVec(const Matrix& a, const Vector& x);
 
-// --- Multi-z kernels (batched Monte-Carlo draws; ParamSampler::DrawBatch).
+// --- Multi-z kernels (batched Monte-Carlo draws and scores).
 
 /// A zs^T for a batch of B vectors given as the ROWS of zs (B x a.cols()):
 /// out is a.rows() x B with out.col(b) == MatVec(a, zs.row(b)) bitwise.
-/// The B vectors are interleaved into a pack once so each row of A is
-/// loaded once per group and every gather lands on one contiguous slab;
+/// Each kMultiVec group is interleaved into a pack once so each row of A
+/// is loaded once per group and every step reads one contiguous slab;
 /// each output entry's accumulation is exactly the canonical DotUnrolled.
+/// The one dense multi-vector dot kernel: it backs ParamSampler::DrawBatch
+/// (A = the sampler factor) and dense BatchMargins (A = the feature rows,
+/// zs = the stacked candidate thetas).
 Matrix MatVecMulti(const Matrix& a, const Matrix& zs);
 
 /// A^T T for a dense T (a.rows() x B, column b = vector b): out is
@@ -168,14 +171,13 @@ void DenseMargins(const Matrix& x, const double* theta, Matrix::Index b,
 void SparseMargins(const SparseMatrix& x, const double* theta,
                    SparseMatrix::Index b, SparseMatrix::Index e, double* out);
 
-/// margins(i, k) = <row i, theta_k>: one pass over the rows, every row
-/// load (dense) / index+value load (sparse; candidates interleaved into a
-/// pack so a gather lands on one contiguous slab per group) serves a
-/// kMultiVec candidate group. Each entry's accumulation order is exactly
-/// the canonical unrolled dot, so column k equals a single-margin pass
-/// for theta_k bitwise — the batched-scoring self-check's invariant.
-Matrix BatchMarginsDense(const Matrix& x,
-                         const std::vector<const Vector*>& thetas);
+/// margins(i, k) = <row i, theta_k> for CSR rows: one pass over the rows,
+/// every index+value load serves a kMultiVec candidate group (candidates
+/// interleaved into a pack so a gather lands on one contiguous slab per
+/// group). Each entry's accumulation order is exactly SparseDotUnrolled,
+/// so column k equals a single-margin pass for theta_k bitwise — the
+/// batched-scoring self-check's invariant. Dense rows take MatVecMulti,
+/// which keeps the same invariant with DotUnrolled.
 Matrix BatchMarginsSparse(const SparseMatrix& x,
                           const std::vector<const Vector*>& thetas);
 

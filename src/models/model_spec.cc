@@ -150,8 +150,16 @@ Matrix BatchMargins(const Dataset& data,
   // The kernels run every entry through the same unrolled dot the
   // single-margin passes use, so a column equals a per-candidate Predict
   // pass bitwise (the batched-scoring self-check).
-  return data.is_sparse() ? kernels::BatchMarginsSparse(data.sparse(), thetas)
-                          : kernels::BatchMarginsDense(data.dense(), thetas);
+  if (data.is_sparse()) {
+    return kernels::BatchMarginsSparse(data.sparse(), thetas);
+  }
+  // Dense rows share the sampler's packed multi-vector kernel: the thetas
+  // become the rows of a k x d block.
+  Matrix block(static_cast<Matrix::Index>(thetas.size()), data.dim());
+  for (std::size_t t = 0; t < thetas.size(); ++t) {
+    block.SetRow(static_cast<Matrix::Index>(t), *thetas[t]);
+  }
+  return kernels::MatVecMulti(data.dense(), block);
 }
 
 double LabelScale(const Dataset& data) {

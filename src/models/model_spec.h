@@ -183,10 +183,10 @@ class ModelSpec {
 };
 
 /// margins(i, k) = holdout row i dotted with *thetas[k] — the shared
-/// kernel behind the GLM PredictBatch overrides. One pass over the rows:
-/// each row is loaded once and dotted against every candidate with the
-/// unrolled dot the single-margin passes use, so entries match the
-/// per-candidate margins bitwise.
+/// kernel behind the GLM PredictBatch and ScoresBatch overrides. Each row
+/// is loaded once per group of kernels::kMultiVec candidates and dotted
+/// against them with the unrolled dot the single-margin passes use, so
+/// entries match the per-candidate margins bitwise.
 Matrix BatchMargins(const Dataset& data,
                     const std::vector<const Vector*>& thetas);
 

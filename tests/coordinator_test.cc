@@ -1,3 +1,5 @@
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "core/coordinator.h"
@@ -6,6 +8,7 @@
 #include "models/logistic_regression.h"
 #include "models/max_entropy.h"
 #include "models/ppca.h"
+#include "runtime/runtime_options.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -92,6 +95,49 @@ TEST(Coordinator, DeterministicGivenSeed) {
   EXPECT_EQ(ra->sample_size, rb->sample_size);
   EXPECT_DOUBLE_EQ(ra->initial_epsilon, rb->initial_epsilon);
   testing::ExpectVectorNear(ra->model.theta, rb->model.theta, 0.0);
+}
+
+TEST(Coordinator, DenseRunIsBitwiseIdenticalAcrossKernelIsas) {
+  // Every dense Monte-Carlo score runs the packed multi-vector rows, whose
+  // AVX2 variant keeps the scalar association; a whole run through all
+  // five phases must therefore return the same bits at either ISA.
+  LogisticRegressionSpec spec;
+  const Dataset data = MakeSyntheticLogistic(20000, 41, 9);
+  auto run = [&](KernelIsa isa) {
+    BlinkConfig config = FastConfig(13);
+    config.runtime.kernel_isa = isa;
+    return Coordinator(config).Train(spec, data, {0.01, 0.05});
+  };
+  RuntimeOptions avx2_scope;
+  avx2_scope.kernel_isa = KernelIsa::kAvx2;
+  {
+    RuntimeScope scope(avx2_scope);
+    if (CurrentKernelIsa() != KernelIsa::kAvx2) {
+      GTEST_SKIP() << "CPU lacks AVX2+FMA";
+    }
+  }
+  const auto scalar_run = run(KernelIsa::kScalar);
+  const auto avx2_run = run(KernelIsa::kAvx2);
+  ASSERT_TRUE(scalar_run.ok());
+  ASSERT_TRUE(avx2_run.ok());
+  const ApproxResult& scalar = *scalar_run;
+  const ApproxResult& avx2 = *avx2_run;
+  ASSERT_FALSE(scalar.used_initial_only);
+  ASSERT_GT(scalar.final_iterations, 0);
+  const auto same_bits = [](const void* a, const void* b, std::size_t n) {
+    return std::memcmp(a, b, n) == 0;
+  };
+  ASSERT_EQ(avx2.model.theta.size(), scalar.model.theta.size());
+  EXPECT_TRUE(same_bits(avx2.model.theta.data(), scalar.model.theta.data(),
+                        sizeof(double) * scalar.model.theta.size()));
+  EXPECT_TRUE(same_bits(&avx2.initial_epsilon, &scalar.initial_epsilon,
+                        sizeof(double)));
+  EXPECT_TRUE(same_bits(&avx2.final_epsilon, &scalar.final_epsilon,
+                        sizeof(double)));
+  EXPECT_EQ(avx2.sample_size, scalar.sample_size);
+  EXPECT_TRUE(same_bits(&avx2.size_estimate.success_fraction,
+                        &scalar.size_estimate.success_fraction,
+                        sizeof(double)));
 }
 
 TEST(Coordinator, EpsilonZeroFallsBackToFullTraining) {

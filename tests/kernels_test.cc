@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,13 +178,44 @@ TEST(SparseKernels, ApplyTransposedMultiBitwiseEqualsPerColumn) {
       "ApplyTransposedMulti");
 }
 
+// ---------- Runtime ISA scopes ----------
+
+// Runs fn with the given ISA forced via the scope.
+template <typename Fn>
+auto AtIsa(KernelIsa isa, const Fn& fn) {
+  RuntimeOptions options;
+  options.kernel_isa = isa;
+  RuntimeScope scope(options);
+  return fn();
+}
+
+// True when forcing kAvx2 actually resolves to kAvx2 (i.e. the CPU has
+// AVX2+FMA); on other machines the scope clamps back to kScalar and the
+// AVX2 legs of these tests are vacuous, so the callers skip them.
+bool Avx2Available() {
+  return AtIsa(KernelIsa::kAvx2,
+               [] { return CurrentKernelIsa() == KernelIsa::kAvx2; });
+}
+
+std::vector<KernelIsa> IsasToTest() {
+  std::vector<KernelIsa> isas = {KernelIsa::kScalar};
+  if (Avx2Available()) isas.push_back(KernelIsa::kAvx2);
+  return isas;
+}
+
+const char* IsaName(KernelIsa isa) {
+  return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
+}
+
 // ---------- Batched margins: the scoring consistency invariant ----------
 
 TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
   const Dataset sparse = SparseBinaryData(120, 900, /*seed=*/5,
                                           /*nnz_per_row=*/25);
   const Dataset dense = testing::SmallDenseLogistic(150, 40, /*seed=*/6);
-  for (const Dataset* data : {&sparse, &dense}) {
+  // d = 41: every dot ends in a one-element tail after the unrolled chains.
+  const Dataset dense_tail = testing::SmallDenseLogistic(150, 41, /*seed=*/7);
+  for (const Dataset* data : {&sparse, &dense, &dense_tail}) {
     // Group widths across a full group + tails: 1, 3, 8, 11 candidates.
     for (const int k : {1, 3, 8, 11}) {
       std::vector<Vector> store;
@@ -192,23 +224,39 @@ TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
       }
       std::vector<const Vector*> thetas;
       for (const Vector& v : store) thetas.push_back(&v);
-      const Matrix batch = BatchMargins(*data, thetas);
-      ASSERT_EQ(batch.cols(), k);
-      for (int t = 0; t < k; ++t) {
-        Vector single(data->num_rows());
-        // The same margin kernel Predict/GlmPredict run (PanelMargins).
-        if (data->is_sparse()) {
-          kernels::SparseMargins(data->sparse(), store[t].data(), 0,
-                                 data->num_rows(), single.data());
-        } else {
-          kernels::DenseMargins(data->dense(), store[t].data(), 0,
-                                data->num_rows(), single.data());
+      std::vector<Matrix> by_isa;
+      for (const KernelIsa isa : IsasToTest()) {
+        const Matrix batch =
+            AtIsa(isa, [&] { return BatchMargins(*data, thetas); });
+        ASSERT_EQ(batch.cols(), k);
+        for (int t = 0; t < k; ++t) {
+          // The same margin kernel Predict/GlmPredict run (PanelMargins).
+          const Vector single = AtIsa(isa, [&] {
+            Vector margins(data->num_rows());
+            if (data->is_sparse()) {
+              kernels::SparseMargins(data->sparse(), store[t].data(), 0,
+                                     data->num_rows(), margins.data());
+            } else {
+              kernels::DenseMargins(data->dense(), store[t].data(), 0,
+                                    data->num_rows(), margins.data());
+            }
+            return margins;
+          });
+          for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
+            ASSERT_EQ(batch(i, t), single[i])
+                << (data->is_sparse() ? "sparse" : "dense") << " d="
+                << data->dim() << " " << IsaName(isa) << " k=" << k
+                << " theta " << t << " row " << i;
+          }
         }
-        for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
-          ASSERT_EQ(batch(i, t), single[i])
-              << (data->is_sparse() ? "sparse" : "dense") << " k=" << k
-              << " theta " << t << " row " << i;
-        }
+        by_isa.push_back(batch);
+      }
+      // The AVX2 rows keep the scalar association: same bits.
+      for (std::size_t o = 1; o < by_isa.size(); ++o) {
+        ASSERT_EQ(std::memcmp(by_isa[o].data(), by_isa[0].data(),
+                              sizeof(double) * by_isa[0].size()),
+                  0)
+            << "d=" << data->dim() << " k=" << k;
       }
     }
   }
@@ -217,21 +265,25 @@ TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
 TEST(BatchMargins, PredictBatchColumnZeroMatchesPredict) {
   // The self-check the batched scoring path performs must hold under the
   // blocked kernels: column 0 of PredictBatch bitwise equals Predict.
-  const Dataset data = SparseBinaryData(200, 1200, /*seed=*/8,
-                                        /*nnz_per_row=*/30);
+  const Dataset sparse = SparseBinaryData(200, 1200, /*seed=*/8,
+                                          /*nnz_per_row=*/30);
+  const Dataset dense = testing::SmallDenseLogistic(200, 41, /*seed=*/9);
   const LogisticRegressionSpec spec(1e-3);
-  std::vector<Vector> store;
-  for (int t = 0; t < 5; ++t) {
-    store.push_back(testing::Trainedish(data, 40 + t));
-  }
-  std::vector<const Vector*> thetas;
-  for (const Vector& v : store) thetas.push_back(&v);
-  Matrix predictions;
-  spec.PredictBatch(thetas, data, &predictions);
-  Vector single;
-  spec.Predict(store[0], data, &single);
-  for (Dataset::Index i = 0; i < data.num_rows(); ++i) {
-    ASSERT_EQ(predictions(i, 0), single[i]) << "row " << i;
+  for (const Dataset* data : {&sparse, &dense}) {
+    std::vector<Vector> store;
+    for (int t = 0; t < 5; ++t) {
+      store.push_back(testing::Trainedish(*data, 40 + t));
+    }
+    std::vector<const Vector*> thetas;
+    for (const Vector& v : store) thetas.push_back(&v);
+    Matrix predictions;
+    spec.PredictBatch(thetas, *data, &predictions);
+    Vector single;
+    spec.Predict(store[0], *data, &single);
+    for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
+      ASSERT_EQ(predictions(i, 0), single[i])
+          << (data->is_sparse() ? "sparse" : "dense") << " row " << i;
+    }
   }
 }
 
@@ -314,33 +366,6 @@ TEST(KernelDegenerateShapes, ZeroRowTransposedAppliesKeepTheOutputShape) {
 }
 
 // ---------- Multi-z kernels: per-column bitwise contract ----------
-
-// Runs fn with the given ISA forced via the scope.
-template <typename Fn>
-auto AtIsa(KernelIsa isa, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_isa = isa;
-  RuntimeScope scope(options);
-  return fn();
-}
-
-// True when forcing kAvx2 actually resolves to kAvx2 (i.e. the CPU has
-// AVX2+FMA); on other machines the scope clamps back to kScalar and the
-// AVX2 legs of these tests are vacuous, so the callers skip them.
-bool Avx2Available() {
-  return AtIsa(KernelIsa::kAvx2,
-               [] { return CurrentKernelIsa() == KernelIsa::kAvx2; });
-}
-
-std::vector<KernelIsa> IsasToTest() {
-  std::vector<KernelIsa> isas = {KernelIsa::kScalar};
-  if (Avx2Available()) isas.push_back(KernelIsa::kAvx2);
-  return isas;
-}
-
-const char* IsaName(KernelIsa isa) {
-  return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
-}
 
 TEST(MultiZKernels, MatVecMultiBitwiseEqualsPerColumn) {
   Rng rng(51);
