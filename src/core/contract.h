@@ -58,12 +58,6 @@ struct BlinkConfig {
   /// Never train the final model on fewer rows than this.
   Dataset::Index min_sample_size = 100;
 
-  /// Warm-start the final model from the initial model's parameters.
-  bool warm_start_final = true;
-
-  /// Recompute statistics at the final model and report a fresh bound.
-  bool reestimate_final_accuracy = true;
-
   /// Master seed for every random choice (sampling, Monte Carlo).
   std::uint64_t seed = 42;
 

@@ -242,21 +242,19 @@ Status TrainingPipeline::TrainFinal() {
                 : std::make_shared<const Dataset>(materialize());
   }
 
-  TrainerOptions final_options = config_->trainer;
-  if (config_->warm_start_final && !spec_->has_closed_form_trainer()) {
-    final_options.warm_start = m0_.theta;
-  }
-  const ModelTrainer final_trainer(final_options);
+  // The final model warm-starts from the initial model's parameters.
+  const ModelTrainer final_trainer(config_->trainer);
   {
     obs::PhaseScope t("final_train", &out_.timings.final_train);
-    BLINKML_ASSIGN_OR_RETURN(mn_, final_trainer.Train(*spec_, *dn));
+    BLINKML_ASSIGN_OR_RETURN(mn_,
+                             final_trainer.Train(*spec_, *dn, &m0_.theta));
   }
   out_.final_iterations = mn_.iterations;
   final_n_ = dn->num_rows();
   out_.sample_size = final_n_;
 
   // Re-estimate the returned model's bound with statistics at theta_n.
-  if (config_->reestimate_final_accuracy && final_n_ < full_n) {
+  if (final_n_ < full_n) {
     Rng restats_rng = rng_.Split();
     Rng reacc_rng = rng_.Split();
     StatsOptions restats_options = StatsOptionsFrom(*config_);
@@ -290,7 +288,7 @@ Status TrainingPipeline::TrainFinal() {
     }
     out_.final_epsilon = eps_final.epsilon;
   } else {
-    out_.final_epsilon = (final_n_ >= full_n) ? 0.0 : contract_.epsilon;
+    out_.final_epsilon = 0.0;  // trained on the whole pool
   }
   final_trained_ = true;
   return Status::OK();

@@ -164,8 +164,8 @@ class TrainingPipeline {
   /// Runs the Sample Size Estimator for the minimum n.
   Status EstimateMinimumSampleSize();
 
-  /// Trains m_n on a fresh size-n sample (warm-started from m_0) and
-  /// optionally re-estimates its bound at theta_n.
+  /// Trains m_n on a fresh size-n sample (warm-started from m_0) and,
+  /// when n is below the pool size, re-estimates its bound at theta_n.
   Status TrainFinal();
 
   /// Packages the result from whichever stages ran. The model is m_n when

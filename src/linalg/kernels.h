@@ -20,12 +20,12 @@
 // rounding (multiple accumulator chains reassociate the sums); the bench
 // and tests pin that difference below 1e-12 relative.
 //
-// Unrolled-dot consistency: BatchMargins' column 0 is self-checked
-// bitwise against a single Predict pass by the hyperparameter search's
-// batched scoring. All margin-shaped kernels therefore compute every dot
+// Unrolled-dot consistency: every margin-shaped kernel computes every dot
 // with the ONE canonical unrolled dot (DotUnrolled / SparseDotUnrolled);
 // register tiling across candidates or rows never changes a dot's own
-// summation order.
+// summation order. That is what makes each BatchMargins column bitwise
+// equal to a single-margin pass, so a GLM's PredictBatch column equals
+// its Predict by construction (models/glm_spec.h).
 //
 // ISA dispatch: RuntimeOptions::kernel_isa selects AVX2 variants of the
 // hottest inner loops (the canonical dot, the sparse batched gather row,
@@ -161,7 +161,7 @@ Matrix ApplyTransposedMulti(const SparseMatrix& a, const Matrix& v);
 /// ApplyTransposedMulti (ascending-row = serial-scatter association) is not.
 Matrix ApplyTransposedMultiBlocked(const SparseMatrix& a, const Matrix& t);
 
-// --- GLM margin kernels (consumed by models/glm_parallel.h).
+// --- GLM margin kernels (consumed by models/glm_spec.h).
 
 /// out[i - b] = <row i, theta> for i in [b, e), via DotUnrolled.
 void DenseMargins(const Matrix& x, const double* theta, Matrix::Index b,
@@ -175,9 +175,9 @@ void SparseMargins(const SparseMatrix& x, const double* theta,
 /// every index+value load serves a kMultiVec candidate group (candidates
 /// interleaved into a pack so a gather lands on one contiguous slab per
 /// group). Each entry's accumulation order is exactly SparseDotUnrolled,
-/// so column k equals a single-margin pass for theta_k bitwise — the
-/// batched-scoring self-check's invariant. Dense rows take MatVecMulti,
-/// which keeps the same invariant with DotUnrolled.
+/// so column k equals a single-margin pass for theta_k bitwise. Dense
+/// rows take MatVecMulti, which keeps the same invariant with
+/// DotUnrolled.
 Matrix BatchMarginsSparse(const SparseMatrix& x,
                           const std::vector<const Vector*>& thetas);
 

@@ -12,54 +12,27 @@
 #ifndef BLINKML_MODELS_LINEAR_REGRESSION_H_
 #define BLINKML_MODELS_LINEAR_REGRESSION_H_
 
-#include "models/model_spec.h"
+#include "models/glm_spec.h"
 
 namespace blinkml {
 
-class LinearRegressionSpec final : public ModelSpec {
+/// Per-row arithmetic of linear regression (the GlmSpec Link contract),
+/// defined next to the one GlmSpec instantiation in the source file.
+struct LinearLink;
+extern template class GlmSpec<LinearLink>;
+
+class LinearRegressionSpec final : public GlmSpec<LinearLink> {
  public:
   /// `l2` is the paper's beta (default 1e-3, the paper's setting).
-  explicit LinearRegressionSpec(double l2 = 1e-3);
+  explicit LinearRegressionSpec(double l2 = 1e-3) : GlmSpec(l2) {}
 
   std::string name() const override { return "LinearRegression"; }
   Task task() const override { return Task::kRegression; }
-  Vector::Index ParamDim(const Dataset& data) const override {
-    return data.dim();
-  }
-  double l2() const override { return l2_; }
 
-  double Objective(const Vector& theta, const Dataset& data) const override;
-  void Gradient(const Vector& theta, const Dataset& data,
-                Vector* grad) const override;
-  double ObjectiveAndGradient(const Vector& theta, const Dataset& data,
-                              Vector* grad) const override;
-  void PerExampleGradients(const Vector& theta, const Dataset& data,
-                           Matrix* out) const override;
-  bool has_sparse_gradients() const override { return true; }
-  bool has_gradient_coeffs() const override { return true; }
-  void PerExampleGradientCoeffs(const Vector& theta, const Dataset& data,
-                                Vector* coeffs) const override;
-  void Predict(const Vector& theta, const Dataset& data,
-               Vector* out) const override;
-  void PredictBatch(const std::vector<const Vector*>& thetas,
-                    const Dataset& data, Matrix* out) const override;
-  bool has_batch_predictions() const override { return true; }
-  double Diff(const Vector& theta1, const Vector& theta2,
-              const Dataset& holdout) const override;
-
-  bool has_linear_scores() const override { return true; }
-  Matrix Scores(const Vector& theta, const Dataset& data) const override;
-  Matrix ScoresBatch(const std::vector<const Vector*>& thetas,
-                     const Dataset& data) const override;
-  double DiffFromScores(const Matrix& scores1, const Matrix& scores2,
-                        const Dataset& holdout) const override;
-
-  bool has_closed_form_hessian() const override { return true; }
+  /// X^T X does not depend on theta: dense rows take the blocked GramCols
+  /// kernel; sparse rows take the weighted accumulation with unit weights.
   Result<Matrix> ClosedFormHessian(const Vector& theta,
                                    const Dataset& data) const override;
-
- private:
-  double l2_;
 };
 
 }  // namespace blinkml

@@ -8,58 +8,26 @@
 #ifndef BLINKML_MODELS_LOGISTIC_REGRESSION_H_
 #define BLINKML_MODELS_LOGISTIC_REGRESSION_H_
 
-#include "models/model_spec.h"
+#include "models/glm_spec.h"
 
 namespace blinkml {
 
+/// Per-row arithmetic of logistic regression (the GlmSpec Link contract),
+/// defined next to the one GlmSpec instantiation in the source file.
+struct LogisticLink;
+extern template class GlmSpec<LogisticLink>;
+
 // Not final: test/serving harnesses derive to intercept hooks such as
 // InitialTheta (e.g. tests/serve_test.cc gates a job mid-training).
-class LogisticRegressionSpec : public ModelSpec {
+class LogisticRegressionSpec : public GlmSpec<LogisticLink> {
  public:
-  explicit LogisticRegressionSpec(double l2 = 1e-3);
+  explicit LogisticRegressionSpec(double l2 = 1e-3) : GlmSpec(l2) {}
 
   std::string name() const override { return "LogisticRegression"; }
   Task task() const override { return Task::kBinary; }
-  Vector::Index ParamDim(const Dataset& data) const override {
-    return data.dim();
-  }
-  double l2() const override { return l2_; }
-
-  double Objective(const Vector& theta, const Dataset& data) const override;
-  void Gradient(const Vector& theta, const Dataset& data,
-                Vector* grad) const override;
-  double ObjectiveAndGradient(const Vector& theta, const Dataset& data,
-                              Vector* grad) const override;
-  void PerExampleGradients(const Vector& theta, const Dataset& data,
-                           Matrix* out) const override;
-  bool has_sparse_gradients() const override { return true; }
-  bool has_gradient_coeffs() const override { return true; }
-  void PerExampleGradientCoeffs(const Vector& theta, const Dataset& data,
-                                Vector* coeffs) const override;
-  void Predict(const Vector& theta, const Dataset& data,
-               Vector* out) const override;
-  void PredictBatch(const std::vector<const Vector*>& thetas,
-                    const Dataset& data, Matrix* out) const override;
-  bool has_batch_predictions() const override { return true; }
-  double Diff(const Vector& theta1, const Vector& theta2,
-              const Dataset& holdout) const override;
-
-  bool has_linear_scores() const override { return true; }
-  Matrix Scores(const Vector& theta, const Dataset& data) const override;
-  Matrix ScoresBatch(const std::vector<const Vector*>& thetas,
-                     const Dataset& data) const override;
-  double DiffFromScores(const Matrix& scores1, const Matrix& scores2,
-                        const Dataset& holdout) const override;
-
-  bool has_closed_form_hessian() const override { return true; }
-  Result<Matrix> ClosedFormHessian(const Vector& theta,
-                                   const Dataset& data) const override;
 
   /// Predicted probability of class 1 for one margin value.
   static double Sigmoid(double margin);
-
- private:
-  double l2_;
 };
 
 }  // namespace blinkml

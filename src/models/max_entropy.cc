@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "models/glm_parallel.h"
+#include "models/glm_spec.h"
 
 namespace blinkml {
 

@@ -148,8 +148,8 @@ Matrix BatchMargins(const Dataset& data,
     BLINKML_CHECK_EQ(theta->size(), data.dim());
   }
   // The kernels run every entry through the same unrolled dot the
-  // single-margin passes use, so a column equals a per-candidate Predict
-  // pass bitwise (the batched-scoring self-check).
+  // single-margin passes use, so a column equals a per-candidate margin
+  // pass bitwise.
   if (data.is_sparse()) {
     return kernels::BatchMarginsSparse(data.sparse(), thetas);
   }

@@ -97,29 +97,21 @@ class ModelSpec {
 
   /// Predictions for K parameter vectors at once: *out is resized to
   /// num_rows x K and column k equals Predict(*thetas[k], data) bitwise.
-  /// The default runs K separate Predict passes; single-output GLMs
-  /// override it with a batched kernel that reads every feature row once
-  /// and serves all K candidates from it (the hyperparameter search's
-  /// batched candidate scoring — session/hyperparam_search.h). A subclass
-  /// overriding Predict must override this consistently; the search
-  /// self-checks one column against Predict and falls back to
-  /// per-candidate scoring when they diverge.
+  /// The default runs K separate Predict passes; the single-output GLMs
+  /// (models/glm_spec.h) make both final over one batched kernel that
+  /// reads every feature row once and serves all K candidates from it (the
+  /// hyperparameter search's batched candidate scoring —
+  /// session/hyperparam_search.h).
   virtual void PredictBatch(const std::vector<const Vector*>& thetas,
                             const Dataset& data, Matrix* out) const;
 
   /// True when PredictBatch is genuinely batched (a single-pass kernel,
-  /// not the default per-column Predict loop). Batched candidate scoring
-  /// only groups specs that return true; for the rest the matrix would
-  /// cost strictly more than the per-candidate passes it replaces.
+  /// not the default per-column Predict loop) and, like Predict, reads no
+  /// spec state but theta. Batched candidate scoring only groups specs
+  /// that return true, and serves a same-type group from one member's
+  /// spec; for the rest the matrix would cost strictly more than the
+  /// per-candidate passes it replaces.
   virtual bool has_batch_predictions() const { return false; }
-
-  /// True when Predict depends on the model's state only through theta —
-  /// the contract batched scoring relies on to serve a same-type group of
-  /// candidates from one member's spec. Every built-in spec qualifies
-  /// (regularization never changes predictions); override to false for a
-  /// spec with prediction-affecting hyperparameters (a custom decision
-  /// threshold, a temperature, ...), which then scores per candidate.
-  virtual bool has_theta_only_predictions() const { return true; }
 
   /// The `diff` function of the MCS: v(m(theta1), m(theta2)) evaluated on
   /// `holdout` (ignored by parameter-space metrics such as PPCA's cosine).

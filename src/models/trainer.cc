@@ -5,7 +5,8 @@
 namespace blinkml {
 
 Result<TrainedModel> ModelTrainer::Train(const ModelSpec& spec,
-                                         const Dataset& data) const {
+                                         const Dataset& data,
+                                         const Vector* warm_start) const {
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("cannot train on an empty dataset");
   }
@@ -27,9 +28,7 @@ Result<TrainedModel> ModelTrainer::Train(const ModelSpec& spec,
                                  ? *options_.optimizer_kind
                                  : ChooseOptimizer(objective.dim());
   const auto optimizer = MakeOptimizer(kind, options_.optimizer);
-  const Vector theta0 = options_.warm_start.has_value()
-                            ? *options_.warm_start
-                            : spec.InitialTheta(data);
+  const Vector theta0 = warm_start ? *warm_start : spec.InitialTheta(data);
   BLINKML_ASSIGN_OR_RETURN(OptimizeResult opt,
                            optimizer->Minimize(objective, theta0));
   out.theta = std::move(opt.theta);

@@ -53,9 +53,6 @@ struct TrainerOptions {
   OptimizerOptions optimizer;
   /// Force a specific optimizer; unset = the paper's dimension policy.
   std::optional<OptimizerKind> optimizer_kind;
-  /// Warm start (paper Section 1 mentions warm starts as the only
-  /// incremental option for MLE): if set, iterative training starts here.
-  std::optional<Vector> warm_start;
 };
 
 class ModelTrainer {
@@ -65,7 +62,11 @@ class ModelTrainer {
 
   /// Trains `spec` on `data`. Fails only on structural errors; an exhausted
   /// iteration budget is reported through TrainedModel::converged.
-  Result<TrainedModel> Train(const ModelSpec& spec, const Dataset& data) const;
+  /// `warm_start` (paper Section 1 mentions warm starts as the only
+  /// incremental option for MLE), if given, is where iterative training
+  /// starts instead of spec.InitialTheta; closed-form trainers ignore it.
+  Result<TrainedModel> Train(const ModelSpec& spec, const Dataset& data,
+                             const Vector* warm_start = nullptr) const;
 
   const TrainerOptions& options() const { return options_; }
 

@@ -611,6 +611,10 @@ Status PeekRoutingKey(Verb verb, const std::uint8_t* payload,
 
 Result<std::shared_ptr<ModelSpec>> MakeSpecByName(
     const std::string& model_class, double l2) {
+  if (!std::isfinite(l2) || l2 < 0.0) {
+    return Status::InvalidArgument(
+        StrFormat("l2 must be finite and non-negative, got %g", l2));
+  }
   if (model_class == "LogisticRegression") {
     return std::shared_ptr<ModelSpec>(
         std::make_shared<LogisticRegressionSpec>(l2));
@@ -623,13 +627,6 @@ Result<std::shared_ptr<ModelSpec>> MakeSpecByName(
     return std::shared_ptr<ModelSpec>(
         std::make_shared<PoissonRegressionSpec>(l2));
   }
-  return Status::InvalidArgument("unknown model class: " + model_class);
-}
-
-Result<Task> TaskForModelClass(const std::string& model_class) {
-  if (model_class == "LogisticRegression") return Task::kBinary;
-  if (model_class == "LinearRegression") return Task::kRegression;
-  if (model_class == "PoissonRegression") return Task::kRegression;
   return Status::InvalidArgument("unknown model class: " + model_class);
 }
 

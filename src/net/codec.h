@@ -315,12 +315,10 @@ Status PeekRoutingKey(Verb verb, const std::uint8_t* payload,
 
 /// Builds a model spec from its wire name ("LogisticRegression",
 /// "LinearRegression", "PoissonRegression" — the spec name() strings).
+/// InvalidArgument for an unknown class or an l2 that is negative or not
+/// finite.
 Result<std::shared_ptr<ModelSpec>> MakeSpecByName(
     const std::string& model_class, double l2);
-
-/// The label task a model class predicts over (Predict needs a Dataset,
-/// and Dataset validates labels against its task).
-Result<Task> TaskForModelClass(const std::string& model_class);
 
 }  // namespace net
 }  // namespace blinkml

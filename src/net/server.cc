@@ -333,11 +333,9 @@ ResponseEnvelope BlinkServer::RunPredict(const std::uint8_t* payload,
 
   Result<std::shared_ptr<ModelSpec>> spec =
       MakeSpecByName(request.model_class, 1e-3);
-  Result<Task> task = TaskForModelClass(request.model_class);
-  if (!spec.ok() || !task.ok()) {
-    const Status& bad = spec.ok() ? task.status() : spec.status();
-    envelope.status = WireStatusFromStatus(bad);
-    envelope.message = bad.message();
+  if (!spec.ok()) {
+    envelope.status = WireStatusFromStatus(spec.status());
+    envelope.message = spec.status().message();
     return envelope;
   }
 
@@ -347,7 +345,7 @@ ResponseEnvelope BlinkServer::RunPredict(const std::uint8_t* payload,
   // Zero labels satisfy every task's label validation and Predict never
   // reads them.
   Vector labels(request.rows);
-  const Dataset data(std::move(features), std::move(labels), *task);
+  const Dataset data(std::move(features), std::move(labels), (*spec)->task());
 
   if ((*spec)->ParamDim(data) != request.model.theta.size()) {
     envelope.status = WireStatus::kInvalidArgument;

@@ -27,33 +27,6 @@ PhiEval EvalPhi(const DifferentiableObjective& f, const Vector& theta,
 
 }  // namespace
 
-LineSearchResult BacktrackingSearch(const DifferentiableObjective& f,
-                                    const Vector& theta, double value0,
-                                    const Vector& grad0,
-                                    const Vector& direction,
-                                    const LineSearchOptions& options) {
-  LineSearchResult result;
-  const double slope0 = Dot(grad0, direction);
-  BLINKML_CHECK_MSG(slope0 < 0.0, "not a descent direction");
-  double alpha = options.initial_step;
-  Vector point;
-  Vector grad;
-  for (int i = 0; i < options.max_evaluations; ++i) {
-    const PhiEval phi = EvalPhi(f, theta, direction, alpha, &point, &grad);
-    ++result.evaluations;
-    if (std::isfinite(phi.value) &&
-        phi.value <= value0 + options.armijo_c1 * alpha * slope0) {
-      result.success = true;
-      result.alpha = alpha;
-      result.value = phi.value;
-      result.gradient = std::move(grad);
-      return result;
-    }
-    alpha *= 0.5;
-  }
-  return result;
-}
-
 LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
                                    const Vector& theta, double value0,
                                    const Vector& grad0,

@@ -2,8 +2,7 @@
 //
 // StrongWolfeSearch is the standard bracketing/zoom procedure; it is what
 // BFGS/L-BFGS require for their curvature conditions to hold, keeping the
-// inverse-Hessian approximation positive definite. BacktrackingSearch
-// (Armijo) is provided for plain gradient descent.
+// inverse-Hessian approximation positive definite.
 
 #ifndef BLINKML_OPTIM_LINE_SEARCH_H_
 #define BLINKML_OPTIM_LINE_SEARCH_H_
@@ -29,13 +28,6 @@ struct LineSearchOptions {
   double max_step = 1e6;
   int max_evaluations = 40;
 };
-
-/// Armijo backtracking: halves alpha until sufficient decrease holds.
-LineSearchResult BacktrackingSearch(const DifferentiableObjective& f,
-                                    const Vector& theta, double value0,
-                                    const Vector& grad0,
-                                    const Vector& direction,
-                                    const LineSearchOptions& options = {});
 
 /// Strong Wolfe search (bracket + zoom with cubic interpolation).
 LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,

@@ -31,48 +31,6 @@ Status ValidateStart(const DifferentiableObjective& f, const Vector& theta0) {
   return Status::OK();
 }
 
-class GradientDescent final : public Optimizer {
- public:
-  explicit GradientDescent(OptimizerOptions opts) : opts_(opts) {}
-
-  Result<OptimizeResult> Minimize(const DifferentiableObjective& f,
-                                  const Vector& theta0) const override {
-    BLINKML_RETURN_NOT_OK(ValidateStart(f, theta0));
-    OptimizeResult out;
-    out.theta = theta0;
-    Vector grad(f.dim());
-    out.value = f.ValueAndGradient(out.theta, &grad);
-    ++out.evaluations;
-    double prev_value = std::numeric_limits<double>::infinity();
-    LineSearchOptions ls;
-    for (int it = 0; it < opts_.max_iterations; ++it) {
-      out.gradient_norm = NormInf(grad);
-      if (Converged(out.gradient_norm, out.value, prev_value, opts_)) {
-        out.converged = true;
-        return out;
-      }
-      Vector direction = grad;
-      direction *= -opts_.gd_step;
-      ls.initial_step = 1.0;
-      const LineSearchResult step =
-          BacktrackingSearch(f, out.theta, out.value, grad, direction, ls);
-      out.evaluations += step.evaluations;
-      if (!step.success) return out;  // stalled; converged stays false
-      Axpy(step.alpha, direction, &out.theta);
-      prev_value = out.value;
-      out.value = step.value;
-      grad = step.gradient;
-      ++out.iterations;
-    }
-    out.gradient_norm = NormInf(grad);
-    out.converged = out.gradient_norm <= opts_.gradient_tolerance;
-    return out;
-  }
-
- private:
-  OptimizerOptions opts_;
-};
-
 class Bfgs final : public Optimizer {
  public:
   explicit Bfgs(OptimizerOptions opts) : opts_(opts) {}
@@ -237,8 +195,6 @@ class Lbfgs final : public Optimizer {
 
 const char* OptimizerKindName(OptimizerKind kind) {
   switch (kind) {
-    case OptimizerKind::kGradientDescent:
-      return "GradientDescent";
     case OptimizerKind::kBfgs:
       return "BFGS";
     case OptimizerKind::kLbfgs:
@@ -250,8 +206,6 @@ const char* OptimizerKindName(OptimizerKind kind) {
 std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind,
                                          const OptimizerOptions& options) {
   switch (kind) {
-    case OptimizerKind::kGradientDescent:
-      return std::make_unique<GradientDescent>(options);
     case OptimizerKind::kBfgs:
       return std::make_unique<Bfgs>(options);
     case OptimizerKind::kLbfgs:

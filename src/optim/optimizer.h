@@ -16,7 +16,7 @@
 
 namespace blinkml {
 
-enum class OptimizerKind { kGradientDescent, kBfgs, kLbfgs };
+enum class OptimizerKind { kBfgs, kLbfgs };
 
 const char* OptimizerKindName(OptimizerKind kind);
 
@@ -26,11 +26,8 @@ struct OptimizerOptions {
   /// Stop when |f_t - f_{t-1}| <= value_tolerance * max(1, |f_t|).
   double value_tolerance = 1e-10;
   int max_iterations = 200;
-  /// L-BFGS history length (ignored by the other methods).
+  /// L-BFGS history length (ignored by BFGS).
   int lbfgs_memory = 10;
-  /// Gradient-descent fixed scaling of the steepest-descent step (the line
-  /// search still adapts it).
-  double gd_step = 1.0;
 };
 
 struct OptimizeResult {

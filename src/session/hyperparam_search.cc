@@ -30,8 +30,8 @@ double ScoreOf(const ModelSpec& spec, const Vector& theta,
 
 /// Batched scoring: candidates that share an eval dataset and model class
 /// are scored from one PredictBatch matrix. Returns the number of
-/// prediction matrices built. Scores equal ScoreOf bitwise: the batch
-/// kernel computes the same per-row arithmetic and
+/// prediction matrices built. Scores equal ScoreOf bitwise: a PredictBatch
+/// column equals Predict (ModelSpec::PredictBatch) and
 /// GeneralizationErrorFromColumn aggregates in the same row order.
 int ScoreCandidatesBatched(
     const std::vector<std::shared_ptr<ModelSpec>>& specs,
@@ -50,13 +50,11 @@ int ScoreCandidatesBatched(
     const Dataset* eval_data =
         validation ? validation : slot.result.holdout.get();
     if (eval_data->task() == Task::kUnsupervised ||
-        !eval_data->has_labels() || !spec.has_theta_only_predictions() ||
-        !spec.has_batch_predictions()) {
-      // Objective-based scores have no prediction matrix to share; a spec
-      // whose predictions depend on more than theta must not be served
-      // from another member's spec; and a spec without a real batch
-      // kernel would pay MORE for the matrix (K per-column Predict
-      // passes) than for the per-candidate passes it replaces.
+        !eval_data->has_labels() || !spec.has_batch_predictions()) {
+      // Objective-based scores have no prediction matrix to share, and a
+      // spec without a real batch kernel would pay MORE for the matrix (K
+      // per-column Predict passes) than for the per-candidate passes it
+      // replaces.
       slot.score = ScoreOf(spec, slot.result.model.theta, *eval_data);
       continue;
     }
@@ -69,7 +67,7 @@ int ScoreCandidatesBatched(
     const Dataset& eval_data = *std::get<0>(key);
     if (members.size() == 1) {
       // A one-candidate group (e.g. per-candidate seeds => per-candidate
-      // holdouts) gains nothing from a matrix + self-check pass.
+      // holdouts) gains nothing from a matrix.
       CandidateResult& slot = (*candidates)[members.front()];
       slot.score =
           ScoreOf(*specs[members.front()], slot.result.model.theta, eval_data);
@@ -80,30 +78,11 @@ int ScoreCandidatesBatched(
     for (const std::size_t i : members) {
       thetas.push_back(&(*candidates)[i].result.model.theta);
     }
-    // Every member has the same dynamic type and declares
-    // has_theta_only_predictions(), so the first member's spec serves the
-    // whole group.
-    const ModelSpec& group_spec = *specs[members.front()];
+    // Every member has the same dynamic type, and batch predictions read
+    // no spec state but theta (has_batch_predictions), so the first
+    // member's spec serves the whole group.
     Matrix predictions;
-    group_spec.PredictBatch(thetas, eval_data, &predictions);
-    // Self-check against one per-candidate pass: a subclass that
-    // overrides Predict without keeping PredictBatch consistent (it
-    // inherits the base GLM's margin kernel) must not be scored from the
-    // divergent matrix. One Predict pass per group still leaves the
-    // batching ahead by K - 2 passes.
-    Vector check;
-    group_spec.Predict(*thetas.front(), eval_data, &check);
-    bool consistent = true;
-    for (Dataset::Index i = 0; i < eval_data.num_rows() && consistent; ++i) {
-      consistent = predictions(i, 0) == check[i];
-    }
-    if (!consistent) {
-      for (const std::size_t i : members) {
-        CandidateResult& slot = (*candidates)[i];
-        slot.score = ScoreOf(*specs[i], slot.result.model.theta, eval_data);
-      }
-      continue;
-    }
+    specs[members.front()]->PredictBatch(thetas, eval_data, &predictions);
     ++matrices;
     for (std::size_t c = 0; c < members.size(); ++c) {
       CandidateResult& slot = (*candidates)[members[c]];
@@ -204,8 +183,8 @@ SearchOutcome HyperparamSearch::Run(
           WallTimer timer;
           const std::shared_ptr<ModelSpec> spec = factory(slot.candidate);
           if (!spec) {
-            slot.status =
-                Status::InvalidArgument("spec factory returned null");
+            slot.status = Status::InvalidArgument(
+                "spec factory rejected candidate " + slot.candidate.label);
             continue;
           }
           specs[static_cast<std::size_t>(i)] = spec;

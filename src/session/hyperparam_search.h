@@ -24,7 +24,9 @@
 // Scoring: without dominance pruning, candidates that share an eval
 // dataset and model class are scored after the training loop from ONE
 // prediction matrix (ModelSpec::PredictBatch) instead of one eval pass
-// each; scores are bitwise equal to per-candidate GeneralizationError.
+// each; scores are bitwise equal to per-candidate GeneralizationError by
+// construction, since a PredictBatch column equals Predict
+// (models/glm_spec.h).
 // Pruning consumes completed scores while candidates run, so it scores
 // each candidate inline.
 
@@ -53,7 +55,8 @@ struct Candidate {
   std::string label;
 };
 
-/// Builds the candidate's model spec (e.g. LogisticRegressionSpec{c.l2}).
+/// Builds the candidate's model spec (e.g. LogisticRegressionSpec{c.l2});
+/// nullptr rejects the candidate, which then fails with InvalidArgument.
 using SpecFactory =
     std::function<std::shared_ptr<ModelSpec>(const Candidate&)>;
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
+#include "models/linear_regression.h"
 #include "models/logistic_regression.h"
 #include "models/model_spec.h"
+#include "models/poisson_regression.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "tests/reference/reference.h"
@@ -262,27 +265,49 @@ TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
   }
 }
 
-TEST(BatchMargins, PredictBatchColumnZeroMatchesPredict) {
-  // The self-check the batched scoring path performs must hold under the
-  // blocked kernels: column 0 of PredictBatch bitwise equals Predict.
+// Batched candidate scoring serves a same-type group from one PredictBatch
+// matrix with no per-candidate check, so every column of every GLM's
+// PredictBatch must equal its Predict bitwise at every ISA.
+TEST(BatchMargins, PredictBatchColumnsMatchPredict) {
   const Dataset sparse = SparseBinaryData(200, 1200, /*seed=*/8,
                                           /*nnz_per_row=*/30);
-  const Dataset dense = testing::SmallDenseLogistic(200, 41, /*seed=*/9);
-  const LogisticRegressionSpec spec(1e-3);
-  for (const Dataset* data : {&sparse, &dense}) {
-    std::vector<Vector> store;
-    for (int t = 0; t < 5; ++t) {
-      store.push_back(testing::Trainedish(*data, 40 + t));
-    }
-    std::vector<const Vector*> thetas;
-    for (const Vector& v : store) thetas.push_back(&v);
-    Matrix predictions;
-    spec.PredictBatch(thetas, *data, &predictions);
-    Vector single;
-    spec.Predict(store[0], *data, &single);
-    for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
-      ASSERT_EQ(predictions(i, 0), single[i])
-          << (data->is_sparse() ? "sparse" : "dense") << " row " << i;
+  const Dataset dense = testing::SmallDenseLogistic(200, 40, /*seed=*/9);
+  // d = 41: every dot ends in a one-element tail after the unrolled chains.
+  const Dataset dense_tail = testing::SmallDenseLogistic(200, 41, /*seed=*/10);
+  const LinearRegressionSpec linear(1e-3);
+  const LogisticRegressionSpec logistic(1e-3);
+  const PoissonRegressionSpec poisson(1e-3);
+  for (const ModelSpec* spec :
+       std::initializer_list<const ModelSpec*>{&linear, &logistic, &poisson}) {
+    for (const Dataset* data : {&sparse, &dense, &dense_tail}) {
+      // 11 candidates: a full group of kernels::kMultiVec plus a tail.
+      std::vector<Vector> store;
+      for (int t = 0; t < 11; ++t) {
+        store.push_back(testing::Trainedish(*data, 40 + t));
+      }
+      std::vector<const Vector*> thetas;
+      for (const Vector& v : store) thetas.push_back(&v);
+      for (const KernelIsa isa : IsasToTest()) {
+        const Matrix predictions = AtIsa(isa, [&] {
+          Matrix out;
+          spec->PredictBatch(thetas, *data, &out);
+          return out;
+        });
+        ASSERT_EQ(predictions.cols(), 11);
+        for (int t = 0; t < 11; ++t) {
+          const Vector single = AtIsa(isa, [&] {
+            Vector out;
+            spec->Predict(store[t], *data, &out);
+            return out;
+          });
+          for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
+            ASSERT_EQ(predictions(i, t), single[i])
+                << spec->name() << (data->is_sparse() ? " sparse" : " dense")
+                << " d=" << data->dim() << " " << IsaName(isa) << " theta "
+                << t << " row " << i;
+          }
+        }
+      }
     }
   }
 }

@@ -216,8 +216,14 @@ TEST(LinearRegression, MatchesClosedFormRidgeSolution) {
   ExpectVectorNear(model->theta, chol->Solve(xty), 1e-4, "ridge");
 }
 
-TEST(LinearRegression, RejectsNegativeL2) {
-  EXPECT_THROW(LinearRegressionSpec(-0.1), CheckError);
+// The GlmSpec constructor accepts only a finite, non-negative l2; +inf
+// would zero theta and report a vacuous guarantee.
+TEST(GlmSpec, RejectsInvalidL2) {
+  for (const double l2 : {-0.1, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(LinearRegressionSpec{l2}, CheckError) << l2;
+    EXPECT_THROW(LogisticRegressionSpec{l2}, CheckError) << l2;
+    EXPECT_THROW(PoissonRegressionSpec{l2}, CheckError) << l2;
+  }
 }
 
 TEST(LinearRegression, ClosedFormHessianMatchesDefinition) {
@@ -352,9 +358,7 @@ TEST(Trainer, WarmStartReducesIterations) {
   LogisticRegressionSpec spec(1e-3);
   const auto cold = ModelTrainer().Train(spec, data);
   ASSERT_TRUE(cold.ok());
-  TrainerOptions warm_options;
-  warm_options.warm_start = cold->theta;
-  const auto warm = ModelTrainer(warm_options).Train(spec, data);
+  const auto warm = ModelTrainer().Train(spec, data, &cold->theta);
   ASSERT_TRUE(warm.ok());
   EXPECT_LE(warm->iterations, std::max(1, cold->iterations / 2));
 }

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -1027,6 +1028,55 @@ TEST(WireDataset, EstimateTracksMemoryBytesForEveryGenerator) {
   nan_sparsity.sparsity = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(MakeWireDataset(nan_sparsity).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// The wire's l2 is outside input: a negative or non-finite value is
+// refused as kInvalidArgument (not a failed check inside the job, and not
+// a vacuous model with a "satisfied" contract from l2 = +inf), the
+// connection keeps serving, and in a Search only the bad candidate fails.
+TEST(BlinkServer, RejectsInvalidL2PerTrainAndPerSearchCandidate) {
+  SessionManager manager;
+  ServerOptions options;
+  options.unix_path = SocketPath("l2");
+  BlinkServer server(&manager, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      client->RegisterDataset(LogisticRegistration("t", "wire-l2")).ok());
+
+  TrainRequestWire train;
+  train.tenant = "t";
+  train.dataset = "wire-l2";
+  train.model_class = "LogisticRegression";
+  train.epsilon = 0.05;
+  train.delta = 0.05;
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    train.l2 = bad;
+    const auto rejected = client->Train(train);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(client->last_wire_status(), WireStatus::kInvalidArgument)
+        << bad;
+  }
+  train.l2 = 1e-3;
+  const auto trained = client->Train(train);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+
+  SearchRequestWire search;
+  search.tenant = "t";
+  search.dataset = "wire-l2";
+  search.model_class = "LogisticRegression";
+  search.candidates = {{1e-3, 0}, {-1.0, 0}};
+  search.epsilon = 0.05;
+  search.delta = 0.05;
+  const auto outcome = client->Search(search);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->candidates.size(), 2u);
+  EXPECT_EQ(outcome->candidates[0].status, WireStatus::kOk);
+  EXPECT_EQ(outcome->candidates[0].model.theta.size(), 5);
+  EXPECT_EQ(outcome->candidates[1].status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(outcome->best_index, 0);
+  server.Stop();
 }
 
 TEST(BlinkServer, StatsVerbReportsManagerAndServerCounters) {

@@ -60,22 +60,6 @@ QuadraticObjective MakeQuadratic(int n, std::uint64_t seed) {
 
 // ---------- Line searches ----------
 
-TEST(LineSearch, BacktrackingSatisfiesArmijo) {
-  const QuadraticObjective f = MakeQuadratic(5, 1);
-  const Vector theta(5);
-  Vector grad;
-  const double value = f.ValueAndGradient(theta, &grad);
-  Vector direction = grad;
-  direction *= -1.0;
-  const LineSearchResult r =
-      BacktrackingSearch(f, theta, value, grad, direction);
-  ASSERT_TRUE(r.success);
-  EXPECT_GT(r.alpha, 0.0);
-  const LineSearchOptions opts;
-  EXPECT_LE(r.value,
-            value + opts.armijo_c1 * r.alpha * Dot(grad, direction) + 1e-12);
-}
-
 TEST(LineSearch, StrongWolfeSatisfiesBothConditions) {
   const QuadraticObjective f = MakeQuadratic(6, 2);
   Rng rng(3);
@@ -101,7 +85,6 @@ TEST(LineSearch, RejectsAscentDirection) {
   Vector grad;
   const double value = f.ValueAndGradient(theta, &grad);
   // grad itself is an ascent direction.
-  EXPECT_THROW(BacktrackingSearch(f, theta, value, grad, grad), CheckError);
   EXPECT_THROW(StrongWolfeSearch(f, theta, value, grad, grad), CheckError);
 }
 
@@ -149,8 +132,7 @@ TEST_P(OptimizerKinds, MonotoneValueDecrease) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, OptimizerKinds,
-                         ::testing::Values(OptimizerKind::kGradientDescent,
-                                           OptimizerKind::kBfgs,
+                         ::testing::Values(OptimizerKind::kBfgs,
                                            OptimizerKind::kLbfgs));
 
 TEST(Bfgs, SolvesRosenbrock) {
@@ -197,8 +179,7 @@ TEST(Optimizer, IterationBudgetReportsNotConverged) {
   options.gradient_tolerance = 1e-14;
   options.value_tolerance = 0.0;
   const auto result =
-      MakeOptimizer(OptimizerKind::kGradientDescent, options)
-          ->Minimize(f, Vector(30));
+      MakeOptimizer(OptimizerKind::kLbfgs, options)->Minimize(f, Vector(30));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->converged);
   EXPECT_EQ(result->iterations, 1);
@@ -227,8 +208,6 @@ TEST(Optimizer, ChooseOptimizerFollowsPaperPolicy) {
 }
 
 TEST(Optimizer, KindNames) {
-  EXPECT_STREQ(OptimizerKindName(OptimizerKind::kGradientDescent),
-               "GradientDescent");
   EXPECT_STREQ(OptimizerKindName(OptimizerKind::kBfgs), "BFGS");
   EXPECT_STREQ(OptimizerKindName(OptimizerKind::kLbfgs), "L-BFGS");
 }

@@ -333,84 +333,26 @@ TEST(HyperparamSearch, BatchedScoringMatchesPerCandidateScoresBitwise) {
                 expected.begin());
 }
 
-// A logistic spec with inverted predictions: same training (objective and
-// gradients inherited), different Predict/PredictBatch. Shares the base
-// class's name() but not its dynamic type — the grouping must split them.
-class FlippedLogistic : public LogisticRegressionSpec {
- public:
-  using LogisticRegressionSpec::LogisticRegressionSpec;
-  void Predict(const Vector& theta, const Dataset& data,
-               Vector* out) const override {
-    LogisticRegressionSpec::Predict(theta, data, out);
-    for (Vector::Index i = 0; i < out->size(); ++i) {
-      (*out)[i] = 1.0 - (*out)[i];
-    }
-  }
-  void PredictBatch(const std::vector<const Vector*>& thetas,
-                    const Dataset& data, Matrix* out) const override {
-    LogisticRegressionSpec::PredictBatch(thetas, data, out);
-    for (Matrix::Index i = 0; i < out->rows(); ++i) {
-      for (Matrix::Index c = 0; c < out->cols(); ++c) {
-        (*out)(i, c) = 1.0 - (*out)(i, c);
-      }
-    }
-  }
-};
-
-// A subclass that overrides Predict but NOT PredictBatch — the inherited
-// margin kernel no longer matches its predictions. The search's
-// self-check must catch the divergence and score it per candidate.
-class InconsistentLogistic : public LogisticRegressionSpec {
- public:
-  using LogisticRegressionSpec::LogisticRegressionSpec;
-  void Predict(const Vector& theta, const Dataset& data,
-               Vector* out) const override {
-    LogisticRegressionSpec::Predict(theta, data, out);
-    for (Vector::Index i = 0; i < out->size(); ++i) {
-      (*out)[i] = 1.0 - (*out)[i];
-    }
-  }
-};
-
-// A spec whose predictions depend on state beyond theta (a decision
-// threshold): it must opt out of batched scoring entirely.
-class ThresholdLogistic : public LogisticRegressionSpec {
- public:
-  ThresholdLogistic(double l2, double threshold)
-      : LogisticRegressionSpec(l2), threshold_(threshold) {}
-  bool has_theta_only_predictions() const override { return false; }
-  void Predict(const Vector& theta, const Dataset& data,
-               Vector* out) const override {
-    out->Resize(data.num_rows());
-    for (Dataset::Index i = 0; i < data.num_rows(); ++i) {
-      (*out)[i] = data.RowDot(i, theta.data()) >= threshold_ ? 1.0 : 0.0;
-    }
-  }
-
- private:
-  double threshold_;
-};
-
 // Mixed spec types in one search: the batch-scoring grouping must split
 // on the exact dynamic type (a subclass sharing the base name() never
-// rides on the base group's prediction matrix) and honor the
-// has_theta_only_predictions() opt-out — with scores bitwise equal to the
-// per-candidate path in every case.
+// rides on the base group's prediction matrix), a candidate alone on its
+// holdout is scored without a matrix, and every score is bitwise equal to
+// the per-candidate path.
 TEST(HyperparamSearch, BatchedScoringSplitsMixedSpecTypes) {
   const Dataset data = testing::SmallDenseLogistic(20000, 6, 5);
   std::vector<Candidate> candidates = HyperparamSearch::LogGrid(1e-4, 1e-2, 7);
   // Deterministic type assignment by index, carried through the label:
-  // base {0, 2}, flipped {1, 5}, threshold opt-out {3}, and an
-  // inconsistent pair {4, 6} whose group must fail the self-check.
+  // base {0, 2, 4, 6} and the merge-path subclass {1, 3, 5}; candidate 3
+  // runs on its own seed, so its holdout makes a one-member group.
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     candidates[i].label = std::to_string(i);
   }
-  const auto typed_factory =
+  candidates[3].seed = 12;
+  const SpecFactory typed_factory =
       [](const Candidate& c) -> std::shared_ptr<ModelSpec> {
-    const int i = std::stoi(c.label);
-    if (i == 1 || i == 5) return std::make_shared<FlippedLogistic>(c.l2);
-    if (i == 3) return std::make_shared<ThresholdLogistic>(c.l2, 0.1);
-    if (i == 4 || i == 6) return std::make_shared<InconsistentLogistic>(c.l2);
+    if (std::stoi(c.label) % 2 == 1) {
+      return std::make_shared<testing::MergePathLogistic>(c.l2);
+    }
     return std::make_shared<LogisticRegressionSpec>(c.l2);
   };
 
@@ -420,11 +362,8 @@ TEST(HyperparamSearch, BatchedScoringSplitsMixedSpecTypes) {
   const SearchOutcome outcome =
       HyperparamSearch(&session, options).Run(typed_factory, candidates);
 
-  // Matrices built: {base x2} and {flipped x2} (the typeid split keeps a
-  // subclass off its base's matrix even though name() matches). The
-  // threshold spec opted out via has_theta_only_predictions(), and the
-  // inconsistent pair's group failed the Predict-vs-PredictBatch
-  // self-check — both scored per candidate, contributing no matrix.
+  // Matrices built: {base x4} and {merge-path x2}; the typeid split keeps
+  // the subclass off its base's matrix even though name() matches.
   EXPECT_EQ(outcome.batched_score_groups, 2);
   for (const CandidateResult& c : outcome.candidates) {
     ASSERT_TRUE(c.status.ok());
