@@ -479,8 +479,9 @@ Matrix GramRows(const Matrix& a) {
   const DIndex n = a.rows();
   Matrix g(n, n);
   const DIndex nb = (n + kDenseBlock - 1) / kDenseBlock;
-  // One chunk item = one block row of the upper triangle; the strided lane
-  // assignment balances the triangular block-row costs.
+  // One chunk item = one block row of the upper triangle. Lanes claim
+  // block rows in index order, longest first, so the short late rows fill
+  // in behind the long early ones and the triangular costs balance.
   ParallelFor(0, nb, [&](DIndex b0, DIndex b1) {
     for (DIndex bi = b0; bi < b1; ++bi) {
       const DIndex i0 = bi * kDenseBlock;
@@ -502,7 +503,9 @@ Matrix GramCols(const Matrix& a) {
   // Entry (i, j) accumulates over 4-row panels of A in ascending row
   // order — a pure function of n, never of the chunking, so any grain is
   // safe (each chunk owns its output rows outright). Two chunks per lane
-  // balance the triangular row costs.
+  // balance the triangular row costs: lanes claim chunks in index order,
+  // so the lane that drew the lightest first-wave chunk finishes first and
+  // takes the heaviest second-wave one.
   const int lanes = CurrentParallelism();
   const DIndex grain =
       std::max<DIndex>(1, (d + 2 * lanes - 1) / (2 * lanes));

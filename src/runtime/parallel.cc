@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 #include "runtime/thread_pool.h"
@@ -18,43 +19,51 @@ const RuntimeOptions kDefaultOptions;
 thread_local const RuntimeOptions* g_current_options = &kDefaultOptions;
 thread_local bool g_in_parallel_region = false;
 
-// Cap on reduction-slot count (kMaxParallelChunks in the header); part of
-// the chunk layout and therefore of the determinism contract (must not
-// depend on thread count).
+// Cap on the chunk count (kMaxParallelChunks in the header); part of the
+// chunk layout and therefore of the determinism contract (must not depend
+// on thread count).
 constexpr ParallelIndex kMaxChunks = kMaxParallelChunks;
 
-// Shared state of one parallel region.
+// Shared state of one parallel region, owned jointly by the caller and
+// every lane task it submits: a lane task that starts after the caller has
+// returned still finds valid state, claims nothing and exits.
 struct Region {
   const std::function<void(ParallelIndex, ParallelIndex, ParallelIndex)>* body;
   ParallelIndex begin;
   ParallelIndex end;
   ChunkLayout layout;
-  int lanes;
-  // The caller's ambient RuntimeOptions, installed on every lane for the
-  // region's duration: chunk bodies consult the scope too (nested regions
-  // run inline, and the ISA dispatch happens wherever a linalg entry
-  // point is reached), so worker lanes must see the same options as the
-  // calling thread or a scoped kernel_isa would apply on lane 0 only.
-  // The pointee lives in a RuntimeScope on (or above) the caller's stack,
-  // which outlives the region because ParallelForChunks joins every lane
-  // before returning.
+  // The caller's ambient RuntimeOptions, installed on every lane while it
+  // runs chunks: chunk bodies consult the scope too (nested regions run
+  // inline, and the ISA dispatch happens wherever a linalg entry point is
+  // reached), so worker lanes must see the same options as the calling
+  // thread or a scoped kernel_isa would apply on the caller only. The
+  // pointee lives in a RuntimeScope on (or above) the caller's stack,
+  // which outlives every chunk because the caller waits for each claimed
+  // chunk before returning.
   const RuntimeOptions* ambient_options;
 
+  std::atomic<ParallelIndex> next_chunk{0};  // the claim counter
   std::atomic<bool> abort{false};
   std::mutex mu;
   std::condition_variable done_cv;
-  int lanes_remaining;
-  std::exception_ptr first_exception;
+  ParallelIndex chunks_done = 0;        // guarded by mu
+  std::exception_ptr first_exception;  // guarded by mu
 
-  // Lane r runs chunks r, r + lanes, r + 2*lanes, ... On exception the
-  // region aborts: already-running chunks finish, queued ones are skipped.
-  void RunLane(int lane) {
+  // Claims the lowest unclaimed chunk until none is left. On exception
+  // the region aborts: running chunks finish, the rest are claimed and
+  // skipped, so chunks_done still reaches num_chunks.
+  void RunLane() {
+    ParallelIndex c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= layout.num_chunks) return;
     const bool was_in_region = g_in_parallel_region;
     const RuntimeOptions* previous_options = g_current_options;
     g_in_parallel_region = true;
     g_current_options = ambient_options;
-    for (ParallelIndex c = lane; c < layout.num_chunks; c += lanes) {
-      if (abort.load(std::memory_order_relaxed)) break;
+    ParallelIndex finished = 0;
+    for (; c < layout.num_chunks;
+         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      ++finished;
+      if (abort.load(std::memory_order_relaxed)) continue;
       const ParallelIndex b = begin + c * layout.chunk_size;
       const ParallelIndex e = std::min(b + layout.chunk_size, end);
       try {
@@ -68,7 +77,8 @@ struct Region {
     g_in_parallel_region = was_in_region;
     g_current_options = previous_options;
     std::lock_guard<std::mutex> lock(mu);
-    if (--lanes_remaining == 0) done_cv.notify_all();
+    chunks_done += finished;
+    if (chunks_done == layout.num_chunks) done_cv.notify_all();
   }
 };
 
@@ -167,38 +177,33 @@ void ParallelForChunks(
     return;
   }
 
-  Region region;
-  region.body = &body;
-  region.begin = begin;
-  region.end = end;
-  region.layout = layout;
-  region.lanes = lanes;
-  region.ambient_options = g_current_options;
-  region.lanes_remaining = lanes;
-  int submitted = 0;
+  auto region = std::make_shared<Region>();
+  region->body = &body;
+  region->begin = begin;
+  region->end = end;
+  region->layout = layout;
+  region->ambient_options = g_current_options;
   std::exception_ptr submit_failure;
   try {
     for (int lane = 1; lane < lanes; ++lane) {
-      pool.Submit([&region, lane] { region.RunLane(lane); });
-      ++submitted;
+      pool.Submit([region] { region->RunLane(); });
     }
   } catch (...) {
-    // Already-enqueued lane tasks reference `region`; abort them, account
-    // for the lanes that never got enqueued, and still wait below so the
-    // region outlives every task that holds a pointer to it.
+    // Lane tasks already enqueued may be running chunks; abort the rest
+    // and still wait below so no chunk outlives `body`.
     submit_failure = std::current_exception();
-    region.abort.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(region.mu);
-    region.lanes_remaining -= lanes - 1 - submitted;
+    region->abort.store(true, std::memory_order_relaxed);
   }
-  region.RunLane(0);
+  region->RunLane();
   {
-    std::unique_lock<std::mutex> lock(region.mu);
-    region.done_cv.wait(lock, [&region] {
-      return region.lanes_remaining == 0;
+    std::unique_lock<std::mutex> lock(region->mu);
+    region->done_cv.wait(lock, [&region] {
+      return region->chunks_done == region->layout.num_chunks;
     });
   }
-  if (region.first_exception) std::rethrow_exception(region.first_exception);
+  if (region->first_exception) {
+    std::rethrow_exception(region->first_exception);
+  }
   if (submit_failure) std::rethrow_exception(submit_failure);
 }
 

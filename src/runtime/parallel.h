@@ -2,12 +2,22 @@
 //
 // Every parallel construct here partitions [begin, end) into chunks whose
 // boundaries depend only on the range size and the grain — never on the
-// thread count. ParallelFor chunks are distributed to lanes statically
-// (lane r runs chunks r, r + P, r + 2P, ...); ParallelReduce gives every
-// chunk its own partial slot and combines the slots serially in chunk
-// order. Consequently any quantity computed through these constructs is
-// bitwise identical for 1, 2, or N threads, and identical again when the
-// runtime is capped by RuntimeOptions::num_threads or disabled outright.
+// thread count. Lanes claim chunks from one atomic counter per region, so
+// a free lane always takes the lowest unclaimed chunk and one slow chunk
+// delays only the lane running it. ParallelReduce folds each chunk's
+// partial into the accumulator in chunk order, under a lock, as soon as
+// every earlier chunk is folded; an inline reduction therefore holds one
+// partial besides the accumulator. Scheduling decides only which lane runs
+// a chunk and when a partial is freed: chunk boundaries, per-chunk Rng
+// streams and the fold order are pure functions of the shape. Consequently
+// any quantity computed through these constructs is bitwise identical for
+// 1, 2, or N threads, and identical again when the runtime is capped by
+// RuntimeOptions::num_threads or disabled outright.
+//
+// A region's caller claims chunks like any lane and returns once every
+// claimed chunk has run; it never waits for a lane task that has not
+// started (say, one queued behind another region's long chunk). Such a
+// task finds no chunk left and exits without touching the loop body.
 //
 // Nested parallel regions execute inline on the calling lane (no deadlock,
 // same chunk layout, same results).
@@ -17,6 +27,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "runtime/runtime_options.h"
@@ -28,7 +40,8 @@ using ParallelIndex = std::ptrdiff_t;
 
 /// Deterministic chunk layout: boundaries are a pure function of the range
 /// size and grain. The chunk count is additionally capped (at
-/// kMaxParallelChunks) so that reduction slots stay cheap on huge ranges.
+/// kMaxParallelChunks) so that per-chunk partials and Rng streams stay cheap
+/// on huge ranges.
 struct ChunkLayout {
   ParallelIndex chunk_size = 0;
   ParallelIndex num_chunks = 0;
@@ -63,9 +76,11 @@ inline constexpr ParallelIndex kFineGrain = 8;
 /// Grain for per-example reduction loops (full gradients): large chunks
 /// keep the number of theta-sized partial buffers small while still
 /// splitting any real dataset across the pool. GradientGrain additionally
-/// caps the chunk count at 16 — peak reduction memory is then at most 16
-/// gradient-sized partials however large the dataset. Both are pure
-/// functions of n, so the layout stays thread-count independent.
+/// caps the chunk count at 16, so a pass zeroes and folds at most 16
+/// gradient-sized partials however large the dataset (and, inline, holds
+/// at most 2 of them at once: the accumulator and the chunk in flight).
+/// Both are pure functions of n, so the layout stays thread-count
+/// independent.
 inline constexpr ParallelIndex kGradientGrain = 256;
 inline constexpr ParallelIndex kMaxGradientChunks = 16;
 inline ParallelIndex GradientGrain(ParallelIndex n) {
@@ -107,21 +122,39 @@ void ParallelFor(ParallelIndex begin, ParallelIndex end,
 
 /// Deterministic reduction: chunk_fn(chunk_begin, chunk_end) -> partial,
 /// combined in chunk-index order as acc = combine(move(acc), partial).
-/// Bitwise-reproducible for any thread count (fixed chunk -> slot mapping).
+/// Bitwise-reproducible for any thread count (the fold order is fixed).
+/// A partial is folded, under a lock, as soon as every earlier chunk has
+/// been folded; one that finishes ahead of an earlier chunk waits in a
+/// per-chunk slot, allocated only then, so an inline reduction never
+/// allocates slots and holds at most the accumulator and one partial.
 template <typename T, typename ChunkFn, typename CombineFn>
 T ParallelReduce(ParallelIndex begin, ParallelIndex end, T init,
                  const ChunkFn& chunk_fn, const CombineFn& combine,
                  ParallelIndex grain = kDefaultGrain) {
   const ChunkLayout layout = ComputeChunks(end - begin, grain);
-  if (layout.num_chunks == 0) return init;
-  std::vector<T> partials(static_cast<std::size_t>(layout.num_chunks));
-  ParallelForChunks(begin, end, layout,
-                    [&](ParallelIndex chunk, ParallelIndex b, ParallelIndex e) {
-                      partials[static_cast<std::size_t>(chunk)] =
-                          chunk_fn(b, e);
-                    });
   T acc = std::move(init);
-  for (auto& partial : partials) acc = combine(std::move(acc), partial);
+  std::mutex mu;
+  ParallelIndex next = 0;  // lowest chunk not yet folded
+  std::vector<std::optional<T>> waiting;
+  ParallelForChunks(
+      begin, end, layout,
+      [&](ParallelIndex chunk, ParallelIndex b, ParallelIndex e) {
+        T partial = chunk_fn(b, e);
+        std::lock_guard<std::mutex> lock(mu);
+        if (chunk != next) {
+          waiting.resize(static_cast<std::size_t>(layout.num_chunks));
+          waiting[static_cast<std::size_t>(chunk)].emplace(std::move(partial));
+          return;
+        }
+        acc = combine(std::move(acc), partial);
+        for (++next; next < static_cast<ParallelIndex>(waiting.size()) &&
+                     waiting[static_cast<std::size_t>(next)];
+             ++next) {
+          std::optional<T>& slot = waiting[static_cast<std::size_t>(next)];
+          acc = combine(std::move(acc), *slot);
+          slot.reset();
+        }
+      });
   return acc;
 }
 

@@ -6,8 +6,10 @@
 // singleton is created lazily on first use and sized from the
 // BLINKML_NUM_THREADS environment variable (default: hardware
 // concurrency). Workers are started once and live until destruction; tasks
-// are closures pushed to a single locked queue (parallel regions submit
-// one long-lived task per lane, so queue contention is negligible).
+// are closures pushed to a single locked queue. A parallel region submits
+// one task per extra lane, which claims the region's chunks until none is
+// left, so queue contention is negligible; a task that starts after its
+// region's last claim exits at once (runtime/parallel.h).
 
 #ifndef BLINKML_RUNTIME_THREAD_POOL_H_
 #define BLINKML_RUNTIME_THREAD_POOL_H_

@@ -27,11 +27,14 @@
 //  * asynchronous job execution: SubmitTrain/SubmitSearch enqueue jobs and
 //    return std::futures. Jobs run on a small set of dedicated runner
 //    threads while their parallel regions execute on the shared runtime
-//    pool (runtime/parallel.h). Jobs must NOT run as pool tasks
-//    themselves: a parallel region's caller blocks until its lanes drain,
-//    so a job occupying the pool's only worker while its lane tasks sit
-//    queued behind other jobs would deadlock. Runner threads are pure
-//    coordinators; the heavy loops still land on the pool.
+//    pool (runtime/parallel.h). A region's caller runs chunks itself and
+//    waits only for chunks another lane has claimed, never for a lane task
+//    still queued, so a Train that arrives during a Search does not wait
+//    out the search's candidate loop. Jobs do not run as pool tasks: a job
+//    would hold a worker for its whole run, and lane tasks queued behind
+//    it would start only after it ends, leaving other jobs' regions on
+//    fewer lanes. Runner threads are pure coordinators; the heavy loops
+//    land on the pool.
 //
 // Determinism: a job's result is bitwise identical to a standalone
 // Coordinator::Train (or single-session HyperparamSearch) with the same

@@ -141,10 +141,10 @@ SearchOutcome HyperparamSearch::Run(
   out.candidates.resize(candidates.size());
   if (candidates.empty()) return out;
 
-  // The session config's runtime knobs govern the whole search: the
-  // candidate loop below distributes candidates across pool lanes, and
-  // every parallel region a candidate opens then runs inline on its lane
-  // (same chunk layouts, same results — runtime/parallel.h).
+  // The session config's runtime knobs govern the whole search: pool
+  // lanes claim the candidates below one at a time, and every parallel
+  // region a candidate opens then runs inline on its lane (same chunk
+  // layouts, same results — runtime/parallel.h).
   RuntimeScope runtime_scope(session_->config().runtime);
 
   WallTimer search_timer;

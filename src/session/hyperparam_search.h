@@ -2,11 +2,12 @@
 // Section 3.4 / Figure 10 workload).
 //
 // Candidates — grid or random points over a regularization/model knob —
-// execute concurrently on the runtime thread pool (one lane per
-// candidate; each candidate's own parallel regions then run inline, so
-// results stay bitwise identical to standalone Coordinator::Train runs at
-// any thread count). Results come back in candidate order regardless of
-// completion order.
+// execute concurrently on the runtime thread pool: each free lane claims
+// the next unstarted candidate, in candidate order, so a slow candidate
+// holds up only its own lane. Each candidate's own parallel regions run
+// inline, so results stay bitwise identical to standalone
+// Coordinator::Train runs at any thread count. Results come back in
+// candidate order regardless of completion order.
 //
 // Budgets:
 //  * time_budget_seconds — candidates that have not started when the

@@ -3,8 +3,14 @@
 // equivalence of the parallel statistics/estimation paths with serial
 // execution.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -137,7 +143,7 @@ TEST(Parallel, NestedRegionsRunInline) {
 }
 
 // Reduction result must be bitwise identical for 1, 2, and 8 threads
-// (fixed chunk -> slot mapping, combined in chunk order).
+// (fixed chunk layout, combined in chunk order).
 TEST(Parallel, ReduceIsDeterministicAcrossThreadCounts) {
   // Summands with wildly varying magnitudes so any reassociation of the
   // combine order would change the bits.
@@ -167,6 +173,32 @@ TEST(Parallel, ReduceIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(s1, s8);
 
+  // A non-commutative combine (append the chunk index) under uneven
+  // per-chunk delays, so later chunks often finish first: the fold must
+  // still see the chunks in index order.
+  constexpr ParallelIndex kChunks = 24;
+  std::vector<ParallelIndex> in_order(kChunks);
+  std::iota(in_order.begin(), in_order.end(), ParallelIndex{0});
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    RuntimeOptions options;
+    options.pool = &pool;
+    RuntimeScope scope(options);
+    const std::vector<ParallelIndex> order = ParallelReduce(
+        ParallelIndex{0}, kChunks, std::vector<ParallelIndex>{},
+        [](ParallelIndex b, ParallelIndex) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds((kChunks - b) % 4 * 300));
+          return std::vector<ParallelIndex>{b};
+        },
+        [](std::vector<ParallelIndex> acc, std::vector<ParallelIndex>& part) {
+          acc.insert(acc.end(), part.begin(), part.end());
+          return acc;
+        },
+        /*grain=*/1);
+    EXPECT_EQ(order, in_order) << threads << " threads";
+  }
+
   // Disabling the runtime keeps the chunk layout and hence the bits.
   RuntimeOptions serial;
   serial.enabled = false;
@@ -180,6 +212,174 @@ TEST(Parallel, ReduceIsDeterministicAcrossThreadCounts) {
       },
       [](double acc, double part) { return acc + part; });
   EXPECT_EQ(s0, s1);
+}
+
+// A reduction partial that counts the live instances holding a value
+// (moved-from instances hold none) and the peak of that count. The
+// reductions below run inline, one thread at a time.
+struct CountedPartial {
+  static int live;
+  static int peak;
+
+  CountedPartial() = default;
+  explicit CountedPartial(double v) : value(v), holds(true) {
+    peak = std::max(peak, ++live);
+  }
+  CountedPartial(CountedPartial&& o) noexcept
+      : value(o.value), holds(o.holds) {
+    o.holds = false;
+  }
+  CountedPartial& operator=(CountedPartial o) noexcept {
+    std::swap(value, o.value);
+    std::swap(holds, o.holds);
+    return *this;
+  }
+  ~CountedPartial() {
+    if (holds) --live;
+  }
+
+  double value = 0.0;
+  bool holds = false;
+};
+int CountedPartial::live = 0;
+int CountedPartial::peak = 0;
+
+// Sums 0 + 1 + ... + 15 over 16 chunks of CountedPartials; returns the
+// peak number alive at once.
+int PeakPartialsOfInlineSum() {
+  CountedPartial::peak = 0;
+  const CountedPartial total = ParallelReduce(
+      ParallelIndex{0}, ParallelIndex{16}, CountedPartial(0.0),
+      [](ParallelIndex b, ParallelIndex) {
+        return CountedPartial(static_cast<double>(b));
+      },
+      [](CountedPartial acc, const CountedPartial& part) {
+        acc.value += part.value;
+        return acc;
+      },
+      /*grain=*/1);
+  EXPECT_EQ(total.value, 120.0);
+  return CountedPartial::peak;
+}
+
+// Partials fold as soon as every earlier chunk has folded, so an inline
+// reduction holds the accumulator and the chunk in flight, never one
+// partial per chunk.
+TEST(Parallel, InlineReduceHoldsAtMostTwoPartials) {
+  {
+    ThreadPool pool(1);
+    RuntimeOptions options;
+    options.pool = &pool;
+    RuntimeScope scope(options);
+    EXPECT_LE(PeakPartialsOfInlineSum(), 2) << "1-lane pool";
+  }
+  {
+    RuntimeOptions serial;
+    serial.enabled = false;
+    RuntimeScope scope(serial);
+    EXPECT_LE(PeakPartialsOfInlineSum(), 2) << "runtime disabled";
+  }
+  {
+    ThreadPool pool(2);
+    RuntimeOptions options;
+    options.pool = &pool;
+    RuntimeScope scope(options);
+    int nested_peak = 0;
+    ParallelFor(
+        0, 2,
+        [&](ParallelIndex b, ParallelIndex) {
+          if (b == 0) nested_peak = PeakPartialsOfInlineSum();
+        },
+        /*grain=*/1);
+    EXPECT_LE(nested_peak, 2) << "nested region";
+  }
+  EXPECT_EQ(CountedPartial::live, 0);
+}
+
+// A free lane takes the lowest unclaimed chunk, so one slow chunk delays
+// only its own lane: at 2 lanes, whichever lane draws chunk 0 blocks until
+// every other chunk has run, which the other lane does alone. (A fixed
+// lane stride would leave chunks 2, 4, ... to the blocked lane.)
+TEST(Parallel, SlowChunkDoesNotStrandLaterChunks) {
+  ThreadPool pool(2);
+  RuntimeOptions options;
+  options.pool = &pool;
+  RuntimeScope scope(options);
+  constexpr ParallelIndex kChunks = 16;
+  std::mutex mu;
+  std::condition_variable cv;
+  ParallelIndex others_done = 0;
+  bool drained = false;
+  ParallelFor(
+      0, kChunks,
+      [&](ParallelIndex b, ParallelIndex) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (b == 0) {
+          drained = cv.wait_for(lock, std::chrono::seconds(10), [&] {
+            return others_done == kChunks - 1;
+          });
+        } else {
+          ++others_done;
+          cv.notify_all();
+        }
+      },
+      /*grain=*/1);
+  EXPECT_TRUE(drained);
+}
+
+// A region's caller waits only for chunks another lane has claimed, never
+// for a lane task still queued behind another region's long chunk.
+TEST(Parallel, RegionDoesNotWaitForQueuedLaneTask) {
+  ThreadPool pool(2);  // one worker
+  RuntimeOptions options;
+  options.pool = &pool;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool worker_parked = false;
+  bool release = false;
+
+  // Another thread's region parks the pool's only worker inside a chunk.
+  std::thread parker([&] {
+    RuntimeScope scope(options);
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelFor(
+        0, 2,
+        [&](ParallelIndex, ParallelIndex) {
+          std::unique_lock<std::mutex> lock(mu);
+          if (std::this_thread::get_id() == caller) {
+            cv.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return worker_parked; });
+          } else {
+            worker_parked = true;
+            cv.notify_all();
+            cv.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return release; });
+          }
+        },
+        /*grain=*/1);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return worker_parked; }));
+  }
+
+  // This region's lane task queues behind the parked chunk; its caller
+  // runs all 64 chunks itself and must return without it.
+  std::future<void> region = std::async(std::launch::async, [&] {
+    RuntimeScope scope(options);
+    ParallelFor(0, 64, [](ParallelIndex, ParallelIndex) {}, /*grain=*/1);
+  });
+  const bool returned = region.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  region.get();
+  parker.join();
+  EXPECT_TRUE(returned);
 }
 
 // Full-gradient evaluation (the trainers' hot loop) is bitwise
