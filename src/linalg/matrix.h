@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "linalg/vector.h"
@@ -25,6 +26,14 @@ class Matrix {
         data_(static_cast<std::size_t>(rows * cols), 0.0) {
     BLINKML_CHECK_GE(rows, 0);
     BLINKML_CHECK_GE(cols, 0);
+  }
+  /// rows x cols matrix that adopts `values` (row-major, rows * cols of
+  /// them) without copying them.
+  Matrix(Index rows, Index cols, std::vector<double> values)
+      : rows_(rows), cols_(cols), data_(std::move(values)) {
+    BLINKML_CHECK_GE(rows, 0);
+    BLINKML_CHECK_GE(cols, 0);
+    BLINKML_CHECK_EQ(data_.size(), static_cast<std::size_t>(rows * cols));
   }
   /// Row-major construction from nested initializer lists (for tests).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);

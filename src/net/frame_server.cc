@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "runtime/runtime_options.h"
 #include "util/failpoints.h"
 #include "util/string_util.h"
 
@@ -28,6 +30,16 @@ namespace net {
 namespace {
 
 constexpr int kListenBacklog = 64;
+/// An empty receive buffer grows to this before a read.
+constexpr std::size_t kReadChunk = 64 * 1024;
+/// While a connection's unsent answers exceed this, the loop reads no
+/// further frames from it: a client that pipelines requests without
+/// reading the answers cannot grow the front's memory without bound.
+constexpr std::size_t kMaxUnsentBytes = 4u << 20;
+/// Answers gathered into one send.
+constexpr int kMaxSendIovecs = 64;
+/// A relay's first read: the reply's header and, usually, all of it.
+constexpr std::size_t kRelayReadAhead = 16 * 1024;
 
 /// Rejection -> its net_rejected_total label and ServerStatsWire counter
 /// (indexed by the enum value).
@@ -65,6 +77,12 @@ Status SetNonBlocking(int fd) {
 std::int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
       .count();
 }
 
@@ -114,6 +132,12 @@ FrameServer::FrameServer(const FrontOptions& options, FrameHandler* handler,
   for (const RejectionInfo& info : kRejections) {
     c_rejected_.push_back(
         metrics_->Counter("net_rejected_total", {{"reason", info.label}}));
+  }
+  for (const Verb verb :
+       {Verb::kRegisterDataset, Verb::kTrain, Verb::kSearch, Verb::kPredict,
+        Verb::kStats, Verb::kEvictIdle, Verb::kMetrics}) {
+    h_request_[static_cast<std::size_t>(verb)] = metrics_->Histogram(
+        "net_request_seconds", {{"verb", VerbName(verb)}});
   }
 }
 
@@ -190,6 +214,8 @@ Status FrameServer::Start() {
   }
 
   stopping_.store(false);
+  runners_done_.store(false);
+  wake_pending_.store(false);
   started_ = true;
   io_thread_ = std::thread([this] { IoLoop(); });
   const int runner_count = std::max(1, options_.runner_threads);
@@ -202,21 +228,25 @@ Status FrameServer::Start() {
 
 void FrameServer::Stop() {
   if (!started_) return;
+  // The IO thread stops accepting and reading, so no new jobs arrive
+  // after this point; it keeps writing answers and ending relays.
   stopping_.store(true);
-  // Wake the poll() so the IO thread observes stopping_ and exits; it
-  // stops accepting and reading, so no new jobs arrive after this point.
-  const char byte = 'x';
-  while (::write(wake_write_fd_, &byte, 1) < 0 && errno == EINTR) {
-  }
-  io_thread_.join();
+  Wake();
 
   // Drain: runners keep popping until the queue empties, answering every
-  // admitted job (run or expire), then exit.
+  // admitted job (run or expire) through the IO thread, then exit.
   queue_.Shutdown();
   for (std::thread& runner : runners_) runner.join();
   runners_.clear();
 
+  // The loop returns once every relay has ended and every answer is
+  // written (or its connection dropped).
+  runners_done_.store(true);
+  Wake();
+  io_thread_.join();
+
   connections_.clear();
+  pending_.clear();
   open_connections_.store(0);
   CloseListener();
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
@@ -256,115 +286,324 @@ void FrameServer::Count(std::uint64_t ServerStatsWire::*counter) {
   ++(stats_.*counter);
 }
 
+void FrameServer::Wake() {
+  // One byte in flight is enough: the loop clears the flag once it has
+  // drained the pipe, and the next Wake writes again.
+  if (wake_pending_.exchange(true)) return;
+  const char byte = 'x';
+  while (::write(wake_write_fd_, &byte, 1) < 0 && errno == EINTR) {
+  }
+}
+
 void FrameServer::IoLoop() {
   std::vector<pollfd> poll_fds;
-  std::vector<std::uint8_t> chunk(64 * 1024);
+  // poll_fds[i]'s connection; null for the pipe, the listener and relays.
+  std::vector<ConnPtr> polled;
 
-  while (!stopping_.load()) {
-    poll_fds.clear();
-    poll_fds.push_back({wake_read_fd_, POLLIN, 0});
-    poll_fds.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& [fd, conn] : connections_) {
-      poll_fds.push_back({fd, POLLIN, 0});
-    }
-
-    // With an idle deadline configured, the poll timeout is the time to
-    // the nearest reapable connection's deadline (otherwise block
-    // indefinitely — the wake pipe handles shutdown).
-    int timeout_ms = -1;
-    if (options_.idle_timeout_ms > 0 && !connections_.empty()) {
-      const std::int64_t now = NowMs();
-      std::int64_t nearest = options_.idle_timeout_ms;
+  for (;;) {
+    const bool stopping = stopping_.load();
+    if (stopping && runners_done_.load() && relays_.empty()) {
+      bool unsent = false;
       for (const auto& [fd, conn] : connections_) {
-        if (conn->inflight.load() > 0) continue;
-        nearest = std::min(
-            nearest, conn->last_activity_ms.load() +
-                         options_.idle_timeout_ms - now);
+        unsent = unsent || !conn->out.empty();
       }
-      timeout_ms = static_cast<int>(std::max<std::int64_t>(nearest, 0));
+      std::lock_guard<std::mutex> lock(handoff_mu_);
+      if (!unsent && handoffs_.empty()) break;
     }
 
-    const int ready = ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
+    poll_fds.clear();
+    polled.clear();
+    poll_fds.push_back({wake_read_fd_, POLLIN, 0});
+    polled.push_back(nullptr);
+    if (!stopping) {
+      poll_fds.push_back({listen_fd_, POLLIN, 0});
+      polled.push_back(nullptr);
+    }
+    // The poll timeout is the time to the nearest write-stall or idle
+    // deadline (otherwise block indefinitely — the wake pipe handles
+    // answers and shutdown).
+    const std::int64_t now = NowMs();
+    std::int64_t nearest = -1;
+    const auto deadline = [&](std::int64_t at) {
+      const std::int64_t left = std::max<std::int64_t>(at - now, 0);
+      nearest = nearest < 0 ? left : std::min(nearest, left);
+    };
+    for (const auto& [fd, conn] : connections_) {
+      short events = 0;
+      if (!stopping && !conn->relaying &&
+          conn->out_bytes < kMaxUnsentBytes) {
+        events |= POLLIN;
+      }
+      if (!conn->out.empty()) events |= POLLOUT;
+      if (conn->write_blocked_ms > 0) {
+        deadline(conn->write_blocked_ms + options_.write_stall_timeout_ms);
+      }
+      if (options_.idle_timeout_ms > 0 && conn->inflight.load() == 0 &&
+          conn->out.empty()) {
+        deadline(conn->last_activity_ms + options_.idle_timeout_ms);
+      }
+      if (events == 0) continue;
+      poll_fds.push_back({fd, events, 0});
+      polled.push_back(conn);
+    }
+    for (const auto& [fd, relay] : relays_) {
+      poll_fds.push_back(
+          {fd, static_cast<short>(relay.unsent_len > 0 ? POLLOUT : POLLIN),
+           0});
+      polled.push_back(nullptr);
+    }
+
+    const int ready = ::poll(poll_fds.data(), poll_fds.size(),
+                             static_cast<int>(nearest));
     if (ready < 0) {
       if (errno == EINTR) continue;
-      break;  // unrecoverable poll failure; Stop() still drains
+      break;  // unrecoverable poll failure; Stop() still returns
     }
-    if (stopping_.load()) break;
 
     if (poll_fds[0].revents != 0) {
+      // Drain, then re-arm: while the flag is set no Wake writes, so the
+      // pipe holds only the byte of the Wake that set it. Clearing the
+      // flag first could swallow a later Wake's byte and leave the flag
+      // set with the pipe empty: a lost wakeup.
       char buf[64];
       while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
       }
+      wake_pending_.store(false);
     }
-
-    if (poll_fds[1].revents != 0) AcceptConnections();
-
-    for (std::size_t i = 2; i < poll_fds.size(); ++i) {
+    TakeHandoffs();
+    std::size_t first = 1;
+    if (!stopping) {
+      if (poll_fds[1].revents != 0) AcceptConnections();
+      first = 2;
+    }
+    for (std::size_t i = first; i < poll_fds.size(); ++i) {
       if (poll_fds[i].revents == 0) continue;
-      const auto it = connections_.find(poll_fds[i].fd);
-      if (it == connections_.end()) continue;
-      const ConnPtr conn = it->second;
-
-      // Read-path fault injection: kError simulates the peer vanishing
-      // mid-frame (teardown of exactly this connection); kPartial caps
-      // this wakeup's read so frames arrive in deterministic dribbles,
-      // exercising the incremental parser (poll is level-triggered, so
-      // the remainder re-arms it).
-      bool closed = false;
-      std::size_t read_cap = chunk.size();
-      fail::FaultAction fault;
-      if (BLINKML_FAILPOINT("net.read_frame", &fault)) {
-        NoteFault("net.read_frame");
-        ApplyInjectedDelay(fault);
-        if (fault.kind == fail::FaultKind::kError) {
-          closed = true;
-        } else if (fault.kind == fail::FaultKind::kPartial) {
-          read_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
-              1, std::min<std::uint64_t>(fault.arg, read_cap)));
-        }
+      if (polled[i] != nullptr) {
+        Service(polled[i], /*read=*/true);
+        continue;
       }
-      while (!closed) {
-        const ssize_t n = ::recv(conn->fd, chunk.data(), read_cap, 0);
-        if (n > 0) {
-          conn->in.insert(conn->in.end(), chunk.data(), chunk.data() + n);
-          conn->last_activity_ms.store(NowMs());
-          if (read_cap < chunk.size()) break;  // injected partial read
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        closed = true;  // EOF or hard error
-        break;
-      }
-      if (!closed && !DrainConnectionBuffer(conn)) closed = true;
-      // Queued jobs from a closed connection still hold their ConnPtr;
-      // their writes no-op on the closed flag and the fd closes with the
-      // last reference.
-      if (closed) CloseConnection(it);
+      // A relay, unless it ended earlier in this round (a reused fd
+      // number only costs one would-block attempt).
+      const auto it = relays_.find(poll_fds[i].fd);
+      if (it != relays_.end()) ServiceRelay(it);
     }
+    ServicePending();
+    ReapConnections();
+  }
 
-    if (options_.idle_timeout_ms > 0) {
-      const std::int64_t now = NowMs();
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        const ConnPtr& conn = it->second;
-        if (conn->inflight.load() == 0 &&
-            now - conn->last_activity_ms.load() >= options_.idle_timeout_ms) {
-          Count(&ServerStatsWire::idle_reaped);
-          c_idle_reaped_->Inc();
-          RecordFailureEvent("idle_reap");
-          CloseConnection(it++);
-        } else {
-          ++it;
-        }
-      }
+  // Only a failed poll gets here with relays left: hand their sockets
+  // back.
+  while (!relays_.empty()) {
+    EndRelay(relays_.begin(), Status::IOError("front stopped"));
+  }
+}
+
+void FrameServer::TakeHandoffs() {
+  std::vector<std::pair<ConnPtr, Outgoing>> taken;
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    taken.swap(handoffs_);
+  }
+  for (auto& [conn, out] : taken) {
+    if (conn->closed.load()) continue;
+    conn->out_bytes += out.size();
+    conn->out.push_back(std::move(out));
+    pending_.push_back(std::move(conn));
+  }
+}
+
+void FrameServer::ServicePending() {
+  // Iterative, not recursive: servicing a connection can end a relay
+  // (which queues the connection again) or start one.
+  while (!pending_.empty()) {
+    std::vector<ConnPtr> batch;
+    batch.swap(pending_);
+    for (const ConnPtr& conn : batch) {
+      if (!conn->closed.load()) Service(conn, /*read=*/false);
     }
   }
 }
 
-void FrameServer::CloseConnection(
-    std::unordered_map<int, ConnPtr>::iterator it) {
-  it->second->closed.store(true);
-  connections_.erase(it);
+void FrameServer::Service(const ConnPtr& conn, bool read) {
+  if (conn->closed.load()) return;
+  bool keep = Flush(*conn);
+  if (keep && read && !stopping_.load() && !conn->relaying &&
+      conn->out_bytes < kMaxUnsentBytes) {
+    keep = Read(*conn);
+  }
+  if (keep) keep = ParseFrames(conn);
+  if (keep) keep = Flush(*conn);
+  // Queued jobs and relays of a closed connection still hold its ConnPtr;
+  // their answers are dropped and the fd closes with the last reference.
+  if (!keep) CloseConnection(conn);
+}
+
+bool FrameServer::Read(Connection& conn) {
+  // Read-path fault injection: kError simulates the peer vanishing
+  // mid-frame (teardown of exactly this connection); kPartial caps this
+  // wakeup's read so frames arrive in deterministic dribbles, exercising
+  // the incremental parser.
+  std::size_t read_cap = 0;
+  fail::FaultAction fault;
+  if (BLINKML_FAILPOINT("net.read_frame", &fault)) {
+    NoteFault("net.read_frame");
+    ApplyInjectedDelay(fault);
+    if (fault.kind == fail::FaultKind::kError) return false;
+    if (fault.kind == fail::FaultKind::kPartial) {
+      read_cap = static_cast<std::size_t>(
+          std::max<std::uint64_t>(1, fault.arg));
+    }
+  }
+  // Drop the parsed prefix first (usually all of it: a closed-loop
+  // client's buffer holds no partial frame between requests).
+  if (conn.in_start > 0) {
+    conn.in.erase(conn.in.begin(),
+                  conn.in.begin() + static_cast<std::ptrdiff_t>(conn.in_start));
+    conn.in_start = 0;
+  }
+  // Bytes land straight in the connection's buffer. ParseFrames sizes it
+  // for a whole frame once the header is in, so a frame read into it is
+  // never moved; one read per wakeup, because growing a full buffer
+  // would copy it (poll is level-triggered and reports the rest).
+  if (conn.in.size() == conn.in.capacity()) {
+    conn.in.reserve(std::max(kReadChunk, 2 * conn.in.capacity()));
+  }
+  const std::size_t size = conn.in.size();
+  std::size_t room = conn.in.capacity() - size;
+  if (read_cap > 0) room = std::min(room, read_cap);
+  conn.in.resize(size + room);
+  ssize_t n;
+  do {
+    n = ::recv(conn.fd, conn.in.data() + size, room, 0);
+  } while (n < 0 && errno == EINTR);
+  const bool would_block = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  conn.in.resize(size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+  if (n > 0) conn.last_activity_ms = NowMs();
+  return n > 0 || would_block;  // else EOF or a hard error
+}
+
+bool FrameServer::ParseFrames(const ConnPtr& conn) {
+  Connection& c = *conn;
+  while (!c.relaying && !c.closed.load() && !stopping_.load() &&
+         c.out_bytes < kMaxUnsentBytes &&
+         c.in.size() - c.in_start >= kFrameHeaderBytes) {
+    const std::uint8_t* frame = c.data() + c.in_start;
+    FrameHeader header;
+    const Status status = DecodeFrameHeader(frame, &header);
+    if (!status.ok()) {
+      // Unsynchronizable framing corruption: answer once, then close.
+      Count(&ServerStatsWire::frames_received);
+      NoteRejected(Rejection::kMalformed);
+      SendError(conn, header.request_id, Verb::kError,
+                WireStatus::kMalformedFrame, status.message());
+      (void)Flush(c);
+      return false;
+    }
+    const std::size_t frame_len = kFrameHeaderBytes + header.payload_len;
+    if (c.in.size() - c.in_start < frame_len) {
+      // Incomplete frame: size the buffer for all of it once instead of
+      // regrowing (and recopying) it as the bytes arrive. The length is
+      // capped by DecodeFrameHeader, and reserved pages stay untouched
+      // until bytes land in them.
+      c.in.reserve(c.in_start + frame_len);
+      break;
+    }
+    c.in_start += frame_len;
+    // The frame stays where it was read: inline execution reads it in
+    // place, and a relay writes these very bytes.
+    HandleFrame(conn, header, frame);
+  }
+  return true;
+}
+
+bool FrameServer::Flush(Connection& conn) {
+  while (!conn.out.empty()) {
+    // Gather the queued answers (from the unsent part of the first) into
+    // one send; nothing queued behind a severing fault is written.
+    iovec iov[kMaxSendIovecs];
+    int count = 0;
+    std::size_t skip = conn.out_sent;
+    for (Outgoing& out : conn.out) {
+      if (count + 2 > kMaxSendIovecs) break;
+      if (skip < out.header_len) {
+        iov[count++] = {out.header.data() + skip, out.header_len - skip};
+        skip = 0;
+      } else {
+        skip -= out.header_len;
+      }
+      if (skip < out.bytes.size()) {
+        iov[count++] = {out.bytes.data() + skip, out.bytes.size() - skip};
+        skip = 0;
+      } else {
+        skip -= out.bytes.size();
+      }
+      if (out.sever) break;
+    }
+    if (count == 0) return false;  // an empty severing fault is next
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
+    const ssize_t n =
+        ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (conn.write_blocked_ms == 0) conn.write_blocked_ms = NowMs();
+        return true;  // POLLOUT resumes
+      }
+      return false;  // the peer is gone
+    }
+    conn.last_activity_ms = NowMs();
+    conn.write_blocked_ms = 0;
+    conn.out_bytes -= static_cast<std::size_t>(n);
+    conn.out_sent += static_cast<std::size_t>(n);
+    while (!conn.out.empty() && conn.out_sent >= conn.out.front().size()) {
+      Outgoing& done = conn.out.front();
+      if (done.sever) return false;
+      conn.out_sent -= done.size();
+      Count(&ServerStatsWire::responses_sent);
+      if (done.request_seconds != nullptr) {
+        done.request_seconds->Observe(SecondsSince(done.admitted_at));
+      }
+      conn.out.pop_front();
+    }
+  }
+  return true;
+}
+
+void FrameServer::ReapConnections() {
+  const std::int64_t now = NowMs();
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    const ConnPtr conn = it->second;
+    ++it;
+    if (conn->write_blocked_ms > 0 &&
+        now - conn->write_blocked_ms >= options_.write_stall_timeout_ms) {
+      // The client stopped draining its socket: drop it (it sees EOF).
+      Count(&ServerStatsWire::write_stalls);
+      c_write_stalls_->Inc();
+      RecordFailureEvent("write_stall");
+      CloseConnection(conn);
+    } else if (options_.idle_timeout_ms > 0 && conn->inflight.load() == 0 &&
+               conn->out.empty() &&
+               now - conn->last_activity_ms >= options_.idle_timeout_ms) {
+      Count(&ServerStatsWire::idle_reaped);
+      c_idle_reaped_->Inc();
+      RecordFailureEvent("idle_reap");
+      CloseConnection(conn);
+    }
+  }
+}
+
+void FrameServer::CloseConnection(const ConnPtr& conn) {
+  if (conn->closed.exchange(true)) return;
+  // shutdown(), not close(): the fd number stays reserved until the last
+  // ConnPtr drops, but both directions die now, so the client sees EOF.
+  ::shutdown(conn->fd, SHUT_RDWR);
+  conn->out.clear();
+  conn->out_bytes = 0;
+  conn->out_sent = 0;
+  conn->write_blocked_ms = 0;
+  connections_.erase(conn->fd);
   open_connections_.fetch_sub(1);
 }
 
@@ -392,70 +631,33 @@ void FrameServer::AcceptConnections() {
       // silent RST.
       NoteRejected(Rejection::kMaxConnections);
       RecordFailureEvent("max_connections");
-      const std::vector<std::uint8_t> payload = ErrorPayload(
-          WireStatus::kOverloaded,
-          StrFormat("connection limit (%d) reached", options_.max_connections),
-          options_.shed_retry_ms);
       FrameHeader reject;
       reject.verb = Verb::kError;
-      // The socket buffer of a fresh connection always fits one small
-      // frame; a tiny stall timeout keeps a pathological peer from
-      // pinning the IO thread.
-      WriteOptions wopts;
-      wopts.stall_timeout_ms = 100;
-      (void)WriteFrame(fd, reject, payload.data(), payload.size(), wopts);
-      ::close(fd);
+      Outgoing out = Answer(
+          reject, ErrorPayload(WireStatus::kOverloaded,
+                               StrFormat("connection limit (%d) reached",
+                                         options_.max_connections),
+                               options_.shed_retry_ms));
+      out.sever = true;
+      // One non-blocking attempt (a fresh connection's socket buffer
+      // always holds one small frame); the fd closes with `rejected`.
+      Connection rejected(fd);
+      rejected.out_bytes = out.size();
+      rejected.out.push_back(std::move(out));
+      (void)Flush(rejected);
       continue;
     }
     auto conn = std::make_shared<Connection>(fd);
-    conn->last_activity_ms.store(NowMs());
+    conn->last_activity_ms = NowMs();
     connections_.emplace(fd, std::move(conn));
     open_connections_.fetch_add(1);
   }
 }
 
-bool FrameServer::DrainConnectionBuffer(const ConnPtr& conn) {
-  std::size_t consumed = 0;
-  bool keep_open = true;
-  while (conn->in.size() - consumed >= kFrameHeaderBytes) {
-    FrameHeader header;
-    const Status status =
-        DecodeFrameHeader(conn->in.data() + consumed, &header);
-    if (!status.ok()) {
-      // Unsynchronizable framing corruption: answer once, then close.
-      Count(&ServerStatsWire::frames_received);
-      NoteRejected(Rejection::kMalformed);
-      SendError(conn, header.request_id, Verb::kError,
-                WireStatus::kMalformedFrame, status.message());
-      keep_open = false;
-      break;
-    }
-    if (conn->in.size() - consumed < kFrameHeaderBytes + header.payload_len) {
-      // Incomplete frame: size the buffer for all of it once instead of
-      // regrowing (and recopying) it as the bytes arrive. The length is
-      // capped by DecodeFrameHeader, and reserved pages stay untouched
-      // until bytes land in them.
-      conn->in.reserve(consumed + kFrameHeaderBytes + header.payload_len);
-      break;
-    }
-    std::vector<std::uint8_t> payload(
-        conn->in.begin() +
-            static_cast<std::ptrdiff_t>(consumed + kFrameHeaderBytes),
-        conn->in.begin() + static_cast<std::ptrdiff_t>(
-                               consumed + kFrameHeaderBytes +
-                               header.payload_len));
-    consumed += kFrameHeaderBytes + header.payload_len;
-    HandleFrame(conn, header, std::move(payload));
-  }
-  if (consumed > 0) {
-    conn->in.erase(conn->in.begin(),
-                   conn->in.begin() + static_cast<std::ptrdiff_t>(consumed));
-  }
-  return keep_open;
-}
-
 void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
-                              std::vector<std::uint8_t> payload) {
+                              const std::uint8_t* frame) {
+  const std::uint8_t* payload = frame + kFrameHeaderBytes;
+  const std::size_t size = header.payload_len;
   Count(&ServerStatsWire::frames_received);
 
   if (header.version != kWireVersion) {
@@ -492,7 +694,7 @@ void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
   }
 
   std::string tenant;
-  const Status peek = PeekTenant(payload.data(), payload.size(), &tenant);
+  const Status peek = PeekTenant(payload, size, &tenant);
   if (!peek.ok()) {
     NoteRejected(Rejection::kDecode);
     SendError(conn, header.request_id, header.verb, WireStatus::kDecodeError,
@@ -515,7 +717,7 @@ void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
     return;
   }
 
-  Admission admission = handler_->Admit(header, tenant, payload);
+  Admission admission = handler_->Admit(header, tenant, payload, size);
   if (admission.status != WireStatus::kOk) {
     NoteRejected(admission.reason);
     SendError(conn, header.request_id, header.verb, admission.status,
@@ -524,23 +726,34 @@ void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
   }
 
   // Admitted: this is where the request's observable life begins (the
-  // net_requests_total counter and, under tracing, the queue_wait span —
-  // see the header comment).
+  // net_requests_total counter, net_request_seconds and, under tracing,
+  // the queue_wait span — see the header comment).
   metrics_
       ->Counter("net_requests_total",
                 {{"tenant", tenant}, {"verb", VerbName(header.verb)}})
       ->Inc();
+  const JobQueue::SteadyTime admitted_at = std::chrono::steady_clock::now();
+
+  // A small Predict runs on this thread. Its payload size bounds the
+  // work whatever its shape: features, theta and strings alike.
+  if (header.verb == Verb::kPredict &&
+      size < kInlinePredictValues * sizeof(double)) {
+    RunInline(conn, header, std::move(tenant), frame, std::move(admission),
+              admitted_at);
+    return;
+  }
 
   JobQueue::Job job;
   job.priority = header.priority;
-  job.enqueued = std::chrono::steady_clock::now();
+  job.enqueued = admitted_at;
   if (header.deadline_ms > 0) {
     job.has_deadline = true;
     job.deadline = job.enqueued + std::chrono::milliseconds(header.deadline_ms);
   }
-  auto request = std::make_shared<Request>(Request{
-      header, std::move(tenant), std::move(payload), std::move(admission),
-      job.enqueued});
+  auto request = std::make_shared<Request>(
+      Request{header, std::move(tenant),
+              std::vector<std::uint8_t>(payload, payload + size),
+              std::move(admission), admitted_at});
   // The run/expire closures each end in Finish; they are mutually
   // exclusive by construction (the runner calls one or the other).
   job.run = [this, conn, request] {
@@ -549,10 +762,14 @@ void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
   };
   job.expire = [this, conn, request] {
     NoteRejected(Rejection::kDeadline);
-    SendError(conn, request->header.request_id, request->header.verb,
-              WireStatus::kDeadlineExceeded,
-              StrFormat("deadline (%u ms) expired before execution",
-                        static_cast<unsigned>(request->header.deadline_ms)));
+    HandOff(conn,
+            Answer(request->header,
+                   ErrorPayload(WireStatus::kDeadlineExceeded,
+                                StrFormat("deadline (%u ms) expired before "
+                                          "execution",
+                                          static_cast<unsigned>(
+                                              request->header.deadline_ms))),
+                   &request->admitted_at));
     Finish(conn, *request);
   };
 
@@ -568,13 +785,165 @@ void FrameServer::HandleFrame(const ConnPtr& conn, const FrameHeader& header,
       --stats_.jobs_enqueued;
     }
     if (!shutting_down) NoteRejected(Rejection::kQueueFull);
-    SendError(conn, header.request_id, header.verb,
-              shutting_down ? WireStatus::kShuttingDown
-                            : WireStatus::kQueueFull,
-              shutting_down ? "server shutting down" : "job queue full",
-              shutting_down ? 0 : request->admission.retry_after_ms);
+    Send(conn, Answer(header,
+                      ErrorPayload(shutting_down ? WireStatus::kShuttingDown
+                                                 : WireStatus::kQueueFull,
+                                   shutting_down ? "server shutting down"
+                                                 : "job queue full",
+                                   shutting_down
+                                       ? 0
+                                       : request->admission.retry_after_ms),
+                      &admitted_at));
     Finish(conn, *request);
   }
+}
+
+void FrameServer::RunInline(const ConnPtr& conn, const FrameHeader& header,
+                            std::string tenant, const std::uint8_t* frame,
+                            Admission admission,
+                            JobQueue::SteadyTime admitted_at) {
+  InlineAnswer answer;
+  {
+    obs::TraceContext trace_ctx;
+    trace_ctx.request_id = header.request_id;
+    trace_ctx.tenant = tenant;
+    trace_ctx.verb = VerbName(header.verb);
+    trace_ctx.valid = true;
+    obs::ScopedTraceContext scoped_trace(std::move(trace_ctx));
+    obs::SpanScope verb_span(VerbName(header.verb), "net");
+    // The IO thread never waits on the runtime pool: parallel regions
+    // run their chunks here, in the same layout, so the bits match a
+    // runner's.
+    RuntimeOptions serial;
+    serial.enabled = false;
+    const RuntimeScope runtime(serial);
+    try {
+      answer = handler_->ExecuteInline(header, tenant,
+                                       frame + kFrameHeaderBytes,
+                                       header.payload_len);
+    } catch (const std::exception& e) {
+      answer = InlineAnswer{ErrorPayload(
+          WireStatus::kInternal, StrFormat("inline job threw: %s", e.what()))};
+    } catch (...) {
+      answer = InlineAnswer{
+          ErrorPayload(WireStatus::kInternal, "inline job threw")};
+    }
+  }
+  if (answer.relay_fd < 0) {
+    if (admission.release) admission.release();
+    Send(conn, Answer(header, std::move(answer.payload), &admitted_at));
+    return;
+  }
+
+  Relay relay;
+  relay.conn = conn;
+  relay.header = header;
+  relay.tenant = std::move(tenant);
+  relay.admission = std::move(admission);
+  relay.admitted_at = admitted_at;
+  obs::Tracer& tracer = obs::Tracer::Global();
+  if (tracer.enabled()) relay.started_us = tracer.NowUs();
+  relay.unsent = frame;
+  relay.unsent_len = kFrameHeaderBytes + header.payload_len;
+  conn->relaying = true;
+  conn->inflight.fetch_add(1);
+  const int fd = answer.relay_fd;
+  // Most requests fit the socket buffer at once; the rest resume on
+  // POLLOUT.
+  ServiceRelay(relays_.emplace(fd, std::move(relay)).first);
+}
+
+void FrameServer::ServiceRelay(RelayMap::iterator it) {
+  const int fd = it->first;
+  Relay& relay = it->second;
+  while (relay.unsent_len > 0) {
+    const ssize_t n = ::send(fd, relay.unsent, relay.unsent_len,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      relay.unsent += n;
+      relay.unsent_len -= static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    EndRelay(it, Status::IOError(StrFormat("relay send: %s",
+                                           ::strerror(errno))));
+    return;
+  }
+  for (;;) {
+    if (relay.reply.empty()) relay.reply.resize(kRelayReadAhead);
+    const ssize_t n = ::recv(fd, relay.reply.data() + relay.received,
+                             relay.reply.size() - relay.received, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {
+      EndRelay(it, Status::IOError(
+                       n == 0 ? std::string("relay: connection closed by peer")
+                              : StrFormat("relay recv: %s",
+                                          ::strerror(errno))));
+      return;
+    }
+    relay.received += static_cast<std::size_t>(n);
+    if (relay.received < kFrameHeaderBytes) continue;
+    FrameHeader reply;
+    Status status = DecodeFrameHeader(relay.reply.data(), &reply);
+    const std::size_t frame_len = kFrameHeaderBytes + reply.payload_len;
+    if (status.ok() && (reply.request_id != relay.header.request_id ||
+                        relay.received > frame_len)) {
+      status = Status::IOError(StrFormat(
+          "relay desync: sent id %llu, got id %llu",
+          static_cast<unsigned long long>(relay.header.request_id),
+          static_cast<unsigned long long>(reply.request_id)));
+    }
+    if (!status.ok()) {
+      EndRelay(it, status);
+      return;
+    }
+    relay.reply.resize(frame_len);
+    if (relay.received == frame_len) {
+      EndRelay(it, Status::OK());
+      return;
+    }
+  }
+}
+
+void FrameServer::EndRelay(RelayMap::iterator it, const Status& status) {
+  const int fd = it->first;
+  Relay relay = std::move(it->second);
+  relays_.erase(it);
+  // The socket goes back to the handler before anything else can reuse
+  // its fd number.
+  std::vector<std::uint8_t> answer = handler_->EndRelay(fd, status);
+  if (relay.admission.release) relay.admission.release();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  if (relay.started_us > 0 && tracer.enabled()) {
+    obs::TraceEvent event;
+    event.name = "relay";
+    event.cat = "net";
+    event.ts_us = relay.started_us;
+    event.dur_us = tracer.NowUs() - relay.started_us;
+    event.request_id = relay.header.request_id;
+    event.tenant = relay.tenant;
+    event.verb = VerbName(relay.header.verb);
+    tracer.Record(std::move(event));
+  }
+  Connection& conn = *relay.conn;
+  conn.relaying = false;
+  conn.inflight.fetch_sub(1);
+  if (status.ok()) {
+    // The reply frame is the answer, byte for byte.
+    Outgoing out;
+    out.bytes = std::move(relay.reply);
+    out.request_seconds = h_request_[static_cast<std::size_t>(
+        relay.header.verb)];
+    out.admitted_at = relay.admitted_at;
+    Send(relay.conn, std::move(out));
+  } else {
+    Send(relay.conn,
+         Answer(relay.header, std::move(answer), &relay.admitted_at));
+  }
+  // The connection's next frames waited behind this one.
+  pending_.push_back(std::move(relay.conn));
 }
 
 void FrameServer::RunnerLoop() {
@@ -593,10 +962,7 @@ void FrameServer::RunJob(const ConnPtr& conn, const Request& request) {
   const FrameHeader& header = request.header;
   // Queue wait = admission to pop, measured on the runner before any
   // decode work. Wall-clock observation only; never feeds back.
-  const double wait_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    request.admitted_at)
-          .count();
+  const double wait_seconds = SecondsSince(request.admitted_at);
   h_queue_wait_->Observe(wait_seconds);
   obs::Tracer& tracer = obs::Tracer::Global();
   if (tracer.enabled()) {
@@ -625,7 +991,9 @@ void FrameServer::RunJob(const ConnPtr& conn, const Request& request) {
     obs::ScopedTraceContext scoped_trace(std::move(trace_ctx));
     obs::SpanScope verb_span(VerbName(header.verb), "net");
     try {
-      response = handler_->Execute(header, request.tenant, request.payload);
+      response = handler_->Execute(header, request.tenant,
+                                   request.payload.data(),
+                                   request.payload.size());
     } catch (const std::exception& e) {
       // Job bodies may throw (dataset factories propagate through the
       // manager's futures); the connection must survive it.
@@ -636,7 +1004,7 @@ void FrameServer::RunJob(const ConnPtr& conn, const Request& request) {
           ErrorPayload(WireStatus::kInternal, "job threw a non-exception");
     }
   }
-  SendPayload(conn, header.request_id, header.verb, response);
+  HandOff(conn, Answer(header, std::move(response), &request.admitted_at));
 }
 
 void FrameServer::Finish(const ConnPtr& conn, const Request& request) {
@@ -677,81 +1045,76 @@ void FrameServer::HandleHealth(const ConnPtr& conn,
   handler_->AddHealth(&health);
   WireWriter body;
   Encode(health, &body);
-  SendPayload(conn, header.request_id, Verb::kHealth,
-              ResponsePayload(ResponseEnvelope{}, &body));
+  Send(conn, Answer(header, ResponsePayload(ResponseEnvelope{}, &body)));
 }
 
-void FrameServer::SendPayload(const ConnPtr& conn, std::uint64_t request_id,
-                              Verb verb,
-                              const std::vector<std::uint8_t>& payload) {
+FrameServer::Outgoing FrameServer::Answer(
+    const FrameHeader& request, std::vector<std::uint8_t> payload,
+    const JobQueue::SteadyTime* admitted_at) {
   FrameHeader header;
-  header.verb = verb;
-  header.request_id = request_id;
+  header.verb = request.verb;
+  header.request_id = request.request_id;
   header.payload_len = static_cast<std::uint32_t>(payload.size());
+  Outgoing out;
+  EncodeFrameHeader(header, out.header.data());
+  out.header_len = kFrameHeaderBytes;
+  out.bytes = std::move(payload);
+  if (admitted_at != nullptr) {
+    out.request_seconds = h_request_[static_cast<std::size_t>(request.verb)];
+    out.admitted_at = *admitted_at;
+  }
+  return out;
+}
 
-  if (conn->closed.load()) return;
-
+void FrameServer::InjectWriteFault(Outgoing* out) {
   // Write-path fault injection: kError severs the connection before the
-  // response (the client sees EOF and must reconnect + retry); kPartial
+  // answer (the client sees EOF and must reconnect + retry); kPartial
   // leaks a truncated frame prefix first (a mid-frame cut from the
-  // client's perspective); kDelay stalls the write.
+  // client's perspective); kDelay stalls the thread that produced it.
   fail::FaultAction fault;
-  bool sever = false;
-  std::size_t partial_bytes = 0;
-  if (BLINKML_FAILPOINT("net.write_frame", &fault)) {
-    NoteFault("net.write_frame");
-    ApplyInjectedDelay(fault);
-    if (fault.kind == fail::FaultKind::kError) {
-      sever = true;
-    } else if (fault.kind == fail::FaultKind::kPartial) {
-      sever = true;
-      partial_bytes = static_cast<std::size_t>(fault.arg);
-    }
+  if (!BLINKML_FAILPOINT("net.write_frame", &fault)) return;
+  NoteFault("net.write_frame");
+  ApplyInjectedDelay(fault);
+  if (fault.kind == fail::FaultKind::kError) {
+    out->header_len = 0;
+    out->bytes.clear();
+    out->sever = true;
+  } else if (fault.kind == fail::FaultKind::kPartial) {
+    std::vector<std::uint8_t> prefix(out->header.begin(),
+                                     out->header.begin() + out->header_len);
+    prefix.insert(prefix.end(), out->bytes.begin(), out->bytes.end());
+    prefix.resize(std::min<std::size_t>(prefix.size(), fault.arg));
+    out->header_len = 0;
+    out->bytes = std::move(prefix);
+    out->sever = true;
   }
+}
 
-  std::lock_guard<std::mutex> lock(conn->write_mu);
+void FrameServer::Send(const ConnPtr& conn, Outgoing out) {
   if (conn->closed.load()) return;
-  if (sever && partial_bytes > 0) {
-    std::vector<std::uint8_t> frame(kFrameHeaderBytes + payload.size());
-    EncodeFrameHeader(header, frame.data());
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
-                payload.size());
-    // Best-effort single send of the truncated prefix (a fault
-    // simulation; the bytes fitting the buffer is not load-bearing).
-    (void)::send(conn->fd, frame.data(),
-                 std::min(partial_bytes, frame.size()), MSG_NOSIGNAL);
+  InjectWriteFault(&out);
+  conn->out_bytes += out.size();
+  conn->out.push_back(std::move(out));
+}
+
+void FrameServer::HandOff(const ConnPtr& conn, Outgoing out) {
+  if (conn->closed.load()) return;
+  InjectWriteFault(&out);
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    handoffs_.emplace_back(conn, std::move(out));
   }
-  if (!sever) {
-    WriteOptions write_options;
-    write_options.stall_timeout_ms = options_.write_stall_timeout_ms;
-    bool stalled = false;
-    if (WriteFrame(conn->fd, header, payload.data(), payload.size(),
-                   write_options, &stalled)
-            .ok()) {
-      conn->last_activity_ms.store(NowMs());
-      Count(&ServerStatsWire::responses_sent);
-      return;
-    }
-    if (stalled) {
-      Count(&ServerStatsWire::write_stalls);
-      c_write_stalls_->Inc();
-      RecordFailureEvent("write_stall");
-    }
-  }
-  // Severed, stalled, or the peer is gone: shutdown(), not close() — the
-  // fd number stays reserved until the last ConnPtr drops, but both
-  // directions die now, so the client sees EOF and the IO thread reaps
-  // the connection on its read event.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  conn->closed.store(true);
+  Wake();
 }
 
 void FrameServer::SendError(const ConnPtr& conn, std::uint64_t request_id,
                             Verb verb, WireStatus status,
                             const std::string& message,
                             std::uint32_t retry_after_ms) {
-  SendPayload(conn, request_id, verb,
-              ErrorPayload(status, message, retry_after_ms));
+  FrameHeader header;
+  header.verb = verb;
+  header.request_id = request_id;
+  Send(conn, Answer(header, ErrorPayload(status, message, retry_after_ms)));
 }
 
 }  // namespace net

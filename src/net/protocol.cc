@@ -2,8 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -302,42 +302,36 @@ void WireReader::Doubles(std::size_t count, std::vector<double>* out) {
 
 namespace {
 
-/// A write blocked on a full send buffer waits `stall_timeout_ms` for
-/// the peer to drain before the connection is declared dead. Multi-MB
-/// responses routinely exceed the kernel's socket buffers, so EAGAIN is
-/// normal operation, not an error — but a peer that never reads must not
-/// wedge a writer forever. *stalled reports whether a failure was that
-/// timeout (as opposed to an ordinary peer-gone error).
-Status WriteAll(int fd, const std::uint8_t* data, std::size_t size,
-                int stall_timeout_ms, bool* stalled) {
-  std::size_t done = 0;
-  while (done < size) {
-    // send + MSG_NOSIGNAL, not write: a peer that closed mid-response
+/// Drops the first `bytes` bytes from an iovec array (a partial send).
+void AdvanceIovecs(iovec** iov, int* iov_count, std::size_t bytes) {
+  while (*iov_count > 0 && bytes >= (*iov)->iov_len) {
+    bytes -= (*iov)->iov_len;
+    ++*iov;
+    --*iov_count;
+  }
+  if (*iov_count > 0) {
+    (*iov)->iov_base = static_cast<std::uint8_t*>((*iov)->iov_base) + bytes;
+    (*iov)->iov_len -= bytes;
+  }
+}
+
+/// Sends every byte the iovecs hold, resuming after partial sends.
+/// Consumes `iov`. Meant for blocking sockets: on a non-blocking one, a
+/// full send buffer fails the write (EAGAIN) mid-frame.
+Status WriteAll(int fd, iovec* iov, int iov_count) {
+  while (iov_count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iov_count);
+    // sendmsg + MSG_NOSIGNAL, not writev: a peer that closed mid-response
     // must surface as EPIPE, not a process-killing SIGPIPE (the fds here
     // are always sockets).
-    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // The server's connection fds are non-blocking (one IO thread
-        // polls the reads); a response larger than the free send-buffer
-        // space must wait for the peer to drain, not fail mid-frame.
-        pollfd pfd{fd, POLLOUT, 0};
-        const int ready = ::poll(&pfd, 1, stall_timeout_ms);
-        if (ready > 0) continue;  // writable again (or error: send reports)
-        if (ready < 0 && errno == EINTR) continue;
-        if (ready == 0) {
-          if (stalled != nullptr) *stalled = true;
-          return Status::IOError(StrFormat(
-              "send: peer did not drain its socket within %d ms",
-              stall_timeout_ms));
-        }
-        return Status::IOError(
-            StrFormat("poll(POLLOUT): %s", std::strerror(errno)));
-      }
       return Status::IOError(StrFormat("send: %s", std::strerror(errno)));
     }
-    done += static_cast<std::size_t>(n);
+    AdvanceIovecs(&iov, &iov_count, static_cast<std::size_t>(n));
   }
   return Status::OK();
 }
@@ -359,23 +353,16 @@ Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 Status WriteFrame(int fd, const FrameHeader& header,
-                  const std::uint8_t* payload, std::size_t payload_len,
-                  const WriteOptions& options, bool* stalled) {
-  if (stalled != nullptr) *stalled = false;
-  // One buffer, one write: a frame must never interleave with another
-  // writer's frame on the same connection (the server's per-connection
-  // write lock relies on frame-at-a-time writes).
-  std::vector<std::uint8_t> buf(kFrameHeaderBytes + payload_len);
+                  const std::uint8_t* payload, std::size_t payload_len) {
+  // Header and payload leave in one gathered write, without first being
+  // copied into one buffer.
+  std::uint8_t header_bytes[kFrameHeaderBytes];
   FrameHeader h = header;
   h.payload_len = static_cast<std::uint32_t>(payload_len);
-  EncodeFrameHeader(h, buf.data());
-  if (payload_len > 0) {
-    std::memcpy(buf.data() + kFrameHeaderBytes, payload, payload_len);
-  }
-  const int timeout = options.stall_timeout_ms > 0
-                          ? options.stall_timeout_ms
-                          : kDefaultWriteStallTimeoutMs;
-  return WriteAll(fd, buf.data(), buf.size(), timeout, stalled);
+  EncodeFrameHeader(h, header_bytes);
+  iovec iov[2] = {{header_bytes, kFrameHeaderBytes},
+                  {const_cast<std::uint8_t*>(payload), payload_len}};
+  return WriteAll(fd, iov, 2);
 }
 
 Status ReadFrame(int fd, Frame* out) {
@@ -390,7 +377,7 @@ Status ReadFrame(int fd, Frame* out) {
   return Status::OK();
 }
 
-Result<int> DialUnix(const std::string& path) {
+Result<int> DialUnix(const std::string& path, bool non_blocking) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof(addr.sun_path)) {
@@ -398,7 +385,10 @@ Result<int> DialUnix(const std::string& path) {
         StrFormat("unix socket path too long: %s", path.c_str()));
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // A non-blocking Unix-domain connect never waits: it completes at once
+  // or fails (EAGAIN when the listener's backlog is full).
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | (non_blocking ? SOCK_NONBLOCK : 0), 0);
   if (fd < 0) {
     return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
   }

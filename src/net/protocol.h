@@ -192,43 +192,31 @@ class WireReader {
   bool failed_ = false;
 };
 
-// --- Blocking frame transport (client + tests; the server's IO loop
-// --- parses incrementally from its own buffers) -------------------------
+// --- Blocking frame transport (clients, tests and the router's runner
+// --- forwards; the fronts' IO loop parses incrementally from its own
+// --- buffers) ------------------------------------------------------------
 
 struct Frame {
   FrameHeader header;
   std::vector<std::uint8_t> payload;
 };
 
-/// Default for WriteOptions::stall_timeout_ms (tens of seconds: multi-MB
-/// responses routinely overrun kernel socket buffers, so waiting on
-/// POLLOUT is normal operation — only a peer that stops draining
-/// entirely should fail the write).
-inline constexpr int kDefaultWriteStallTimeoutMs = 30000;
-
-struct WriteOptions {
-  /// How long a write blocked on a full send buffer waits for the peer
-  /// to drain before the connection is declared dead (must be > 0).
-  int stall_timeout_ms = kDefaultWriteStallTimeoutMs;
-};
-
-/// Writes header + payload with a full-write loop. EINTR-safe, and works
-/// on non-blocking fds: a full send buffer polls for POLLOUT and resumes
-/// (kIOError only if the peer stops draining for stall_timeout_ms).
-/// `stalled` (optional) is set to whether the failure was a stall
-/// timeout — the caller distinguishes a slow-reader drop (worth its own
-/// metric) from an ordinary peer-gone error.
+/// Writes header + payload with a full-write loop of gathered sends (the
+/// payload is never copied behind a header first). EINTR-safe. For
+/// blocking sockets: the serving fronts write their own non-blocking
+/// sockets from their IO loop (net/frame_server.h).
 Status WriteFrame(int fd, const FrameHeader& header,
-                  const std::uint8_t* payload, std::size_t payload_len,
-                  const WriteOptions& options = {}, bool* stalled = nullptr);
+                  const std::uint8_t* payload, std::size_t payload_len);
 
 /// Reads exactly one frame; kIOError on EOF/short read, kInvalidArgument
 /// (malformed) on bad magic / oversized payload.
 Status ReadFrame(int fd, Frame* out);
 
-/// Opens a blocking stream socket connected to the Unix-domain socket at
-/// `path`; the caller owns (and closes) the returned fd.
-Result<int> DialUnix(const std::string& path);
+/// Opens a stream socket connected to the Unix-domain socket at `path`;
+/// the caller owns (and closes) the returned fd. `non_blocking` dials
+/// without ever waiting (a full listen backlog fails the dial) and
+/// returns an O_NONBLOCK socket.
+Result<int> DialUnix(const std::string& path, bool non_blocking = false);
 
 }  // namespace net
 }  // namespace blinkml

@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -21,8 +20,9 @@ BlinkServer::~BlinkServer() { Stop(); }
 
 Admission BlinkServer::Admit(const FrameHeader& /*header*/,
                              const std::string& tenant,
-                             const std::vector<std::uint8_t>& payload) {
-  const std::uint64_t payload_bytes = payload.size();
+                             const std::uint8_t* /*payload*/,
+                             std::size_t size) {
+  const std::uint64_t payload_bytes = size;
   const AdmissionDecision decision = quotas_.Admit(tenant, payload_bytes);
   Admission admission;
   admission.status = decision.status;
@@ -43,23 +43,24 @@ Admission BlinkServer::Admit(const FrameHeader& /*header*/,
   return admission;
 }
 
-std::vector<std::uint8_t> BlinkServer::Execute(
-    const FrameHeader& header, const std::string& /*tenant*/,
-    const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> BlinkServer::Execute(const FrameHeader& header,
+                                               const std::string& /*tenant*/,
+                                               const std::uint8_t* payload,
+                                               std::size_t size) {
   ResponseEnvelope envelope;
   WireWriter body;
   switch (header.verb) {
     case Verb::kRegisterDataset:
-      envelope = RunRegisterDataset(payload.data(), payload.size(), &body);
+      envelope = RunRegisterDataset(payload, size, &body);
       break;
     case Verb::kTrain:
-      envelope = RunTrain(payload.data(), payload.size(), &body);
+      envelope = RunTrain(payload, size, &body);
       break;
     case Verb::kSearch:
-      envelope = RunSearch(payload.data(), payload.size(), &body);
+      envelope = RunSearch(payload, size, &body);
       break;
     case Verb::kPredict:
-      envelope = RunPredict(payload.data(), payload.size(), &body);
+      envelope = RunPredict(payload, size, &body);
       break;
     case Verb::kStats: {
       StatsResponseWire response;
@@ -339,13 +340,12 @@ ResponseEnvelope BlinkServer::RunPredict(const std::uint8_t* payload,
     return envelope;
   }
 
-  Matrix features(request.rows, request.dim);
-  std::memcpy(features.data(), request.features.data(),
-              request.features.size() * sizeof(double));
-  // Zero labels satisfy every task's label validation and Predict never
-  // reads them.
-  Vector labels(request.rows);
-  const Dataset data(std::move(features), std::move(labels), (*spec)->task());
+  // The decoded features become the matrix Predict reads: one copy out
+  // of the payload, none after it. Zero labels satisfy every task's label
+  // validation and Predict never reads them.
+  const Dataset data(
+      Matrix(request.rows, request.dim, std::move(request.features)),
+      Vector(request.rows), (*spec)->task());
 
   if ((*spec)->ParamDim(data) != request.model.theta.size()) {
     envelope.status = WireStatus::kInvalidArgument;
@@ -357,8 +357,9 @@ ResponseEnvelope BlinkServer::RunPredict(const std::uint8_t* payload,
     return envelope;
   }
 
-  // Stateless and cheap relative to training: runs inline on the runner
-  // thread (its parallel regions still land on the runtime pool).
+  // Stateless and cheap relative to training. On a runner its parallel
+  // regions land on the runtime pool; inline on the IO thread they run
+  // serially, in the same chunks.
   PredictResponseWire response;
   Vector predictions;
   (*spec)->Predict(request.model.theta, data, &predictions);

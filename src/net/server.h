@@ -5,6 +5,9 @@
 // (net/frame_server.h): Admit applies per-tenant quotas (net/quotas.h)
 // on the IO thread; Execute decodes the payload, runs the verb against
 // the SessionManager's async API, and answers a status envelope + body.
+// A Predict under kInlinePredictValues (net/frame_server.h) is stateless
+// and cheap: it runs on the IO thread, against the payload where it was
+// read, and decodes its features once, into the Matrix Predict reads.
 //
 // Transparency: the service adds scheduling, never arithmetic. A job
 // executed through the socket returns results BITWISE IDENTICAL to the
@@ -62,7 +65,7 @@ class BlinkServer : private FrameHandler {
   Status Start() { return front_.Start(); }
 
   /// Idempotent. Stops accepting, drains the job queue (every admitted
-  /// job runs or expires, every response is written), joins all threads,
+  /// job runs or expires, every answer is written), joins all threads,
   /// closes every connection.
   void Stop() { front_.Stop(); }
 
@@ -76,12 +79,14 @@ class BlinkServer : private FrameHandler {
   ServerStatsWire stats() const { return front_.stats(); }
 
  private:
-  // FrameHandler: quota admission, verb execution.
+  // FrameHandler: quota admission, verb execution (small Predicts
+  // inline).
   Admission Admit(const FrameHeader& header, const std::string& tenant,
-                  const std::vector<std::uint8_t>& payload) override;
-  std::vector<std::uint8_t> Execute(
-      const FrameHeader& header, const std::string& tenant,
-      const std::vector<std::uint8_t>& payload) override;
+                  const std::uint8_t* payload, std::size_t size) override;
+  std::vector<std::uint8_t> Execute(const FrameHeader& header,
+                                    const std::string& tenant,
+                                    const std::uint8_t* payload,
+                                    std::size_t size) override;
 
   // Verb bodies: decode the payload, run, fill `body`; the returned
   // envelope carries any failure.

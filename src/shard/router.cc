@@ -89,6 +89,36 @@ class InflightGuard {
 
 }  // namespace
 
+int ShardRouter::WorkerSockets::Take(std::uint64_t worker_generation) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (generation != worker_generation) {
+    // The worker restarted since these sockets were dialed.
+    for (const int fd : idle) ::close(fd);
+    idle.clear();
+    generation = worker_generation;
+  }
+  if (idle.empty()) return -1;
+  const int fd = idle.back();
+  idle.pop_back();
+  return fd;
+}
+
+void ShardRouter::WorkerSockets::Return(std::uint64_t worker_generation,
+                                        int fd) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (generation == worker_generation) {
+    idle.push_back(fd);
+  } else {
+    ::close(fd);
+  }
+}
+
+void ShardRouter::WorkerSockets::CloseAll() {
+  std::lock_guard<std::mutex> lock(mu);
+  for (const int fd : idle) ::close(fd);
+  idle.clear();
+}
+
 ShardRouter::ShardRouter(RouterOptions options)
     : options_(std::move(options)), front_(options_, this, &metrics_) {
   supervisor_ = std::make_unique<WorkerSupervisor>(options_.num_shards,
@@ -104,6 +134,7 @@ ShardRouter::ShardRouter(RouterOptions options)
     members_.push_back(static_cast<std::uint32_t>(i));
     inflight_.push_back(std::make_unique<std::atomic<int>>(0));
     sockets_.push_back(std::make_unique<WorkerSockets>());
+    loop_sockets_.push_back(std::make_unique<WorkerSockets>());
     const obs::Labels labels = {{"shard", std::to_string(i)}};
     c_forwarded_.push_back(metrics_.Counter("shard_forwarded_total", labels));
     c_unavailable_.push_back(
@@ -131,11 +162,8 @@ void ShardRouter::Stop() {
   // workers.
   front_.Stop();
   supervisor_->Stop();
-  for (const auto& pool : sockets_) {
-    std::lock_guard<std::mutex> lock(pool->mu);
-    for (const int fd : pool->idle) ::close(fd);
-    pool->idle.clear();
-  }
+  for (const auto& pool : sockets_) pool->CloseAll();
+  for (const auto& pool : loop_sockets_) pool->CloseAll();
 }
 
 int ShardRouter::OwnerShard(const ShardKey& key) const {
@@ -161,12 +189,12 @@ RouterStatsSnapshot ShardRouter::stats() const {
 
 net::Admission ShardRouter::Admit(const FrameHeader& header,
                                   const std::string& /*tenant*/,
-                                  const std::vector<std::uint8_t>& payload) {
+                                  const std::uint8_t* payload,
+                                  std::size_t size) {
   net::Admission admission;
   ShardKey key;
-  const Status peek = net::PeekRoutingKey(header.verb, payload.data(),
-                                          payload.size(), &key.tenant,
-                                          &key.dataset);
+  const Status peek = net::PeekRoutingKey(header.verb, payload, size,
+                                          &key.tenant, &key.dataset);
   if (!peek.ok()) {
     admission.status = WireStatus::kDecodeError;
     admission.message = peek.ToString();
@@ -179,30 +207,92 @@ net::Admission ShardRouter::Admit(const FrameHeader& header,
   return admission;
 }
 
-std::vector<std::uint8_t> ShardRouter::Execute(
-    const FrameHeader& header, const std::string& /*tenant*/,
-    const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> ShardRouter::Execute(const FrameHeader& header,
+                                               const std::string& /*tenant*/,
+                                               const std::uint8_t* payload,
+                                               std::size_t size) {
   switch (header.verb) {
     case Verb::kRegisterDataset:
-      return RunRegisterDataset(header, payload);
+      return RunRegisterDataset(header, payload, size);
     case Verb::kStats:
-      return RunStats(header, payload);
+      return RunStats(header, payload, size);
     case Verb::kMetrics:
-      return RunMetrics(header, payload);
+      return RunMetrics(header, payload, size);
     case Verb::kEvictIdle:
-      return RunEvictIdle(header, payload);
+      return RunEvictIdle(header, payload, size);
     default: {
       // Train / Search / Predict; Admit already checked the key peeks.
       ShardKey key;
-      (void)net::PeekRoutingKey(header.verb, payload.data(), payload.size(),
-                                &key.tenant, &key.dataset);
-      return RouteAndForward(header, payload, key);
+      (void)net::PeekRoutingKey(header.verb, payload, size, &key.tenant,
+                                &key.dataset);
+      return RouteAndForward(header, payload, size, key);
     }
   }
 }
 
+net::InlineAnswer ShardRouter::ExecuteInline(const FrameHeader& header,
+                                             const std::string& /*tenant*/,
+                                             const std::uint8_t* payload,
+                                             std::size_t size) {
+  // A small Predict: the IO loop relays it over a pooled non-blocking
+  // worker socket. Nothing here waits on a worker; a dial either
+  // completes at once or fails.
+  ShardKey key;
+  (void)net::PeekRoutingKey(header.verb, payload, size, &key.tenant,
+                            &key.dataset);
+  const int owner = OwnerShard(key);
+  if (owner < 0) {
+    return {net::ErrorPayload(WireStatus::kUnavailable,
+                              "no shards in the member set",
+                              kUnavailableRetryMs)};
+  }
+  const std::uint32_t shard = static_cast<std::uint32_t>(owner);
+  const WorkerStatus ws = supervisor_->status(shard);
+  if (!Routable(ws.state)) {
+    return {Unavailable(shard, StrFormat("shard %u is %s", shard,
+                                         WorkerStateName(ws.state)))};
+  }
+  int fd = loop_sockets_[shard]->Take(ws.generation);
+  if (fd < 0) {
+    Result<int> dialed = net::DialUnix(ws.socket_path, /*non_blocking=*/true);
+    if (!dialed.ok()) {
+      supervisor_->NoteSuspect(shard);
+      return {Unavailable(shard, dialed.status().ToString())};
+    }
+    fd = dialed.value();
+  }
+  inflight_[shard]->fetch_add(1, std::memory_order_acq_rel);
+  loop_forwards_[fd] =
+      LoopForward{shard, ws.generation, std::chrono::steady_clock::now()};
+  net::InlineAnswer answer;
+  answer.relay_fd = fd;
+  return answer;
+}
+
+std::vector<std::uint8_t> ShardRouter::EndRelay(int fd, const Status& status) {
+  const auto it = loop_forwards_.find(fd);
+  const LoopForward forward = it->second;
+  loop_forwards_.erase(it);
+  const std::uint32_t shard = forward.shard;
+  h_forward_[shard]->Observe(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() -
+                                 forward.started)
+                                 .count());
+  inflight_[shard]->fetch_sub(1, std::memory_order_acq_rel);
+  if (status.ok()) {
+    c_forwarded_[shard]->Inc();
+    loop_sockets_[shard]->Return(forward.generation, fd);
+    return {};
+  }
+  // Transport-level failure, as on the runner path: the worker died (or
+  // wedged) under this request.
+  ::close(fd);
+  supervisor_->NoteSuspect(shard);
+  return Unavailable(shard, status.ToString());
+}
+
 std::vector<std::uint8_t> ShardRouter::RouteAndForward(
-    const FrameHeader& header, const std::vector<std::uint8_t>& payload,
+    const FrameHeader& header, const std::uint8_t* payload, std::size_t size,
     const ShardKey& key) {
   const int owner = OwnerShard(key);
   if (owner < 0) {
@@ -220,7 +310,7 @@ std::vector<std::uint8_t> ShardRouter::RouteAndForward(
   }
   InflightGuard guard(inflight_[shard].get());
   Frame response;
-  const Status st = ForwardToShard(shard, header, payload, &response);
+  const Status st = ForwardToShard(shard, header, payload, size, &response);
   if (!st.ok()) {
     // Transport-level failure: the worker died (or wedged) under this
     // request. Tell the supervisor now rather than at the next probe,
@@ -235,8 +325,8 @@ std::vector<std::uint8_t> ShardRouter::RouteAndForward(
 
 Status ShardRouter::ForwardToShard(std::uint32_t shard_id,
                                    const FrameHeader& header,
-                                   const std::vector<std::uint8_t>& payload,
-                                   Frame* response) {
+                                   const std::uint8_t* payload,
+                                   std::size_t size, Frame* response) {
   const WorkerStatus ws = supervisor_->status(shard_id);
   if (!Routable(ws.state)) {
     return Status::IOError(StrFormat("shard %u is %s", shard_id,
@@ -244,20 +334,7 @@ Status ShardRouter::ForwardToShard(std::uint32_t shard_id,
   }
   const auto start = std::chrono::steady_clock::now();
   WorkerSockets& pool = *sockets_[shard_id];
-  int fd = -1;
-  {
-    std::lock_guard<std::mutex> lock(pool.mu);
-    if (pool.generation != ws.generation) {
-      // The worker restarted since these sockets were dialed.
-      for (const int idle : pool.idle) ::close(idle);
-      pool.idle.clear();
-      pool.generation = ws.generation;
-    }
-    if (!pool.idle.empty()) {
-      fd = pool.idle.back();
-      pool.idle.pop_back();
-    }
-  }
+  int fd = pool.Take(ws.generation);
   if (fd < 0) {
     Result<int> dialed = net::DialUnix(ws.socket_path);
     if (!dialed.ok()) return dialed.status();
@@ -265,7 +342,7 @@ Status ShardRouter::ForwardToShard(std::uint32_t shard_id,
   }
   // Raw forward: same request_id/priority/deadline, so the worker's
   // spans and queue scheduling see exactly what the client asked for.
-  Status st = net::WriteFrame(fd, header, payload.data(), payload.size());
+  Status st = net::WriteFrame(fd, header, payload, size);
   if (st.ok()) st = net::ReadFrame(fd, response);
   if (st.ok() && response->header.request_id != header.request_id) {
     st = Status::IOError(StrFormat(
@@ -277,19 +354,16 @@ Status ShardRouter::ForwardToShard(std::uint32_t shard_id,
                                     std::chrono::steady_clock::now() - start)
                                     .count());
   if (st.ok()) {
-    std::lock_guard<std::mutex> lock(pool.mu);
-    if (pool.generation == ws.generation) {
-      pool.idle.push_back(fd);
-      fd = -1;
-    }
+    pool.Return(ws.generation, fd);
+  } else {
+    ::close(fd);
   }
-  if (fd >= 0) ::close(fd);
   return st;
 }
 
 std::vector<std::uint8_t> ShardRouter::RunRegisterDataset(
-    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
-  WireReader reader(payload.data(), payload.size());
+    const FrameHeader& header, const std::uint8_t* payload, std::size_t size) {
+  WireReader reader(payload, size);
   net::RegisterDatasetRequest request;
   Status st = net::Decode(&reader, &request);
   if (!st.ok()) {
@@ -303,7 +377,7 @@ std::vector<std::uint8_t> ShardRouter::RunRegisterDataset(
   if (!st.ok()) {
     return net::ErrorPayload(WireStatus::kInvalidArgument, st.ToString());
   }
-  return RouteAndForward(header, payload,
+  return RouteAndForward(header, payload, size,
                          ShardKey{request.tenant, request.name});
 }
 
@@ -329,14 +403,14 @@ void ShardRouter::AddHealth(net::HealthResponseWire* health) {
 
 template <typename Body, typename OnAnswer>
 std::uint32_t ShardRouter::FanOut(const FrameHeader& header,
-                                  const std::vector<std::uint8_t>& payload,
-                                  OnAnswer on_answer) {
+                                  const std::uint8_t* payload,
+                                  std::size_t size, OnAnswer on_answer) {
   std::uint32_t hint = kUnavailableRetryMs;
   for (const std::uint32_t id : Members()) {
     Frame response;
     Body body;
     bool answered = false;
-    if (ForwardToShard(id, header, payload, &response).ok()) {
+    if (ForwardToShard(id, header, payload, size, &response).ok()) {
       WireReader reader(response.payload.data(), response.payload.size());
       net::ResponseEnvelope envelope;
       answered = net::Decode(&reader, &envelope).ok() &&
@@ -350,15 +424,16 @@ std::uint32_t ShardRouter::FanOut(const FrameHeader& header,
   return hint;
 }
 
-std::vector<std::uint8_t> ShardRouter::RunStats(
-    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> ShardRouter::RunStats(const FrameHeader& header,
+                                                const std::uint8_t* payload,
+                                                std::size_t size) {
   net::StatsResponseWire agg;
   // The router front's own counters (its rejections, connections and
   // queue), then every worker's on top.
   agg.server = front_.stats();
   bool any = false;
   const std::uint32_t hint = FanOut<net::StatsResponseWire>(
-      header, payload,
+      header, payload, size,
       [&](std::uint32_t, const net::StatsResponseWire* stats) {
         if (stats == nullptr) return;
         AddServeStats(stats->manager, &agg.manager);
@@ -374,11 +449,12 @@ std::vector<std::uint8_t> ShardRouter::RunStats(
   return net::ResponsePayload(net::ResponseEnvelope{}, &body);
 }
 
-std::vector<std::uint8_t> ShardRouter::RunMetrics(
-    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> ShardRouter::RunMetrics(const FrameHeader& header,
+                                                  const std::uint8_t* payload,
+                                                  std::size_t size) {
   net::MetricsResponseWire out;
   FanOut<net::MetricsResponseWire>(
-      header, payload,
+      header, payload, size,
       [&](std::uint32_t id, const net::MetricsResponseWire* shard_metrics) {
         const WorkerStatus ws = supervisor_->status(id);
         out.text += StrFormat("# shard %u (%s, gen %llu)\n", id,
@@ -396,11 +472,11 @@ std::vector<std::uint8_t> ShardRouter::RunMetrics(
 }
 
 std::vector<std::uint8_t> ShardRouter::RunEvictIdle(
-    const FrameHeader& header, const std::vector<std::uint8_t>& payload) {
+    const FrameHeader& header, const std::uint8_t* payload, std::size_t size) {
   net::EvictIdleResponseWire agg;
   bool any = false;
   const std::uint32_t hint = FanOut<net::EvictIdleResponseWire>(
-      header, payload,
+      header, payload, size,
       [&](std::uint32_t, const net::EvictIdleResponseWire* evicted) {
         if (evicted == nullptr) return;
         agg.sessions_evicted += evicted->sessions_evicted;

@@ -13,13 +13,23 @@
 // request id across the hop and the payload bytes the worker sees are
 // the bytes the client sent.
 //
+// Two forward paths share that contract:
+//   - A Predict under kInlinePredictValues (net/frame_server.h) never
+//     reaches a runner. The front's IO loop writes the received frame
+//     bytes unchanged to a pooled non-blocking worker socket that the
+//     same loop watches, and passes the reply frame back unchanged (a
+//     relay). The worker answers it on its own IO thread,
+//     so a small Predict waits on no runner in either process.
+//   - Everything else runs on a front runner, which writes the frame to
+//     a pooled blocking worker socket and waits for the reply.
+//
 // Verb handling:
 //   RegisterDataset  decode -> journal (idempotent; conflicts answer
 //                    kInvalidArgument) -> forward to the key's owner
 //   Train / Search   forward to Owner(tenant, dataset)
 //   Predict          forward to Owner(tenant, "") — stateless, any
 //                    shard computes identical bytes; the key just
-//                    spreads tenants
+//                    spreads tenants. Small ones relay from the IO loop
 //   EvictIdle        broadcast to every up shard, sum evictions
 //   Stats            fan out, sum manager + server counters per field
 //                    onto the router front's own
@@ -52,10 +62,12 @@
 #define BLINKML_SHARD_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/client.h"
@@ -125,34 +137,55 @@ class ShardRouter : private net::FrameHandler {
   RouterStatsSnapshot stats() const;
 
  private:
-  /// Idle sockets to one shard's worker, shared by the front's runners.
-  /// All belong to `generation`; a restart (new generation) closes them.
+  /// Idle sockets to one shard's worker. All belong to `generation`; a
+  /// restart (new generation) closes them.
   struct WorkerSockets {
     std::mutex mu;
     std::uint64_t generation = 0;
     std::vector<int> idle;
+
+    /// An idle socket to the worker's current generation, or -1.
+    int Take(std::uint64_t worker_generation);
+    /// Pools a socket after a clean exchange; closes it instead when the
+    /// worker restarted meanwhile.
+    void Return(std::uint64_t worker_generation, int fd);
+    void CloseAll();
+  };
+  /// A relay in flight over a `loop_sockets_` socket.
+  struct LoopForward {
+    std::uint32_t shard = 0;
+    std::uint64_t generation = 0;
+    std::chrono::steady_clock::time_point started;
   };
 
-  // FrameHandler: routing-key peek, then forward or fan out.
+  // FrameHandler: routing-key peek, then forward or fan out; small
+  // Predicts relay from the IO loop.
   net::Admission Admit(const net::FrameHeader& header,
-                       const std::string& tenant,
-                       const std::vector<std::uint8_t>& payload) override;
-  std::vector<std::uint8_t> Execute(
-      const net::FrameHeader& header, const std::string& tenant,
-      const std::vector<std::uint8_t>& payload) override;
+                       const std::string& tenant, const std::uint8_t* payload,
+                       std::size_t size) override;
+  std::vector<std::uint8_t> Execute(const net::FrameHeader& header,
+                                    const std::string& tenant,
+                                    const std::uint8_t* payload,
+                                    std::size_t size) override;
+  net::InlineAnswer ExecuteInline(const net::FrameHeader& header,
+                                  const std::string& tenant,
+                                  const std::uint8_t* payload,
+                                  std::size_t size) override;
+  std::vector<std::uint8_t> EndRelay(int fd, const Status& status) override;
   void AddHealth(net::HealthResponseWire* health) override;
 
   /// Routes + forwards a data-plane frame; returns the worker's response
   /// payload or a structured rejection.
-  std::vector<std::uint8_t> RouteAndForward(
-      const net::FrameHeader& header,
-      const std::vector<std::uint8_t>& payload, const ShardKey& key);
+  std::vector<std::uint8_t> RouteAndForward(const net::FrameHeader& header,
+                                            const std::uint8_t* payload,
+                                            std::size_t size,
+                                            const ShardKey& key);
   /// Raw forward to one shard: preserves request_id/priority/deadline,
   /// returns the response frame. IOError = transport-level failure
   /// (the caller answers kUnavailable and flags the shard suspect).
   Status ForwardToShard(std::uint32_t shard_id,
                         const net::FrameHeader& header,
-                        const std::vector<std::uint8_t>& payload,
+                        const std::uint8_t* payload, std::size_t size,
                         net::Frame* response);
 
   /// Forwards a fan-out verb to every member shard and decodes each kOk
@@ -161,20 +194,21 @@ class ShardRouter : private net::FrameHandler {
   /// fan-out no shard answered.
   template <typename Body, typename OnAnswer>
   std::uint32_t FanOut(const net::FrameHeader& header,
-                       const std::vector<std::uint8_t>& payload,
+                       const std::uint8_t* payload, std::size_t size,
                        OnAnswer on_answer);
 
-  std::vector<std::uint8_t> RunRegisterDataset(
-      const net::FrameHeader& header,
-      const std::vector<std::uint8_t>& payload);
+  std::vector<std::uint8_t> RunRegisterDataset(const net::FrameHeader& header,
+                                               const std::uint8_t* payload,
+                                               std::size_t size);
   std::vector<std::uint8_t> RunStats(const net::FrameHeader& header,
-                                     const std::vector<std::uint8_t>& payload);
-  std::vector<std::uint8_t> RunMetrics(
-      const net::FrameHeader& header,
-      const std::vector<std::uint8_t>& payload);
-  std::vector<std::uint8_t> RunEvictIdle(
-      const net::FrameHeader& header,
-      const std::vector<std::uint8_t>& payload);
+                                     const std::uint8_t* payload,
+                                     std::size_t size);
+  std::vector<std::uint8_t> RunMetrics(const net::FrameHeader& header,
+                                       const std::uint8_t* payload,
+                                       std::size_t size);
+  std::vector<std::uint8_t> RunEvictIdle(const net::FrameHeader& header,
+                                         const std::uint8_t* payload,
+                                         std::size_t size);
 
   /// kUnavailable answer for a request routed at `shard_id`, with a
   /// retry-after hint sized from the shard's restart backoff.
@@ -203,9 +237,15 @@ class ShardRouter : private net::FrameHandler {
   mutable std::mutex members_mu_;
   std::vector<std::uint32_t> members_;
 
-  /// In-flight forwards per shard (drain waits for zero).
+  /// In-flight forwards per shard, relays included (drain waits for
+  /// zero).
   std::vector<std::unique_ptr<std::atomic<int>>> inflight_;
+  /// Blocking sockets for the runners' forwards.
   std::vector<std::unique_ptr<WorkerSockets>> sockets_;
+  /// Non-blocking sockets for the IO loop's relays, and the relays in
+  /// flight over them (IO thread only).
+  std::vector<std::unique_ptr<WorkerSockets>> loop_sockets_;
+  std::unordered_map<int, LoopForward> loop_forwards_;
 
   // Registry-resolved hot-path metrics, one per shard.
   std::vector<obs::Counter*> c_forwarded_;

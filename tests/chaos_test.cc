@@ -11,11 +11,15 @@
 // Schedules are pure functions of hit counters, so each test replays
 // the exact same fault sequence on every run and in every sanitizer.
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -594,6 +598,217 @@ TEST_F(ChaosTest, RouterUmbrellaInvariantUnderAmbientWorkerFaults) {
         << "budget: " << result.status().ToString();
     ExpectBitwise(*result, want, "ambient-fault train");
   }
+}
+
+// --- Inline Predict relays through the shard router --------------------
+
+/// A small (inline) Predict for `tenant` and its in-process answer.
+struct PredictCase {
+  PredictRequestWire request;
+  std::vector<double> want;
+};
+
+PredictCase InlinePredict(const std::string& tenant, std::int64_t rows) {
+  PredictCase c;
+  c.request.tenant = tenant;
+  c.request.model_class = "LogisticRegression";
+  c.request.rows = rows;
+  c.request.dim = 5;
+  c.request.features.resize(static_cast<std::size_t>(rows * 5));
+  for (std::size_t i = 0; i < c.request.features.size(); ++i) {
+    c.request.features[i] = std::cos(0.11 * static_cast<double>(i));
+  }
+  c.request.model.theta = Vector(5);
+  for (Vector::Index j = 0; j < 5; ++j) {
+    c.request.model.theta[j] = 0.2 * static_cast<double>(j) - 0.3;
+  }
+  const auto spec = *MakeSpecByName(c.request.model_class, 1e-3);
+  const Dataset data(Matrix(rows, 5, c.request.features), Vector(rows),
+                     spec->task());
+  Vector predictions;
+  spec->Predict(c.request.model.theta, data, &predictions);
+  c.want = predictions.values();
+  return c;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Workers die while answering routed small Predicts: each worker
+// process exits at its 10th written frame, which is a Predict answer
+// unless supervisor probes' answers come first (probes are slowed so
+// they rarely do, and the restart budget is lifted so a slow sanitizer
+// build cannot trip the breaker). Every answer is the in-process bits or
+// a retryable kUnavailable with a hint, and a RetryPolicy client
+// converges once the workers restart.
+TEST_F(ChaosTest, RouterInlinePredictsSurviveWorkerKills) {
+  shard::RouterOptions options = ChaosRouterOptions("inlinekill", 2);
+  options.worker.probe_interval_ms = 200;
+  options.worker.max_restarts = 1000;
+  options.worker.worker_failpoints = "net.write_frame=exit:137@nth:10";
+  options.worker.inherit_env_failpoints = false;
+  shard::ShardRouter router(options);
+  ASSERT_TRUE(router.Start().ok());
+
+  std::vector<PredictCase> cases;
+  for (int t = 0; t < 8; ++t) {
+    cases.push_back(InlinePredict("tenant-" + std::to_string(t), 8 + t));
+  }
+
+  auto plain = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(plain.ok());
+  int unavailable = 0;
+  for (int round = 0; round < 100 && (round < 3 || unavailable == 0);
+       ++round) {
+    for (const PredictCase& c : cases) {
+      const auto answer = plain->Predict(c.request);
+      if (answer.ok()) {
+        EXPECT_TRUE(SameBits(answer->predictions, c.want)) << c.request.tenant;
+        continue;
+      }
+      ++unavailable;
+      EXPECT_EQ(plain->last_wire_status(), WireStatus::kUnavailable)
+          << answer.status().ToString();
+      EXPECT_GT(plain->last_retry_after_ms(), 0u);
+    }
+  }
+  EXPECT_GT(unavailable, 0);
+
+  auto retrying = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(retrying.ok());
+  RetryPolicy policy;
+  policy.max_attempts = 12;
+  policy.initial_backoff_ms = 10;
+  policy.max_backoff_ms = 200;
+  policy.reconnect = true;
+  retrying->set_retry_policy(policy);
+  for (int round = 0; round < 3; ++round) {
+    for (const PredictCase& c : cases) {
+      const auto answer = retrying->Predict(c.request);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_TRUE(SameBits(answer->predictions, c.want)) << c.request.tenant;
+    }
+  }
+  EXPECT_GE(router.stats().worker_restarts, 2u);
+  EXPECT_GT(router.stats().unavailable, 0u);
+}
+
+// DrainShard and Stop, called while clients keep pipelining small
+// Predicts, answer every admitted frame (bits or a retryable status) and
+// return.
+TEST_F(ChaosTest, RouterDrainAndStopAnswerInFlightInlinePredicts) {
+  shard::RouterOptions options = ChaosRouterOptions("inlinedrain", 3);
+  options.worker.inherit_env_failpoints = false;
+  shard::ShardRouter router(options);
+  ASSERT_TRUE(router.Start().ok());
+
+  constexpr int kClients = 3;
+  constexpr int kBatch = 8;
+  std::vector<PredictCase> cases;
+  for (int t = 0; t < kClients * kBatch; ++t) {
+    cases.push_back(InlinePredict("tenant-" + std::to_string(t), 4 + t % 7));
+  }
+  std::atomic<int> answered{0};
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> clients;
+  for (int k = 0; k < kClients; ++k) {
+    clients.emplace_back([&, k] {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, options.unix_path.c_str(),
+                   sizeof(addr.sun_path) - 1);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)) != 0) {
+        wrong = true;
+        ::close(fd);
+        return;
+      }
+      // Pipelined batches until the front closes the connection.
+      for (std::uint64_t next_id = 1;; ) {
+        std::vector<std::uint8_t> batch;
+        for (int b = 0; b < kBatch; ++b) {
+          const PredictCase& c = cases[static_cast<std::size_t>(k * kBatch + b)];
+          WireWriter writer;
+          (void)Encode(c.request, &writer);
+          FrameHeader header;
+          header.verb = Verb::kPredict;
+          header.request_id = next_id + static_cast<std::uint64_t>(b);
+          header.payload_len = static_cast<std::uint32_t>(writer.bytes().size());
+          std::uint8_t head[kFrameHeaderBytes];
+          EncodeFrameHeader(header, head);
+          batch.insert(batch.end(), head, head + kFrameHeaderBytes);
+          batch.insert(batch.end(), writer.bytes().begin(),
+                       writer.bytes().end());
+        }
+        if (::send(fd, batch.data(), batch.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(batch.size())) {
+          break;
+        }
+        for (int b = 0; b < kBatch; ++b) {
+          Frame frame;
+          if (!ReadFrame(fd, &frame).ok()) {
+            ::close(fd);
+            return;
+          }
+          const std::uint64_t slot = frame.header.request_id - next_id;
+          WireReader reader(frame.payload.data(), frame.payload.size());
+          ResponseEnvelope envelope;
+          PredictResponseWire response;
+          bool ok = slot < kBatch && Decode(&reader, &envelope).ok();
+          if (ok && envelope.status == WireStatus::kOk) {
+            ok = Decode(&reader, &response).ok() &&
+                 SameBits(response.predictions,
+                          cases[static_cast<std::size_t>(k * kBatch) + slot]
+                              .want);
+          } else if (ok) {
+            ok = IsRetryableWireStatus(envelope.status) &&
+                 envelope.retry_after_ms > 0;
+          }
+          if (!ok) wrong = true;
+          ++answered;
+        }
+        next_id += kBatch;
+      }
+      ::close(fd);
+    });
+  }
+
+  const auto wait_for_answers = [&](int count) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (answered.load() < count &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return answered.load() >= count;
+  };
+  ASSERT_TRUE(wait_for_answers(200));
+  const int drained = router.OwnerShard(shard::ShardKey{"tenant-0", ""});
+  ASSERT_GE(drained, 0);
+  ASSERT_TRUE(router.DrainShard(static_cast<std::uint32_t>(drained)).ok());
+  ASSERT_TRUE(wait_for_answers(answered.load() + 200));
+  router.Stop();
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_FALSE(wrong.load());
+  // Every admitted Predict was answered to its last byte.
+  std::uint64_t admitted = 0;
+  for (const PredictCase& c : cases) {
+    admitted += router.metrics()
+                    .Counter("net_requests_total",
+                             {{"tenant", c.request.tenant}, {"verb", "Predict"}})
+                    ->value();
+  }
+  EXPECT_GT(admitted, 400u);
+  EXPECT_EQ(router.metrics()
+                .Histogram("net_request_seconds", {{"verb", "Predict"}})
+                ->count(),
+            admitted);
+  EXPECT_EQ(static_cast<std::uint64_t>(answered.load()), admitted);
 }
 
 }  // namespace

@@ -469,6 +469,36 @@ TEST_F(ShardTest, DeadShardAnswersStructuredUnavailable) {
   EXPECT_TRUE(shedding) << "a down member shard must degrade Health";
 }
 
+// net_request_seconds{verb=} runs from admission to the answer's last
+// byte at each front: a routed Predict shows up in the worker's series
+// and in the router's own.
+TEST_F(ShardTest, RequestSecondsCoverPredictAtWorkerAndRouter) {
+  RouterOptions options = TestRouterOptions("reqsec", 1);
+  ShardRouter router(options);
+  ASSERT_TRUE(router.Start().ok());
+  auto client = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok());
+
+  net::PredictRequestWire predict;
+  predict.tenant = "t";
+  predict.model_class = "LogisticRegression";
+  predict.rows = 4;
+  predict.dim = 3;
+  predict.features.assign(12, 0.25);
+  predict.model.theta = Vector(3);
+  ASSERT_TRUE(client->Predict(predict).ok());
+
+  const auto metrics = client->Metrics("t");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const std::string& text = metrics->text;
+  const std::size_t router_at = text.find("# router");
+  ASSERT_NE(router_at, std::string::npos) << text;
+  const std::string series = "net_request_seconds_count{verb=\"Predict\"} 1";
+  const std::size_t worker_series = text.find(series);
+  EXPECT_LT(worker_series, router_at) << text;
+  EXPECT_NE(text.find(series, router_at), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace shard
 }  // namespace blinkml
