@@ -7,10 +7,11 @@
 // model sweep (sparse logistic), a sensor-regression training (dense
 // linear), and an ad-hoc training on the click data under a different
 // seed. Jobs run asynchronously on a small runner pool, datasets load
-// lazily and exactly once, sessions share prefixes/sample caches/feature
-// Grams per (dataset, seed), and a byte budget bounds what stays
-// resident. Every job's result is bitwise identical to a standalone
-// Coordinator::Train with the same config and seed.
+// lazily and exactly once, sessions share prefixes (holdout + D_0) and
+// feature Grams per (dataset, seed), each run's final sample lives only as
+// long as the run, and a byte budget bounds what stays resident. Every
+// job's result is bitwise identical to a standalone Coordinator::Train
+// with the same config and seed.
 
 #include <cstdio>
 #include <memory>

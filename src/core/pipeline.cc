@@ -34,8 +34,7 @@ PhaseTimings& PhaseTimings::operator+=(const PhaseTimings& other) {
 }
 
 Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
-                                             const BlinkConfig& config,
-                                             SampleCache* cache) {
+                                             const BlinkConfig& config) {
   if (data.num_rows() < 10) {
     return Status::InvalidArgument("dataset too small");
   }
@@ -56,39 +55,20 @@ Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
   std::vector<Index> holdout_rows(perm.begin(), perm.begin() + holdout_size);
   auto pool_rows = std::make_shared<std::vector<Index>>(
       perm.begin() + holdout_size, perm.end());
-  auto materialize_holdout = [&] { return data.TakeRows(holdout_rows); };
-  bool holdout_retained = false;
-  prefix.holdout =
-      cache ? cache->GetOrCreate({SampleCache::Purpose::kHoldout, config.seed,
-                                  holdout_size},
-                                 materialize_holdout, &holdout_retained)
-            : std::make_shared<const Dataset>(materialize_holdout());
-  if (!holdout_retained) prefix.uncached_bytes += prefix.holdout->MemoryBytes();
+  prefix.holdout = std::make_shared<const Dataset>(data.TakeRows(holdout_rows));
   prefix.full_n = static_cast<Index>(pool_rows->size());
   prefix.pool_rows = std::move(pool_rows);
 
-  // Initial sample D_0. On a cache hit sample_rng goes unused; it is a
-  // dead-end stream (nothing downstream reads it), so skipping the draws
-  // leaves every later stream untouched.
+  // Initial sample D_0.
   const Index n0 = std::min<Index>(config.initial_sample_size, prefix.full_n);
   Rng sample_rng = rng.Split();
-  auto materialize_d0 = [&] {
-    std::vector<Index> chosen =
-        SampleWithoutReplacement(prefix.full_n, n0, &sample_rng);
-    for (Index& c : chosen) {
-      c = (*prefix.pool_rows)[static_cast<std::size_t>(c)];
-    }
-    return data.TakeRows(chosen);
-  };
-  bool d0_retained = false;
-  prefix.initial_sample =
-      cache ? cache->GetOrCreate(
-                  {SampleCache::Purpose::kInitialSample, config.seed, n0},
-                  materialize_d0, &d0_retained)
-            : std::make_shared<const Dataset>(materialize_d0());
-  if (!d0_retained) {
-    prefix.uncached_bytes += prefix.initial_sample->MemoryBytes();
+  std::vector<Index> chosen =
+      SampleWithoutReplacement(prefix.full_n, n0, &sample_rng);
+  for (Index& c : chosen) {
+    c = (*prefix.pool_rows)[static_cast<std::size_t>(c)];
   }
+  prefix.initial_sample =
+      std::make_shared<const Dataset>(data.TakeRows(chosen));
   prefix.n0 = n0;
   prefix.seconds = timer.Seconds();
   return prefix;
@@ -97,14 +77,13 @@ Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
 TrainingPipeline::TrainingPipeline(
     const ModelSpec& spec, const Dataset& data,
     const ApproximationContract& contract, const BlinkConfig& config,
-    std::shared_ptr<const TrainingPrefix> prefix, SampleCache* cache,
+    std::shared_ptr<const TrainingPrefix> prefix,
     FeatureGramCache* gram_cache)
     : spec_(&spec),
       data_(&data),
       contract_(contract),
       config_(&config),
       prefix_(std::move(prefix)),
-      cache_(cache),
       gram_cache_(gram_cache),
       rng_(config.seed) {
   // The prefix consumed the first two streams of the master Rng (holdout
@@ -214,43 +193,30 @@ Status TrainingPipeline::TrainFinal() {
   const Index n = out_.size_estimate.sample_size;
   const Index full_n = prefix_->full_n;
 
-  // Final sample. The rows are a pure function of (seed, n) — the master
-  // Rng splits the same number of streams on every path to this stage — so
-  // the cache shares one materialization across candidates that land on
-  // the same n. On a hit final_rng is a dead-end stream, like sample_rng
-  // in the prefix.
+  // Final sample D_n (the whole pool when n >= N), materialized for this
+  // run only. Its rows are a pure function of (seed, n), since the master
+  // Rng splits the same number of streams on every path to this stage, but
+  // runs rarely land on the same n: a retained copy would pin n rows for
+  // the session's lifetime to save one copy inside a whole final train.
   Rng final_rng = rng_.Split();
-  std::shared_ptr<const Dataset> dn;
-  if (n >= full_n) {
-    auto materialize = [&] { return data_->TakeRows(*prefix_->pool_rows); };
-    dn = cache_ ? cache_->GetOrCreate(
-                      {SampleCache::Purpose::kFullPool, config_->seed, full_n},
-                      materialize)
-                : std::make_shared<const Dataset>(materialize());
-  } else {
-    auto materialize = [&] {
-      std::vector<Index> chosen =
-          SampleWithoutReplacement(full_n, n, &final_rng);
-      for (Index& c : chosen) {
-        c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
-      }
-      return data_->TakeRows(chosen);
-    };
-    dn = cache_ ? cache_->GetOrCreate(
-                      {SampleCache::Purpose::kFinalSample, config_->seed, n},
-                      materialize)
-                : std::make_shared<const Dataset>(materialize());
-  }
+  const Dataset dn = [&] {
+    if (n >= full_n) return data_->TakeRows(*prefix_->pool_rows);
+    std::vector<Index> chosen = SampleWithoutReplacement(full_n, n, &final_rng);
+    for (Index& c : chosen) {
+      c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
+    }
+    return data_->TakeRows(chosen);
+  }();
 
   // The final model warm-starts from the initial model's parameters.
   const ModelTrainer final_trainer(config_->trainer);
   {
     obs::PhaseScope t("final_train", &out_.timings.final_train);
     BLINKML_ASSIGN_OR_RETURN(mn_,
-                             final_trainer.Train(*spec_, *dn, &m0_.theta));
+                             final_trainer.Train(*spec_, dn, &m0_.theta));
   }
   out_.final_iterations = mn_.iterations;
-  final_n_ = dn->num_rows();
+  final_n_ = dn.num_rows();
   out_.sample_size = final_n_;
 
   // Re-estimate the returned model's bound with statistics at theta_n.
@@ -259,20 +225,19 @@ Status TrainingPipeline::TrainFinal() {
     Rng reacc_rng = rng_.Split();
     StatsOptions restats_options = StatsOptionsFrom(*config_);
     if (gram_cache_ != nullptr) {
-      // The final sample's rows are a pure function of (seed, n) — the
-      // same property the kFinalSample entry of the sample cache relies
-      // on — and the stats sub-sample stream is at a fixed split offset,
-      // so candidates landing on the same n share this Gram too.
+      // The final sample's rows are a pure function of (seed, n) and the
+      // stats sub-sample stream is at a fixed split offset, so candidates
+      // landing on the same n share this Gram.
       restats_options.gram_cache = gram_cache_;
       restats_options.gram_key = {FeatureGramCache::Phase::kFinalStats,
-                                  config_->seed, dn->num_rows()};
+                                  config_->seed, dn.num_rows()};
     }
     ParamSampler final_sampler = ParamSampler::FromDenseFactor(Matrix());
     {
       obs::PhaseScope t("statistics", &out_.timings.statistics);
       BLINKML_ASSIGN_OR_RETURN(
           final_sampler,
-          ComputeStatistics(*spec_, mn_.theta, *dn, restats_options,
+          ComputeStatistics(*spec_, mn_.theta, dn, restats_options,
                             &restats_rng));
     }
     AccuracyOptions acc_options;

@@ -27,7 +27,6 @@
 #include "core/sample_size_estimator.h"
 #include "core/statistics.h"
 #include "data/dataset.h"
-#include "data/sample_cache.h"
 #include "models/model_spec.h"
 #include "models/trainer.h"
 #include "random/rng.h"
@@ -99,7 +98,8 @@ struct ApproxResult {
 /// The artifacts every run on the same (dataset, seed, holdout_size, n_0)
 /// shares: the holdout split and the initial sample D_0. Datasets are held
 /// by shared_ptr so sessions hand one materialization to many concurrent
-/// pipelines.
+/// pipelines; the session's per-seed memo of this struct is its only
+/// store of materialized samples.
 struct TrainingPrefix {
   std::shared_ptr<const Dataset> holdout;
   std::shared_ptr<const std::vector<Dataset::Index>> pool_rows;
@@ -112,23 +112,13 @@ struct TrainingPrefix {
   /// Wall-clock cost of computing the prefix (the part a session
   /// amortizes).
   double seconds = 0.0;
-
-  /// Bytes of prefix datasets (holdout / D_0) this prefix retains that NO
-  /// SampleCache accounts for — materializations the cache bypassed at
-  /// its row budget, or built with no cache at all. A driver that memoizes
-  /// the prefix (TrainingSession) must add these to its own byte
-  /// accounting or the serving layer's eviction budget under-counts it.
-  std::uint64_t uncached_bytes = 0;
 };
 
 /// Computes the holdout split and D_0, consuming the first two streams of
-/// the master Rng exactly as the monolithic path did. When `cache` is
-/// non-null the materialized datasets are fetched through it (kHoldout /
-/// kInitialSample keyed by the config seed), so concurrent sessions share
-/// one copy. Fails with InvalidArgument for datasets of fewer than 10 rows.
+/// the master Rng exactly as the monolithic path did. Fails with
+/// InvalidArgument for datasets of fewer than 10 rows.
 Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
-                                             const BlinkConfig& config,
-                                             SampleCache* cache = nullptr);
+                                             const BlinkConfig& config);
 
 /// One contract-bound training, decomposed. Holds pointers into the
 /// caller's dataset/config/prefix; all must outlive the pipeline.
@@ -143,7 +133,6 @@ class TrainingPipeline {
                    const ApproximationContract& contract,
                    const BlinkConfig& config,
                    std::shared_ptr<const TrainingPrefix> prefix,
-                   SampleCache* cache = nullptr,
                    FeatureGramCache* gram_cache = nullptr);
 
   // --- Stages (call in order). ---
@@ -166,6 +155,7 @@ class TrainingPipeline {
 
   /// Trains m_n on a fresh size-n sample (warm-started from m_0) and,
   /// when n is below the pool size, re-estimates its bound at theta_n.
+  /// The sample lives for this call only.
   Status TrainFinal();
 
   /// Packages the result from whichever stages ran. The model is m_n when
@@ -188,7 +178,6 @@ class TrainingPipeline {
   ApproximationContract contract_;
   const BlinkConfig* config_;
   std::shared_ptr<const TrainingPrefix> prefix_;
-  SampleCache* cache_;
   FeatureGramCache* gram_cache_;
 
   Rng rng_;

@@ -55,10 +55,12 @@ Result<ParamSampler> ComputeClosedForm(const ModelSpec& spec,
   return FactorFromDenseHessian(h, spec.l2());
 }
 
+// Finite-difference step of InverseGradients (the paper's 1e-6).
+constexpr double kFiniteDifferenceStep = 1e-6;
+
 Result<ParamSampler> ComputeInverseGradients(const ModelSpec& spec,
                                              const Vector& theta,
-                                             const Dataset& sample,
-                                             const StatsOptions& options) {
+                                             const Dataset& sample) {
   const Index p = theta.size();
   if (p > kInverseGradientsDimLimit) {
     return Status::InvalidArgument(StrFormat(
@@ -67,18 +69,18 @@ Result<ParamSampler> ComputeInverseGradients(const ModelSpec& spec,
         static_cast<long long>(p),
         static_cast<long long>(kInverseGradientsDimLimit)));
   }
-  const double eps = options.fd_epsilon;
-  BLINKML_CHECK_GT(eps, 0.0);
   Vector g0;
   spec.Gradient(theta, sample, &g0);
   Matrix h(p, p);
   Vector perturbed = theta;
   Vector g(p);
   for (Index j = 0; j < p; ++j) {
-    perturbed[j] = theta[j] + eps;
+    perturbed[j] = theta[j] + kFiniteDifferenceStep;
     spec.Gradient(perturbed, sample, &g);
     perturbed[j] = theta[j];
-    for (Index r = 0; r < p; ++r) h(r, j) = (g[r] - g0[r]) / eps;
+    for (Index r = 0; r < p; ++r) {
+      h(r, j) = (g[r] - g0[r]) / kFiniteDifferenceStep;
+    }
   }
   // Finite differences break exact symmetry; restore it.
   for (Index r = 0; r < p; ++r) {
@@ -128,6 +130,10 @@ Matrix RescaledGram(const Matrix& gram_x, const Vector& coeffs,
   return gram;
 }
 
+// Eigenvalues of J below this fraction of the largest are treated as zero:
+// numerically rank-deficient directions carry no observed information.
+constexpr double kEigenvalueFloorRel = 1e-10;
+
 // Small-parameter-dimension path: when p <= n_s it is cheaper to form
 // J = Q^T Q (p x p) directly and eigendecompose it, yielding the dense
 // factor W = V diag(sqrt(l)/(l + beta)) with W W^T = H^-1 J H^-1.
@@ -154,8 +160,7 @@ Status CheckObservedInformation(double lambda_max, double beta) {
 
 Result<ParamSampler> ObservedFisherSmallDim(const ModelSpec& spec,
                                             const Vector& theta,
-                                            const Dataset& stats_rows,
-                                            const StatsOptions& options) {
+                                            const Dataset& stats_rows) {
   Matrix q;
   spec.PerExampleGradients(theta, stats_rows, &q);
   q *= 1.0 / std::sqrt(static_cast<double>(stats_rows.num_rows()));
@@ -167,7 +172,7 @@ Result<ParamSampler> ObservedFisherSmallDim(const ModelSpec& spec,
     lambda_max = std::max(lambda_max, eig.eigenvalues[i]);
   }
   BLINKML_RETURN_NOT_OK(CheckObservedInformation(lambda_max, spec.l2()));
-  const double floor = options.eigenvalue_floor_rel * lambda_max;
+  const double floor = kEigenvalueFloorRel * lambda_max;
   const double beta = spec.l2();
   Matrix w(p, p);
   for (Index c = 0; c < p; ++c) {
@@ -193,7 +198,7 @@ Result<ParamSampler> ComputeObservedFisher(const ModelSpec& spec,
       (n_s == n) ? sample : sample.SampleRows(n_s, rng);
 
   if (theta.size() <= n_s) {
-    return ObservedFisherSmallDim(spec, theta, stats_rows, options);
+    return ObservedFisherSmallDim(spec, theta, stats_rows);
   }
 
   const bool sparse_path =
@@ -287,7 +292,7 @@ Result<ParamSampler> ComputeObservedFisher(const ModelSpec& spec,
     lambda_max = std::max(lambda_max, eig.eigenvalues[i]);
   }
   BLINKML_RETURN_NOT_OK(CheckObservedInformation(lambda_max, beta));
-  const double floor = options.eigenvalue_floor_rel * lambda_max;
+  const double floor = kEigenvalueFloorRel * lambda_max;
   struct Direction {
     Index index;
     double lambda;
@@ -364,7 +369,7 @@ Result<ParamSampler> ComputeStatistics(const ModelSpec& spec,
     case StatsMethod::kClosedForm:
       return ComputeClosedForm(spec, theta, sample);
     case StatsMethod::kInverseGradients:
-      return ComputeInverseGradients(spec, theta, sample, options);
+      return ComputeInverseGradients(spec, theta, sample);
     case StatsMethod::kObservedFisher:
       return ComputeObservedFisher(spec, theta, sample, options, rng);
   }

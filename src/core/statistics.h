@@ -41,11 +41,6 @@ struct StatsOptions {
   /// variance contribution l/(l+beta)^2; the dropped fraction is recorded
   /// on the sampler.
   Matrix::Index max_rank = 512;
-  /// Finite-difference step for InverseGradients (paper default 1e-6).
-  double fd_epsilon = 1e-6;
-  /// Gram eigenvalues below rel_floor * lambda_max are treated as zero
-  /// (numerically rank-deficient directions carry no observed information).
-  double eigenvalue_floor_rel = 1e-10;
   /// Cross-candidate feature-Gram cache (session-owned); nullptr = compute
   /// the feature Gram locally. Used when the spec exposes per-example
   /// gradient coefficients (q_i = c_i x_i): the gradient Gram is then

@@ -58,8 +58,8 @@ class Dataset {
 
   /// Approximate resident size in bytes (feature storage + labels). The
   /// currency of the serving layer's byte-budget accounting
-  /// (data/sample_cache.h, serve/session_manager.h); sparse datasets that
-  /// alias a shared CSR structure still count it in full.
+  /// (TrainingSession::CacheBytes, serve/session_manager.h); sparse
+  /// datasets that alias a shared CSR structure still count it in full.
   std::uint64_t MemoryBytes() const;
 
   bool has_labels() const { return labels_.size() > 0; }

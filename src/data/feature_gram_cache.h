@@ -7,14 +7,16 @@
 // which rows the statistics sample holds, not on the candidate's
 // hyperparameters. Those rows are a pure function of (phase, seed,
 // parent-sample size): the pipeline draws every subset from
-// seed-determined Rng streams (core/pipeline.cc), exactly the property
-// data/sample_cache.h relies on. A K-candidate search therefore pays the
-// O(n^2 * overlap) sorted-merge Gram once per key and K - 1 cheap
-// rescales (core/statistics.cc).
+// seed-determined Rng streams (core/pipeline.cc). A K-candidate search
+// therefore pays the O(n^2 * overlap) sorted-merge Gram once per key and
+// K - 1 cheap rescales (core/statistics.cc). It is the one cache that
+// concurrent candidates share; the samples themselves are either memoized
+// per seed (holdout, D_0: session/training_session.h) or live for one run
+// (D_n: core/pipeline.h).
 //
-// Entries are n_s x n_s doubles (megabytes each), so unlike SampleCache
-// this cache evicts: least-recently-used entries are dropped once the
-// byte budget is exceeded. Misses are single-flight PER KEY: concurrent
+// Entries are n_s x n_s doubles (megabytes each), so this cache evicts:
+// least-recently-used entries are dropped once the byte budget is
+// exceeded. Misses are single-flight PER KEY: concurrent
 // first requests for one key compute the Gram exactly once (followers
 // wait on the leader's future), while misses for different keys — and
 // hits — proceed concurrently, because the expensive factory runs

@@ -9,6 +9,13 @@ namespace blinkml {
 
 namespace {
 
+// The first trial step (the natural step of a quasi-Newton direction), the
+// cap on the bracketing phase's step doubling, and the f/grad evaluations
+// one search may spend.
+constexpr double kInitialStep = 1.0;
+constexpr double kMaxStep = 1e6;
+constexpr int kMaxEvaluations = 40;
+
 // phi(alpha) = f(theta + alpha * d); returns value, fills grad and the
 // directional derivative.
 struct PhiEval {
@@ -30,13 +37,10 @@ PhiEval EvalPhi(const DifferentiableObjective& f, const Vector& theta,
 LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
                                    const Vector& theta, double value0,
                                    const Vector& grad0,
-                                   const Vector& direction,
-                                   const LineSearchOptions& options) {
+                                   const Vector& direction) {
   LineSearchResult result;
   const double slope0 = Dot(grad0, direction);
   BLINKML_CHECK_MSG(slope0 < 0.0, "not a descent direction");
-  const double c1 = options.armijo_c1;
-  const double c2 = options.wolfe_c2;
 
   Vector point;
   Vector grad;
@@ -44,7 +48,7 @@ LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
   double alpha_prev = 0.0;
   double value_prev = value0;
   double slope_prev = slope0;
-  double alpha = options.initial_step;
+  double alpha = kInitialStep;
 
   // Bracketing phase, then zoom on the bracketing interval.
   double lo = 0.0, hi = 0.0;
@@ -52,12 +56,12 @@ LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
   double slope_lo = slope0;
   bool bracketed = false;
 
-  for (int i = 0; i < options.max_evaluations && !bracketed; ++i) {
+  for (int i = 0; i < kMaxEvaluations && !bracketed; ++i) {
     const PhiEval phi = EvalPhi(f, theta, direction, alpha, &point, &grad);
     ++result.evaluations;
     const bool armijo_violated =
         !std::isfinite(phi.value) ||
-        phi.value > value0 + c1 * alpha * slope0 ||
+        phi.value > value0 + kArmijoC1 * alpha * slope0 ||
         (i > 0 && phi.value >= value_prev);
     if (armijo_violated) {
       lo = alpha_prev;
@@ -67,7 +71,7 @@ LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
       bracketed = true;
       break;
     }
-    if (std::fabs(phi.derivative) <= -c2 * slope0) {
+    if (std::fabs(phi.derivative) <= -kWolfeC2 * slope0) {
       result.success = true;
       result.alpha = alpha;
       result.value = phi.value;
@@ -85,13 +89,13 @@ LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
     alpha_prev = alpha;
     value_prev = phi.value;
     slope_prev = phi.derivative;
-    alpha = std::min(2.0 * alpha, options.max_step);
+    alpha = std::min(2.0 * alpha, kMaxStep);
   }
 
   if (!bracketed) return result;  // failed to bracket within budget
 
   // Zoom phase: bisection with a safeguarded quadratic trial point.
-  for (int i = result.evaluations; i < options.max_evaluations; ++i) {
+  for (int i = result.evaluations; i < kMaxEvaluations; ++i) {
     double trial;
     // Quadratic interpolation using (lo, value_lo, slope_lo) and hi.
     const double dalpha = hi - lo;
@@ -111,10 +115,11 @@ LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
     const PhiEval phi = EvalPhi(f, theta, direction, trial, &point, &grad);
     ++result.evaluations;
     if (!std::isfinite(phi.value) ||
-        phi.value > value0 + c1 * trial * slope0 || phi.value >= value_lo) {
+        phi.value > value0 + kArmijoC1 * trial * slope0 ||
+        phi.value >= value_lo) {
       hi = trial;
     } else {
-      if (std::fabs(phi.derivative) <= -c2 * slope0) {
+      if (std::fabs(phi.derivative) <= -kWolfeC2 * slope0) {
         result.success = true;
         result.alpha = trial;
         result.value = phi.value;

@@ -21,20 +21,18 @@ struct LineSearchResult {
   int evaluations = 0;     // number of f/grad evaluations used
 };
 
-struct LineSearchOptions {
-  double armijo_c1 = 1e-4;     // sufficient-decrease constant
-  double wolfe_c2 = 0.9;       // curvature constant (0.9: quasi-Newton)
-  double initial_step = 1.0;
-  double max_step = 1e6;
-  int max_evaluations = 40;
-};
+/// The strong Wolfe conditions an accepted step satisfies: sufficient
+/// decrease f(a) <= f(0) + c1 a f'(0) and curvature |f'(a)| <= -c2 f'(0)
+/// (c2 = 0.9, the usual choice for quasi-Newton directions).
+inline constexpr double kArmijoC1 = 1e-4;
+inline constexpr double kWolfeC2 = 0.9;
 
-/// Strong Wolfe search (bracket + zoom with cubic interpolation).
+/// Strong Wolfe search (bracket + zoom on a safeguarded quadratic trial
+/// point), starting from a unit step.
 LineSearchResult StrongWolfeSearch(const DifferentiableObjective& f,
                                    const Vector& theta, double value0,
                                    const Vector& grad0,
-                                   const Vector& direction,
-                                   const LineSearchOptions& options = {});
+                                   const Vector& direction);
 
 }  // namespace blinkml
 

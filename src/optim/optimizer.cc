@@ -47,7 +47,6 @@ class Bfgs final : public Optimizer {
     ++out.evaluations;
     Matrix h_inv = Matrix::Identity(d);  // inverse-Hessian approximation
     double prev_value = std::numeric_limits<double>::infinity();
-    LineSearchOptions ls;
     for (int it = 0; it < opts_.max_iterations; ++it) {
       out.gradient_norm = NormInf(grad);
       if (Converged(out.gradient_norm, out.value, prev_value, opts_)) {
@@ -62,9 +61,8 @@ class Bfgs final : public Optimizer {
         direction = grad;
         direction *= -1.0;
       }
-      ls.initial_step = 1.0;
       const LineSearchResult step =
-          StrongWolfeSearch(f, out.theta, out.value, grad, direction, ls);
+          StrongWolfeSearch(f, out.theta, out.value, grad, direction);
       out.evaluations += step.evaluations;
       if (!step.success) return out;
       // s = alpha * direction, y = grad_new - grad.
@@ -121,7 +119,6 @@ class Lbfgs final : public Optimizer {
     std::deque<double> rho_hist;
     double gamma = 1.0;  // initial Hessian scaling
     double prev_value = std::numeric_limits<double>::infinity();
-    LineSearchOptions ls;
     for (int it = 0; it < opts_.max_iterations; ++it) {
       out.gradient_norm = NormInf(grad);
       if (Converged(out.gradient_norm, out.value, prev_value, opts_)) {
@@ -155,9 +152,8 @@ class Lbfgs final : public Optimizer {
         direction = grad;
         direction *= -1.0;
       }
-      ls.initial_step = 1.0;
       const LineSearchResult step =
-          StrongWolfeSearch(f, out.theta, out.value, grad, direction, ls);
+          StrongWolfeSearch(f, out.theta, out.value, grad, direction);
       out.evaluations += step.evaluations;
       if (!step.success) return out;
       Vector s = direction;

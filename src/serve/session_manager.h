@@ -1,8 +1,8 @@
 // SessionManager: the multi-dataset serving layer.
 //
-// PRs 2-3 amortized BlinkML's shared artifacts (holdout/D_0 prefixes,
-// sample materializations, feature Grams) within one dataset and seed;
-// this layer serves many tenants over many datasets from one process:
+// A TrainingSession amortizes BlinkML's shared artifacts (holdout/D_0
+// prefixes, feature Grams) within one dataset and seed; this layer serves
+// many tenants over many datasets from one process:
 //
 //   SessionManager manager;
 //   manager.RegisterDataset("criteo", [] { return LoadCriteo(); });
@@ -16,7 +16,7 @@
 //    by the sessions built on them — a dataset is never unloaded while a
 //    session references it;
 //  * a (dataset, seed)-keyed pool of TrainingSessions with a byte-budget
-//    LRU eviction policy spanning each session's SampleCache and
+//    LRU eviction policy spanning each session's memoized prefixes and
 //    FeatureGramCache plus the loaded datasets themselves: when the
 //    resident footprint exceeds ServeOptions::max_resident_bytes, idle
 //    sessions are evicted oldest-first and then unreferenced datasets are

@@ -13,11 +13,6 @@ TrainingSession::TrainingSession(Dataset data, BlinkConfig config)
 TrainingSession::TrainingSession(std::shared_ptr<const Dataset> data,
                                  BlinkConfig config)
     : data_(std::move(data)), config_(std::move(config)) {
-  // Bound a long-lived session's retention at ~4 extra copies of the
-  // dataset; past that, further samples are materialized unshared
-  // (identical rows, just not cached). ROADMAP tracks a real eviction
-  // policy.
-  cache_.set_max_cached_rows(4 * data_->num_rows());
   // Feature Grams are stats_sample_size^2 doubles each (8 MB at the
   // default 1024); a handful covers a search's keys, and LRU eviction
   // keeps a long-lived service bounded when candidates spread over many
@@ -48,8 +43,7 @@ Result<std::unique_ptr<TrainingPipeline>> TrainingSession::MakePipeline(
   BLINKML_ASSIGN_OR_RETURN(std::shared_ptr<const TrainingPrefix> prefix,
                            PrefixFor(seed));
   return std::make_unique<TrainingPipeline>(spec, *data_, contract, config,
-                                            std::move(prefix), &cache_,
-                                            &gram_cache_);
+                                            std::move(prefix), &gram_cache_);
 }
 
 void TrainingSession::RecordRun(const PhaseTimings& timings) {
@@ -60,21 +54,19 @@ void TrainingSession::RecordRun(const PhaseTimings& timings) {
 
 std::uint64_t TrainingSession::CacheBytes() const {
   // Lock-free reads: the serving layer calls this under its manager lock
-  // on every job completion, and SampleCache holds its mutex while
-  // materializing — taking it here would stall the whole control plane
-  // behind one tenant's in-flight materialization. The third term covers
-  // prefix datasets the sample cache bypassed at its row budget but the
-  // per-seed prefix map still pins.
-  return cache_.cached_bytes() + gram_cache_.cached_bytes() +
-         prefix_uncached_bytes_.load(std::memory_order_relaxed);
+  // on every job completion, and PrefixFor holds mu_ while materializing a
+  // prefix — taking it here would stall the whole control plane behind one
+  // tenant's in-flight materialization.
+  return prefix_bytes_.load(std::memory_order_relaxed) +
+         gram_cache_.cached_bytes();
 }
 
 SessionStats TrainingSession::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionStats out = stats_;
-  out.prefixes_computed = static_cast<int>(prefixes_computed_.value());
   out.prefix_seconds = prefix_seconds_.value();
-  out.cache = cache_.stats();
+  out.cache.misses = prefixes_computed_.value();
+  out.cache.cached_bytes = prefix_bytes_.load(std::memory_order_relaxed);
   out.gram_cache = gram_cache_.stats();
   return out;
 }
@@ -95,22 +87,24 @@ Result<std::shared_ptr<const TrainingPrefix>> TrainingSession::PrefixFor(
   const BlinkConfig& config = ConfigForSeed(seed);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = prefixes_.find(seed);
-  if (it != prefixes_.end()) return it->second;
+  if (it != prefixes_.end()) {
+    ++stats_.cache.hits;
+    return it->second;
+  }
   // Computed under the lock: concurrent first requests for one seed
   // materialize the prefix exactly once and the losers reuse it.
   obs::SpanScope span("prefix:compute", "session");
   BLINKML_ASSIGN_OR_RETURN(TrainingPrefix prefix,
-                           ComputeTrainingPrefix(*data_, config, &cache_));
+                           ComputeTrainingPrefix(*data_, config));
   prefixes_computed_.Inc();
   prefix_seconds_.Add(prefix.seconds);
   obs::Registry::Global().Counter("session_prefixes_total")->Inc();
   obs::Registry::Global()
       .FloatCounter("session_prefix_seconds")
       ->Add(prefix.seconds);
-  if (prefix.uncached_bytes > 0) {
-    prefix_uncached_bytes_.fetch_add(prefix.uncached_bytes,
-                                     std::memory_order_relaxed);
-  }
+  prefix_bytes_.fetch_add(
+      prefix.holdout->MemoryBytes() + prefix.initial_sample->MemoryBytes(),
+      std::memory_order_relaxed);
   auto shared = std::make_shared<const TrainingPrefix>(std::move(prefix));
   prefixes_.emplace(seed, shared);
   return shared;

@@ -2,15 +2,19 @@
 //
 // The paper's headline application (Section 3.4, Figure 10) trains many
 // contract-bound models — hyperparameter candidates — on the same data.
-// The expensive shared artifacts (holdout split, initial sample D_0,
-// materialized row subsets) depend only on (dataset, seed, size knobs),
-// so a session computes them once and serves every subsequent training
-// from the cache:
+// The artifacts every candidate shares (holdout split, initial sample D_0,
+// the statistics phase's feature Grams) depend only on (dataset, seed,
+// size knobs), so a session computes them once per seed and serves every
+// subsequent training from its memo:
 //
 //   TrainingSession session(data, config);
 //   auto a = session.Train(LogisticRegressionSpec(1e-4), {0.05, 0.05});
 //   auto b = session.Train(LogisticRegressionSpec(1e-3), {0.05, 0.05});
 //   // b reused a's holdout + D_0; session.stats() shows the amortization.
+//
+// A run's final sample D_n is not shared: it is materialized inside the
+// run and freed with it (core/pipeline.h), so a session's retained bytes
+// are its prefixes and Grams, whatever its runs' sample sizes.
 //
 // Determinism: a session run is bitwise identical to a standalone
 // Coordinator::Train with the same config/seed at any thread count — the
@@ -31,29 +35,40 @@
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "data/feature_gram_cache.h"
-#include "data/sample_cache.h"
 #include "models/model_spec.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
 namespace blinkml {
 
+/// Counters of the per-seed prefix memo (holdout + D_0), the session's one
+/// store of materialized samples.
+struct PrefixMemoStats {
+  /// Pipelines handed an already-memoized prefix.
+  std::uint64_t hits = 0;
+  /// Prefixes computed (one per distinct seed); a view of the session's
+  /// obs::Counter.
+  std::uint64_t misses = 0;
+  /// Always 0: the memo has no budget to bypass. Kept because the
+  /// end-to-end benchmark's data.sample_cache_bypass_ratio reads it.
+  std::uint64_t bypassed = 0;
+  /// Bytes of the memoized holdouts and initial samples.
+  std::uint64_t cached_bytes = 0;
+};
+
 /// Aggregate accounting of a session's runs (the measurable side of the
-/// amortization: `prefix_seconds` is paid once per distinct seed instead
-/// of once per run).
+/// amortization: `prefix_seconds` is paid once per distinct seed, counted
+/// by `cache.misses`, instead of once per run).
 struct SessionStats {
   /// Per-phase timings summed over completed runs.
   PhaseTimings run_timings;
   /// Completed pipeline runs.
   int runs = 0;
-  /// Distinct prefixes (holdout split + D_0) materialized. A view of the
-  /// session's obs::Counter (the source of truth since the obs layer).
-  int prefixes_computed = 0;
   /// Total wall-clock spent computing prefixes (amortized across runs);
   /// a view of the session's obs::FloatCounter.
   double prefix_seconds = 0.0;
-  /// Shared-sample cache counters.
-  SampleCache::Stats cache;
+  /// Prefix-memo counters.
+  PrefixMemoStats cache;
   /// Feature-Gram cache counters (the statistics-phase amortization:
   /// one sorted-merge Gram per key, rescales for every later candidate).
   FeatureGramCache::Stats gram_cache;
@@ -100,15 +115,11 @@ class TrainingSession {
   /// Snapshot of the aggregate accounting.
   SessionStats stats() const;
 
-  /// Approximate bytes retained by this session (materialized samples +
-  /// feature Grams + memoized prefixes) — what the serving layer's
-  /// byte-budget LRU charges a session (serve/session_manager.h).
-  /// Excludes the dataset itself, which the manager accounts per registry
-  /// entry. The memoized per-seed prefixes normally materialize THROUGH
-  /// the sample cache and are counted there; a prefix dataset whose
-  /// materialization the cache bypassed (row budget hit) is still pinned
-  /// by the prefix map, so its bytes are tracked here separately
-  /// (TrainingPrefix::uncached_bytes) and included.
+  /// Approximate bytes retained by this session (memoized prefixes +
+  /// feature Grams) — what the serving layer's byte-budget LRU charges a
+  /// session (serve/session_manager.h). Excludes the dataset itself, which
+  /// the manager accounts per registry entry, and the final samples of
+  /// runs in flight, which live only as long as their run.
   std::uint64_t CacheBytes() const;
 
  private:
@@ -122,7 +133,6 @@ class TrainingSession {
 
   const std::shared_ptr<const Dataset> data_;
   const BlinkConfig config_;
-  SampleCache cache_;
   FeatureGramCache gram_cache_;
 
   mutable std::mutex mu_;
@@ -130,14 +140,14 @@ class TrainingSession {
       seed_configs_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const TrainingPrefix>>
       prefixes_;
-  /// Sum of the memoized prefixes' uncached_bytes (datasets pinned by
-  /// prefixes_ that the sample cache bypassed). Written under mu_; atomic
-  /// so the lock-free CacheBytes() can read it (see the .cc note).
-  std::atomic<std::uint64_t> prefix_uncached_bytes_{0};
+  /// Bytes of the memoized prefixes' holdouts and initial samples.
+  /// Written under mu_; atomic so the lock-free CacheBytes() can read it
+  /// (see the .cc note).
+  std::atomic<std::uint64_t> prefix_bytes_{0};
   /// Prefix amortization accounting, held as obs metric primitives so the
   /// SessionStats snapshot and the obs registry export agree by
-  /// construction (SessionStats::prefixes_computed / prefix_seconds are
-  /// views of these).
+  /// construction (SessionStats::cache.misses / prefix_seconds are views
+  /// of these).
   obs::Counter prefixes_computed_;
   obs::FloatCounter prefix_seconds_;
   SessionStats stats_;

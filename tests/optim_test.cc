@@ -68,14 +68,13 @@ TEST(LineSearch, StrongWolfeSatisfiesBothConditions) {
   const double value = f.ValueAndGradient(theta, &grad);
   Vector direction = grad;
   direction *= -1.0;
-  const LineSearchOptions opts;
   const LineSearchResult r =
-      StrongWolfeSearch(f, theta, value, grad, direction, opts);
+      StrongWolfeSearch(f, theta, value, grad, direction);
   ASSERT_TRUE(r.success);
   const double slope0 = Dot(grad, direction);
-  EXPECT_LE(r.value, value + opts.armijo_c1 * r.alpha * slope0 + 1e-12);
+  EXPECT_LE(r.value, value + kArmijoC1 * r.alpha * slope0 + 1e-12);
   EXPECT_LE(std::fabs(Dot(r.gradient, direction)),
-            -opts.wolfe_c2 * slope0 + 1e-12);
+            -kWolfeC2 * slope0 + 1e-12);
 }
 
 TEST(LineSearch, RejectsAscentDirection) {

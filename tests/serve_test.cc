@@ -155,61 +155,6 @@ TEST(SessionManager, ConcurrentTenantsMatchStandaloneAtAnyThreadCount) {
   }
 }
 
-TEST(SessionManager, CacheBytesCountsBudgetBypassedPrefixes) {
-  // The precise-accounting gap: a memoized prefix dataset (holdout / D_0)
-  // whose materialization the sample cache bypassed at its row budget is
-  // still pinned by the session's per-seed prefix map. CacheBytes must
-  // count those bytes, or the serving layer's byte-budget LRU
-  // under-charges sessions that trained on many seeds.
-  const Dataset base = testing::SmallDenseLogistic(2000, 6, 3);
-  TrainingSession session(Dataset(base), FastConfig(11));
-  const auto bytes_of_rows = [&](Dataset::Index n) {
-    // Dense dataset: features (n x dim) + labels, Dataset::MemoryBytes.
-    return static_cast<std::uint64_t>(n) *
-           (static_cast<std::uint64_t>(base.dim()) + 1) * sizeof(double);
-  };
-  // Replay of the sample cache's budget rule (4x the dataset's rows, set
-  // by the session constructor) over the exact materialization order:
-  // holdout, D_0, then the final sample when one is trained. Only the
-  // first two are pinned by the memoized prefix; a bypassed final sample
-  // is dropped when the run ends and must NOT be counted.
-  const Dataset::Index budget = 4 * base.num_rows();
-  Dataset::Index sim_cached = 0;
-  std::uint64_t expected_uncached = 0;
-  std::uint64_t expected_bypasses = 0;
-  const auto touch = [&](Dataset::Index rows, bool pinned_by_prefix) {
-    if (sim_cached + rows > budget) {
-      ++expected_bypasses;
-      if (pinned_by_prefix) expected_uncached += bytes_of_rows(rows);
-    } else {
-      sim_cached += rows;
-    }
-  };
-  const LogisticRegressionSpec spec(1e-3);
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto result = session.Train(spec, testing::kLooseContract, seed);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    touch(result->holdout->num_rows(), /*pinned_by_prefix=*/true);
-    touch(std::min<Dataset::Index>(FastConfig(11).initial_sample_size,
-                                   result->full_size),
-          /*pinned_by_prefix=*/true);  // D_0
-    if (!result->used_initial_only) {
-      touch(result->sample_size, /*pinned_by_prefix=*/false);
-    }
-    const SessionStats stats = session.stats();
-    ASSERT_EQ(stats.cache.bypassed, expected_bypasses) << "seed " << seed;
-    ASSERT_EQ(stats.cache.cached_rows, sim_cached) << "seed " << seed;
-    EXPECT_EQ(session.CacheBytes(),
-              stats.cache.cached_bytes + stats.gram_cache.cached_bytes +
-                  expected_uncached)
-        << "seed " << seed;
-  }
-  // The fixture must actually reach the budget, with prefix datasets
-  // among the bypasses (otherwise the regression is untested).
-  EXPECT_GT(expected_bypasses, 0u);
-  EXPECT_GT(expected_uncached, 0u);
-}
-
 TEST(SessionManager, EvictionUnderPressureRecomputesIdenticalResults) {
   const Dataset dense = DenseData();
   const Dataset linear = LinearData();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "models/logistic_regression.h"
 #include "models/ppca.h"
 #include "runtime/thread_pool.h"
+#include "serve/session_manager.h"
 #include "session/hyperparam_search.h"
 #include "session/training_session.h"
 #include "tests/test_util.h"
@@ -44,11 +46,11 @@ TEST(TrainingSession, MatchesStandaloneCoordinatorBitwise) {
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.runs, static_cast<int>(l2s.size()));
   // One prefix served every run: the amortization the session exists for.
-  // (The prefix itself is memoized above the sample cache, so the cache
-  // records its holdout + D_0 materializations as misses, once.)
-  EXPECT_EQ(stats.prefixes_computed, 1);
-  EXPECT_GE(stats.cache.misses, 2u);
-  EXPECT_GT(stats.cache.cached_rows, 0);
+  // The first run computed it; every later run was handed the memo.
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.hits, l2s.size() - 1);
+  EXPECT_EQ(stats.cache.bypassed, 0u);
+  EXPECT_GT(stats.cache.cached_bytes, 0u);
   EXPECT_GT(stats.prefix_seconds, 0.0);
   EXPECT_GT(stats.run_timings.total, 0.0);
 }
@@ -91,34 +93,104 @@ TEST(TrainingSession, SparseStatisticsMatchStandaloneWithGramReuseOnAndOff) {
   }
 }
 
-TEST(SampleCacheTest, SharesMaterializationsByKey) {
-  const Dataset data = MakeSyntheticLogistic(500, 4, 1);
-  SampleCache cache;
-  int factory_calls = 0;
-  const SampleCache::Key key{SampleCache::Purpose::kFinalSample, 42, 100};
-  auto factory = [&] {
-    ++factory_calls;
-    Rng rng(7);
-    return data.SampleRows(100, &rng);
-  };
-  const auto a = cache.GetOrCreate(key, factory);
-  const auto b = cache.GetOrCreate(key, factory);
-  EXPECT_EQ(a.get(), b.get());  // shared by reference, not re-copied
-  EXPECT_EQ(factory_calls, 1);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.cached_rows, 100);
+// Bytes of the holdout and D_0 that a session memoizes for `config.seed`.
+std::uint64_t PrefixBytes(const Dataset& data, const BlinkConfig& config) {
+  const auto prefix = ComputeTrainingPrefix(data, config);
+  EXPECT_TRUE(prefix.ok()) << prefix.status().ToString();
+  if (!prefix.ok()) return 0;
+  return prefix->holdout->MemoryBytes() +
+         prefix->initial_sample->MemoryBytes();
+}
 
-  // A different purpose or size is a different subset.
-  const auto c = cache.GetOrCreate(
-      {SampleCache::Purpose::kCustom, 42, 100}, factory);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(factory_calls, 2);
+// A session retains its memoized prefixes and feature Grams, nothing else:
+// each run's final sample is freed with the run, so training more models
+// on one seed leaves CacheBytes() (and the serving layer's cached_bytes,
+// which sums it) where the first run left it.
+TEST(TrainingSession, NoFinalSampleOutlivesItsRun) {
+  const Dataset data = testing::SmallDenseLogistic(20000, 6, 3);
+  const BlinkConfig config = FastConfig(11);
+  const std::uint64_t prefix_bytes = PrefixBytes(data, config);
+  ASSERT_GT(prefix_bytes, 0u);
+  const std::vector<double> l2s = {1e-4, 3e-4, 1e-3, 3e-3};
 
-  cache.Clear();
-  EXPECT_EQ(cache.stats().cached_rows, 0);
-  EXPECT_EQ(a->num_rows(), 100);  // live users keep their dataset
+  TrainingSession session(Dataset(data), config);
+  std::uint64_t previous = 0;
+  for (const double l2 : l2s) {
+    const auto result =
+        session.Train(LogisticRegressionSpec(l2), kTightContract);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // Precondition: the run trained a final model on a sample below N.
+    ASSERT_FALSE(result->used_initial_only) << "l2 " << l2;
+    ASSERT_LT(result->sample_size, result->full_size) << "l2 " << l2;
+    const std::uint64_t bytes = session.CacheBytes();
+    EXPECT_EQ(bytes, session.stats().gram_cache.cached_bytes + prefix_bytes)
+        << "l2 " << l2;
+    if (previous > 0) {
+      EXPECT_LE(bytes, previous) << "l2 " << l2;
+    }
+    previous = bytes;
+  }
+
+  // One layer up: the same trains through a SessionManager.
+  SessionManager manager(ServeOptions{});
+  ASSERT_TRUE(manager.RegisterDataset("dense", Dataset(data), config).ok());
+  previous = 0;
+  for (const double l2 : l2s) {
+    auto spec = std::make_shared<LogisticRegressionSpec>(l2);
+    const auto result =
+        manager.SubmitTrain({"dense", std::move(spec), kTightContract}).get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->used_initial_only) << "l2 " << l2;
+    ASSERT_LT(result->sample_size, result->full_size) << "l2 " << l2;
+    const std::uint64_t bytes = manager.stats().cached_bytes;
+    // The session's Grams stay empty on this small-dimension data, so its
+    // retained bytes are exactly the prefix.
+    EXPECT_EQ(bytes, prefix_bytes) << "l2 " << l2;
+    if (previous > 0) {
+      EXPECT_LE(bytes, previous) << "l2 " << l2;
+    }
+    previous = bytes;
+  }
+}
+
+// Every memoized seed's prefix is counted in CacheBytes() — the serving
+// layer's byte budget charges a session for all of them — whether or not
+// the seed's runs trained (and freed) a final sample.
+TEST(TrainingSession, CacheBytesCountsEveryMemoizedPrefix) {
+  const Dataset data = testing::SmallDenseLogistic(2000, 6, 3);
+  TrainingSession session(Dataset(data), FastConfig(11));
+  const LogisticRegressionSpec spec(1e-3);
+  std::uint64_t expected = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const ApproximationContract& contract =
+        seed % 2 == 1 ? kTightContract : testing::kLooseContract;
+    const auto result = session.Train(spec, contract, seed);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected += PrefixBytes(data, FastConfig(seed));
+    const SessionStats stats = session.stats();
+    EXPECT_EQ(stats.cache.misses, seed) << "seed " << seed;
+    EXPECT_EQ(stats.cache.cached_bytes, expected) << "seed " << seed;
+    EXPECT_EQ(session.CacheBytes(), expected + stats.gram_cache.cached_bytes)
+        << "seed " << seed;
+  }
+}
+
+// A contract of epsilon = 0 sends the run to the whole pool (n = N), whose
+// materialization lives for the run only; repeated runs on one seed still
+// equal the standalone path bitwise.
+TEST(TrainingSession, FullPoolRunMatchesStandalone) {
+  const Dataset data = testing::SmallDenseLogistic(3000, 6, 3);
+  const ApproximationContract exact{0.0, 0.05};
+  TrainingSession session(Dataset(data), FastConfig(11));
+  const LogisticRegressionSpec spec(1e-3);
+  const auto standalone = Coordinator(FastConfig(11)).Train(spec, data, exact);
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  for (int run = 0; run < 2; ++run) {
+    const auto via_session = session.Train(spec, exact);
+    ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
+    EXPECT_EQ(via_session->sample_size, via_session->full_size);
+    ExpectBitwiseEqual(*via_session, *standalone, "full-pool run");
+  }
 }
 
 TEST(TrainingSession, PerRunSeedsGetTheirOwnPrefix) {
@@ -130,7 +202,7 @@ TEST(TrainingSession, PerRunSeedsGetTheirOwnPrefix) {
   const auto b = session.Train(spec, kTightContract, 99);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(session.stats().prefixes_computed, 2);
+  EXPECT_EQ(session.stats().cache.misses, 2u);
 
   // Each seed matches its standalone run.
   const auto sa = Coordinator(FastConfig(11)).Train(spec, data, kTightContract);
@@ -191,7 +263,7 @@ TEST(HyperparamSearch, ConcurrentSearchMatchesStandaloneAtAnyThreadCount) {
       EXPECT_LE(cr.score, best_score);
     }
     // The k candidates shared one prefix computation.
-    EXPECT_EQ(outcome.session_stats.prefixes_computed, 1);
+    EXPECT_EQ(outcome.session_stats.cache.misses, 1u);
     EXPECT_EQ(outcome.session_stats.runs,
               static_cast<int>(candidates.size()));
   }
