@@ -6,7 +6,12 @@
 //   * sparse Gram over heavy hashed-feature rows;
 //   * CSR matvec / transposed matvec (the sampler-draw kernels);
 //   * dense batched margins, 8 draws over a 2,000 x 100 holdout (the
-//     Monte-Carlo scoring pass of a dense train; fixed, not scaled).
+//     Monte-Carlo scoring pass of a dense train; fixed, not scaled);
+//   * glm_pass: one logistic ObjectiveAndGradient pass over a train-dense
+//     final sample (42,000 x 100) and a search-sparse-sized sample (33,000
+//     rows, 20,000 columns, 39 nnz per row), on one lane, next to the
+//     row-by-row reference pass and a plain streaming read of the same
+//     feature bytes — how close the pass runs to memory speed.
 // End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
@@ -18,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -28,6 +34,7 @@
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "models/logistic_regression.h"
 #include "models/model_spec.h"
 #include "random/rng.h"
 #include "runtime/parallel.h"
@@ -67,6 +74,124 @@ struct MicroResult {
   bool thread_invariant = false;  // kernel result bitwise at 1/2/8 threads
   double speedup() const { return reference_seconds / blocked_seconds; }
 };
+
+// One GLM pass next to its reference and a streaming read of its bytes.
+struct PassResult {
+  std::string name;
+  double bytes = 0.0;  // feature storage the pass streams
+  double reference_seconds = 0.0;
+  double pass_seconds = 0.0;
+  double stream_seconds = 0.0;
+  bool bitwise = false;           // pass == row-by-row reference, bitwise
+  bool thread_invariant = false;  // pass bitwise at 1/2/8 threads
+};
+
+// Sums n values with four chains: a plain read of the bytes at the speed
+// the memory system streams them.
+template <typename T>
+T StreamSum(const T* p, std::size_t n) {
+  T s0{}, s1{}, s2{}, s3{};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += p[i];
+    s1 += p[i + 1];
+    s2 += p[i + 2];
+    s3 += p[i + 3];
+  }
+  for (; i < n; ++i) s0 += p[i];
+  return (s0 + s1) + (s2 + s3);
+}
+
+// Times a logistic ObjectiveAndGradient pass over `data` at one lane, the
+// row-by-row reference pass, and a streaming read of the feature arrays;
+// checks the pass against the reference and across 1/2/8 threads.
+PassResult RunGlmPass(const std::string& name, const Dataset& data,
+                      ThreadPool* pool, int repeats) {
+  const LogisticRegressionSpec spec(1e-4);
+  Rng rng(31);
+  Vector theta(data.dim());
+  for (Vector::Index j = 0; j < theta.size(); ++j) {
+    theta[j] = rng.Normal(0.0, 0.05);
+  }
+  // The arrays a pass streams: the dense rows, or the CSR columns and
+  // values. The signed column indices are read as unsigned words, which
+  // may alias them.
+  const auto stream = [&] {
+    if (!data.is_sparse()) {
+      return StreamSum(data.dense().data(),
+                       static_cast<std::size_t>(data.dense().size()));
+    }
+    const SparseMatrix& x = data.sparse();
+    const auto nnz = static_cast<std::size_t>(x.nnz());
+    const auto* cols = reinterpret_cast<const std::uint64_t*>(x.RowCols(0));
+    return static_cast<double>(StreamSum(cols, nnz)) +
+           StreamSum(x.RowValues(0), nnz);
+  };
+  PassResult out;
+  out.name = name;
+  out.bytes = data.is_sparse()
+                  ? static_cast<double>(data.sparse().nnz()) *
+                        (sizeof(SparseMatrix::Index) + sizeof(double))
+                  : static_cast<double>(data.dense().size()) * sizeof(double);
+  const auto pass = [&] {
+    Vector grad;
+    const double f = spec.ObjectiveAndGradient(theta, data, &grad);
+    grad.Resize(grad.size() + 1);
+    grad[grad.size() - 1] = f;
+    return grad;
+  };
+  const auto reference_pass = [&] {
+    Vector grad;
+    const double f = reference::GlmObjectiveAndGradient(
+        reference::LogisticLink(), theta, data, spec.l2(), &grad);
+    grad.Resize(grad.size() + 1);
+    grad[grad.size() - 1] = f;
+    return grad;
+  };
+  const Vector want = reference_pass();
+  out.reference_seconds = TimeIt(repeats, [&] { reference_pass(); });
+  volatile double sink = 0.0;
+  out.stream_seconds = TimeIt(repeats, [&] { sink = sink + stream(); });
+  Vector got;
+  {
+    RuntimeScope scope(PoolOptions(pool, 1));
+    got = pass();
+    out.pass_seconds = TimeIt(repeats, [&] { pass(); });
+  }
+  out.bitwise = got.size() == want.size() && MaxAbsDiff(got, want) == 0.0;
+  out.thread_invariant = true;
+  for (const int t : {1, 2, 8}) {
+    RuntimeScope scope(PoolOptions(pool, t));
+    out.thread_invariant =
+        out.thread_invariant && MaxAbsDiff(pass(), got) == 0.0;
+  }
+  return out;
+}
+
+// The host the record was taken on.
+bench::JsonObject MachineJson(int hardware_threads, const char* isa) {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string text(line);
+      if (text.rfind("model name", 0) != 0) continue;
+      const std::size_t colon = text.find(':');
+      if (colon != std::string::npos) {
+        cpu = text.substr(colon + 2);
+        while (!cpu.empty() && (cpu.back() == '\n' || cpu.back() == ' ')) {
+          cpu.pop_back();
+        }
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  return bench::JsonObject()
+      .Str("cpu", cpu)
+      .Int("hardware_threads", hardware_threads)
+      .Str("kernel_isa", isa);
+}
 
 // Benchmarks one kernel: times the reference loop and the kernel (under
 // `pool` at `threads` lanes), checks the kernel's result against the
@@ -219,6 +344,19 @@ int main(int argc, char** argv) {
       &pool, threads, repeats, [&] { return x.ApplyTransposed(xr); },
       [&] { return reference::ApplyTransposed(x, xr); }));
 
+  // GLM passes at the final-sample shapes of train-dense and
+  // search-sparse; fixed, not scaled.
+  const Dataset pass_dense = MakeSyntheticLogistic(/*n=*/42'000, /*dim=*/100,
+                                                   /*seed=*/33);
+  const Dataset pass_sparse = MakeCriteoLike(/*n=*/33'000, /*seed=*/34,
+                                             /*dim=*/20'000,
+                                             /*nnz_per_row=*/39);
+  std::vector<PassResult> passes;
+  passes.push_back(RunGlmPass("logistic dense 42,000 x 100", pass_dense,
+                              &pool, repeats));
+  passes.push_back(RunGlmPass("logistic sparse 33,000 x 20,000 (39 nnz)",
+                              pass_sparse, &pool, repeats));
+
   bool checks_pass = true;
   std::printf("\n%-34s| %-10s| %-10s| %-8s| %-10s| %s\n", "kernel",
               "reference", "blocked", "speedup", "rel diff", "1/2/8 bitwise");
@@ -239,6 +377,31 @@ int main(int argc, char** argv) {
                              .Bool("thread_invariant", m.thread_invariant));
   }
 
+  // --- GLM passes: one lane each, so the pass, the reference and the
+  // streaming read all run on one core.
+  std::printf("\n%-42s| %-10s| %-10s| %-10s| %-11s| %s\n", "glm_pass (1 lane)",
+              "reference", "pass", "stream", "pass GB/s", "bitwise, 1/2/8");
+  std::vector<JsonObject> pass_json;
+  for (const PassResult& p : passes) {
+    const bool ok = p.bitwise && p.thread_invariant;
+    checks_pass = checks_pass && ok;
+    std::printf("%-42s| %-10s| %-10s| %-10s| %-11.2f| %s\n", p.name.c_str(),
+                HumanSeconds(p.reference_seconds).c_str(),
+                HumanSeconds(p.pass_seconds).c_str(),
+                HumanSeconds(p.stream_seconds).c_str(),
+                p.bytes / p.pass_seconds * 1e-9, ok ? "yes" : "NO");
+    pass_json.push_back(JsonObject()
+                            .Str("pass", p.name)
+                            .Number("bytes", p.bytes)
+                            .Number("reference_seconds", p.reference_seconds)
+                            .Number("pass_seconds", p.pass_seconds)
+                            .Number("stream_seconds", p.stream_seconds)
+                            .Number("pass_over_stream",
+                                    p.pass_seconds / p.stream_seconds)
+                            .Bool("bitwise_vs_reference", p.bitwise)
+                            .Bool("thread_invariant", p.thread_invariant));
+  }
+
   // --- Blocked-kernel thread scaling (dense Gram; fixed schedule, so the
   // results are bitwise identical per the sweep above). Only lane counts
   // the machine has hardware threads for: more lanes than that time
@@ -256,8 +419,8 @@ int main(int argc, char** argv) {
   const char* isa_name =
       CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar";
   std::printf("\nkernel isa: %s\nchecks: %s\n", isa_name,
-              checks_pass ? "kernels within 1e-12 of the reference, bitwise "
-                            "across thread counts"
+              checks_pass ? "kernels within 1e-12 of the reference, GLM "
+                            "passes bitwise, bitwise across thread counts"
                           : "FAILED");
 
   if (flags.json) {
@@ -273,8 +436,10 @@ int main(int argc, char** argv) {
         .Number("sparse_matvec_t_speedup", micros[3].speedup())
         .Number("dense_margins_speedup", micros[4].speedup())
         .Array("micro", micro_json)
+        .Array("glm_pass", pass_json)
         .Array("thread_scaling", thread_json)
         .Str("kernel_isa", isa_name)
+        .Object("machine", MachineJson(hardware_threads, isa_name))
         .Bool("checks_pass", checks_pass);
     if (!WriteBenchFile(flags.json_path, root.ToString())) return 1;
   }

@@ -22,6 +22,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,9 +36,13 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
+// Set by the signal handler on whichever thread takes the signal, read by
+// the main loop: a lock-free atomic is async-signal-safe and, unlike a
+// volatile flag, ordered across threads.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void HandleSignal(int) { g_stop = 1; }
+void HandleSignal(int) { g_stop.store(true); }
 
 }  // namespace
 
@@ -139,7 +144,7 @@ int main(int argc, char** argv) {
               socket_path.c_str(), runner_threads);
   std::fflush(stdout);
 
-  while (!g_stop) {
+  while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 

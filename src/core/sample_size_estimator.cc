@@ -1,6 +1,7 @@
 #include "core/sample_size_estimator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -149,18 +150,35 @@ Result<SampleSizeEstimate> EstimateSampleSize(
   SampleSizeEstimate out;
   out.quantile_level = level.level;
 
-  // Feasibility: fraction of pairs with v(theta_n,i, theta_N,i) <= eps.
-  // The pairs are independent; the integer ok-count reduction is exact, so
-  // the fraction is identical for any thread count.
+  // A candidate n is feasible when the fraction of pairs with
+  // v(theta_n,i, theta_N,i) <= eps is at least the level (with level = 1
+  // every sampled pair must satisfy eps). `allowed` is the most failing
+  // pairs a feasible candidate can have, taken from that same double
+  // comparison, so "failures <= allowed" and "fraction >= level" agree for
+  // every count. The level is at most 1, so zero failures always pass.
+  auto fraction_of = [k](int ok) {
+    return static_cast<double>(ok) / static_cast<double>(k);
+  };
+  int allowed = 0;
+  while (allowed < k && fraction_of(k - allowed - 1) >= level.level) {
+    ++allowed;
+  }
+
   obs::FloatCounter* const eval_seconds = obs::Registry::Global().FloatCounter(
       "estimator_seconds", {{"part", "size_search_evals"}});
+  // One candidate's verdict. fraction is the full count whenever the
+  // candidate is feasible; an infeasible one may stop early (below).
+  struct Evaluation {
+    bool feasible;
+    double fraction;
+  };
   // Memo of every candidate n already evaluated: the bisection can revisit
   // a candidate (the final report at the returned n, or a trivially
-  // feasible lower bound), and each Monte-Carlo pass over all k pairs is
+  // feasible lower bound), and each Monte-Carlo pass over the k pairs is
   // the dominant search cost. out.evaluations counts memo misses only, so
   // it equals the number of *distinct* candidates evaluated.
-  std::vector<std::pair<Index, double>> evaluated;
-  auto success_fraction = [&](Index n) {
+  std::vector<std::pair<Index, Evaluation>> evaluated;
+  auto evaluate = [&](Index n) {
     for (const auto& memo : evaluated) {
       if (memo.first == n) return memo.second;
     }
@@ -170,10 +188,20 @@ Result<SampleSizeEstimate> EstimateSampleSize(
     const Scales s = ScalesFor(n0, n, full_n);
     const Matrix::Index score_cols =
         score_path ? base_scores.cols() : Matrix::Index{0};
+    // Early exit: once more than `allowed` pairs have failed, the
+    // candidate is infeasible whatever the rest give, so every chunk stops
+    // scanning. The count is shared across chunks; which pairs were scanned
+    // then depends on scheduling, but the verdict does not, and a feasible
+    // candidate never reaches the exit, so its count is always full. The
+    // candidate n = N, whose fraction the search may have to report, always
+    // scans every pair.
+    const int exit_after = n == full_n ? k : allowed;
+    std::atomic<int> failures{0};
     const int ok_count = ParallelReduce(
         ParallelIndex{0}, static_cast<ParallelIndex>(k), 0,
         [&](ParallelIndex b, ParallelIndex e) {
           int part = 0;
+          if (failures.load() > exit_after) return part;  // nothing to scan
           // Per-chunk scratch: the score matrices (and parameter vectors)
           // are overwritten for every pair instead of freshly allocated.
           Matrix s1, s2;
@@ -186,6 +214,7 @@ Result<SampleSizeEstimate> EstimateSampleSize(
             t2 = Vector(theta0.size());
           }
           for (ParallelIndex i = b; i < e; ++i) {
+            if (failures.load() > exit_after) break;
             double v;
             if (score_path) {
               // scores(theta_n,i) = S0 + a1 * Su_i;
@@ -211,29 +240,29 @@ Result<SampleSizeEstimate> EstimateSampleSize(
               Axpy(s.a2, param_w[static_cast<std::size_t>(i)], &t2);
               v = spec.Diff(t1, t2, holdout);
             }
-            if (v <= options.epsilon) ++part;
+            if (v <= options.epsilon) {
+              ++part;
+            } else {
+              ++failures;
+            }
           }
           return part;
         },
         [](int acc, int part) { return acc + part; }, kFineGrain);
     ++out.evaluations;
     eval_seconds->Add(eval_timer.Seconds());
-    const double fraction =
-        static_cast<double>(ok_count) / static_cast<double>(k);
-    evaluated.emplace_back(n, fraction);
-    return fraction;
+    const Evaluation result{failures.load() <= allowed, fraction_of(ok_count)};
+    evaluated.emplace_back(n, result);
+    return result;
   };
-
-  // The level is in (0, 1]; a fraction f is feasible when f >= level
-  // (with level = 1 this demands every sampled pair to satisfy eps).
-  auto feasible = [&](Index n) { return success_fraction(n) >= level.level; };
+  auto feasible = [&](Index n) { return evaluate(n).feasible; };
 
   Index lo = std::max<Index>(options.min_n, 1);
   lo = std::min(lo, full_n);
   Index hi = full_n;
   if (feasible(lo)) {
     out.sample_size = lo;
-    out.success_fraction = success_fraction(lo);  // memoized; no re-eval
+    out.success_fraction = evaluate(lo).fraction;  // memoized; no re-eval
     return out;
   }
   // Invariant: lo infeasible, hi feasible (at n = N the two parameter
@@ -249,7 +278,7 @@ Result<SampleSizeEstimate> EstimateSampleSize(
   out.sample_size = hi;
   // Memoized whenever hi was probed as a bisection midpoint; evaluated
   // once here otherwise (hi == full_n with no feasible midpoint found).
-  out.success_fraction = success_fraction(hi);
+  out.success_fraction = evaluate(hi).fraction;
   return out;
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "linalg/kernels.h"
+
 namespace blinkml {
 
 Dataset::Dataset(Matrix features, Vector labels, Task task, Index num_classes)
@@ -70,8 +72,7 @@ void Dataset::AddRowTo(Index i, double alpha, double* out) const {
     sparse_.AddRowTo(i, alpha, out);
     return;
   }
-  const double* row = dense_.row_data(i);
-  for (Index c = 0; c < dim_; ++c) out[c] += alpha * row[c];
+  kernels::AddScaledRow(alpha, dense_.row_data(i), dim_, out);
 }
 
 Dataset Dataset::TakeRows(const std::vector<Index>& rows) const {

@@ -74,6 +74,20 @@ void BatchRowGather(const SIndex* cols, const double* vals, SIndex nnz,
 
 #if BLINKML_KERNELS_AVX2
 
+// The end of DotUnrolledAvx2 from element k on: the (s0+s1)+(s2+s3)
+// merge of the four lanes, then the scalar tail.
+__attribute__((target("avx2"))) inline double MergeDotLanes(__m256d acc,
+                                                            const double* a,
+                                                            const double* b,
+                                                            DIndex k,
+                                                            DIndex n) {
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, acc);
+  double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; k < n; ++k) s += a[k] * b[k];
+  return s;
+}
+
 // AVX2 DotUnrolled: the 4 scalar chains are the 4 lanes of one ymm
 // register (element k lands in lane k % 4, exactly the chain it lands in
 // scalar), merged with the same scalar (s0+s1)+(s2+s3) and the same
@@ -88,11 +102,54 @@ __attribute__((target("avx2"))) double DotUnrolledAvx2(const double* a,
     acc = _mm256_add_pd(
         acc, _mm256_mul_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
   }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; k < n; ++k) s += a[k] * b[k];
-  return s;
+  return MergeDotLanes(acc, a, b, k, n);
+}
+
+// AVX2 DenseMargins: four rows per step share each load of theta. Each
+// row keeps its own 4-lane chain, merge and tail, so every margin is
+// bitwise DotUnrolledAvx2 of its row; the four chains are independent, so
+// the adds no longer wait on one chain's latency.
+__attribute__((target("avx2"))) void DenseMarginsAvx2(const Matrix& x,
+                                                      const double* theta,
+                                                      DIndex b, DIndex e,
+                                                      double* out) {
+  const DIndex d = x.cols();
+  DIndex i = b;
+  for (; i + 4 <= e; i += 4) {
+    const double* r0 = x.row_data(i);
+    const double* r1 = x.row_data(i + 1);
+    const double* r2 = x.row_data(i + 2);
+    const double* r3 = x.row_data(i + 3);
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    DIndex k = 0;
+    for (; k + 4 <= d; k += 4) {
+      const __m256d t = _mm256_loadu_pd(theta + k);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(r0 + k), t));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(r1 + k), t));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(r2 + k), t));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(r3 + k), t));
+    }
+    out[i - b] = MergeDotLanes(a0, r0, theta, k, d);
+    out[i + 1 - b] = MergeDotLanes(a1, r1, theta, k, d);
+    out[i + 2 - b] = MergeDotLanes(a2, r2, theta, k, d);
+    out[i + 3 - b] = MergeDotLanes(a3, r3, theta, k, d);
+  }
+  for (; i < e; ++i) out[i - b] = DotUnrolledAvx2(x.row_data(i), theta, d);
+}
+
+// AVX2 row update y += alpha * x: a multiply, then an add, per lane — no
+// FMA — so each element rounds exactly as the scalar y[c] += alpha * x[c].
+__attribute__((target("avx2"))) void AddScaledRowAvx2(double alpha,
+                                                      const double* x,
+                                                      DIndex n, double* y) {
+  const __m256d a = _mm256_set1_pd(alpha);
+  DIndex c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const __m256d ax = _mm256_mul_pd(a, _mm256_loadu_pd(x + c));
+    _mm256_storeu_pd(y + c, _mm256_add_pd(_mm256_loadu_pd(y + c), ax));
+  }
+  for (; c < n; ++c) y[c] += alpha * x[c];
 }
 
 // AVX2 BatchRowGather for a full kMultiVec group: lanes are the group's
@@ -945,11 +1002,26 @@ Matrix ApplyTransposedMultiBlocked(const SparseMatrix& a, const Matrix& t) {
 
 void DenseMargins(const Matrix& x, const double* theta, DIndex b, DIndex e,
                   double* out) {
-  const DIndex d = x.cols();
-  const DotFn dot = SelectDot();
-  for (DIndex i = b; i < e; ++i) {
-    out[i - b] = dot(x.row_data(i), theta, d);
+#if BLINKML_KERNELS_AVX2
+  if (UseAvx2()) {
+    DenseMarginsAvx2(x, theta, b, e, out);
+    return;
   }
+#endif
+  const DIndex d = x.cols();
+  for (DIndex i = b; i < e; ++i) {
+    out[i - b] = DotUnrolled(x.row_data(i), theta, d);
+  }
+}
+
+void AddScaledRow(double alpha, const double* x, DIndex n, double* y) {
+#if BLINKML_KERNELS_AVX2
+  if (UseAvx2()) {
+    AddScaledRowAvx2(alpha, x, n, y);
+    return;
+  }
+#endif
+  for (DIndex c = 0; c < n; ++c) y[c] += alpha * x[c];
 }
 
 void SparseMargins(const SparseMatrix& x, const double* theta, SIndex b,

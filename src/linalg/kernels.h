@@ -28,12 +28,13 @@
 // its Predict by construction (models/glm_spec.h).
 //
 // ISA dispatch: RuntimeOptions::kernel_isa selects AVX2 variants of the
-// hottest inner loops (the canonical dot, the sparse batched gather row,
-// the packed dense row behind MatVecMulti, and the multi-z scatter slabs).
-// The vector variants keep the scalar association exactly — the 4
-// unrolled chains become the 4 lanes of one ymm register merged in the
-// same (s0+s1)+(s2+s3) order (or one lane per batched column), and FMA is
-// never used — so AVX2 output is bitwise identical to the scalar output.
+// hottest inner loops (the canonical dot and the four-row dense margins,
+// the GLM row update, the sparse batched gather row, the packed dense row
+// behind MatVecMulti, and the multi-z scatter slabs). The vector variants
+// keep the scalar association exactly — the 4 unrolled chains become the
+// 4 lanes of one ymm register merged in the same (s0+s1)+(s2+s3) order (or
+// one lane per batched column or row element), and FMA is never used — so
+// AVX2 output is bitwise identical to the scalar output.
 
 #ifndef BLINKML_LINALG_KERNELS_H_
 #define BLINKML_LINALG_KERNELS_H_
@@ -163,9 +164,16 @@ Matrix ApplyTransposedMultiBlocked(const SparseMatrix& a, const Matrix& t);
 
 // --- GLM margin kernels (consumed by models/glm_spec.h).
 
-/// out[i - b] = <row i, theta> for i in [b, e), via DotUnrolled.
+/// out[i - b] = <row i, theta> for i in [b, e), via DotUnrolled. The AVX2
+/// variant runs four rows at a time against one load of theta, each row
+/// on its own chain, so every margin keeps DotUnrolled's bits.
 void DenseMargins(const Matrix& x, const double* theta, Matrix::Index b,
                   Matrix::Index e, double* out);
+
+/// y[c] += alpha * x[c] for c in [0, n): the dense row update of the GLM
+/// gradient passes (Dataset::AddRowTo). The AVX2 variant multiplies, then
+/// adds, so it is bitwise the scalar loop.
+void AddScaledRow(double alpha, const double* x, Matrix::Index n, double* y);
 
 /// Sparse counterpart via SparseDotUnrolled.
 void SparseMargins(const SparseMatrix& x, const double* theta,

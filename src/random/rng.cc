@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -21,6 +20,40 @@ std::uint64_t SplitMix64(std::uint64_t* x) {
 inline std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+// The chosen set of Floyd's sampler for k picks: open addressing over at
+// least 2k slots, flat in memory, with no per-entry allocation.
+class IndexSet {
+ public:
+  explicit IndexSet(std::int64_t k) {
+    std::size_t slots = 2;
+    while (slots < 2 * static_cast<std::size_t>(k)) {
+      slots *= 2;
+      --shift_;
+    }
+    slots_.assign(slots, -1);
+  }
+
+  /// Adds v >= 0; false when it was already present.
+  bool Insert(std::int64_t v) {
+    // Fibonacci hashing: the top bits of v times 2^64 / phi.
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> shift_);
+    for (;; i = (i + 1) & mask) {
+      std::int64_t& slot = slots_[i];
+      if (slot == v) return false;
+      if (slot < 0) {
+        slot = v;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::int64_t> slots_;  // -1 marks a free slot
+  int shift_ = 63;
+};
 
 }  // namespace
 
@@ -173,17 +206,16 @@ std::vector<std::int64_t> SampleWithoutReplacement(std::int64_t n,
     return pool;
   }
   // Sparse regime: Floyd's algorithm, O(k) memory.
-  std::unordered_set<std::int64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(k) * 2);
+  IndexSet chosen(k);
   std::vector<std::int64_t> out;
   out.reserve(static_cast<std::size_t>(k));
   for (std::int64_t j = n - k; j < n; ++j) {
     const std::int64_t t = static_cast<std::int64_t>(
         rng->UniformInt(static_cast<std::uint64_t>(j + 1)));
-    if (chosen.insert(t).second) {
+    if (chosen.Insert(t)) {
       out.push_back(t);
     } else {
-      chosen.insert(j);
+      chosen.Insert(j);
       out.push_back(j);
     }
   }

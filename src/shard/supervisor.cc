@@ -149,19 +149,14 @@ void WorkerSupervisor::NoteSuspect(std::uint32_t shard_id) {
 
 std::uint32_t WorkerSupervisor::RetryAfterHintMs(std::uint32_t shard_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint32_t floor_ms =
-      static_cast<std::uint32_t>(options_.probe_interval_ms);
-  if (shard_id >= workers_.size()) return floor_ms;
+  if (shard_id >= workers_.size()) return 0;
   const Worker& w = workers_[shard_id];
-  if (w.state == WorkerState::kBackoff) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        w.restart_due - Clock::now());
-    const std::int64_t ms = remaining.count();
-    if (ms > static_cast<std::int64_t>(floor_ms)) {
-      return static_cast<std::uint32_t>(ms);
-    }
-  }
-  return floor_ms;
+  if (w.state != WorkerState::kBackoff) return 0;
+  const std::int64_t ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(w.restart_due -
+                                                            Clock::now())
+          .count();
+  return static_cast<std::uint32_t>(std::max<std::int64_t>(ms, 0));
 }
 
 Status WorkerSupervisor::BeginDrain(std::uint32_t shard_id) {

@@ -164,8 +164,10 @@ class WorkerSupervisor {
   void NoteSuspect(std::uint32_t shard_id);
 
   /// How long a client should wait before retrying a request routed at
-  /// this worker (remaining backoff, or the probe interval when it is
-  /// mid-restart) — the retry-after hint on kUnavailable responses.
+  /// this worker: the time left until its scheduled restart while it is in
+  /// kBackoff, else 0 (a death is noticed by the next waitpid sweep, at
+  /// most 50 ms away, not by the probe interval). The router floors it
+  /// for its kUnavailable hint.
   std::uint32_t RetryAfterHintMs(std::uint32_t shard_id) const;
 
   /// Planned drain, phase 1: stop lifecycle management (no probes, no

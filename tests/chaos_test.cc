@@ -696,6 +696,42 @@ TEST_F(ChaosTest, RouterInlinePredictsSurviveWorkerKills) {
   EXPECT_GT(router.stats().unavailable, 0u);
 }
 
+// The kUnavailable retry-after hint tracks the worker's restart, not the
+// probe interval: with Health probes a minute apart, a worker that dies
+// answering its 3rd Predict is reaped by the monitor's waitpid sweep and
+// restarted after its short backoff, so a RetryPolicy client that honours
+// the hints converges in seconds. A hint floored at the probe interval
+// would make every retry sleep a minute.
+TEST_F(ChaosTest, RouterRetryHintTracksTheRestartNotTheProbeInterval) {
+  shard::RouterOptions options = ChaosRouterOptions("hint", 1);
+  options.worker.probe_interval_ms = 60000;
+  options.worker.max_restarts = 1000;
+  options.worker.worker_failpoints = "net.write_frame=exit:137@nth:3";
+  options.worker.inherit_env_failpoints = false;
+  shard::ShardRouter router(options);
+  ASSERT_TRUE(router.Start().ok());
+
+  auto client = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok());
+  RetryPolicy policy;
+  policy.max_attempts = 50;
+  policy.initial_backoff_ms = 10;
+  policy.max_backoff_ms = 100;
+  policy.reconnect = true;
+  client->set_retry_policy(policy);
+  const auto start = std::chrono::steady_clock::now();
+  for (int call = 0; call < 4; ++call) {
+    const PredictCase c = InlinePredict("tenant", 6 + call);
+    const auto answer = client->Predict(c.request);
+    ASSERT_TRUE(answer.ok()) << "call " << call << ": "
+                             << answer.status().ToString();
+    EXPECT_TRUE(SameBits(answer->predictions, c.want)) << "call " << call;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_GE(router.stats().worker_restarts, 1u);
+  EXPECT_GT(client->retry_stats().retries, 0u);
+}
+
 // DrainShard and Stop, called while clients keep pipelining small
 // Predicts, answer every admitted frame (bits or a retryable status) and
 // return.

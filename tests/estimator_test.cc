@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "models/ppca.h"
 #include "models/trainer.h"
 #include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
 #include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
@@ -380,6 +382,66 @@ TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {
         return out;
       },
       {1, 2, 8}, "batched sample-size estimate");
+}
+
+// The search stops scanning a candidate once more pairs have failed than
+// the level allows. That must change nothing it returns: the size, the
+// (full-count) success fraction, the evaluation count and the level equal
+// the per-draw reference, which scans every pair, at 1, 2 and 8 threads.
+TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
+  struct Case {
+    const char* what;
+    double epsilon;
+    double delta;
+    int num_samples;
+  };
+  const std::vector<Case> cases = {
+      {"level 1 (delta 0.05)", 0.05, 0.05, 60},
+      {"level below 1 (delta 0.3)", 0.05, 0.3, 128},
+      {"returns N (epsilon 0)", 0.0, 0.05, 60}};
+  ThreadPool pool(8);
+  for (const Case& c : cases) {
+    SampleSizeOptions options;
+    options.epsilon = c.epsilon;
+    options.delta = c.delta;
+    options.num_samples = c.num_samples;
+    Rng ref_rng(28);
+    const SampleSizeEstimate want = reference::EstimateSampleSizePerDraw(
+        spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+        &ref_rng);
+    if (c.delta > 0.05) {
+      // Some failures are allowed, and the returned n has some: a feasible
+      // candidate that an exit after the first failure would have lost.
+      EXPECT_LE(want.quantile_level,
+                1.0 - 1.0 / static_cast<double>(c.num_samples))
+          << c.what;
+      EXPECT_LT(want.success_fraction, 1.0) << c.what;
+    }
+    if (c.epsilon == 0.0) {
+      EXPECT_EQ(want.sample_size, pool_.num_rows());
+    } else {
+      EXPECT_LT(want.sample_size, pool_.num_rows()) << c.what;
+    }
+    for (const int threads : {1, 2, 8}) {
+      RuntimeOptions runtime;
+      runtime.pool = &pool;
+      runtime.num_threads = threads;
+      RuntimeScope scope(runtime);
+      Rng rng(28);
+      const auto got =
+          EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
+                             holdout_, options, &rng);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->sample_size, want.sample_size)
+          << c.what << " threads=" << threads;
+      EXPECT_EQ(got->success_fraction, want.success_fraction)
+          << c.what << " threads=" << threads;
+      EXPECT_EQ(got->evaluations, want.evaluations)
+          << c.what << " threads=" << threads;
+      EXPECT_EQ(got->quantile_level, want.quantile_level)
+          << c.what << " threads=" << threads;
+    }
+  }
 }
 
 // ---------- Search-evaluation accounting (memoized candidates) ----------

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,10 @@
 namespace blinkml {
 namespace {
 
+using testing::AtIsa;
+using testing::Avx2Available;
+using testing::IsaName;
+using testing::IsasToTest;
 using testing::RandomMatrix;
 using testing::RandomVector;
 using testing::SparseBinaryData;
@@ -181,35 +186,6 @@ TEST(SparseKernels, ApplyTransposedMultiBitwiseEqualsPerColumn) {
       "ApplyTransposedMulti");
 }
 
-// ---------- Runtime ISA scopes ----------
-
-// Runs fn with the given ISA forced via the scope.
-template <typename Fn>
-auto AtIsa(KernelIsa isa, const Fn& fn) {
-  RuntimeOptions options;
-  options.kernel_isa = isa;
-  RuntimeScope scope(options);
-  return fn();
-}
-
-// True when forcing kAvx2 actually resolves to kAvx2 (i.e. the CPU has
-// AVX2+FMA); on other machines the scope clamps back to kScalar and the
-// AVX2 legs of these tests are vacuous, so the callers skip them.
-bool Avx2Available() {
-  return AtIsa(KernelIsa::kAvx2,
-               [] { return CurrentKernelIsa() == KernelIsa::kAvx2; });
-}
-
-std::vector<KernelIsa> IsasToTest() {
-  std::vector<KernelIsa> isas = {KernelIsa::kScalar};
-  if (Avx2Available()) isas.push_back(KernelIsa::kAvx2);
-  return isas;
-}
-
-const char* IsaName(KernelIsa isa) {
-  return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
-}
-
 // ---------- Batched margins: the scoring consistency invariant ----------
 
 TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
@@ -306,6 +282,64 @@ TEST(BatchMargins, PredictBatchColumnsMatchPredict) {
                 << " d=" << data->dim() << " " << IsaName(isa) << " theta "
                 << t << " row " << i;
           }
+        }
+      }
+    }
+  }
+}
+
+// ---------- GLM walk kernels ----------
+
+// DenseMargins runs four rows at a time on AVX2; every margin must still
+// be the row's own DotUnrolled, over ranges whose start and length are
+// multiples of neither 4 nor the 64-row panel, at every tail length.
+TEST(GlmKernels, DenseMarginsBitwiseEqualPerRowDots) {
+  Rng rng(83);
+  for (const Matrix::Index d : {1, 2, 3, 4, 5, 41, 100, 101}) {
+    const Matrix x = RandomMatrix(211, d, &rng);
+    const Vector theta = RandomVector(d, &rng);
+    for (const auto& [b, e] : std::vector<std::pair<Matrix::Index,
+                                                    Matrix::Index>>{
+             {0, 211}, {3, 210}, {5, 74}, {7, 8}, {9, 9}, {130, 201}}) {
+      for (const KernelIsa isa : IsasToTest()) {
+        std::vector<double> out(static_cast<std::size_t>(e - b) + 1, -7.0);
+        AtIsa(isa, [&] {
+          kernels::DenseMargins(x, theta.data(), b, e, out.data());
+          return 0;
+        });
+        for (Matrix::Index i = b; i < e; ++i) {
+          ASSERT_EQ(out[static_cast<std::size_t>(i - b)],
+                    kernels::DotUnrolled(x.row_data(i), theta.data(), d))
+              << IsaName(isa) << " d=" << d << " [" << b << ", " << e
+              << ") row " << i;
+        }
+        // Nothing past e - b is written.
+        EXPECT_EQ(out.back(), -7.0) << IsaName(isa) << " d=" << d;
+      }
+    }
+  }
+}
+
+// The AVX2 row update multiplies, then adds: bitwise the scalar loop, for
+// every tail length and for zero and negative scales.
+TEST(GlmKernels, AddScaledRowBitwiseEqualsScalarLoop) {
+  Rng rng(84);
+  for (const Matrix::Index d : {0, 1, 2, 3, 4, 5, 7, 41, 100, 101}) {
+    const Vector x = RandomVector(d, &rng);
+    const Vector y0 = RandomVector(d, &rng);
+    for (const double alpha : {0.0, -0.0, 1.0, -1.0, 0.37, -2.5e-3, 1e300}) {
+      Vector want = y0;
+      for (Matrix::Index c = 0; c < d; ++c) want[c] += alpha * x[c];
+      for (const KernelIsa isa : IsasToTest()) {
+        Vector got = y0;
+        AtIsa(isa, [&] {
+          kernels::AddScaledRow(alpha, x.data(), d, got.data());
+          return 0;
+        });
+        for (Matrix::Index c = 0; c < d; ++c) {
+          ASSERT_EQ(std::memcmp(&got[c], &want[c], sizeof(double)), 0)
+              << IsaName(isa) << " d=" << d << " alpha=" << alpha << " c="
+              << c;
         }
       }
     }

@@ -1,5 +1,9 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "models/ppca.h"
 #include "models/trainer.h"
 #include "linalg/cholesky.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -197,6 +202,96 @@ TEST_P(SpecSweep, TrainingConverges) {
 INSTANTIATE_TEST_SUITE_P(AllSpecs, SpecSweep, ::testing::Range(0, 7));
 
 // ---------- Model-specific tests ----------
+
+// ---- The GLM walk against the row-by-row reference ----
+
+// 1,089 rows: 17 panels of 64 plus a one-row last panel, and four
+// GradientGrain chunks of 256 plus one of 65 — a multiple of neither.
+constexpr Dataset::Index kWalkRows = 1089;
+
+// Sparse binary rows of 0 to 12 entries; every seventh row is empty.
+Dataset SparseWalkData() {
+  Rng rng(91);
+  CsrBuilder builder;
+  Vector labels(kWalkRows);
+  for (Dataset::Index r = 0; r < kWalkRows; ++r) {
+    const Dataset::Index nnz = r % 7 == 3 ? 0 : r % 13;
+    for (const std::int64_t c : SampleWithoutReplacement(300, nnz, &rng)) {
+      builder.Add(c, rng.Normal());
+    }
+    builder.FinishRow();
+    labels[r] = rng.Bernoulli(0.4) ? 1.0 : 0.0;
+  }
+  return Dataset(std::move(builder).Build(300), std::move(labels),
+                 Task::kBinary);
+}
+
+bool SameBits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// Panels, the next-panel prefetch, the four-row dots and the vector row
+// update change no bit: every GLM pass equals the row-by-row reference
+// (canonical margins, the link, entry-by-entry updates) at both ISAs.
+TEST(GlmSpec, PassesBitwiseEqualRowByRowReference) {
+  const Dataset sparse = SparseWalkData();
+  const Dataset dense41 = MakeSyntheticLogistic(kWalkRows, 41, 92);
+  const Dataset dense100 = MakeSyntheticLogistic(kWalkRows, 100, 93);
+  const LinearRegressionSpec linear(1e-3);
+  const LogisticRegressionSpec logistic(1e-3);
+  const PoissonRegressionSpec poisson(1e-3);
+  const std::vector<std::pair<const ModelSpec*, reference::GlmLink>> specs = {
+      {&linear, reference::LinearLink()},
+      {&logistic, reference::LogisticLink()},
+      {&poisson, reference::PoissonLink()}};
+  for (const auto& [spec, link] : specs) {
+    for (const Dataset* data : {&sparse, &dense41, &dense100}) {
+      const Vector theta = testing::Trainedish(*data, 94);
+      const std::string what =
+          spec->name() + (data->is_sparse() ? " sparse" : " dense") +
+          " d=" + std::to_string(data->dim());
+      Vector want_grad;
+      const double want_f = reference::GlmObjectiveAndGradient(
+          link, theta, *data, spec->l2(), &want_grad);
+      const double want_value =
+          reference::GlmObjective(link, theta, *data, spec->l2());
+      const Vector want_coeffs =
+          reference::GlmGradientCoeffs(link, theta, *data);
+      const Matrix want_q =
+          reference::GlmPerExampleGradients(link, theta, *data);
+      const Vector want_pred = reference::GlmPredict(link, theta, *data);
+      for (const KernelIsa isa : testing::IsasToTest()) {
+        testing::AtIsa(isa, [&] {
+          const std::string at = what + " " + testing::IsaName(isa);
+          Vector grad;
+          const double f = spec->ObjectiveAndGradient(theta, *data, &grad);
+          EXPECT_TRUE(SameBits(&f, &want_f, 1)) << at;
+          ASSERT_EQ(grad.size(), want_grad.size()) << at;
+          EXPECT_TRUE(SameBits(grad.data(), want_grad.data(),
+                               static_cast<std::size_t>(grad.size())))
+              << at;
+          const double value = spec->Objective(theta, *data);
+          EXPECT_TRUE(SameBits(&value, &want_value, 1)) << at;
+          Vector coeffs;
+          spec->PerExampleGradientCoeffs(theta, *data, &coeffs);
+          EXPECT_TRUE(SameBits(coeffs.data(), want_coeffs.data(),
+                               static_cast<std::size_t>(kWalkRows)))
+              << at;
+          Matrix q;
+          spec->PerExampleGradients(theta, *data, &q);
+          EXPECT_TRUE(SameBits(q.data(), want_q.data(),
+                               static_cast<std::size_t>(want_q.size())))
+              << at;
+          Vector pred;
+          spec->Predict(theta, *data, &pred);
+          EXPECT_TRUE(SameBits(pred.data(), want_pred.data(),
+                               static_cast<std::size_t>(kWalkRows)))
+              << at;
+        });
+      }
+    }
+  }
+}
 
 TEST(LinearRegression, MatchesClosedFormRidgeSolution) {
   const Dataset data = MakeSyntheticLinear(400, 6, 200, /*noise=*/0.3);

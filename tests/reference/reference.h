@@ -14,6 +14,7 @@
 #ifndef BLINKML_TESTS_REFERENCE_REFERENCE_H_
 #define BLINKML_TESTS_REFERENCE_REFERENCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/accuracy_estimator.h"
@@ -62,6 +63,45 @@ Vector LogisticGradientCoeffs(const Vector& theta, const Dataset& data);
 /// with the loss and the sigmoid computed separately.
 double LogisticObjectiveAndGradient(const Vector& theta, const Dataset& data,
                                     double l2, Vector* grad);
+
+// ---- GLM passes, one row at a time ----
+
+/// The per-row arithmetic of a GLM link (models/glm_spec.h), restated.
+struct GlmLink {
+  double (*loss_and_coeff)(double margin, double y, double* coeff);
+  double (*coeff)(double margin, double y);
+  double (*predict)(double margin);
+};
+GlmLink LinearLink();
+GlmLink LogisticLink();
+GlmLink PoissonLink();
+
+/// <x_i, theta> with the canonical four-chain association (DotUnrolled /
+/// SparseDotUnrolled), as a plain loop.
+double CanonicalMargin(const Dataset& data, Dataset::Index i,
+                       const Vector& theta);
+
+// GlmSpec's passes without panels, lookahead or vector kernels: canonical
+// margins, the link, and the entry-by-entry row update. The two reductions
+// sum per GradientGrain chunk and merge the chunks in order, the layout the
+// production reductions fold in, so all five agree with GlmSpec bitwise.
+double GlmObjectiveAndGradient(const GlmLink& link, const Vector& theta,
+                               const Dataset& data, double l2, Vector* grad);
+double GlmObjective(const GlmLink& link, const Vector& theta,
+                    const Dataset& data, double l2);
+Vector GlmGradientCoeffs(const GlmLink& link, const Vector& theta,
+                         const Dataset& data);
+Matrix GlmPerExampleGradients(const GlmLink& link, const Vector& theta,
+                              const Dataset& data);
+Vector GlmPredict(const GlmLink& link, const Vector& theta,
+                  const Dataset& data);
+
+// ---- Sampling ----
+
+/// SampleWithoutReplacement with Floyd's chosen set in a std::unordered_set:
+/// the same Rng draws and the same output, in the same order.
+std::vector<std::int64_t> SampleWithoutReplacement(std::int64_t n,
+                                                   std::int64_t k, Rng* rng);
 
 // ---- Monte-Carlo estimators ----
 

@@ -1,10 +1,14 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "random/rng.h"
+#include "tests/reference/reference.h"
 #include "tests/test_util.h"
 #include "util/stats.h"
 
@@ -197,6 +201,29 @@ TEST(SampleWithoutReplacement, MarginalInclusionIsUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c / static_cast<double>(trials),
                 static_cast<double>(k) / n, 0.012);
+  }
+}
+
+// Floyd's chosen set lives in a flat open-addressing table; the sampler
+// must consume the same draws and return the same vector as the hash-set
+// oracle, on both sides of the dense-branch boundary (3k < n).
+TEST(SampleWithoutReplacement, MatchesHashSetOracle) {
+  const std::vector<std::pair<std::int64_t, std::int64_t>> cases = {
+      {1, 1},
+      {100, 1},
+      {100, 33},  // the largest k that takes the Floyd branch at n = 100
+      {198000, 42000},
+      {198000, 65999},  // the largest Floyd k at n = 198,000 (3k < n)
+      {20000, 39},      // the sparse generator's per-row column draw
+      {1000000, 1000}};
+  for (const auto& [n, k] : cases) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      Rng a(seed), b(seed);
+      const auto got = SampleWithoutReplacement(n, k, &a);
+      const auto want = reference::SampleWithoutReplacement(n, k, &b);
+      EXPECT_EQ(got, want) << "n=" << n << " k=" << k;
+      EXPECT_EQ(a.Next(), b.Next()) << "n=" << n << " k=" << k;
+    }
   }
 }
 

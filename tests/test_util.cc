@@ -94,6 +94,21 @@ Vector Trainedish(const Dataset& data, std::uint64_t seed) {
   return theta;
 }
 
+bool Avx2Available() {
+  return AtIsa(KernelIsa::kAvx2,
+               [] { return CurrentKernelIsa() == KernelIsa::kAvx2; });
+}
+
+std::vector<KernelIsa> IsasToTest() {
+  std::vector<KernelIsa> isas = {KernelIsa::kScalar};
+  if (Avx2Available()) isas.push_back(KernelIsa::kAvx2);
+  return isas;
+}
+
+const char* IsaName(KernelIsa isa) {
+  return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
+}
+
 void ExpectThreadCountInvariant(const std::function<Vector()>& fn,
                                 std::vector<int> thread_counts,
                                 const char* what) {

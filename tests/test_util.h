@@ -21,6 +21,7 @@
 #include "linalg/vector.h"
 #include "models/logistic_regression.h"
 #include "random/rng.h"
+#include "runtime/runtime_options.h"
 
 namespace blinkml {
 namespace testing {
@@ -94,6 +95,27 @@ class MergePathLogistic : public LogisticRegressionSpec {
   using LogisticRegressionSpec::LogisticRegressionSpec;
   bool has_gradient_coeffs() const override { return false; }
 };
+
+// ---- Kernel ISA scopes ----
+
+/// Runs fn with the given kernel ISA forced via a RuntimeScope.
+template <typename Fn>
+auto AtIsa(KernelIsa isa, const Fn& fn) {
+  RuntimeOptions options;
+  options.kernel_isa = isa;
+  RuntimeScope scope(options);
+  return fn();
+}
+
+/// True when forcing kAvx2 actually resolves to kAvx2 (i.e. the CPU has
+/// AVX2+FMA); on other machines the scope clamps back to kScalar and the
+/// AVX2 legs of the ISA tests are vacuous, so the callers skip them.
+bool Avx2Available();
+
+/// kScalar, plus kAvx2 when the CPU has it.
+std::vector<KernelIsa> IsasToTest();
+
+const char* IsaName(KernelIsa isa);
 
 // ---- Thread-count sweeps ----
 
