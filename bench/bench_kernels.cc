@@ -11,20 +11,28 @@
 //     final sample (42,000 x 100) and a search-sparse-sized sample (33,000
 //     rows, 20,000 columns, 39 nnz per row), on one lane, next to the
 //     row-by-row reference pass and a plain streaming read of the same
-//     feature bytes — how close the pass runs to memory speed.
+//     feature bytes — how close the pass runs to memory speed;
+//   * mc_verdicts: one group of 8 Monte-Carlo verdicts over a train-dense
+//     holdout (2,000 rows, one score column) from the fused
+//     DiffsFromScoreBatch, next to the materialize-then-DiffFromScores
+//     loop it replaced, in the accuracy form (s2 = w + base) and the size
+//     form (s1 = u * a1 + base, s2 = w * a2 + s1), for the logistic
+//     (binary) and linear (regression) links.
 // End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
 //
 // Honors BLINKML_SCALE (matvec dataset size) and BLINKML_REPEATS. Exit
 // status reflects the correctness checks — kernel results within 1e-12
-// (relative) of the reference and bitwise identical across 1/2/8 threads
-// — not the speedup numbers.
+// (relative) of the reference and bitwise identical across 1/2/8 threads,
+// GLM passes and Monte-Carlo verdicts bitwise equal to their references —
+// not the speedup numbers.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -34,6 +42,7 @@
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "models/linear_regression.h"
 #include "models/logistic_regression.h"
 #include "models/model_spec.h"
 #include "random/rng.h"
@@ -165,6 +174,94 @@ PassResult RunGlmPass(const std::string& name, const Dataset& data,
     out.thread_invariant =
         out.thread_invariant && MaxAbsDiff(pass(), got) == 0.0;
   }
+  return out;
+}
+
+// One group of Monte-Carlo verdicts, fused and as the loop it replaced.
+struct VerdictResult {
+  std::string name;
+  double loop_seconds = 0.0;   // per group
+  double fused_seconds = 0.0;  // per group
+  bool bitwise = false;        // fused v == loop v, bitwise
+};
+
+// Times the v of one 8-draw group over `holdout` (a single-output GLM's
+// holdout, so one score column): the fused DiffsFromScoreBatch against
+// the per-draw loop that materialized s1 and s2 and called
+// DiffFromScores. The accuracy form (no u, a2 = 1) wrote s2 = batch +
+// base from the group's block; the size form read per-draw copies of the
+// u and w columns, made once per search and left out of the timing.
+VerdictResult RunVerdicts(const std::string& name, const ModelSpec& spec,
+                          const Dataset& holdout, bool size_form,
+                          int repeats) {
+  constexpr int kGroup = 8;
+  constexpr int kCalls = 64;  // groups per timed call, against timer noise
+  Rng rng(41);
+  const auto random_theta = [&](double sd) {
+    Vector theta(holdout.dim());
+    for (Vector::Index j = 0; j < theta.size(); ++j) {
+      theta[j] = rng.Normal(0.0, sd);
+    }
+    return theta;
+  };
+  const Matrix base = spec.Scores(random_theta(0.1), holdout);
+  std::vector<Vector> draws;
+  for (int t = 0; t < 2 * kGroup; ++t) draws.push_back(random_theta(1.0));
+  std::vector<const Vector*> u_ptrs, w_ptrs;
+  for (int t = 0; t < kGroup; ++t) {
+    u_ptrs.push_back(&draws[static_cast<std::size_t>(t)]);
+    w_ptrs.push_back(&draws[static_cast<std::size_t>(kGroup + t)]);
+  }
+  const Matrix u = spec.ScoresBatch(u_ptrs, holdout);
+  const Matrix w = spec.ScoresBatch(w_ptrs, holdout);
+  // A train-dense candidate's scales: n0 = 10K, n = 40K, N = 198K.
+  const double a1 = size_form ? std::sqrt(1.0 / 10'000 - 1.0 / 40'000) : 0.0;
+  const double a2 =
+      size_form ? std::sqrt(1.0 / 40'000 - 1.0 / 198'000) : 1.0;
+  const Matrix::Index h = base.rows();
+  std::vector<Matrix> u_cols, w_cols;
+  for (Matrix::Index t = 0; t < kGroup; ++t) {
+    u_cols.push_back(Matrix(h, 1));
+    w_cols.push_back(Matrix(h, 1));
+    for (Matrix::Index r = 0; r < h; ++r) {
+      u_cols.back()(r, 0) = u(r, t);
+      w_cols.back()(r, 0) = w(r, t);
+    }
+  }
+  double loop_v[kGroup];
+  double fused_v[kGroup];
+  Matrix s1(h, 1), s2(h, 1);
+  const auto loop = [&] {
+    for (Matrix::Index t = 0; t < kGroup; ++t) {
+      if (!size_form) {
+        for (Matrix::Index r = 0; r < h; ++r) s2(r, 0) = w(r, t) + base(r, 0);
+        loop_v[t] = spec.DiffFromScores(base, s2, holdout);
+        continue;
+      }
+      const double* su = u_cols[static_cast<std::size_t>(t)].data();
+      const double* sw = w_cols[static_cast<std::size_t>(t)].data();
+      for (Matrix::Index j = 0; j < h; ++j) {
+        s1.data()[j] = su[j] * a1 + base.data()[j];
+        s2.data()[j] = sw[j] * a2 + s1.data()[j];
+      }
+      loop_v[t] = spec.DiffFromScores(s1, s2, holdout);
+    }
+  };
+  const auto fused = [&] {
+    spec.DiffsFromScoreBatch(base, size_form ? &u : nullptr, a1, w, a2,
+                             holdout, fused_v);
+  };
+  VerdictResult out;
+  out.name = name;
+  out.loop_seconds = TimeIt(repeats, [&] {
+                       for (int c = 0; c < kCalls; ++c) loop();
+                     }) /
+                     kCalls;
+  out.fused_seconds = TimeIt(repeats, [&] {
+                        for (int c = 0; c < kCalls; ++c) fused();
+                      }) /
+                      kCalls;
+  out.bitwise = std::memcmp(loop_v, fused_v, sizeof(loop_v)) == 0;
   return out;
 }
 
@@ -357,6 +454,25 @@ int main(int argc, char** argv) {
   passes.push_back(RunGlmPass("logistic sparse 33,000 x 20,000 (39 nnz)",
                               pass_sparse, &pool, repeats));
 
+  // Monte-Carlo verdicts at the train-dense holdout shape; fixed, not
+  // scaled.
+  const Dataset verdict_binary = MakeSyntheticLogistic(/*n=*/2'000,
+                                                       /*dim=*/100,
+                                                       /*seed=*/35);
+  const Dataset verdict_regression = MakeSyntheticLinear(/*n=*/2'000,
+                                                         /*dim=*/100,
+                                                         /*seed=*/36);
+  const LogisticRegressionSpec logistic(1e-4);
+  const LinearRegressionSpec linear(1e-4);
+  std::vector<VerdictResult> verdicts;
+  for (const bool size_form : {false, true}) {
+    const char* form = size_form ? "size" : "accuracy";
+    verdicts.push_back(RunVerdicts(StrFormat("logistic %s", form), logistic,
+                                   verdict_binary, size_form, repeats));
+    verdicts.push_back(RunVerdicts(StrFormat("linear %s", form), linear,
+                                   verdict_regression, size_form, repeats));
+  }
+
   bool checks_pass = true;
   std::printf("\n%-34s| %-10s| %-10s| %-8s| %-10s| %s\n", "kernel",
               "reference", "blocked", "speedup", "rel diff", "1/2/8 bitwise");
@@ -402,6 +518,26 @@ int main(int argc, char** argv) {
                             .Bool("thread_invariant", p.thread_invariant));
   }
 
+  // --- Monte-Carlo verdicts: per group of 8 draws, one lane.
+  std::printf("\n%-42s| %-10s| %-10s| %-8s| %s\n",
+              "mc_verdicts (8 draws, 2,000 x 1)", "loop", "fused", "speedup",
+              "bitwise");
+  std::vector<JsonObject> verdict_json;
+  for (const VerdictResult& v : verdicts) {
+    checks_pass = checks_pass && v.bitwise;
+    std::printf("%-42s| %-10s| %-10s| %-8.2f| %s\n", v.name.c_str(),
+                HumanSeconds(v.loop_seconds).c_str(),
+                HumanSeconds(v.fused_seconds).c_str(),
+                v.loop_seconds / v.fused_seconds, v.bitwise ? "yes" : "NO");
+    verdict_json.push_back(JsonObject()
+                               .Str("verdicts", v.name)
+                               .Number("loop_seconds", v.loop_seconds)
+                               .Number("fused_seconds", v.fused_seconds)
+                               .Number("speedup",
+                                       v.loop_seconds / v.fused_seconds)
+                               .Bool("bitwise_vs_loop", v.bitwise));
+  }
+
   // --- Blocked-kernel thread scaling (dense Gram; fixed schedule, so the
   // results are bitwise identical per the sweep above). Only lane counts
   // the machine has hardware threads for: more lanes than that time
@@ -420,7 +556,8 @@ int main(int argc, char** argv) {
       CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar";
   std::printf("\nkernel isa: %s\nchecks: %s\n", isa_name,
               checks_pass ? "kernels within 1e-12 of the reference, GLM "
-                            "passes bitwise, bitwise across thread counts"
+                            "passes and Monte-Carlo verdicts bitwise, "
+                            "bitwise across thread counts"
                           : "FAILED");
 
   if (flags.json) {
@@ -437,6 +574,7 @@ int main(int argc, char** argv) {
         .Number("dense_margins_speedup", micros[4].speedup())
         .Array("micro", micro_json)
         .Array("glm_pass", pass_json)
+        .Array("mc_verdicts", verdict_json)
         .Array("thread_scaling", thread_json)
         .Str("kernel_isa", isa_name)
         .Object("machine", MachineJson(hardware_threads, isa_name))

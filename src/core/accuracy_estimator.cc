@@ -71,7 +71,6 @@ Result<AccuracyEstimate> EstimateAccuracy(
           // loop consumes, so the drawn bits are identical to one
           // sampler.Draw per sample (tests/reference/).
           const Vector::Index rank = sampler.rank();
-          Matrix scratch;  // per-chunk scratch scores, reused across draws
           std::vector<const Vector*> ptrs;
           for (ParallelIndex g = b; g < e; g += kernels::kMultiVec) {
             const ParallelIndex ge =
@@ -83,22 +82,12 @@ Result<AccuracyEstimate> EstimateAccuracy(
             if (score_path) {
               ptrs.clear();
               for (const Vector& d : deltas) ptrs.push_back(&d);
+              // v_i = DiffFromScores(base, batch_i + base) for the whole
+              // group in one call: no u, a2 = 1.
               const Matrix batch = spec.ScoresBatch(ptrs, holdout);
-              const Matrix::Index h = base_scores.rows();
-              const Matrix::Index c = base_scores.cols();
-              if (scratch.rows() == 0) scratch = Matrix(h, c);
-              for (Matrix::Index d = 0; d < width; ++d) {
-                for (Matrix::Index r = 0; r < h; ++r) {
-                  const double* brow = batch.row_data(r) + d * c;
-                  const double* base_row = base_scores.row_data(r);
-                  double* srow = scratch.row_data(r);
-                  for (Matrix::Index j = 0; j < c; ++j) {
-                    srow[j] = brow[j] + base_row[j];
-                  }
-                }
-                vs[static_cast<std::size_t>(g) + static_cast<std::size_t>(d)] =
-                    spec.DiffFromScores(base_scores, scratch, holdout);
-              }
+              spec.DiffsFromScoreBatch(base_scores, nullptr, 0.0, batch, 1.0,
+                                       holdout,
+                                       vs.data() + static_cast<std::size_t>(g));
             } else {
               for (Matrix::Index d = 0; d < width; ++d) {
                 Vector theta_full = theta_n;

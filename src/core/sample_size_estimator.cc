@@ -61,12 +61,24 @@ Result<SampleSizeEstimate> EstimateSampleSize(
 
   // Unscaled draws (sampling by scaling + common random numbers): u_i and
   // w_i, held either as holdout score deltas (score path; O(k h C) memory)
-  // or as parameter vectors (generic path; O(k p) memory).
-  std::vector<Matrix> score_u, score_w;
+  // or as parameter vectors (generic path; O(k p) memory). The score path
+  // keeps each group's two ScoresBatch matrices as they come: group j of
+  // draw chunk c is slot c * groups_per_chunk + j (only the last chunk can
+  // be shorter), and its width is its column count over C.
+  const ChunkLayout layout = ComputeChunks(k, kFineGrain);
+  auto groups_in = [](ParallelIndex len) {
+    return (len + kernels::kMultiVec - 1) / kernels::kMultiVec;
+  };
+  const ParallelIndex groups_per_chunk = groups_in(layout.chunk_size);
+  std::vector<Matrix> group_u, group_w;
   std::vector<Vector> param_u, param_w;
   if (score_path) {
-    score_u.resize(static_cast<std::size_t>(k));
-    score_w.resize(static_cast<std::size_t>(k));
+    const ParallelIndex last_chunk =
+        k - (layout.num_chunks - 1) * layout.chunk_size;
+    const auto groups = static_cast<std::size_t>(
+        (layout.num_chunks - 1) * groups_per_chunk + groups_in(last_chunk));
+    group_u.resize(groups);
+    group_w.resize(groups);
   } else {
     param_u.resize(static_cast<std::size_t>(k));
     param_w.resize(static_cast<std::size_t>(k));
@@ -75,7 +87,6 @@ Result<SampleSizeEstimate> EstimateSampleSize(
     // Observability only (wall clock around the loop; never feeds back).
     obs::SpanScope span("mc:size_draws", "estimator", "num_samples", k);
     WallTimer draw_timer;
-    const ChunkLayout layout = ComputeChunks(k, kFineGrain);
     std::vector<Rng> chunk_rngs = SplitRngPerChunk(layout, rng);
     ParallelForChunks(
         0, k, layout,
@@ -87,7 +98,9 @@ Result<SampleSizeEstimate> EstimateSampleSize(
           // match one sampler.Draw per draw (tests/reference/) for any
           // thread count.
           const Vector::Index rank = sampler.rank();
-          for (ParallelIndex g = b; g < e; g += kernels::kMultiVec) {
+          std::size_t slot =
+              static_cast<std::size_t>(chunk * groups_per_chunk);
+          for (ParallelIndex g = b; g < e; g += kernels::kMultiVec, ++slot) {
             const ParallelIndex ge =
                 std::min<ParallelIndex>(g + kernels::kMultiVec, e);
             const Matrix::Index width = static_cast<Matrix::Index>(ge - g);
@@ -102,30 +115,10 @@ Result<SampleSizeEstimate> EstimateSampleSize(
             if (score_path) {
               std::vector<const Vector*> ptrs;
               for (const Vector& u : us) ptrs.push_back(&u);
-              const Matrix batch_u = spec.ScoresBatch(ptrs, holdout);
+              group_u[slot] = spec.ScoresBatch(ptrs, holdout);
               ptrs.clear();
               for (const Vector& w : ws) ptrs.push_back(&w);
-              const Matrix batch_w = spec.ScoresBatch(ptrs, holdout);
-              const Matrix::Index h = holdout.num_rows();
-              const Matrix::Index c = batch_u.cols() / width;
-              for (Matrix::Index d = 0; d < width; ++d) {
-                const std::size_t i =
-                    static_cast<std::size_t>(g) + static_cast<std::size_t>(d);
-                Matrix su(h, c);
-                Matrix sw(h, c);
-                for (Matrix::Index r = 0; r < h; ++r) {
-                  const double* urow = batch_u.row_data(r) + d * c;
-                  const double* wrow = batch_w.row_data(r) + d * c;
-                  double* suo = su.row_data(r);
-                  double* swo = sw.row_data(r);
-                  for (Matrix::Index j = 0; j < c; ++j) {
-                    suo[j] = urow[j];
-                    swo[j] = wrow[j];
-                  }
-                }
-                score_u[i] = std::move(su);
-                score_w[i] = std::move(sw);
-              }
+              group_w[slot] = spec.ScoresBatch(ptrs, holdout);
             } else {
               for (Matrix::Index d = 0; d < width; ++d) {
                 const std::size_t i =
@@ -186,69 +179,56 @@ Result<SampleSizeEstimate> EstimateSampleSize(
                              static_cast<long long>(n));
     WallTimer eval_timer;
     const Scales s = ScalesFor(n0, n, full_n);
-    const Matrix::Index score_cols =
-        score_path ? base_scores.cols() : Matrix::Index{0};
     // Early exit: once more than `allowed` pairs have failed, the
     // candidate is infeasible whatever the rest give, so every chunk stops
-    // scanning. The count is shared across chunks; which pairs were scanned
+    // at its next group (the score path's unit) or pair (the generic
+    // path's). The count is shared across chunks; which pairs were scanned
     // then depends on scheduling, but the verdict does not, and a feasible
     // candidate never reaches the exit, so its count is always full. The
     // candidate n = N, whose fraction the search may have to report, always
     // scans every pair.
     const int exit_after = n == full_n ? k : allowed;
     std::atomic<int> failures{0};
+    const auto units = static_cast<ParallelIndex>(
+        score_path ? group_w.size() : static_cast<std::size_t>(k));
     const int ok_count = ParallelReduce(
-        ParallelIndex{0}, static_cast<ParallelIndex>(k), 0,
+        ParallelIndex{0}, units, 0,
         [&](ParallelIndex b, ParallelIndex e) {
           int part = 0;
-          if (failures.load() > exit_after) return part;  // nothing to scan
-          // Per-chunk scratch: the score matrices (and parameter vectors)
-          // are overwritten for every pair instead of freshly allocated.
-          Matrix s1, s2;
-          Vector t1, t2;
-          if (score_path) {
-            s1 = Matrix(base_scores.rows(), score_cols);
-            s2 = Matrix(base_scores.rows(), score_cols);
-          } else {
-            t1 = Vector(theta0.size());
-            t2 = Vector(theta0.size());
-          }
+          double vs[kernels::kMultiVec];
+          Vector t1, t2;  // generic-path scratch, reused across pairs
           for (ParallelIndex i = b; i < e; ++i) {
             if (failures.load() > exit_after) break;
-            double v;
+            const auto unit = static_cast<std::size_t>(i);
+            Matrix::Index width = 1;
             if (score_path) {
-              // scores(theta_n,i) = S0 + a1 * Su_i;
-              // scores(theta_N,i) = S0 + a1 * Su_i + a2 * Sw_i.
-              // Written fused: s1 = Su_i * a1 + S0 (the same operand order
-              // as the copy/scale/add sequence, so the bits are unchanged).
-              // All five h x c blocks are contiguous row-major, so one
-              // flat loop covers them element by element.
-              const double* su = score_u[static_cast<std::size_t>(i)].data();
-              const double* sw = score_w[static_cast<std::size_t>(i)].data();
-              const double* base = base_scores.data();
-              double* s1d = s1.data();
-              double* s2d = s2.data();
-              for (Matrix::Index j = 0; j < s1.size(); ++j) {
-                s1d[j] = su[j] * s.a1 + base[j];
-                s2d[j] = sw[j] * s.a2 + s1d[j];
+              // v of every pair in the group, from scores(theta_n,i) =
+              // S0 + a1 * Su_i and scores(theta_N,i) = S0 + a1 * Su_i +
+              // a2 * Sw_i.
+              width = group_w[unit].cols() / base_scores.cols();
+              spec.DiffsFromScoreBatch(base_scores, &group_u[unit], s.a1,
+                                       group_w[unit], s.a2, holdout, vs);
+            } else {
+              t1 = theta0;
+              Axpy(s.a1, param_u[unit], &t1);
+              t2 = t1;
+              Axpy(s.a2, param_w[unit], &t2);
+              vs[0] = spec.Diff(t1, t2, holdout);
+            }
+            int failed = 0;
+            for (Matrix::Index t = 0; t < width; ++t) {
+              if (vs[t] <= options.epsilon) {
+                ++part;
+              } else {
+                ++failed;
               }
-              v = spec.DiffFromScores(s1, s2, holdout);
-            } else {
-              for (Vector::Index j = 0; j < t1.size(); ++j) t1[j] = theta0[j];
-              Axpy(s.a1, param_u[static_cast<std::size_t>(i)], &t1);
-              for (Vector::Index j = 0; j < t2.size(); ++j) t2[j] = t1[j];
-              Axpy(s.a2, param_w[static_cast<std::size_t>(i)], &t2);
-              v = spec.Diff(t1, t2, holdout);
             }
-            if (v <= options.epsilon) {
-              ++part;
-            } else {
-              ++failures;
-            }
+            if (failed > 0) failures += failed;
           }
           return part;
         },
-        [](int acc, int part) { return acc + part; }, kFineGrain);
+        [](int acc, int part) { return acc + part; },
+        score_path ? 1 : kFineGrain);
     ++out.evaluations;
     eval_seconds->Add(eval_timer.Seconds());
     const Evaluation result{failures.load() <= allowed, fraction_of(ok_count)};

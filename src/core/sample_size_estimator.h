@@ -14,7 +14,21 @@
 //     every candidate, making the feasibility test monotone path-by-path;
 //   * score caching — for linear-score models the unscaled draws are
 //     converted to holdout score deltas once, so each candidate costs
-//     O(k * holdout * classes) comparisons with no O(p) work at all.
+//     O(k * holdout * classes) comparisons with no O(p) work at all;
+//   * fused verdicts — the score deltas stay in the ScoresBatch blocks of
+//     their groups of 8 pairs, and a candidate scores a whole group with
+//     one ModelSpec::DiffsFromScoreBatch call: for logistic regression a
+//     count of sign flips between S0 + a1 Su and S0 + a1 Su + a2 Sw, run
+//     in SIMD lanes straight from the blocks, with no per-pair score
+//     matrix written or re-read;
+//   * early exit — a candidate stops at its next group once more pairs
+//     have failed than the quantile level allows (the first failure at
+//     delta = 0.05). A feasible candidate never stops, so the returned n,
+//     its success fraction and the evaluation count equal a full scan's.
+// On a traced train-dense request (dense 200K x 100 logistic, k = 256,
+// h = 2,000, ~18.6 candidates; 4-vCPU VM) the size estimate takes about
+// 19 ms and the two accuracy estimates about 26 ms of a 104 ms request
+// (medians of six traced runs).
 
 #ifndef BLINKML_CORE_SAMPLE_SIZE_ESTIMATOR_H_
 #define BLINKML_CORE_SAMPLE_SIZE_ESTIMATOR_H_

@@ -1090,5 +1090,100 @@ Matrix BatchMarginsSparse(const SparseMatrix& x,
   return margins;
 }
 
+namespace {
+
+// The scalar flip count, one draw per inner step. kHasU hoists the
+// "s1 = base" case out of the row loop.
+template <bool kHasU>
+void CountSignFlipsScalar(const double* base, const double* u, double a1,
+                          const double* w, double a2, DIndex h, DIndex width,
+                          DIndex first, DIndex* flips) {
+  for (DIndex r = 0; r < h; ++r) {
+    const double b = base[r];
+    const std::size_t row = static_cast<std::size_t>(r) * width;
+    for (DIndex t = first; t < width; ++t) {
+      const double s1 = kHasU ? u[row + t] * a1 + b : b;
+      const double s2 = w[row + t] * a2 + s1;
+      flips[t] += (s1 >= 0.0) != (s2 >= 0.0);
+    }
+  }
+}
+
+#if BLINKML_KERNELS_AVX2
+
+// Four lanes of the flip count: per lane the scalar products and sums (a
+// multiply, then an add; no FMA), labels from _CMP_GE_OQ (false for NaN,
+// as m >= 0.0 is), and a flip adds the all-ones xor mask, i.e. subtracts
+// -1, from the lane's 64-bit counter.
+template <bool kHasU>
+__attribute__((target("avx2"))) inline __m256i FlipQuadAvx2(
+    __m256d b, const double* uq, __m256d va1, const double* wq, __m256d va2,
+    __m256i count) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d s1 =
+      kHasU ? _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(uq), va1), b) : b;
+  const __m256d s2 = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(wq), va2), s1);
+  const __m256d flip = _mm256_xor_pd(_mm256_cmp_pd(s1, zero, _CMP_GE_OQ),
+                                     _mm256_cmp_pd(s2, zero, _CMP_GE_OQ));
+  return _mm256_sub_epi64(count, _mm256_castpd_si256(flip));
+}
+
+// Lanes [0, 4) and, for a full group, [4, 8) in ymm registers; the lanes
+// of a 5- to 7-wide group past the first quad are left to the scalar loop.
+template <bool kHasU>
+__attribute__((target("avx2"))) void CountSignFlipsAvx2(
+    const double* base, const double* u, double a1, const double* w,
+    double a2, DIndex h, DIndex width, DIndex* flips) {
+  const bool high = width == 8;
+  const __m256d va1 = _mm256_set1_pd(a1);
+  const __m256d va2 = _mm256_set1_pd(a2);
+  __m256i lo_count = _mm256_setzero_si256();
+  __m256i hi_count = _mm256_setzero_si256();
+  for (DIndex r = 0; r < h; ++r) {
+    const __m256d b = _mm256_set1_pd(base[r]);
+    const std::size_t row = static_cast<std::size_t>(r) * width;
+    const double* ur = kHasU ? u + row : nullptr;
+    lo_count = FlipQuadAvx2<kHasU>(b, ur, va1, w + row, va2, lo_count);
+    if (high) {
+      hi_count = FlipQuadAvx2<kHasU>(b, kHasU ? ur + 4 : nullptr, va1,
+                                     w + row + 4, va2, hi_count);
+    }
+  }
+  alignas(32) long long lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), lo_count);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), hi_count);
+  for (DIndex t = 0; t < (high ? 8 : 4); ++t) flips[t] = lanes[t];
+  if (!high) {
+    CountSignFlipsScalar<kHasU>(base, u, a1, w, a2, h, width, 4, flips);
+  }
+}
+
+#endif  // BLINKML_KERNELS_AVX2
+
+}  // namespace
+
+void CountSignFlips(const double* base, const double* u, double a1,
+                    const double* w, double a2, DIndex h, DIndex width,
+                    DIndex* flips) {
+  BLINKML_CHECK(width >= 1 && width <= kMultiVec);
+  static_assert(kMultiVec == 8, "CountSignFlipsAvx2 covers two quads");
+  for (DIndex t = 0; t < width; ++t) flips[t] = 0;
+#if BLINKML_KERNELS_AVX2
+  if (width >= 4 && UseAvx2()) {
+    if (u != nullptr) {
+      CountSignFlipsAvx2<true>(base, u, a1, w, a2, h, width, flips);
+    } else {
+      CountSignFlipsAvx2<false>(base, u, a1, w, a2, h, width, flips);
+    }
+    return;
+  }
+#endif
+  if (u != nullptr) {
+    CountSignFlipsScalar<true>(base, u, a1, w, a2, h, width, 0, flips);
+  } else {
+    CountSignFlipsScalar<false>(base, u, a1, w, a2, h, width, 0, flips);
+  }
+}
+
 }  // namespace kernels
 }  // namespace blinkml

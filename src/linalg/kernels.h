@@ -30,11 +30,12 @@
 // ISA dispatch: RuntimeOptions::kernel_isa selects AVX2 variants of the
 // hottest inner loops (the canonical dot and the four-row dense margins,
 // the GLM row update, the sparse batched gather row, the packed dense row
-// behind MatVecMulti, and the multi-z scatter slabs). The vector variants
-// keep the scalar association exactly — the 4 unrolled chains become the
-// 4 lanes of one ymm register merged in the same (s0+s1)+(s2+s3) order (or
-// one lane per batched column or row element), and FMA is never used — so
-// AVX2 output is bitwise identical to the scalar output.
+// behind MatVecMulti, the multi-z scatter slabs and the Monte-Carlo sign
+// flip count). The vector variants keep the scalar association exactly —
+// the 4 unrolled chains become the 4 lanes of one ymm register merged in
+// the same (s0+s1)+(s2+s3) order (or one lane per batched column, row
+// element or draw), and FMA is never used — so AVX2 output is bitwise
+// identical to the scalar output.
 
 #ifndef BLINKML_LINALG_KERNELS_H_
 #define BLINKML_LINALG_KERNELS_H_
@@ -188,6 +189,21 @@ void SparseMargins(const SparseMatrix& x, const double* theta,
 /// DotUnrolled.
 Matrix BatchMarginsSparse(const SparseMatrix& x,
                           const std::vector<const Vector*>& thetas);
+
+// --- Monte-Carlo verdict kernel (consumed by models/glm_spec.h).
+
+/// Binary verdicts of one group of 1 <= width <= kMultiVec draws over h
+/// holdout rows, with u and w row-major h x width score blocks. For row r
+/// and draw t:
+///   s1 = u[r * width + t] * a1 + base[r]   (s1 = base[r] when u is null)
+///   s2 = w[r * width + t] * a2 + s1
+/// flips[t] counts the rows whose sign labels (m >= 0.0, so NaN labels 0)
+/// differ between s1 and s2. The AVX2 variant runs the draws in the lanes
+/// of two ymm registers with an ordered >= compare; both variants
+/// multiply, then add, so they count exactly the same rows.
+void CountSignFlips(const double* base, const double* u, double a1,
+                    const double* w, double a2, Matrix::Index h,
+                    Matrix::Index width, Matrix::Index* flips);
 
 }  // namespace kernels
 }  // namespace blinkml

@@ -96,6 +96,40 @@ double ModelSpec::DiffFromScores(const Matrix& scores1, const Matrix& scores2,
   return 0.0;
 }
 
+void ModelSpec::DiffsFromScoreBatch(const Matrix& base, const Matrix* u,
+                                    double a1, const Matrix& w, double a2,
+                                    const Dataset& holdout, double* v) const {
+  const Matrix::Index h = base.rows();
+  const Matrix::Index c = base.cols();
+  BLINKML_CHECK_GT(c, 0);
+  BLINKML_CHECK_EQ(w.rows(), h);
+  BLINKML_CHECK_EQ(w.cols() % c, 0);
+  if (u != nullptr) {
+    BLINKML_CHECK_EQ(u->rows(), h);
+    BLINKML_CHECK_EQ(u->cols(), w.cols());
+  }
+  Matrix s1 = u != nullptr ? Matrix(h, c) : Matrix();
+  Matrix s2(h, c);
+  for (Matrix::Index t = 0; t < w.cols() / c; ++t) {
+    for (Matrix::Index r = 0; r < h; ++r) {
+      const double* brow = base.row_data(r);
+      const double* wrow = w.row_data(r) + t * c;
+      double* s2row = s2.row_data(r);
+      if (u == nullptr) {
+        for (Matrix::Index j = 0; j < c; ++j) s2row[j] = wrow[j] * a2 + brow[j];
+        continue;
+      }
+      const double* urow = u->row_data(r) + t * c;
+      double* s1row = s1.row_data(r);
+      for (Matrix::Index j = 0; j < c; ++j) {
+        s1row[j] = urow[j] * a1 + brow[j];
+        s2row[j] = wrow[j] * a2 + s1row[j];
+      }
+    }
+    v[t] = DiffFromScores(u != nullptr ? s1 : base, s2, holdout);
+  }
+}
+
 Result<Matrix> ModelSpec::ClosedFormHessian(const Vector& theta,
                                             const Dataset& data) const {
   (void)theta;

@@ -141,6 +141,22 @@ class ModelSpec {
   virtual double DiffFromScores(const Matrix& scores1, const Matrix& scores2,
                                 const Dataset& holdout) const;
 
+  /// The Monte-Carlo estimators' verdicts: v for every draw of one
+  /// ScoresBatch group, straight from the group's score blocks. With
+  /// c = base.cols() score columns and W = w.cols() / c draws (at most
+  /// kernels::kMultiVec), u_t and w_t the column blocks [t*c, (t+1)*c) of
+  /// *u and w, and, element by element,
+  ///   s1_t = u_t * a1 + base   (s1_t = base when u is null)
+  ///   s2_t = w_t * a2 + s1_t,
+  /// v[t] equals DiffFromScores(s1_t, s2_t, holdout) bitwise. The accuracy
+  /// estimator passes no u and a2 = 1 (s2_t = w_t + base, as x * 1.0 == x
+  /// and IEEE addition commutes); the size search passes a candidate's
+  /// two scales. The default materializes s1_t and s2_t and calls
+  /// DiffFromScores; the GLMs fuse the pass (models/glm_spec.h).
+  virtual void DiffsFromScoreBatch(const Matrix& base, const Matrix* u,
+                                   double a1, const Matrix& w, double a2,
+                                   const Dataset& holdout, double* v) const;
+
   // --- Optional closed forms. ---
 
   /// True if ClosedFormHessian is implemented (paper: Lin and LR).

@@ -171,6 +171,37 @@ std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request) {
                        SaturatingMul(rows + 1, sizeof(std::int64_t)));
 }
 
+Status ValidateWireConfig(const RegisterDatasetRequest& request,
+                          std::uint64_t max_bytes) {
+  const WireConfig& c = request.config;
+  if (c.initial_sample_size < 1 || c.holdout_size < 2 ||
+      c.stats_sample_size < 1 || c.accuracy_samples < 1 ||
+      c.size_samples < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "config needs initial_sample_size, stats_sample_size, "
+        "accuracy_samples and size_samples >= 1 and holdout_size >= 2, got "
+        "%lld, %lld, %d, %d and %lld",
+        static_cast<long long>(c.initial_sample_size),
+        static_cast<long long>(c.stats_sample_size), c.accuracy_samples,
+        c.size_samples, static_cast<long long>(c.holdout_size)));
+  }
+  const std::uint64_t holdout = static_cast<std::uint64_t>(
+      std::min<std::int64_t>(c.holdout_size, std::max<std::int64_t>(
+                                                 request.rows / 5, 1)));
+  const std::uint64_t score_bytes = SaturatingMul(
+      SaturatingMul(2 * static_cast<std::uint64_t>(c.size_samples), holdout),
+      sizeof(double));
+  if (max_bytes > 0 && score_bytes > max_bytes) {
+    return Status::InvalidArgument(StrFormat(
+        "size_samples %d over a %llu-row holdout retains ~%llu bytes of "
+        "scores, over the server's %llu-byte per-dataset cap",
+        c.size_samples, static_cast<unsigned long long>(holdout),
+        static_cast<unsigned long long>(score_bytes),
+        static_cast<unsigned long long>(max_bytes)));
+  }
+  return Status::OK();
+}
+
 Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request) {
   if (request.rows <= 0 || request.dim <= 0) {
     return Status::InvalidArgument(

@@ -134,6 +134,12 @@ ResponseEnvelope BlinkServer::RunRegisterDataset(const std::uint8_t* payload,
   // the size estimate — not the dataset — is what gets checked against
   // the server cap and the tenant's byte quota. Without this a one-frame
   // request could OOM the server past the quota system.
+  status = ValidateWireConfig(request, options_.max_dataset_bytes);
+  if (!status.ok()) {
+    envelope.status = WireStatusFromStatus(status);
+    envelope.message = status.message();
+    return envelope;
+  }
   const std::uint64_t estimate = EstimateWireDatasetBytes(request);
   if (options_.max_dataset_bytes > 0 &&
       estimate > options_.max_dataset_bytes) {

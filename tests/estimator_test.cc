@@ -1,4 +1,7 @@
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,8 @@
 #include "data/generators.h"
 #include "models/logistic_regression.h"
 #include "models/linear_regression.h"
+#include "models/max_entropy.h"
+#include "models/poisson_regression.h"
 #include "models/ppca.h"
 #include "models/trainer.h"
 #include "runtime/parallel.h"
@@ -443,6 +448,139 @@ TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
     }
   }
 }
+
+// ---------- Every score path against the per-draw oracle ----------
+
+// One model class per case: linear and Poisson regression take the GLM's
+// fused row-ordered sums with one LabelScale per group, max-entropy the
+// default materialize-then-DiffFromScores path, logistic the flip count.
+struct ScorePathCase {
+  const char* name;
+  std::function<std::unique_ptr<ModelSpec>()> make_spec;
+  std::function<Dataset()> make_data;
+};
+
+std::vector<ScorePathCase> ScorePathCases() {
+  return {
+      {"Logistic",
+       [] { return std::make_unique<LogisticRegressionSpec>(1e-3); },
+       [] { return MakeSyntheticLogistic(30000, 10, 42, 1.0, 0.1); }},
+      {"Linear", [] { return std::make_unique<LinearRegressionSpec>(1e-3); },
+       [] { return MakeSyntheticLinear(30000, 10, 43); }},
+      {"Poisson",
+       [] { return std::make_unique<PoissonRegressionSpec>(1e-3); },
+       [] { return MakeSyntheticCounts(30000, 10, 44); }},
+      {"MaxEntropy", [] { return std::make_unique<MaxEntropySpec>(1e-3); },
+       [] { return MakeSyntheticMulticlass(30000, 10, 3, 45); }},
+  };
+}
+
+class ScorePathOracle : public ::testing::TestWithParam<int> {};
+
+// The batched estimators score each group of draws in one
+// DiffsFromScoreBatch call and stop a size candidate at its first group
+// past the allowed failures. What they return equals the per-draw
+// reference (one Scores pass and one DiffFromScores per draw, every pair
+// scanned) bitwise, at 1, 2 and 8 threads. The size contract is half the
+// accuracy bound at n0, so the search lands strictly inside (n0, N).
+TEST_P(ScorePathOracle, BatchedEstimatorsEqualPerDrawReference) {
+  const ScorePathCase c =
+      ScorePathCases()[static_cast<std::size_t>(GetParam())];
+  const std::unique_ptr<ModelSpec> spec = c.make_spec();
+  Rng rng(1);
+  auto [holdout, pool] = c.make_data().Split(0.05, &rng);
+  const Dataset::Index n0 = 2000;
+  const Dataset::Index full_n = pool.num_rows();
+  const Dataset d0 = pool.SampleRows(n0, &rng);
+  const auto model = ModelTrainer().Train(*spec, d0);
+  ASSERT_TRUE(model.ok()) << c.name;
+  Rng stats_rng(2);
+  auto stats =
+      ComputeStatistics(*spec, model->theta, d0, StatsOptions(), &stats_rng);
+  ASSERT_TRUE(stats.ok()) << c.name;
+  const ParamSampler sampler(std::move(*stats));
+
+  AccuracyOptions acc_options;
+  acc_options.num_samples = 100;  // not a multiple of kMultiVec on purpose
+  Rng acc_ref_rng(21);
+  const AccuracyEstimate acc_want = reference::EstimateAccuracyPerDraw(
+      *spec, model->theta, n0, full_n, sampler, holdout, acc_options,
+      &acc_ref_rng);
+  ASSERT_GT(acc_want.epsilon, 0.0) << c.name;
+
+  struct SizeCase {
+    const char* what;
+    double epsilon;
+    double delta;
+    int num_samples;
+  };
+  const std::vector<SizeCase> size_cases = {
+      {"level 1 (delta 0.05)", 0.5 * acc_want.epsilon, 0.05, 60},
+      {"level below 1 (delta 0.3)", 0.5 * acc_want.epsilon, 0.3, 128},
+      {"returns N (epsilon 0)", 0.0, 0.05, 60}};
+  std::vector<SampleSizeEstimate> size_want;
+  for (const SizeCase& sc : size_cases) {
+    SampleSizeOptions options;
+    options.epsilon = sc.epsilon;
+    options.delta = sc.delta;
+    options.num_samples = sc.num_samples;
+    Rng ref_rng(28);
+    size_want.push_back(reference::EstimateSampleSizePerDraw(
+        *spec, model->theta, n0, full_n, sampler, holdout, options,
+        &ref_rng));
+    if (sc.epsilon == 0.0) {
+      EXPECT_EQ(size_want.back().sample_size, full_n) << c.name;
+    } else {
+      EXPECT_GT(size_want.back().sample_size, n0) << c.name << " " << sc.what;
+      EXPECT_LT(size_want.back().sample_size, full_n)
+          << c.name << " " << sc.what;
+    }
+  }
+
+  ThreadPool thread_pool(8);
+  for (const int threads : {1, 2, 8}) {
+    RuntimeOptions runtime;
+    runtime.pool = &thread_pool;
+    runtime.num_threads = threads;
+    RuntimeScope scope(runtime);
+    Rng acc_rng(21);
+    const auto acc_got =
+        EstimateAccuracy(*spec, model->theta, n0, full_n, sampler, holdout,
+                         acc_options, &acc_rng);
+    ASSERT_TRUE(acc_got.ok());
+    EXPECT_EQ(acc_got->epsilon, acc_want.epsilon)
+        << c.name << " threads=" << threads;
+    EXPECT_EQ(acc_got->mean_v, acc_want.mean_v)
+        << c.name << " threads=" << threads;
+    for (std::size_t i = 0; i < size_cases.size(); ++i) {
+      SampleSizeOptions options;
+      options.epsilon = size_cases[i].epsilon;
+      options.delta = size_cases[i].delta;
+      options.num_samples = size_cases[i].num_samples;
+      Rng size_rng(28);
+      const auto got =
+          EstimateSampleSize(*spec, model->theta, n0, full_n, sampler,
+                             holdout, options, &size_rng);
+      ASSERT_TRUE(got.ok());
+      const SampleSizeEstimate& want = size_want[i];
+      const std::string where = std::string(c.name) + " " +
+                                size_cases[i].what +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(got->sample_size, want.sample_size) << where;
+      EXPECT_EQ(got->success_fraction, want.success_fraction) << where;
+      EXPECT_EQ(got->evaluations, want.evaluations) << where;
+      EXPECT_EQ(got->quantile_level, want.quantile_level) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScorePaths, ScorePathOracle,
+    ::testing::Range(0, static_cast<int>(ScorePathCases().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(
+          ScorePathCases()[static_cast<std::size_t>(info.param)].name);
+    });
 
 // ---------- Search-evaluation accounting (memoized candidates) ----------
 

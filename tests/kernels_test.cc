@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -340,6 +341,79 @@ TEST(GlmKernels, AddScaledRowBitwiseEqualsScalarLoop) {
           ASSERT_EQ(std::memcmp(&got[c], &want[c], sizeof(double)), 0)
               << IsaName(isa) << " d=" << d << " alpha=" << alpha << " c="
               << c;
+        }
+      }
+    }
+  }
+}
+
+// ---------- Monte-Carlo verdicts ----------
+
+// The sign-flip count equals a count of the logistic link's
+// Predict(s1) != Predict(s2) over materialized s1 and s2 (the spec's
+// DiffFromScores is that count over h) at both ISAs: every group width,
+// holdouts shorter than, as long as and longer than one quad, both the
+// accuracy form (no u, a2 = 1) and the size form, on entries at the
+// compare's edges (+-0, NaN, +-inf, subnormals) and on scores that a1 or
+// a2 carries exactly onto or across zero.
+TEST(McVerdictKernels, CountSignFlipsEqualsPredictCountOverMaterializedScores) {
+  const LogisticRegressionSpec spec;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> edges = {0.0,  -0.0, nan,  inf,   -inf,
+                                     sub,  -sub, 3 * sub, -1e-310, 1e-300,
+                                     -1.0, 1.0};
+  struct Form {
+    bool has_u;
+    double a1, a2;
+  };
+  // Powers of two make u * a1 == -base exact, so s1 lands on +0.0.
+  const std::vector<Form> forms = {
+      {false, 0.0, 1.0}, {true, 0.5, 0.25}, {true, 0.37, 0.0},
+      {true, 1e-3, 2.0}, {true, 0.0, 0.5}};
+  Rng rng(93);
+  for (const Matrix::Index h : {1, 3, 4, 5, 2000}) {
+    const Dataset holdout(Matrix(h, 1), Vector(h), Task::kBinary);
+    for (Matrix::Index width = 1; width <= kernels::kMultiVec; ++width) {
+      Vector base = RandomVector(h, &rng);
+      Matrix u = RandomMatrix(h, width, &rng);
+      Matrix w = RandomMatrix(h, width, &rng);
+      for (Matrix::Index r = 0; r < h; ++r) {
+        const auto pick = [&](Matrix::Index salt) {
+          return edges[static_cast<std::size_t>(r * 7 + salt) % edges.size()];
+        };
+        if (r % 3 == 0) base[r] = pick(0);
+        for (Matrix::Index t = 0; t < width; ++t) {
+          if ((r + t) % 4 == 1) u(r, t) = pick(t + 1);
+          if ((r + t) % 5 == 2) w(r, t) = pick(t + 3);
+          if ((r + t) % 6 == 3) u(r, t) = -2.0 * base[r];  // s1 = +0 at a1 1/2
+        }
+      }
+      for (const Form& f : forms) {
+        for (Matrix::Index t = 0; t < width; ++t) {
+          Matrix s1(h, 1), s2(h, 1);
+          Matrix::Index want = 0;
+          for (Matrix::Index r = 0; r < h; ++r) {
+            s1(r, 0) = f.has_u ? u(r, t) * f.a1 + base[r] : base[r];
+            s2(r, 0) = w(r, t) * f.a2 + s1(r, 0);
+            want += (s1(r, 0) >= 0.0) != (s2(r, 0) >= 0.0);
+          }
+          ASSERT_EQ(spec.DiffFromScores(s1, s2, holdout),
+                    static_cast<double>(want) / static_cast<double>(h))
+              << "h=" << h << " t=" << t;
+          for (const KernelIsa isa : IsasToTest()) {
+            Matrix::Index flips[kernels::kMultiVec];
+            AtIsa(isa, [&] {
+              kernels::CountSignFlips(base.data(),
+                                      f.has_u ? u.data() : nullptr, f.a1,
+                                      w.data(), f.a2, h, width, flips);
+              return 0;
+            });
+            ASSERT_EQ(flips[t], want)
+                << IsaName(isa) << " h=" << h << " width=" << width
+                << " t=" << t << " a1=" << f.a1 << " a2=" << f.a2;
+          }
         }
       }
     }

@@ -183,6 +183,54 @@ TEST_P(SpecSweep, DiffFromScoresMatchesDiff) {
   EXPECT_NEAR(from_scores, c.spec->Diff(t1, t2, c.data), 1e-12) << c.name;
 }
 
+// DiffsFromScoreBatch is DiffFromScores on each draw's materialized
+// s1 = u * a1 + base (base without u) and s2 = w * a2 + s1, bitwise, for
+// every group width, in both the accuracy and the size form.
+TEST_P(SpecSweep, DiffsFromScoreBatchEqualsDiffFromScores) {
+  const SpecCase c = Case();
+  if (!c.spec->has_linear_scores()) GTEST_SKIP();
+  Rng rng(6100 + GetParam());
+  const Vector::Index p = c.spec->ParamDim(c.data);
+  const Matrix base = c.spec->Scores(RandomVector(p, &rng), c.data);
+  const Matrix::Index h = base.rows();
+  const Matrix::Index cols = base.cols();
+  for (Matrix::Index width = 1; width <= 8; ++width) {
+    std::vector<Vector> us, ws;
+    std::vector<const Vector*> u_ptrs, w_ptrs;
+    for (Matrix::Index t = 0; t < width; ++t) {
+      us.push_back(RandomVector(p, &rng));
+      ws.push_back(RandomVector(p, &rng));
+    }
+    for (Matrix::Index t = 0; t < width; ++t) {
+      u_ptrs.push_back(&us[static_cast<std::size_t>(t)]);
+      w_ptrs.push_back(&ws[static_cast<std::size_t>(t)]);
+    }
+    const Matrix u = c.spec->ScoresBatch(u_ptrs, c.data);
+    const Matrix w = c.spec->ScoresBatch(w_ptrs, c.data);
+    for (const bool has_u : {false, true}) {
+      const double a1 = has_u ? 0.3 : 0.0;
+      const double a2 = has_u ? 0.7 : 1.0;
+      std::vector<double> got(static_cast<std::size_t>(width));
+      c.spec->DiffsFromScoreBatch(base, has_u ? &u : nullptr, a1, w, a2,
+                                  c.data, got.data());
+      for (Matrix::Index t = 0; t < width; ++t) {
+        Matrix s1(h, cols), s2(h, cols);
+        for (Matrix::Index r = 0; r < h; ++r) {
+          for (Matrix::Index j = 0; j < cols; ++j) {
+            s1(r, j) = has_u ? u(r, t * cols + j) * a1 + base(r, j)
+                             : base(r, j);
+            s2(r, j) = w(r, t * cols + j) * a2 + s1(r, j);
+          }
+        }
+        EXPECT_EQ(got[static_cast<std::size_t>(t)],
+                  c.spec->DiffFromScores(s1, s2, c.data))
+            << c.name << " width=" << width << " t=" << t
+            << " has_u=" << has_u;
+      }
+    }
+  }
+}
+
 // Training decreases the objective below the starting point's value and
 // reaches (near-)zero gradient.
 TEST_P(SpecSweep, TrainingConverges) {

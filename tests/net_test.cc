@@ -977,6 +977,51 @@ TEST(BlinkServer, OversizedRegisterDatasetRejectedBeforeMaterialization) {
   ASSERT_TRUE(small.ok()) << small.status().ToString();
 }
 
+// A registration forwards its Monte-Carlo config to every Train on the
+// dataset, so a config no Train can run is refused at registration, before
+// anything is materialized: a negative initial sample (every Train would
+// fail a sampler check), a one-row holdout (regression v divides by the
+// holdout labels' spread) and a size search whose retained scores exceed
+// the per-dataset cap. Nothing is registered: the same names then register
+// with the default config.
+TEST(BlinkServer, RegisterDatasetRejectsMonteCarloConfigsNoTrainCanRun) {
+  SessionManager manager;
+  ServerOptions options;
+  options.unix_path = SocketPath("mcconfig");
+  BlinkServer server(&manager, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = BlinkClient::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok());
+
+  RegisterDatasetRequest negative_n0 = LogisticRegistration("t", "n0");
+  negative_n0.config.initial_sample_size = -5;
+  RegisterDatasetRequest tiny_holdout = LogisticRegistration("t", "holdout");
+  tiny_holdout.generator = WireGenerator::kSyntheticLinear;
+  tiny_holdout.config.holdout_size = 1;
+  RegisterDatasetRequest no_draws = LogisticRegistration("t", "draws");
+  no_draws.config.accuracy_samples = 0;
+  RegisterDatasetRequest huge_search = LogisticRegistration("t", "search");
+  huge_search.config.size_samples = 1 << 28;  // 3.4 TB of scores, h = 800
+  for (const RegisterDatasetRequest* bad :
+       {&negative_n0, &tiny_holdout, &no_draws, &huge_search}) {
+    const auto refused = client->RegisterDataset(*bad);
+    ASSERT_FALSE(refused.ok()) << bad->name;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << bad->name;
+    EXPECT_EQ(client->last_wire_status(), WireStatus::kInvalidArgument)
+        << bad->name;
+  }
+  EXPECT_EQ(server.quotas().ResidentBytes("t"), 0u);
+
+  for (RegisterDatasetRequest* fixed :
+       {&negative_n0, &tiny_holdout, &no_draws, &huge_search}) {
+    fixed->config = WireConfig();
+    const auto registered = client->RegisterDataset(*fixed);
+    ASSERT_TRUE(registered.ok())
+        << fixed->name << ": " << registered.status().ToString();
+  }
+}
+
 // Admission prices a registration from its wire parameters alone, so the
 // estimate must track what MakeWireDataset really builds for every
 // generator — a sparse dataset priced as dense would be refused by the
