@@ -12,12 +12,12 @@
 //     rows, 20,000 columns, 39 nnz per row), on one lane, next to the
 //     row-by-row reference pass and a plain streaming read of the same
 //     feature bytes — how close the pass runs to memory speed;
-//   * mc_verdicts: one group of 8 Monte-Carlo verdicts over a train-dense
-//     holdout (2,000 rows, one score column) from the fused
-//     DiffsFromScoreBatch, next to the materialize-then-DiffFromScores
-//     loop it replaced, in the accuracy form (s2 = w + base) and the size
-//     form (s1 = u * a1 + base, s2 = w * a2 + s1), for the logistic
-//     (binary) and linear (regression) links.
+//   * mc_verdicts: one group of 8 logistic Monte-Carlo verdicts over a
+//     train-dense holdout (2,000 rows, one score column) from the fused
+//     sign-flip count of GlmSpec::DiffsFromScoreBatch, next to the
+//     ModelSpec default it overrides (materialize s1 and s2, then
+//     DiffFromScores), in the accuracy form (s2 = w + base) and the size
+//     form (s1 = u * a1 + base, s2 = w * a2 + s1).
 // End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
@@ -42,7 +42,6 @@
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
-#include "models/linear_regression.h"
 #include "models/logistic_regression.h"
 #include "models/model_spec.h"
 #include "random/rng.h"
@@ -177,20 +176,18 @@ PassResult RunGlmPass(const std::string& name, const Dataset& data,
   return out;
 }
 
-// One group of Monte-Carlo verdicts, fused and as the loop it replaced.
+// One group of Monte-Carlo verdicts, fused and materialized.
 struct VerdictResult {
   std::string name;
-  double loop_seconds = 0.0;   // per group
-  double fused_seconds = 0.0;  // per group
-  bool bitwise = false;        // fused v == loop v, bitwise
+  double default_seconds = 0.0;  // per group
+  double fused_seconds = 0.0;    // per group
+  bool bitwise = false;          // fused v == default v, bitwise
 };
 
 // Times the v of one 8-draw group over `holdout` (a single-output GLM's
-// holdout, so one score column): the fused DiffsFromScoreBatch against
-// the per-draw loop that materialized s1 and s2 and called
-// DiffFromScores. The accuracy form (no u, a2 = 1) wrote s2 = batch +
-// base from the group's block; the size form read per-draw copies of the
-// u and w columns, made once per search and left out of the timing.
+// holdout, so one score column): the spec's DiffsFromScoreBatch against
+// the ModelSpec default, which materializes each draw's s1 and s2 and
+// calls DiffFromScores. The accuracy form passes no u and a2 = 1.
 VerdictResult RunVerdicts(const std::string& name, const ModelSpec& spec,
                           const Dataset& holdout, bool size_form,
                           int repeats) {
@@ -214,54 +211,30 @@ VerdictResult RunVerdicts(const std::string& name, const ModelSpec& spec,
   }
   const Matrix u = spec.ScoresBatch(u_ptrs, holdout);
   const Matrix w = spec.ScoresBatch(w_ptrs, holdout);
+  const Matrix* group_u = size_form ? &u : nullptr;
   // A train-dense candidate's scales: n0 = 10K, n = 40K, N = 198K.
   const double a1 = size_form ? std::sqrt(1.0 / 10'000 - 1.0 / 40'000) : 0.0;
   const double a2 =
       size_form ? std::sqrt(1.0 / 40'000 - 1.0 / 198'000) : 1.0;
-  const Matrix::Index h = base.rows();
-  std::vector<Matrix> u_cols, w_cols;
-  for (Matrix::Index t = 0; t < kGroup; ++t) {
-    u_cols.push_back(Matrix(h, 1));
-    w_cols.push_back(Matrix(h, 1));
-    for (Matrix::Index r = 0; r < h; ++r) {
-      u_cols.back()(r, 0) = u(r, t);
-      w_cols.back()(r, 0) = w(r, t);
-    }
-  }
-  double loop_v[kGroup];
+  double default_v[kGroup];
   double fused_v[kGroup];
-  Matrix s1(h, 1), s2(h, 1);
-  const auto loop = [&] {
-    for (Matrix::Index t = 0; t < kGroup; ++t) {
-      if (!size_form) {
-        for (Matrix::Index r = 0; r < h; ++r) s2(r, 0) = w(r, t) + base(r, 0);
-        loop_v[t] = spec.DiffFromScores(base, s2, holdout);
-        continue;
-      }
-      const double* su = u_cols[static_cast<std::size_t>(t)].data();
-      const double* sw = w_cols[static_cast<std::size_t>(t)].data();
-      for (Matrix::Index j = 0; j < h; ++j) {
-        s1.data()[j] = su[j] * a1 + base.data()[j];
-        s2.data()[j] = sw[j] * a2 + s1.data()[j];
-      }
-      loop_v[t] = spec.DiffFromScores(s1, s2, holdout);
-    }
-  };
-  const auto fused = [&] {
-    spec.DiffsFromScoreBatch(base, size_form ? &u : nullptr, a1, w, a2,
-                             holdout, fused_v);
-  };
   VerdictResult out;
   out.name = name;
-  out.loop_seconds = TimeIt(repeats, [&] {
-                       for (int c = 0; c < kCalls; ++c) loop();
-                     }) /
-                     kCalls;
+  out.default_seconds = TimeIt(repeats, [&] {
+                          for (int c = 0; c < kCalls; ++c) {
+                            spec.ModelSpec::DiffsFromScoreBatch(
+                                base, group_u, a1, w, a2, holdout, default_v);
+                          }
+                        }) /
+                        kCalls;
   out.fused_seconds = TimeIt(repeats, [&] {
-                        for (int c = 0; c < kCalls; ++c) fused();
+                        for (int c = 0; c < kCalls; ++c) {
+                          spec.DiffsFromScoreBatch(base, group_u, a1, w, a2,
+                                                   holdout, fused_v);
+                        }
                       }) /
                       kCalls;
-  out.bitwise = std::memcmp(loop_v, fused_v, sizeof(loop_v)) == 0;
+  out.bitwise = std::memcmp(default_v, fused_v, sizeof(default_v)) == 0;
   return out;
 }
 
@@ -456,21 +429,15 @@ int main(int argc, char** argv) {
 
   // Monte-Carlo verdicts at the train-dense holdout shape; fixed, not
   // scaled.
-  const Dataset verdict_binary = MakeSyntheticLogistic(/*n=*/2'000,
-                                                       /*dim=*/100,
-                                                       /*seed=*/35);
-  const Dataset verdict_regression = MakeSyntheticLinear(/*n=*/2'000,
-                                                         /*dim=*/100,
-                                                         /*seed=*/36);
+  const Dataset verdict_holdout = MakeSyntheticLogistic(/*n=*/2'000,
+                                                        /*dim=*/100,
+                                                        /*seed=*/35);
   const LogisticRegressionSpec logistic(1e-4);
-  const LinearRegressionSpec linear(1e-4);
   std::vector<VerdictResult> verdicts;
   for (const bool size_form : {false, true}) {
-    const char* form = size_form ? "size" : "accuracy";
-    verdicts.push_back(RunVerdicts(StrFormat("logistic %s", form), logistic,
-                                   verdict_binary, size_form, repeats));
-    verdicts.push_back(RunVerdicts(StrFormat("linear %s", form), linear,
-                                   verdict_regression, size_form, repeats));
+    verdicts.push_back(
+        RunVerdicts(StrFormat("logistic %s", size_form ? "size" : "accuracy"),
+                    logistic, verdict_holdout, size_form, repeats));
   }
 
   bool checks_pass = true;
@@ -520,22 +487,23 @@ int main(int argc, char** argv) {
 
   // --- Monte-Carlo verdicts: per group of 8 draws, one lane.
   std::printf("\n%-42s| %-10s| %-10s| %-8s| %s\n",
-              "mc_verdicts (8 draws, 2,000 x 1)", "loop", "fused", "speedup",
-              "bitwise");
+              "mc_verdicts (8 draws, 2,000 x 1)", "default", "fused",
+              "speedup", "bitwise");
   std::vector<JsonObject> verdict_json;
   for (const VerdictResult& v : verdicts) {
     checks_pass = checks_pass && v.bitwise;
     std::printf("%-42s| %-10s| %-10s| %-8.2f| %s\n", v.name.c_str(),
-                HumanSeconds(v.loop_seconds).c_str(),
+                HumanSeconds(v.default_seconds).c_str(),
                 HumanSeconds(v.fused_seconds).c_str(),
-                v.loop_seconds / v.fused_seconds, v.bitwise ? "yes" : "NO");
+                v.default_seconds / v.fused_seconds,
+                v.bitwise ? "yes" : "NO");
     verdict_json.push_back(JsonObject()
                                .Str("verdicts", v.name)
-                               .Number("loop_seconds", v.loop_seconds)
+                               .Number("default_seconds", v.default_seconds)
                                .Number("fused_seconds", v.fused_seconds)
                                .Number("speedup",
-                                       v.loop_seconds / v.fused_seconds)
-                               .Bool("bitwise_vs_loop", v.bitwise));
+                                       v.default_seconds / v.fused_seconds)
+                               .Bool("bitwise_vs_default", v.bitwise));
   }
 
   // --- Blocked-kernel thread scaling (dense Gram; fixed schedule, so the

@@ -230,9 +230,8 @@ class GlmSpec : public ModelSpec {
   /// LabelScale(holdout) (paper Appendix C).
   double DiffFromScores(const Matrix& scores1, const Matrix& scores2,
                         const Dataset& holdout) const override;
-  /// One fused pass per group. kBinary: a sign-flip count across the
-  /// group's lanes. kRegression: per draw the row-ordered sum of
-  /// DiffFromScores, with LabelScale(holdout) taken once per call.
+  /// kBinary: one sign-flip count across the group's lanes.
+  /// kRegression: the materializing default.
   void DiffsFromScoreBatch(const Matrix& base, const Matrix* u, double a1,
                            const Matrix& w, double a2, const Dataset& holdout,
                            double* v) const override;
@@ -401,14 +400,16 @@ double GlmSpec<Link>::DiffFromScores(const Matrix& scores1,
 }
 
 // Binary verdicts are exact counts, so count / h is the double that
-// DiffFromScores divides its exact 0/1 sum by h to get. Regression keeps
-// DiffFromScores' serial row-ordered se += d * d per draw; the group's
-// draws are independent chains, interleaved row by row.
+// DiffFromScores divides its exact 0/1 sum by h to get.
 template <typename Link>
 void GlmSpec<Link>::DiffsFromScoreBatch(const Matrix& base, const Matrix* u,
                                         double a1, const Matrix& w, double a2,
                                         const Dataset& holdout,
                                         double* v) const {
+  if (task() != Task::kBinary) {
+    ModelSpec::DiffsFromScoreBatch(base, u, a1, w, a2, holdout, v);
+    return;
+  }
   const Matrix::Index h = holdout.num_rows();
   const Matrix::Index width = w.cols();
   BLINKML_CHECK_GT(h, 0);
@@ -420,37 +421,11 @@ void GlmSpec<Link>::DiffsFromScoreBatch(const Matrix& base, const Matrix* u,
     BLINKML_CHECK_EQ(u->rows(), h);
     BLINKML_CHECK_EQ(u->cols(), width);
   }
-  if (task() == Task::kBinary) {
-    Matrix::Index flips[kernels::kMultiVec];
-    kernels::CountSignFlips(base.data(), u != nullptr ? u->data() : nullptr,
-                            a1, w.data(), a2, h, width, flips);
-    for (Matrix::Index t = 0; t < width; ++t) {
-      v[t] = static_cast<double>(flips[t]) / static_cast<double>(h);
-    }
-    return;
-  }
-  double se[kernels::kMultiVec] = {};
-  for (Matrix::Index r = 0; r < h; ++r) {
-    const double b = base(r, 0);
-    const double* wrow = w.row_data(r);
-    if (u == nullptr) {
-      const double p1 = Link::Predict(b);
-      for (Matrix::Index t = 0; t < width; ++t) {
-        const double d = p1 - Link::Predict(wrow[t] * a2 + b);
-        se[t] += d * d;
-      }
-      continue;
-    }
-    const double* urow = u->row_data(r);
-    for (Matrix::Index t = 0; t < width; ++t) {
-      const double s1 = urow[t] * a1 + b;
-      const double d = Link::Predict(s1) - Link::Predict(wrow[t] * a2 + s1);
-      se[t] += d * d;
-    }
-  }
-  const double scale = LabelScale(holdout);
+  Matrix::Index flips[kernels::kMultiVec];
+  kernels::CountSignFlips(base.data(), u != nullptr ? u->data() : nullptr, a1,
+                          w.data(), a2, h, width, flips);
   for (Matrix::Index t = 0; t < width; ++t) {
-    v[t] = std::sqrt(se[t] / static_cast<double>(h)) / scale;
+    v[t] = static_cast<double>(flips[t]) / static_cast<double>(h);
   }
 }
 

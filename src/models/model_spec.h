@@ -152,7 +152,8 @@ class ModelSpec {
   /// estimator passes no u and a2 = 1 (s2_t = w_t + base, as x * 1.0 == x
   /// and IEEE addition commutes); the size search passes a candidate's
   /// two scales. The default materializes s1_t and s2_t and calls
-  /// DiffFromScores; the GLMs fuse the pass (models/glm_spec.h).
+  /// DiffFromScores; binary GLMs count sign flips instead
+  /// (models/glm_spec.h).
   virtual void DiffsFromScoreBatch(const Matrix& base, const Matrix* u,
                                    double a1, const Matrix& w, double a2,
                                    const Dataset& holdout, double* v) const;

@@ -174,29 +174,41 @@ std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request) {
 Status ValidateWireConfig(const RegisterDatasetRequest& request,
                           std::uint64_t max_bytes) {
   const WireConfig& c = request.config;
-  if (c.initial_sample_size < 1 || c.holdout_size < 2 ||
-      c.stats_sample_size < 1 || c.accuracy_samples < 1 ||
-      c.size_samples < 1) {
+  // The holdout every Train takes (core/pipeline.cc).
+  const std::int64_t holdout = std::max<std::int64_t>(
+      std::min<std::int64_t>(c.holdout_size, request.rows / 5), 1);
+  if (c.initial_sample_size < 1 || holdout < 2 || c.stats_sample_size < 1 ||
+      c.accuracy_samples < 1 || c.size_samples < 1) {
     return Status::InvalidArgument(StrFormat(
         "config needs initial_sample_size, stats_sample_size, "
-        "accuracy_samples and size_samples >= 1 and holdout_size >= 2, got "
-        "%lld, %lld, %d, %d and %lld",
+        "accuracy_samples and size_samples >= 1 and a holdout of >= 2 rows, "
+        "got %lld, %lld, %d, %d and %lld (holdout_size %lld of %lld rows)",
         static_cast<long long>(c.initial_sample_size),
         static_cast<long long>(c.stats_sample_size), c.accuracy_samples,
-        c.size_samples, static_cast<long long>(c.holdout_size)));
+        c.size_samples, static_cast<long long>(holdout),
+        static_cast<long long>(c.holdout_size),
+        static_cast<long long>(request.rows)));
   }
-  const std::uint64_t holdout = static_cast<std::uint64_t>(
-      std::min<std::int64_t>(c.holdout_size, std::max<std::int64_t>(
-                                                 request.rows / 5, 1)));
+  if (max_bytes == 0) return Status::OK();
   const std::uint64_t score_bytes = SaturatingMul(
-      SaturatingMul(2 * static_cast<std::uint64_t>(c.size_samples), holdout),
+      SaturatingMul(2 * static_cast<std::uint64_t>(c.size_samples),
+                    static_cast<std::uint64_t>(holdout)),
       sizeof(double));
-  if (max_bytes > 0 && score_bytes > max_bytes) {
+  if (score_bytes > max_bytes) {
     return Status::InvalidArgument(StrFormat(
-        "size_samples %d over a %llu-row holdout retains ~%llu bytes of "
+        "size_samples %d over a %lld-row holdout retains ~%llu bytes of "
         "scores, over the server's %llu-byte per-dataset cap",
-        c.size_samples, static_cast<unsigned long long>(holdout),
+        c.size_samples, static_cast<long long>(holdout),
         static_cast<unsigned long long>(score_bytes),
+        static_cast<unsigned long long>(max_bytes)));
+  }
+  const std::uint64_t v_bytes =
+      static_cast<std::uint64_t>(c.accuracy_samples) * sizeof(double);
+  if (v_bytes > max_bytes) {
+    return Status::InvalidArgument(StrFormat(
+        "accuracy_samples %d retains ~%llu bytes of verdicts, over the "
+        "server's %llu-byte per-dataset cap",
+        c.accuracy_samples, static_cast<unsigned long long>(v_bytes),
         static_cast<unsigned long long>(max_bytes)));
   }
   return Status::OK();

@@ -24,34 +24,45 @@
 namespace blinkml {
 namespace {
 
-// Fixture: a trained initial logistic model + sampler + holdout, shared
-// across estimator tests.
-class EstimatorFixture : public ::testing::Test {
+// EstimatorFixture's data, and the logistic case of the score paths.
+Dataset LogisticData() {
+  return MakeSyntheticLogistic(30000, 10, 42, /*sparsity=*/1.0,
+                               /*noise=*/0.1);
+}
+
+// The estimators' inputs: a 5% holdout, the pool, and an initial model
+// trained on n0 = 2,000 pool rows with its parameter sampler.
+class EstimatorInputs {
  protected:
-  void SetUp() override {
-    full_data_ = MakeSyntheticLogistic(30000, 10, 42, /*sparsity=*/1.0,
-                                       /*noise=*/0.1);
+  void Prepare(const ModelSpec& spec, const Dataset& full_data) {
     Rng rng(1);
-    auto [holdout, pool] = full_data_.Split(0.05, &rng);
+    auto [holdout, pool] = full_data.Split(0.05, &rng);
     holdout_ = std::move(holdout);
     pool_ = std::move(pool);
-    n0_ = 2000;
     d0_ = pool_.SampleRows(n0_, &rng);
-    const auto model = ModelTrainer().Train(spec_, d0_);
+    const auto model = ModelTrainer().Train(spec, d0_);
     ASSERT_TRUE(model.ok());
     theta0_ = model->theta;
     StatsOptions options;
     Rng stats_rng(2);
-    auto stats = ComputeStatistics(spec_, theta0_, d0_, options, &stats_rng);
+    auto stats = ComputeStatistics(spec, theta0_, d0_, options, &stats_rng);
     ASSERT_TRUE(stats.ok());
     sampler_ = std::make_unique<ParamSampler>(std::move(*stats));
   }
 
-  LogisticRegressionSpec spec_{1e-3};
-  Dataset full_data_, holdout_, pool_, d0_;
-  Dataset::Index n0_ = 0;
+  Dataset holdout_, pool_, d0_;
+  Dataset::Index n0_ = 2000;
   Vector theta0_;
   std::unique_ptr<ParamSampler> sampler_;
+};
+
+// Fixture: a trained initial logistic model + sampler + holdout, shared
+// across estimator tests.
+class EstimatorFixture : public ::testing::Test, protected EstimatorInputs {
+ protected:
+  void SetUp() override { Prepare(spec_, LogisticData()); }
+
+  LogisticRegressionSpec spec_{1e-3};
 };
 
 // ---------- Accuracy estimator ----------
@@ -314,35 +325,76 @@ TEST(DrawBatch, DegenerateShapes) {
   EXPECT_TRUE(rank1.DrawBatch(1.0, empty).empty());
 }
 
-TEST_F(EstimatorFixture, BatchedAccuracyBitwiseEqualsUnbatched) {
+// ---------- Every score path against the per-draw oracle ----------
+
+// One model class per case, each scored by its own verdict path: logistic
+// counts sign flips (GlmSpec::DiffsFromScoreBatch), linear and Poisson
+// regression and max-entropy take the materializing ModelSpec default.
+// The logistic case is EstimatorFixture's; size_epsilon lands each
+// case's size search well inside (min_n, N) at delta 0.05 and 0.3.
+struct ScorePathCase {
+  const char* name;
+  std::function<std::unique_ptr<ModelSpec>()> make_spec;
+  std::function<Dataset()> make_data;
+  double size_epsilon;
+};
+
+std::vector<ScorePathCase> ScorePathCases() {
+  return {
+      {"Logistic",
+       [] { return std::make_unique<LogisticRegressionSpec>(1e-3); },
+       LogisticData, 0.05},
+      {"Linear", [] { return std::make_unique<LinearRegressionSpec>(1e-3); },
+       [] { return MakeSyntheticLinear(30000, 10, 43); }, 0.03},
+      {"Poisson",
+       [] { return std::make_unique<PoissonRegressionSpec>(1e-3); },
+       [] { return MakeSyntheticCounts(30000, 10, 44); }, 0.07},
+      {"MaxEntropy", [] { return std::make_unique<MaxEntropySpec>(1e-3); },
+       [] { return MakeSyntheticMulticlass(30000, 10, 3, 45); }, 0.012},
+  };
+}
+
+class ScorePathFixture : public ::testing::TestWithParam<ScorePathCase>,
+                         protected EstimatorInputs {
+ protected:
+  void SetUp() override {
+    spec_ = GetParam().make_spec();
+    Prepare(*spec_, GetParam().make_data());
+  }
+
+  std::unique_ptr<ModelSpec> spec_;
+};
+
+TEST_P(ScorePathFixture, BatchedAccuracyBitwiseEqualsUnbatched) {
   // Batching is a pure execution strategy: same z stream, same kernels
   // per column, so the estimate is bit-for-bit the reference per-draw
   // estimator's.
   AccuracyOptions options;
   options.num_samples = 100;  // not a multiple of kMultiVec on purpose
   Rng rng_a(21);
-  const auto batched = EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(),
-                                        *sampler_, holdout_, options, &rng_a);
+  const auto batched =
+      EstimateAccuracy(*spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
+                       holdout_, options, &rng_a);
   Rng rng_b(21);
   const AccuracyEstimate unbatched = reference::EstimateAccuracyPerDraw(
-      spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+      *spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
       &rng_b);
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(batched->epsilon, unbatched.epsilon);
   EXPECT_EQ(batched->mean_v, unbatched.mean_v);
 }
 
-TEST_F(EstimatorFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
+TEST_P(ScorePathFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
   SampleSizeOptions options;
   options.num_samples = 60;  // not a multiple of kMultiVec on purpose
-  options.epsilon = 0.05;
+  options.epsilon = GetParam().size_epsilon;
   Rng rng_a(22);
   const auto batched =
-      EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
+      EstimateSampleSize(*spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
                          holdout_, options, &rng_a);
   Rng rng_b(22);
   const SampleSizeEstimate unbatched = reference::EstimateSampleSizePerDraw(
-      spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+      *spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
       &rng_b);
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(batched->sample_size, unbatched.sample_size);
@@ -350,7 +402,7 @@ TEST_F(EstimatorFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
   EXPECT_EQ(batched->evaluations, unbatched.evaluations);
 }
 
-TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {
+TEST_P(ScorePathFixture, BatchedEstimatorsThreadCountInvariant) {
   // The chunk layout (and so the z-block boundaries) is a pure function
   // of the sample count; with batching on the drawn bits must still be
   // identical at 1, 2, and 8 threads.
@@ -360,8 +412,8 @@ TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {
       [&] {
         Rng rng(23);
         const auto est =
-            EstimateAccuracy(spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
-                             holdout_, acc_options, &rng);
+            EstimateAccuracy(*spec_, theta0_, n0_, pool_.num_rows(),
+                             *sampler_, holdout_, acc_options, &rng);
         EXPECT_TRUE(est.ok());
         Vector out(2);
         out[0] = est->epsilon;
@@ -372,12 +424,12 @@ TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {
 
   SampleSizeOptions size_options;
   size_options.num_samples = 60;
-  size_options.epsilon = 0.05;
+  size_options.epsilon = GetParam().size_epsilon;
   testing::ExpectThreadCountInvariant(
       [&] {
         Rng rng(24);
         const auto est =
-            EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(),
+            EstimateSampleSize(*spec_, theta0_, n0_, pool_.num_rows(),
                                *sampler_, holdout_, size_options, &rng);
         EXPECT_TRUE(est.ok());
         Vector out(3);
@@ -389,20 +441,23 @@ TEST_F(EstimatorFixture, BatchedEstimatorsThreadCountInvariant) {
       {1, 2, 8}, "batched sample-size estimate");
 }
 
-// The search stops scanning a candidate once more pairs have failed than
-// the level allows. That must change nothing it returns: the size, the
-// (full-count) success fraction, the evaluation count and the level equal
-// the per-draw reference, which scans every pair, at 1, 2 and 8 threads.
-TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
+// The search scores each group of 8 pairs with one DiffsFromScoreBatch
+// call and stops scanning a candidate at its next group once more pairs
+// have failed than the level allows. That must change nothing it
+// returns: the size, the (full-count) success fraction, the evaluation
+// count and the level equal the per-draw reference, which scans every
+// pair, at 1, 2 and 8 threads.
+TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
   struct Case {
     const char* what;
     double epsilon;
     double delta;
     int num_samples;
   };
+  const double epsilon = GetParam().size_epsilon;
   const std::vector<Case> cases = {
-      {"level 1 (delta 0.05)", 0.05, 0.05, 60},
-      {"level below 1 (delta 0.3)", 0.05, 0.3, 128},
+      {"level 1 (delta 0.05)", epsilon, 0.05, 60},
+      {"level below 1 (delta 0.3)", epsilon, 0.3, 128},
       {"returns N (epsilon 0)", 0.0, 0.05, 60}};
   ThreadPool pool(8);
   for (const Case& c : cases) {
@@ -412,7 +467,7 @@ TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
     options.num_samples = c.num_samples;
     Rng ref_rng(28);
     const SampleSizeEstimate want = reference::EstimateSampleSizePerDraw(
-        spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
+        *spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
         &ref_rng);
     if (c.delta > 0.05) {
       // Some failures are allowed, and the returned n has some: a feasible
@@ -434,8 +489,8 @@ TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
       RuntimeScope scope(runtime);
       Rng rng(28);
       const auto got =
-          EstimateSampleSize(spec_, theta0_, n0_, pool_.num_rows(), *sampler_,
-                             holdout_, options, &rng);
+          EstimateSampleSize(*spec_, theta0_, n0_, pool_.num_rows(),
+                             *sampler_, holdout_, options, &rng);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got->sample_size, want.sample_size)
           << c.what << " threads=" << threads;
@@ -449,138 +504,10 @@ TEST_F(EstimatorFixture, EarlyExitMatchesPerDrawReference) {
   }
 }
 
-// ---------- Every score path against the per-draw oracle ----------
-
-// One model class per case: linear and Poisson regression take the GLM's
-// fused row-ordered sums with one LabelScale per group, max-entropy the
-// default materialize-then-DiffFromScores path, logistic the flip count.
-struct ScorePathCase {
-  const char* name;
-  std::function<std::unique_ptr<ModelSpec>()> make_spec;
-  std::function<Dataset()> make_data;
-};
-
-std::vector<ScorePathCase> ScorePathCases() {
-  return {
-      {"Logistic",
-       [] { return std::make_unique<LogisticRegressionSpec>(1e-3); },
-       [] { return MakeSyntheticLogistic(30000, 10, 42, 1.0, 0.1); }},
-      {"Linear", [] { return std::make_unique<LinearRegressionSpec>(1e-3); },
-       [] { return MakeSyntheticLinear(30000, 10, 43); }},
-      {"Poisson",
-       [] { return std::make_unique<PoissonRegressionSpec>(1e-3); },
-       [] { return MakeSyntheticCounts(30000, 10, 44); }},
-      {"MaxEntropy", [] { return std::make_unique<MaxEntropySpec>(1e-3); },
-       [] { return MakeSyntheticMulticlass(30000, 10, 3, 45); }},
-  };
-}
-
-class ScorePathOracle : public ::testing::TestWithParam<int> {};
-
-// The batched estimators score each group of draws in one
-// DiffsFromScoreBatch call and stop a size candidate at its first group
-// past the allowed failures. What they return equals the per-draw
-// reference (one Scores pass and one DiffFromScores per draw, every pair
-// scanned) bitwise, at 1, 2 and 8 threads. The size contract is half the
-// accuracy bound at n0, so the search lands strictly inside (n0, N).
-TEST_P(ScorePathOracle, BatchedEstimatorsEqualPerDrawReference) {
-  const ScorePathCase c =
-      ScorePathCases()[static_cast<std::size_t>(GetParam())];
-  const std::unique_ptr<ModelSpec> spec = c.make_spec();
-  Rng rng(1);
-  auto [holdout, pool] = c.make_data().Split(0.05, &rng);
-  const Dataset::Index n0 = 2000;
-  const Dataset::Index full_n = pool.num_rows();
-  const Dataset d0 = pool.SampleRows(n0, &rng);
-  const auto model = ModelTrainer().Train(*spec, d0);
-  ASSERT_TRUE(model.ok()) << c.name;
-  Rng stats_rng(2);
-  auto stats =
-      ComputeStatistics(*spec, model->theta, d0, StatsOptions(), &stats_rng);
-  ASSERT_TRUE(stats.ok()) << c.name;
-  const ParamSampler sampler(std::move(*stats));
-
-  AccuracyOptions acc_options;
-  acc_options.num_samples = 100;  // not a multiple of kMultiVec on purpose
-  Rng acc_ref_rng(21);
-  const AccuracyEstimate acc_want = reference::EstimateAccuracyPerDraw(
-      *spec, model->theta, n0, full_n, sampler, holdout, acc_options,
-      &acc_ref_rng);
-  ASSERT_GT(acc_want.epsilon, 0.0) << c.name;
-
-  struct SizeCase {
-    const char* what;
-    double epsilon;
-    double delta;
-    int num_samples;
-  };
-  const std::vector<SizeCase> size_cases = {
-      {"level 1 (delta 0.05)", 0.5 * acc_want.epsilon, 0.05, 60},
-      {"level below 1 (delta 0.3)", 0.5 * acc_want.epsilon, 0.3, 128},
-      {"returns N (epsilon 0)", 0.0, 0.05, 60}};
-  std::vector<SampleSizeEstimate> size_want;
-  for (const SizeCase& sc : size_cases) {
-    SampleSizeOptions options;
-    options.epsilon = sc.epsilon;
-    options.delta = sc.delta;
-    options.num_samples = sc.num_samples;
-    Rng ref_rng(28);
-    size_want.push_back(reference::EstimateSampleSizePerDraw(
-        *spec, model->theta, n0, full_n, sampler, holdout, options,
-        &ref_rng));
-    if (sc.epsilon == 0.0) {
-      EXPECT_EQ(size_want.back().sample_size, full_n) << c.name;
-    } else {
-      EXPECT_GT(size_want.back().sample_size, n0) << c.name << " " << sc.what;
-      EXPECT_LT(size_want.back().sample_size, full_n)
-          << c.name << " " << sc.what;
-    }
-  }
-
-  ThreadPool thread_pool(8);
-  for (const int threads : {1, 2, 8}) {
-    RuntimeOptions runtime;
-    runtime.pool = &thread_pool;
-    runtime.num_threads = threads;
-    RuntimeScope scope(runtime);
-    Rng acc_rng(21);
-    const auto acc_got =
-        EstimateAccuracy(*spec, model->theta, n0, full_n, sampler, holdout,
-                         acc_options, &acc_rng);
-    ASSERT_TRUE(acc_got.ok());
-    EXPECT_EQ(acc_got->epsilon, acc_want.epsilon)
-        << c.name << " threads=" << threads;
-    EXPECT_EQ(acc_got->mean_v, acc_want.mean_v)
-        << c.name << " threads=" << threads;
-    for (std::size_t i = 0; i < size_cases.size(); ++i) {
-      SampleSizeOptions options;
-      options.epsilon = size_cases[i].epsilon;
-      options.delta = size_cases[i].delta;
-      options.num_samples = size_cases[i].num_samples;
-      Rng size_rng(28);
-      const auto got =
-          EstimateSampleSize(*spec, model->theta, n0, full_n, sampler,
-                             holdout, options, &size_rng);
-      ASSERT_TRUE(got.ok());
-      const SampleSizeEstimate& want = size_want[i];
-      const std::string where = std::string(c.name) + " " +
-                                size_cases[i].what +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(got->sample_size, want.sample_size) << where;
-      EXPECT_EQ(got->success_fraction, want.success_fraction) << where;
-      EXPECT_EQ(got->evaluations, want.evaluations) << where;
-      EXPECT_EQ(got->quantile_level, want.quantile_level) << where;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ScorePaths, ScorePathOracle,
-    ::testing::Range(0, static_cast<int>(ScorePathCases().size())),
-    [](const ::testing::TestParamInfo<int>& info) {
-      return std::string(
-          ScorePathCases()[static_cast<std::size_t>(info.param)].name);
-    });
+INSTANTIATE_TEST_SUITE_P(Specs, ScorePathFixture,
+                         ::testing::ValuesIn(ScorePathCases()),
+                         [](const ::testing::TestParamInfo<ScorePathCase>&
+                                info) { return std::string(info.param.name); });
 
 // ---------- Search-evaluation accounting (memoized candidates) ----------
 

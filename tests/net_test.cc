@@ -980,10 +980,11 @@ TEST(BlinkServer, OversizedRegisterDatasetRejectedBeforeMaterialization) {
 // A registration forwards its Monte-Carlo config to every Train on the
 // dataset, so a config no Train can run is refused at registration, before
 // anything is materialized: a negative initial sample (every Train would
-// fail a sampler check), a one-row holdout (regression v divides by the
-// holdout labels' spread) and a size search whose retained scores exceed
-// the per-dataset cap. Nothing is registered: the same names then register
-// with the default config.
+// fail a sampler check), a one-row holdout, configured or taken from a
+// dataset of under 10 rows (regression v divides by the holdout labels'
+// spread), and a size search or an accuracy estimate whose retained
+// doubles exceed the per-dataset cap. Nothing is registered: the same
+// names then register with the default config.
 TEST(BlinkServer, RegisterDatasetRejectsMonteCarloConfigsNoTrainCanRun) {
   SessionManager manager;
   ServerOptions options;
@@ -1000,10 +1001,18 @@ TEST(BlinkServer, RegisterDatasetRejectsMonteCarloConfigsNoTrainCanRun) {
   tiny_holdout.config.holdout_size = 1;
   RegisterDatasetRequest no_draws = LogisticRegistration("t", "draws");
   no_draws.config.accuracy_samples = 0;
+  RegisterDatasetRequest tiny_rows = LogisticRegistration("t", "rows");
+  tiny_rows.generator = WireGenerator::kSyntheticLinear;
+  tiny_rows.rows = 9;  // a holdout of max(min(holdout_size, 9 / 5), 1) = 1
   RegisterDatasetRequest huge_search = LogisticRegistration("t", "search");
   huge_search.config.size_samples = 1 << 28;  // 3.4 TB of scores, h = 800
-  for (const RegisterDatasetRequest* bad :
-       {&negative_n0, &tiny_holdout, &no_draws, &huge_search}) {
+  RegisterDatasetRequest huge_accuracy = LogisticRegistration("t", "accuracy");
+  huge_accuracy.config.accuracy_samples =
+      std::numeric_limits<std::int32_t>::max();  // 17 GB of v
+  const std::vector<RegisterDatasetRequest*> bad_configs = {
+      &negative_n0, &tiny_holdout, &no_draws,
+      &tiny_rows,   &huge_search,  &huge_accuracy};
+  for (const RegisterDatasetRequest* bad : bad_configs) {
     const auto refused = client->RegisterDataset(*bad);
     ASSERT_FALSE(refused.ok()) << bad->name;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
@@ -1013,8 +1022,8 @@ TEST(BlinkServer, RegisterDatasetRejectsMonteCarloConfigsNoTrainCanRun) {
   }
   EXPECT_EQ(server.quotas().ResidentBytes("t"), 0u);
 
-  for (RegisterDatasetRequest* fixed :
-       {&negative_n0, &tiny_holdout, &no_draws, &huge_search}) {
+  for (RegisterDatasetRequest* fixed : bad_configs) {
+    fixed->rows = LogisticRegistration("t", fixed->name).rows;
     fixed->config = WireConfig();
     const auto registered = client->RegisterDataset(*fixed);
     ASSERT_TRUE(registered.ok())
