@@ -17,7 +17,13 @@
 //     sign-flip count of GlmSpec::DiffsFromScoreBatch, next to the
 //     ModelSpec default it overrides (materialize s1 and s2, then
 //     DiffFromScores), in the accuracy form (s2 = w + base) and the size
-//     form (s1 = u * a1 + base, s2 = w * a2 + s1).
+//     form (s1 = u * a1 + base, s2 = w * a2 + s1);
+//   * sample_refill: one final-sample gather of random rows from a
+//     100,000 x 100 dense pool, Dataset::TakeRows into fresh storage next
+//     to a refill of kept storage (what a training session's final trains
+//     do), for a sample above glibc's 32 MiB mmap ceiling (65,000 rows,
+//     52 MB: every fresh gather maps, zero-fills and faults a new buffer)
+//     and one below it (27,000 rows, 21.6 MB).
 // End-to-end timing lives in bench_e2e/ (BENCHMARK.json).
 //
 //   $ ./build/bench_kernels [--json[=path]] [--threads=N]
@@ -25,8 +31,8 @@
 // Honors BLINKML_SCALE (matvec dataset size) and BLINKML_REPEATS. Exit
 // status reflects the correctness checks — kernel results within 1e-12
 // (relative) of the reference and bitwise identical across 1/2/8 threads,
-// GLM passes and Monte-Carlo verdicts bitwise equal to their references —
-// not the speedup numbers.
+// GLM passes and Monte-Carlo verdicts bitwise equal to their references,
+// refilled samples byte-identical to fresh ones — not the speedup numbers.
 
 #include <algorithm>
 #include <cmath>
@@ -39,6 +45,7 @@
 
 #include "bench/bench_common.h"
 #include "core/statistics.h"
+#include "data/dataset.h"
 #include "data/generators.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -235,6 +242,46 @@ VerdictResult RunVerdicts(const std::string& name, const ModelSpec& spec,
                       }) /
                       kCalls;
   out.bitwise = std::memcmp(default_v, fused_v, sizeof(default_v)) == 0;
+  return out;
+}
+
+// One sample gathered into fresh storage and into kept storage.
+struct RefillResult {
+  std::string name;
+  double bytes = 0.0;  // feature and label bytes of the sample
+  double fresh_seconds = 0.0;
+  double refill_seconds = 0.0;
+  bool identical = false;  // refilled bytes == fresh bytes
+};
+
+// Times Dataset::TakeRows of `rows` into fresh storage (allocated and freed
+// per call) against a refill of storage kept from the previous call, and
+// compares the two samples byte for byte.
+RefillResult RunRefill(const std::string& name, const Dataset& pool,
+                       const std::vector<Dataset::Index>& rows, int repeats) {
+  RefillResult out;
+  out.name = name;
+  out.fresh_seconds = TimeIt(repeats, [&] { pool.TakeRows(rows); });
+  RowStorage storage;
+  out.refill_seconds = TimeIt(repeats, [&] {
+    Dataset sample = pool.TakeRows(rows, std::move(storage));
+    storage = std::move(sample).ReleaseStorage();
+  });
+  const Dataset fresh = pool.TakeRows(rows);
+  const Dataset refilled = pool.TakeRows(rows, std::move(storage));
+  const auto feature_bytes =
+      static_cast<std::size_t>(fresh.dense().size()) * sizeof(double);
+  const auto label_bytes =
+      static_cast<std::size_t>(fresh.labels().size()) * sizeof(double);
+  out.bytes = static_cast<double>(feature_bytes + label_bytes);
+  out.identical =
+      refilled.num_rows() == fresh.num_rows() &&
+      refilled.dense().size() == fresh.dense().size() &&
+      refilled.labels().size() == fresh.labels().size() &&
+      std::memcmp(refilled.dense().data(), fresh.dense().data(),
+                  feature_bytes) == 0 &&
+      std::memcmp(refilled.labels().data(), fresh.labels().data(),
+                  label_bytes) == 0;
   return out;
 }
 
@@ -440,6 +487,21 @@ int main(int argc, char** argv) {
                     logistic, verdict_holdout, size_form, repeats));
   }
 
+  // Final-sample gathers at train-dense's row width (100 doubles), above
+  // and below the mmap ceiling; fixed, not scaled.
+  const Dataset refill_pool = MakeSyntheticLogistic(/*n=*/100'000,
+                                                    /*dim=*/100, /*seed=*/37);
+  std::vector<RefillResult> refills;
+  for (const Dataset::Index n : {65'000, 27'000}) {
+    Rng draw(39);
+    refills.push_back(
+        RunRefill(StrFormat("dense %s x 100 of 100,000",
+                            WithThousands(n).c_str()),
+                  refill_pool,
+                  SampleWithoutReplacement(refill_pool.num_rows(), n, &draw),
+                  repeats));
+  }
+
   bool checks_pass = true;
   std::printf("\n%-34s| %-10s| %-10s| %-8s| %-10s| %s\n", "kernel",
               "reference", "blocked", "speedup", "rel diff", "1/2/8 bitwise");
@@ -506,6 +568,28 @@ int main(int argc, char** argv) {
                                .Bool("bitwise_vs_default", v.bitwise));
   }
 
+  // --- Final-sample gathers: fresh storage against kept storage.
+  std::printf("\n%-42s| %-10s| %-10s| %-10s| %-8s| %s\n",
+              "sample_refill (TakeRows)", "MB", "fresh", "refill", "speedup",
+              "identical");
+  std::vector<JsonObject> refill_json;
+  for (const RefillResult& r : refills) {
+    checks_pass = checks_pass && r.identical;
+    std::printf("%-42s| %-10.1f| %-10s| %-10s| %-8.2f| %s\n", r.name.c_str(),
+                r.bytes * 1e-6, HumanSeconds(r.fresh_seconds).c_str(),
+                HumanSeconds(r.refill_seconds).c_str(),
+                r.fresh_seconds / r.refill_seconds,
+                r.identical ? "yes" : "NO");
+    refill_json.push_back(JsonObject()
+                              .Str("sample", r.name)
+                              .Number("bytes", r.bytes)
+                              .Number("fresh_seconds", r.fresh_seconds)
+                              .Number("refill_seconds", r.refill_seconds)
+                              .Number("speedup",
+                                      r.fresh_seconds / r.refill_seconds)
+                              .Bool("identical", r.identical));
+  }
+
   // --- Blocked-kernel thread scaling (dense Gram; fixed schedule, so the
   // results are bitwise identical per the sweep above). Only lane counts
   // the machine has hardware threads for: more lanes than that time
@@ -525,7 +609,8 @@ int main(int argc, char** argv) {
   std::printf("\nkernel isa: %s\nchecks: %s\n", isa_name,
               checks_pass ? "kernels within 1e-12 of the reference, GLM "
                             "passes and Monte-Carlo verdicts bitwise, "
-                            "bitwise across thread counts"
+                            "refilled samples identical, bitwise across "
+                            "thread counts"
                           : "FAILED");
 
   if (flags.json) {
@@ -543,6 +628,7 @@ int main(int argc, char** argv) {
         .Array("micro", micro_json)
         .Array("glm_pass", pass_json)
         .Array("mc_verdicts", verdict_json)
+        .Array("sample_refill", refill_json)
         .Array("thread_scaling", thread_json)
         .Str("kernel_isa", isa_name)
         .Object("machine", MachineJson(hardware_threads, isa_name))

@@ -6,12 +6,36 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace blinkml {
 
 namespace {
 
 using Index = Dataset::Index;
+
+// A final sample gathered into storage borrowed from `pool` (fresh storage
+// without one). The destructor hands the storage back, so it returns on
+// every path out of TrainFinal.
+class LentSample {
+ public:
+  LentSample(const Dataset& data, const std::vector<Index>& rows,
+             RowStoragePool* pool)
+      : pool_(pool),
+        sample_(data.TakeRows(rows,
+                              pool != nullptr ? pool->Borrow() : RowStorage())) {}
+  ~LentSample() {
+    if (pool_ != nullptr) pool_->Return(std::move(sample_).ReleaseStorage());
+  }
+  LentSample(const LentSample&) = delete;
+  LentSample& operator=(const LentSample&) = delete;
+
+  const Dataset& sample() const { return sample_; }
+
+ private:
+  RowStoragePool* pool_;
+  Dataset sample_;
+};
 
 StatsOptions StatsOptionsFrom(const BlinkConfig& config) {
   StatsOptions options;
@@ -33,11 +57,35 @@ PhaseTimings& PhaseTimings::operator+=(const PhaseTimings& other) {
   return *this;
 }
 
+Index HoldoutRows(Index rows, const BlinkConfig& config) {
+  return std::max<Index>(std::min<Index>(config.holdout_size, rows / 5), 1);
+}
+
+Status ValidateTrainingConfig(Index rows, const BlinkConfig& config) {
+  if (rows < 10) {
+    return Status::InvalidArgument(
+        StrFormat("dataset too small: %lld rows, at least 10 needed",
+                  static_cast<long long>(rows)));
+  }
+  const Index holdout = HoldoutRows(rows, config);
+  if (config.initial_sample_size < 1 || holdout < 2 ||
+      config.accuracy_samples < 1 || config.size_samples < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "config needs initial_sample_size, accuracy_samples and "
+        "size_samples >= 1 and a holdout of >= 2 rows, got %lld, %d, %d and "
+        "%lld (holdout_size %lld of %lld rows)",
+        static_cast<long long>(config.initial_sample_size),
+        config.accuracy_samples, config.size_samples,
+        static_cast<long long>(holdout),
+        static_cast<long long>(config.holdout_size),
+        static_cast<long long>(rows)));
+  }
+  return Status::OK();
+}
+
 Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
                                              const BlinkConfig& config) {
-  if (data.num_rows() < 10) {
-    return Status::InvalidArgument("dataset too small");
-  }
+  BLINKML_RETURN_NOT_OK(ValidateTrainingConfig(data.num_rows(), config));
   RuntimeScope runtime_scope(config.runtime);
   WallTimer timer;
   Rng rng(config.seed);
@@ -47,9 +95,7 @@ Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
   // the "full model" would be trained on. Only the holdout and the (much
   // smaller) training samples are materialized; the pool stays an index
   // view into `data` so no O(N) copy is ever made.
-  Index holdout_size = std::min<Index>(config.holdout_size,
-                                       data.num_rows() / 5);
-  holdout_size = std::max<Index>(holdout_size, 1);
+  const Index holdout_size = HoldoutRows(data.num_rows(), config);
   Rng split_rng = rng.Split();
   std::vector<Index> perm = RandomPermutation(data.num_rows(), &split_rng);
   std::vector<Index> holdout_rows(perm.begin(), perm.begin() + holdout_size);
@@ -78,13 +124,14 @@ TrainingPipeline::TrainingPipeline(
     const ModelSpec& spec, const Dataset& data,
     const ApproximationContract& contract, const BlinkConfig& config,
     std::shared_ptr<const TrainingPrefix> prefix,
-    FeatureGramCache* gram_cache)
+    FeatureGramCache* gram_cache, RowStoragePool* sample_storage)
     : spec_(&spec),
       data_(&data),
       contract_(contract),
       config_(&config),
       prefix_(std::move(prefix)),
       gram_cache_(gram_cache),
+      sample_storage_(sample_storage),
       rng_(config.seed) {
   // The prefix consumed the first two streams of the master Rng (holdout
   // split, D_0 draw); discard them so the stage streams below line up with
@@ -198,25 +245,31 @@ Status TrainingPipeline::TrainFinal() {
   // Rng splits the same number of streams on every path to this stage, but
   // runs rarely land on the same n: a retained copy would pin n rows for
   // the session's lifetime to save one copy inside a whole final train.
+  // What a session keeps instead is the storage: D_n is gathered into
+  // storage borrowed from sample_storage_, which the session refills run
+  // after run without mapping, zero-filling or faulting it in again.
   Rng final_rng = rng_.Split();
-  const Dataset dn = [&] {
-    if (n >= full_n) return data_->TakeRows(*prefix_->pool_rows);
-    std::vector<Index> chosen = SampleWithoutReplacement(full_n, n, &final_rng);
+  std::vector<Index> chosen;
+  if (n < full_n) {
+    chosen = SampleWithoutReplacement(full_n, n, &final_rng);
     for (Index& c : chosen) {
       c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
     }
-    return data_->TakeRows(chosen);
-  }();
+  }
+  // Declared before the re-estimate's sampler, so the sampler, which can
+  // alias a CSR sample's structure, is gone before the storage returns.
+  const LentSample dn(*data_, n < full_n ? chosen : *prefix_->pool_rows,
+                      sample_storage_);
 
   // The final model warm-starts from the initial model's parameters.
   const ModelTrainer final_trainer(config_->trainer);
   {
     obs::PhaseScope t("final_train", &out_.timings.final_train);
-    BLINKML_ASSIGN_OR_RETURN(mn_,
-                             final_trainer.Train(*spec_, dn, &m0_.theta));
+    BLINKML_ASSIGN_OR_RETURN(
+        mn_, final_trainer.Train(*spec_, dn.sample(), &m0_.theta));
   }
   out_.final_iterations = mn_.iterations;
-  final_n_ = dn.num_rows();
+  final_n_ = dn.sample().num_rows();
   out_.sample_size = final_n_;
 
   // Re-estimate the returned model's bound with statistics at theta_n.
@@ -230,14 +283,14 @@ Status TrainingPipeline::TrainFinal() {
       // landing on the same n share this Gram.
       restats_options.gram_cache = gram_cache_;
       restats_options.gram_key = {FeatureGramCache::Phase::kFinalStats,
-                                  config_->seed, dn.num_rows()};
+                                  config_->seed, final_n_};
     }
     ParamSampler final_sampler = ParamSampler::FromDenseFactor(Matrix());
     {
       obs::PhaseScope t("statistics", &out_.timings.statistics);
       BLINKML_ASSIGN_OR_RETURN(
           final_sampler,
-          ComputeStatistics(*spec_, mn_.theta, dn, restats_options,
+          ComputeStatistics(*spec_, mn_.theta, dn.sample(), restats_options,
                             &restats_rng));
     }
     AccuracyOptions acc_options;

@@ -27,6 +27,7 @@
 #include "core/sample_size_estimator.h"
 #include "core/statistics.h"
 #include "data/dataset.h"
+#include "data/row_storage.h"
 #include "models/model_spec.h"
 #include "models/trainer.h"
 #include "random/rng.h"
@@ -114,9 +115,19 @@ struct TrainingPrefix {
   double seconds = 0.0;
 };
 
+/// Rows of the holdout a run over `rows` rows takes:
+/// max(min(holdout_size, rows / 5), 1).
+Dataset::Index HoldoutRows(Dataset::Index rows, const BlinkConfig& config);
+
+/// Refuses, as InvalidArgument, a config that no run over `rows` rows can
+/// complete: fewer than 10 rows, n_0 below 1, a holdout (HoldoutRows)
+/// below 2 rows (regression scales v by the holdout labels' spread), or
+/// fewer than 1 accuracy or size draw.
+Status ValidateTrainingConfig(Dataset::Index rows, const BlinkConfig& config);
+
 /// Computes the holdout split and D_0, consuming the first two streams of
 /// the master Rng exactly as the monolithic path did. Fails with
-/// InvalidArgument for datasets of fewer than 10 rows.
+/// InvalidArgument for configs ValidateTrainingConfig refuses.
 Result<TrainingPrefix> ComputeTrainingPrefix(const Dataset& data,
                                              const BlinkConfig& config);
 
@@ -128,12 +139,15 @@ class TrainingPipeline {
   /// `gram_cache` (optional, session-owned) shares the statistics phase's
   /// feature Gram across candidates; the statistics stages key it by
   /// (phase, seed, sample rows), which determine the stats sub-sample
-  /// deterministically.
+  /// deterministically. `sample_storage` (optional, session-owned) lends
+  /// TrainFinal the storage its final sample is gathered into; without
+  /// it, the sample goes into fresh storage.
   TrainingPipeline(const ModelSpec& spec, const Dataset& data,
                    const ApproximationContract& contract,
                    const BlinkConfig& config,
                    std::shared_ptr<const TrainingPrefix> prefix,
-                   FeatureGramCache* gram_cache = nullptr);
+                   FeatureGramCache* gram_cache = nullptr,
+                   RowStoragePool* sample_storage = nullptr);
 
   // --- Stages (call in order). ---
 
@@ -153,9 +167,12 @@ class TrainingPipeline {
   /// Runs the Sample Size Estimator for the minimum n.
   Status EstimateMinimumSampleSize();
 
-  /// Trains m_n on a fresh size-n sample (warm-started from m_0) and,
-  /// when n is below the pool size, re-estimates its bound at theta_n.
-  /// The sample lives for this call only.
+  /// Trains m_n on a size-n sample (warm-started from m_0) and, when n is
+  /// below the pool size, re-estimates its bound at theta_n. The sample
+  /// is gathered into storage borrowed from `sample_storage` (or fresh
+  /// storage) and lives for this call only; the storage goes back when
+  /// the call returns, on every path, after the re-estimate's sampler
+  /// (which can alias a CSR sample) is gone.
   Status TrainFinal();
 
   /// Packages the result from whichever stages ran. The model is m_n when
@@ -179,6 +196,7 @@ class TrainingPipeline {
   const BlinkConfig* config_;
   std::shared_ptr<const TrainingPrefix> prefix_;
   FeatureGramCache* gram_cache_;
+  RowStoragePool* sample_storage_;
 
   Rng rng_;
   WallTimer total_timer_;

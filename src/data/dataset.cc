@@ -1,11 +1,30 @@
 #include "data/dataset.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "linalg/kernels.h"
+#include "obs/trace.h"
 
 namespace blinkml {
+
+namespace {
+
+// Empties `v` for `need` elements without filling them. When the capacity
+// falls short, the old array is freed before the new one is reserved, and
+// the new capacity is max(need, min(2 x capacity, limit)).
+template <typename T>
+void MakeRoom(std::vector<T>* v, std::size_t need, std::size_t limit) {
+  v->clear();
+  if (v->capacity() >= need) return;
+  const std::size_t grown =
+      std::max(need, std::min(2 * v->capacity(), limit));
+  std::vector<T>().swap(*v);
+  v->reserve(grown);
+}
+
+}  // namespace
 
 Dataset::Dataset(Matrix features, Vector labels, Task task, Index num_classes)
     : is_sparse_(false), dense_(std::move(features)),
@@ -76,27 +95,69 @@ void Dataset::AddRowTo(Index i, double alpha, double* out) const {
 }
 
 Dataset Dataset::TakeRows(const std::vector<Index>& rows) const {
-  Vector labels;
+  return TakeRows(rows, RowStorage());
+}
+
+Dataset Dataset::TakeRows(const std::vector<Index>& rows,
+                          RowStorage storage) const {
+  obs::SpanScope span("sample", "data", "rows",
+                      static_cast<long long>(rows.size()));
+  for (const Index r : rows) {
+    BLINKML_CHECK_MSG(r >= 0 && r < num_rows_, "TakeRows index out of range");
+  }
+  const auto k = static_cast<Index>(rows.size());
+  MakeRoom(&storage.labels, has_labels() ? rows.size() : 0,
+           static_cast<std::size_t>(labels_.size()));
   if (has_labels()) {
-    labels.Resize(static_cast<Vector::Index>(rows.size()));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      BLINKML_CHECK_MSG(rows[i] >= 0 && rows[i] < num_rows_,
-                        "TakeRows index out of range");
-      labels[static_cast<Vector::Index>(i)] = labels_[rows[i]];
+    for (const Index r : rows) storage.labels.push_back(labels_[r]);
+  }
+  // A dense row is a CSR row of dim_ entries without column indices.
+  std::size_t entries = rows.size() * static_cast<std::size_t>(dim_);
+  std::size_t all_entries = static_cast<std::size_t>(num_rows_ * dim_);
+  if (is_sparse_) {
+    MakeRoom(&storage.row_ptr, rows.size() + 1,
+             static_cast<std::size_t>(num_rows_) + 1);
+    storage.row_ptr.push_back(0);
+    for (const Index r : rows) {
+      storage.row_ptr.push_back(storage.row_ptr.back() + sparse_.RowNnz(r));
+    }
+    entries = static_cast<std::size_t>(storage.row_ptr.back());
+    all_entries = static_cast<std::size_t>(sparse_.nnz());
+    MakeRoom(&storage.col_idx, entries, all_entries);
+  }
+  MakeRoom(&storage.values, entries, all_entries);
+  for (const Index r : rows) {
+    const double* values = is_sparse_ ? sparse_.RowValues(r)
+                                      : dense_.row_data(r);
+    const Index n = is_sparse_ ? sparse_.RowNnz(r) : dim_;
+    storage.values.insert(storage.values.end(), values, values + n);
+    if (is_sparse_) {
+      const Index* cols = sparse_.RowCols(r);
+      storage.col_idx.insert(storage.col_idx.end(), cols, cols + n);
     }
   }
+  Vector labels(std::move(storage.labels));
   if (is_sparse_) {
-    return Dataset(sparse_.TakeRows(rows), std::move(labels), task_,
-                   num_classes_);
+    return Dataset(SparseMatrix(k, dim_, std::move(storage.row_ptr),
+                                std::move(storage.col_idx),
+                                std::move(storage.values)),
+                   std::move(labels), task_, num_classes_);
   }
-  Matrix out(static_cast<Matrix::Index>(rows.size()), dim_);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    BLINKML_CHECK_MSG(rows[i] >= 0 && rows[i] < num_rows_,
-                      "TakeRows index out of range");
-    std::copy(dense_.row_data(rows[i]), dense_.row_data(rows[i]) + dim_,
-              out.row_data(static_cast<Matrix::Index>(i)));
+  return Dataset(Matrix(k, dim_, std::move(storage.values)), std::move(labels),
+                 task_, num_classes_);
+}
+
+RowStorage Dataset::ReleaseStorage() && {
+  RowStorage out;
+  if (is_sparse_) {
+    std::move(sparse_).ReleaseArrays(&out.row_ptr, &out.col_idx, &out.values);
+  } else {
+    out.values = std::move(dense_).ReleaseValues();
   }
-  return Dataset(std::move(out), std::move(labels), task_, num_classes_);
+  out.labels = std::move(labels_).ReleaseValues();
+  num_rows_ = 0;
+  dim_ = 0;
+  return out;
 }
 
 Dataset Dataset::SampleRows(Index k, Rng* rng) const {

@@ -4,6 +4,15 @@
 // vector and task metadata. Row subsets (samples, holdouts, splits) are
 // materialized copies: BlinkML's samples are small relative to N by design,
 // and copies keep the hot training loops free of indirection.
+//
+// TakeRows is the one gather for dense and CSR subsets. It appends the
+// rows, in the order given, to the arrays of a RowStorage
+// (data/row_storage.h) and adopts them without a copy: fresh storage is
+// reserved, never zero-filled, and storage that already held a subset at
+// least as large is refilled in place, with no new mapping or page faults.
+// ReleaseStorage gives the arrays back for the next refill, which is how a
+// training session reuses one storage for final sample after final sample
+// (core/pipeline.h). Every subset is still a copy of its own rows.
 
 #ifndef BLINKML_DATA_DATASET_H_
 #define BLINKML_DATA_DATASET_H_
@@ -14,6 +23,7 @@
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "linalg/vector.h"
+#include "data/row_storage.h"
 #include "random/rng.h"
 #include "util/check.h"
 
@@ -72,8 +82,19 @@ class Dataset {
   /// out += alpha * x_i (dense scatter of feature row i).
   void AddRowTo(Index i, double alpha, double* out) const;
 
-  /// New dataset with the given rows, in order.
+  /// New dataset with the given rows, in order, in fresh storage.
   Dataset TakeRows(const std::vector<Index>& rows) const;
+
+  /// The same rows written into `storage`'s arrays. Capacity that falls
+  /// short is freed first and then reserved anew, growing geometrically
+  /// (at most to this dataset's size, unless the rows need more), so old
+  /// and new arrays never coexist. Runs under the obs span "sample".
+  Dataset TakeRows(const std::vector<Index>& rows, RowStorage storage) const;
+
+  /// Moves this dataset's arrays out for a later TakeRows to refill,
+  /// leaving an empty dataset. A CSR structure that another matrix still
+  /// aliases stays with that matrix (SparseMatrix::ReleaseArrays).
+  RowStorage ReleaseStorage() &&;
 
   /// Uniform random sample of k rows without replacement.
   Dataset SampleRows(Index k, Rng* rng) const;

@@ -35,6 +35,12 @@ class Matrix {
     BLINKML_CHECK_GE(cols, 0);
     BLINKML_CHECK_EQ(data_.size(), static_cast<std::size_t>(rows * cols));
   }
+  /// Moves the row-major values out, leaving a 0 x 0 matrix: the inverse
+  /// of the adopting constructor, so storage can serve another matrix.
+  std::vector<double> ReleaseValues() && {
+    rows_ = cols_ = 0;
+    return std::move(data_);
+  }
   /// Row-major construction from nested initializer lists (for tests).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 

@@ -144,34 +144,23 @@ SparseMatrix SparseMatrix::WithValues(std::vector<double> values) const {
                       std::move(values));
 }
 
-SparseMatrix SparseMatrix::TakeRows(const std::vector<Index>& rows) const {
-  auto out = std::make_shared<Structure>();
-  out->rows = static_cast<Index>(rows.size());
-  out->cols = cols();
-  out->row_ptr.resize(rows.size() + 1);
-  out->row_ptr[0] = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Index r = rows[i];
-    BLINKML_CHECK_MSG(r >= 0 && r < this->rows(),
-                      "TakeRows index out of range");
-    out->row_ptr[i + 1] = out->row_ptr[i] + RowNnz(r);
+void SparseMatrix::ReleaseArrays(std::vector<Index>* row_ptr,
+                                 std::vector<Index>* col_idx,
+                                 std::vector<double>* values) && {
+  *values = std::move(values_);
+  values_.clear();
+  row_ptr->clear();
+  col_idx->clear();
+  // Sole owner: no alias can read the arrays any more. Structures are
+  // built non-const (the const view only guards the aliases), so moving
+  // out of this one is well defined; the shared empty structure always has
+  // a second owner and never gets here.
+  if (structure_ != nullptr && structure_.use_count() == 1) {
+    auto& s = const_cast<Structure&>(*structure_);
+    *row_ptr = std::move(s.row_ptr);
+    *col_idx = std::move(s.col_idx);
   }
-  const std::size_t total = static_cast<std::size_t>(out->row_ptr.back());
-  out->col_idx.resize(total);
-  std::vector<double> values(total);
-  ParallelFor(0, out->rows, [&](Index b, Index e) {
-    for (Index i = b; i < e; ++i) {
-      const Index r = rows[static_cast<std::size_t>(i)];
-      const Index n = RowNnz(r);
-      const Index* cols = RowCols(r);
-      const double* vals = RowValues(r);
-      const Index dst = out->row_ptr[static_cast<std::size_t>(i)];
-      std::copy(cols, cols + n,
-                out->col_idx.data() + static_cast<std::size_t>(dst));
-      std::copy(vals, vals + n, values.data() + static_cast<std::size_t>(dst));
-    }
-  });
-  return SparseMatrix(std::move(out), std::move(values));
+  structure_.reset();
 }
 
 Matrix SparseMatrix::ToDense() const {

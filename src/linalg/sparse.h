@@ -11,10 +11,12 @@
 // alias the source's structure instead of copying it — the form every
 // single-output GLM's per-example gradient matrix takes (diag(c) X shares
 // X's structure exactly), so the statistics path never duplicates the
-// index arrays, which dominate CSR memory. Construction, FromDense, and
-// TakeRows are chunk-parallel over rows with a deterministic layout
-// (per-row output ranges are precomputed, so results are identical at any
-// thread count; see runtime/parallel.h).
+// index arrays, which dominate CSR memory. Construction and FromDense are
+// chunk-parallel over rows with a deterministic layout (per-row output
+// ranges are precomputed, so results are identical at any thread count;
+// see runtime/parallel.h). Row subsets are gathered by Dataset::TakeRows
+// (data/dataset.h), which builds them through the array constructor and
+// takes the arrays back with ReleaseArrays.
 
 #ifndef BLINKML_LINALG_SPARSE_H_
 #define BLINKML_LINALG_SPARSE_H_
@@ -45,9 +47,17 @@ class SparseMatrix {
   /// column indices; they are sorted by column on construction.
   SparseMatrix(Index cols, std::vector<std::vector<SparseEntry>> rows);
 
-  /// Builds directly from CSR arrays (row_ptr has rows+1 entries).
+  /// Builds directly from CSR arrays (row_ptr has rows+1 entries),
+  /// adopting them without a copy.
   SparseMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
                std::vector<Index> col_idx, std::vector<double> values);
+
+  /// Moves the CSR arrays out, leaving an empty matrix: the inverse of the
+  /// array constructor. While another matrix aliases this one's structure
+  /// (ScaleRows / WithValues lineage), that matrix keeps it, and row_ptr
+  /// and col_idx come out empty.
+  void ReleaseArrays(std::vector<Index>* row_ptr, std::vector<Index>* col_idx,
+                     std::vector<double>* values) &&;
 
   Index rows() const { return structure().rows; }
   Index cols() const { return structure().cols; }
@@ -99,9 +109,6 @@ class SparseMatrix {
   bool SharesStructureWith(const SparseMatrix& other) const {
     return structure_ == other.structure_ && structure_ != nullptr;
   }
-
-  /// New matrix keeping only the given rows, in the given order.
-  SparseMatrix TakeRows(const std::vector<Index>& rows) const;
 
   /// Dense copy (for tests / small matrices).
   Matrix ToDense() const;

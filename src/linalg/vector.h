@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -43,6 +44,10 @@ class Vector {
   double* data() { return data_.data(); }
 
   const std::vector<double>& values() const { return data_; }
+
+  /// Moves the values out, leaving an empty vector (the inverse of the
+  /// adopting constructor).
+  std::vector<double> ReleaseValues() && { return std::move(data_); }
 
   /// Sets every element to `v`.
   void Fill(double v);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/pipeline.h"
 #include "data/generators.h"
 #include "models/linear_regression.h"
 #include "models/logistic_regression.h"
@@ -174,22 +175,17 @@ std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request) {
 Status ValidateWireConfig(const RegisterDatasetRequest& request,
                           std::uint64_t max_bytes) {
   const WireConfig& c = request.config;
-  // The holdout every Train takes (core/pipeline.cc).
-  const std::int64_t holdout = std::max<std::int64_t>(
-      std::min<std::int64_t>(c.holdout_size, request.rows / 5), 1);
-  if (c.initial_sample_size < 1 || holdout < 2 || c.stats_sample_size < 1 ||
-      c.accuracy_samples < 1 || c.size_samples < 1) {
-    return Status::InvalidArgument(StrFormat(
-        "config needs initial_sample_size, stats_sample_size, "
-        "accuracy_samples and size_samples >= 1 and a holdout of >= 2 rows, "
-        "got %lld, %lld, %d, %d and %lld (holdout_size %lld of %lld rows)",
-        static_cast<long long>(c.initial_sample_size),
-        static_cast<long long>(c.stats_sample_size), c.accuracy_samples,
-        c.size_samples, static_cast<long long>(holdout),
-        static_cast<long long>(c.holdout_size),
-        static_cast<long long>(request.rows)));
+  const BlinkConfig config = ToBlinkConfig(c);
+  BLINKML_RETURN_NOT_OK(ValidateTrainingConfig(request.rows, config));
+  // In process, a stats_sample_size below 1 means "every row of the
+  // sample"; the wire keeps its registrations explicit.
+  if (c.stats_sample_size < 1) {
+    return Status::InvalidArgument(
+        StrFormat("config needs stats_sample_size >= 1, got %lld",
+                  static_cast<long long>(c.stats_sample_size)));
   }
   if (max_bytes == 0) return Status::OK();
+  const std::int64_t holdout = HoldoutRows(request.rows, config);
   const std::uint64_t score_bytes = SaturatingMul(
       SaturatingMul(2 * static_cast<std::uint64_t>(c.size_samples),
                     static_cast<std::uint64_t>(holdout)),

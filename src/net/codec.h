@@ -116,10 +116,9 @@ Result<Dataset> MakeWireDataset(const RegisterDatasetRequest& request);
 std::uint64_t EstimateWireDatasetBytes(const RegisterDatasetRequest& request);
 
 /// Checks the Monte-Carlo config a registration forwards to every Train on
-/// its dataset, before anything is materialized: every sample and draw
-/// count must be at least 1, and the holdout a Train takes,
-/// max(min(holdout_size, rows / 5), 1) rows, at least 2 (regression
-/// scales v by the holdout labels' spread). The size search retains
+/// its dataset, before anything is materialized: the rule every Train
+/// applies (ValidateTrainingConfig, core/pipeline.h), plus a
+/// stats_sample_size of at least 1. The size search retains
 /// 2 x size_samples holdout score vectors of that many doubles (one score
 /// column: every wire generator trains a single-output model), and the
 /// accuracy estimate one double per draw; each must fit `max_bytes`

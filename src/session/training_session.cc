@@ -43,7 +43,8 @@ Result<std::unique_ptr<TrainingPipeline>> TrainingSession::MakePipeline(
   BLINKML_ASSIGN_OR_RETURN(std::shared_ptr<const TrainingPrefix> prefix,
                            PrefixFor(seed));
   return std::make_unique<TrainingPipeline>(spec, *data_, contract, config,
-                                            std::move(prefix), &gram_cache_);
+                                            std::move(prefix), &gram_cache_,
+                                            &sample_storage_);
 }
 
 void TrainingSession::RecordRun(const PhaseTimings& timings) {
@@ -58,7 +59,7 @@ std::uint64_t TrainingSession::CacheBytes() const {
   // prefix — taking it here would stall the whole control plane behind one
   // tenant's in-flight materialization.
   return prefix_bytes_.load(std::memory_order_relaxed) +
-         gram_cache_.cached_bytes();
+         gram_cache_.cached_bytes() + sample_storage_.kept_bytes();
 }
 
 SessionStats TrainingSession::stats() const {
@@ -68,6 +69,8 @@ SessionStats TrainingSession::stats() const {
   out.cache.misses = prefixes_computed_.value();
   out.cache.cached_bytes = prefix_bytes_.load(std::memory_order_relaxed);
   out.gram_cache = gram_cache_.stats();
+  out.sample_storage_bytes = sample_storage_.kept_bytes();
+  out.sample_storages = sample_storage_.kept_count();
   return out;
 }
 

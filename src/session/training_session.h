@@ -12,9 +12,13 @@
 //   auto b = session.Train(LogisticRegressionSpec(1e-3), {0.05, 0.05});
 //   // b reused a's holdout + D_0; session.stats() shows the amortization.
 //
-// A run's final sample D_n is not shared: it is materialized inside the
-// run and freed with it (core/pipeline.h), so a session's retained bytes
-// are its prefixes and Grams, whatever its runs' sample sizes.
+// A run's final sample D_n is not shared: every run gathers its own D_n
+// (core/pipeline.h). What a session keeps is the storage: it lends each
+// final train storage that an earlier final train left behind, so the
+// gather refills memory that is already mapped and faulted in. A session
+// retains its prefixes, its Grams and at most one storage per final train
+// it ran at the same time, each grown geometrically to the largest sample
+// it held (data/dataset.h).
 //
 // Determinism: a session run is bitwise identical to a standalone
 // Coordinator::Train with the same config/seed at any thread count — the
@@ -35,6 +39,7 @@
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "data/feature_gram_cache.h"
+#include "data/row_storage.h"
 #include "models/model_spec.h"
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -72,6 +77,10 @@ struct SessionStats {
   /// Feature-Gram cache counters (the statistics-phase amortization:
   /// one sorted-merge Gram per key, rescales for every later candidate).
   FeatureGramCache::Stats gram_cache;
+  /// Capacity bytes of the storage kept for final samples between runs,
+  /// and how many storages hold them (runs in flight hold theirs).
+  std::uint64_t sample_storage_bytes = 0;
+  int sample_storages = 0;
 };
 
 class TrainingSession {
@@ -116,10 +125,11 @@ class TrainingSession {
   SessionStats stats() const;
 
   /// Approximate bytes retained by this session (memoized prefixes +
-  /// feature Grams) — what the serving layer's byte-budget LRU charges a
-  /// session (serve/session_manager.h). Excludes the dataset itself, which
-  /// the manager accounts per registry entry, and the final samples of
-  /// runs in flight, which live only as long as their run.
+  /// feature Grams + storage kept for final samples) — what the serving
+  /// layer's byte-budget LRU charges a session and frees by evicting it
+  /// (serve/session_manager.h). Excludes the dataset itself, which the
+  /// manager accounts per registry entry, and the storage runs in flight
+  /// have borrowed, which comes back when their final train ends.
   std::uint64_t CacheBytes() const;
 
  private:
@@ -134,6 +144,8 @@ class TrainingSession {
   const std::shared_ptr<const Dataset> data_;
   const BlinkConfig config_;
   FeatureGramCache gram_cache_;
+  /// Storage for final samples, lent to one final train at a time.
+  RowStoragePool sample_storage_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const BlinkConfig>>

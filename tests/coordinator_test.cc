@@ -34,6 +34,57 @@ TEST(Coordinator, RejectsBadContractAndTinyData) {
   EXPECT_FALSE(coordinator.Train(spec, tiny, {0.05, 0.05}).ok());
 }
 
+// A config no run can complete is refused before anything is sampled,
+// the same rule the wire applies to registrations (net::ValidateWireConfig).
+TEST(Coordinator, RefusesConfigsNoTrainCanRun) {
+  const Dataset logistic = MakeSyntheticLogistic(5000, 5, 1);
+  const Dataset linear = MakeSyntheticLinear(5000, 5, 1);
+  const LogisticRegressionSpec logistic_spec;
+  const LinearRegressionSpec linear_spec(1e-3);
+  const auto expect_refused = [](const Result<ApproxResult>& result,
+                                 const char* what) {
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << result.status().ToString();
+  };
+
+  BlinkConfig negative_n0 = FastConfig();
+  negative_n0.initial_sample_size = -5;
+  expect_refused(
+      Coordinator(negative_n0).Train(logistic_spec, logistic, {0.05, 0.05}),
+      "n0 = -5");
+  BlinkConfig zero_n0 = FastConfig();
+  zero_n0.initial_sample_size = 0;
+  expect_refused(
+      Coordinator(zero_n0).Train(logistic_spec, logistic, {0.05, 0.05}),
+      "n0 = 0");
+  // Regression scales v by the holdout labels' spread: one row has none.
+  BlinkConfig one_row_holdout = FastConfig();
+  one_row_holdout.holdout_size = 1;
+  expect_refused(
+      Coordinator(one_row_holdout).Train(linear_spec, linear, {0.05, 0.05}),
+      "holdout_size = 1");
+  BlinkConfig no_accuracy_draws = FastConfig();
+  no_accuracy_draws.accuracy_samples = 0;
+  expect_refused(Coordinator(no_accuracy_draws)
+                     .Train(logistic_spec, logistic, {0.05, 0.05}),
+                 "accuracy_samples = 0");
+  BlinkConfig no_size_draws = FastConfig();
+  no_size_draws.size_samples = -1;
+  expect_refused(
+      Coordinator(no_size_draws).Train(logistic_spec, logistic, {0.05, 0.05}),
+      "size_samples = -1");
+
+  // The smallest configs the rule admits still train.
+  BlinkConfig smallest = FastConfig();
+  smallest.holdout_size = 2;
+  smallest.accuracy_samples = 1;
+  smallest.size_samples = 1;
+  const auto admitted =
+      Coordinator(smallest).Train(linear_spec, linear, {0.05, 0.05});
+  EXPECT_TRUE(admitted.ok()) << admitted.status().ToString();
+}
+
 TEST(Coordinator, LooseContractReturnsInitialModel) {
   const Coordinator coordinator(FastConfig());
   LogisticRegressionSpec spec;

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,144 @@ TEST(Dataset, TakeRowsPreservesLabelsAndOrder) {
   EXPECT_DOUBLE_EQ(t.label(0), 0.0);
   EXPECT_DOUBLE_EQ(t.dense()(1, 0), 1.0);
   EXPECT_THROW(d.TakeRows({4}), CheckError);
+}
+
+TEST(Dataset, SparseTakeRowsSelectsAndReorders) {
+  std::vector<std::vector<SparseEntry>> rows(3);
+  rows[0] = {{2, 2.0}, {0, 1.0}};
+  rows[2] = {{1, 3.0}};
+  const Dataset d(SparseMatrix(3, std::move(rows)), Vector{1.0, 0.0, 1.0},
+                  Task::kBinary);
+  const Dataset t = d.TakeRows({2, 0});
+  EXPECT_EQ(t.num_rows(), 2);
+  EXPECT_EQ(t.dim(), 3);
+  const Matrix x = t.sparse().ToDense();
+  EXPECT_DOUBLE_EQ(x(0, 1), 3.0);
+  EXPECT_DOUBLE_EQ(x(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(x(1, 2), 2.0);
+  EXPECT_DOUBLE_EQ(t.label(0), 1.0);
+  EXPECT_DOUBLE_EQ(t.label(1), 1.0);
+  // A gathered subset owns its structure.
+  EXPECT_FALSE(t.sparse().SharesStructureWith(d.sparse()));
+  EXPECT_THROW(d.TakeRows({3}), CheckError);
+}
+
+// EXPECTs two datasets bitwise equal: shape, features and labels.
+void ExpectSameBytes(const Dataset& a, const Dataset& b, const char* what) {
+  ASSERT_EQ(a.is_sparse(), b.is_sparse()) << what;
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  ASSERT_EQ(a.dim(), b.dim()) << what;
+  ASSERT_EQ(a.labels().size(), b.labels().size()) << what;
+  EXPECT_EQ(std::memcmp(a.labels().data(), b.labels().data(),
+                        a.labels().values().size() * sizeof(double)),
+            0)
+      << what;
+  if (!a.is_sparse()) {
+    EXPECT_EQ(std::memcmp(a.dense().data(), b.dense().data(),
+                          static_cast<std::size_t>(a.dense().size()) *
+                              sizeof(double)),
+              0)
+        << what;
+    return;
+  }
+  ASSERT_EQ(a.sparse().nnz(), b.sparse().nnz()) << what;
+  for (Dataset::Index r = 0; r < a.num_rows(); ++r) {
+    const auto n = a.sparse().RowNnz(r);
+    ASSERT_EQ(n, b.sparse().RowNnz(r)) << what << " row " << r;
+    EXPECT_EQ(std::memcmp(a.sparse().RowCols(r), b.sparse().RowCols(r),
+                          static_cast<std::size_t>(n) *
+                              sizeof(SparseMatrix::Index)),
+              0)
+        << what << " row " << r;
+    EXPECT_EQ(std::memcmp(a.sparse().RowValues(r), b.sparse().RowValues(r),
+                          static_cast<std::size_t>(n) * sizeof(double)),
+              0)
+        << what << " row " << r;
+  }
+}
+
+// A refill of kept storage writes the bytes a gather into fresh storage
+// writes, whatever subset the storage held before. Storage that fits is
+// refilled in place; storage that falls short grows to max(need,
+// min(2 x capacity, source size)).
+TEST(Dataset, RefillOfKeptStorageEqualsFreshTakeRows) {
+  using Index = Dataset::Index;
+  constexpr Index kRows = 2000;
+  for (const bool sparse : {false, true}) {
+    const Dataset d = sparse ? MakeSyntheticLogistic(kRows, 300, 5, 0.05)
+                             : MakeSyntheticLogistic(kRows, 20, 5);
+    Rng rng(8);
+    const std::vector<Index> small = SampleWithoutReplacement(kRows, 300, &rng);
+    const std::vector<Index> mid = SampleWithoutReplacement(kRows, 400, &rng);
+    const std::vector<Index> big = SampleWithoutReplacement(kRows, 900, &rng);
+    const std::vector<Index> repeated = {5, 5, kRows - 1, 0, 5};
+    struct Step {
+      const std::vector<Index>* rows;
+      bool fits;  // the kept storage already holds these rows
+    };
+    const Step steps[] = {{&small, false}, {&mid, false},     {&small, true},
+                          {&big, false},   {&repeated, true}, {&mid, true}};
+    RowStorage storage;
+    for (const Step& step : steps) {
+      const Dataset fresh = d.TakeRows(*step.rows);
+      const std::uint64_t kept_bytes = storage.CapacityBytes();
+      const std::size_t kept_values = storage.values.capacity();
+      const double* kept = storage.values.data();
+      Dataset refilled = d.TakeRows(*step.rows, std::move(storage));
+      ExpectSameBytes(refilled, fresh, sparse ? "sparse" : "dense");
+      storage = std::move(refilled).ReleaseStorage();
+      EXPECT_EQ(refilled.num_rows(), 0);
+      if (step.fits) {
+        EXPECT_EQ(storage.CapacityBytes(), kept_bytes);
+        EXPECT_EQ(storage.values.data(), kept);
+      } else if (!sparse) {
+        const std::size_t need = step.rows->size() * 20;
+        EXPECT_EQ(storage.values.capacity(),
+                  std::max(need, std::min(2 * kept_values,
+                                          static_cast<std::size_t>(kRows) *
+                                              20)));
+      }
+    }
+  }
+  // Geometric growth stops at the source's size unless the rows need more.
+  const Dataset d = MakeSyntheticLogistic(kRows, 20, 5);
+  std::vector<Index> rows(1200);
+  for (Index i = 0; i < 1200; ++i) rows[static_cast<std::size_t>(i)] = i;
+  RowStorage storage = d.TakeRows(rows).ReleaseStorage();
+  rows.push_back(1200);
+  storage = d.TakeRows(rows, std::move(storage)).ReleaseStorage();
+  EXPECT_EQ(storage.values.capacity(), static_cast<std::size_t>(kRows) * 20);
+  rows.assign(2100, 7);
+  storage = d.TakeRows(rows, std::move(storage)).ReleaseStorage();
+  EXPECT_EQ(storage.values.capacity(), static_cast<std::size_t>(2100) * 20);
+}
+
+TEST(RowStoragePool, LendsItsLargestStorageAndCountsWhatItKeeps) {
+  const Dataset d = MakeSyntheticLogistic(500, 10, 3);
+  std::vector<Dataset::Index> rows(100);
+  for (Dataset::Index i = 0; i < 100; ++i) {
+    rows[static_cast<std::size_t>(i)] = i;
+  }
+  RowStorage small = d.TakeRows({1, 2, 3}).ReleaseStorage();
+  RowStorage large = d.TakeRows(rows).ReleaseStorage();
+  const std::uint64_t small_bytes = small.CapacityBytes();
+  const std::uint64_t large_bytes = large.CapacityBytes();
+  ASSERT_LT(small_bytes, large_bytes);
+
+  RowStoragePool pool;
+  EXPECT_EQ(pool.Borrow().CapacityBytes(), 0u);
+  pool.Return(std::move(small));
+  pool.Return(std::move(large));
+  pool.Return(RowStorage());  // nothing to keep
+  EXPECT_EQ(pool.kept_count(), 2);
+  EXPECT_EQ(pool.kept_bytes(), small_bytes + large_bytes);
+
+  RowStorage lent = pool.Borrow();
+  EXPECT_EQ(lent.CapacityBytes(), large_bytes);
+  EXPECT_EQ(pool.kept_count(), 1);
+  EXPECT_EQ(pool.kept_bytes(), small_bytes);
+  pool.Return(std::move(lent));
+  EXPECT_EQ(pool.kept_bytes(), small_bytes + large_bytes);
 }
 
 TEST(Dataset, SampleRowsIsWithoutReplacement) {

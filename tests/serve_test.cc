@@ -20,6 +20,7 @@
 #include "models/logistic_regression.h"
 #include "runtime/thread_pool.h"
 #include "serve/session_manager.h"
+#include "session/training_session.h"
 #include "tests/test_util.h"
 
 namespace blinkml {
@@ -226,6 +227,47 @@ TEST(SessionManager, EvictionUnderPressureRecomputesIdenticalResults) {
   EXPECT_EQ(stats.live_sessions, 0);
   EXPECT_EQ(stats.loaded_datasets, 0);
   EXPECT_EQ(stats.resident_bytes, 0u);
+}
+
+// A session keeps the storage of its final samples between jobs, and the
+// byte budget charges it like prefixes and Grams: the manager reports a
+// standalone session's CacheBytes(), a budget that fits the prefix alone
+// but not the kept storage evicts the idle session, and evicting it frees
+// the storage.
+TEST(SessionManager, ChargesAndEvictsKeptSampleStorage) {
+  const Dataset dense = DenseData();
+  TrainingSession reference(Dataset(dense), FastConfig(11));
+  ASSERT_TRUE(reference.Train(*Lr(1e-3), kTightContract).ok());
+  const SessionStats reference_stats = reference.stats();
+  ASSERT_GT(reference_stats.sample_storage_bytes, 0u);
+  const std::uint64_t prefix_bytes = reference_stats.cache.cached_bytes;
+
+  ServeOptions roomy;
+  roomy.max_resident_bytes = 1ull << 40;
+  SessionManager manager(roomy);
+  ASSERT_TRUE(manager.RegisterDataset("dense", Dataset(dense), FastConfig(11))
+                  .ok());
+  ASSERT_TRUE(
+      manager.SubmitTrain({"dense", Lr(1e-3), kTightContract}).get().ok());
+  EXPECT_EQ(manager.stats().cached_bytes, reference.CacheBytes());
+  EXPECT_EQ(manager.stats().live_sessions, 1);
+  EXPECT_EQ(manager.EvictIdle(), 1);
+  EXPECT_EQ(manager.stats().cached_bytes, 0u);
+
+  // The registration is pinned resident, so only session bytes count
+  // against this budget: the prefix fits, the prefix plus the kept
+  // storage does not.
+  ServeOptions tight;
+  tight.max_resident_bytes = prefix_bytes + 1;
+  SessionManager evicting(tight);
+  ASSERT_TRUE(
+      evicting.RegisterDataset("dense", Dataset(dense), FastConfig(11)).ok());
+  const auto result =
+      evicting.SubmitTrain({"dense", Lr(1e-3), kTightContract}).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(evicting.stats().sessions_evicted, 1u);
+  EXPECT_EQ(evicting.stats().live_sessions, 0);
+  EXPECT_EQ(evicting.stats().cached_bytes, 0u);
 }
 
 // A logistic spec whose initial training blocks until the test releases

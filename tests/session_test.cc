@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -102,60 +103,124 @@ std::uint64_t PrefixBytes(const Dataset& data, const BlinkConfig& config) {
          prefix->initial_sample->MemoryBytes();
 }
 
-// A session retains its memoized prefixes and feature Grams, nothing else:
-// each run's final sample is freed with the run, so training more models
-// on one seed leaves CacheBytes() (and the serving layer's cached_bytes,
-// which sums it) where the first run left it.
-TEST(TrainingSession, NoFinalSampleOutlivesItsRun) {
+// A session retains its memoized prefixes, its feature Grams and the
+// storage its final samples were gathered into, nothing else: CacheBytes()
+// (and the serving layer's cached_bytes, which sums it) is exactly those
+// three. Every run gathers its own final sample, but into the storage an
+// earlier run left behind, so the kept storage grows only when a run's n
+// exceeds every earlier one.
+TEST(TrainingSession, CacheBytesCountsPrefixGramsAndKeptSampleStorage) {
   const Dataset data = testing::SmallDenseLogistic(20000, 6, 3);
   const BlinkConfig config = FastConfig(11);
   const std::uint64_t prefix_bytes = PrefixBytes(data, config);
   ASSERT_GT(prefix_bytes, 0u);
-  const std::vector<double> l2s = {1e-4, 3e-4, 1e-3, 3e-3};
+  // n falls, rises past its first value, then falls twice.
+  const std::vector<double> epsilons = {0.03, 0.05, 0.01, 0.02, 0.05};
 
   TrainingSession session(Dataset(data), config);
-  std::uint64_t previous = 0;
-  for (const double l2 : l2s) {
+  std::vector<std::uint64_t> session_bytes;
+  Dataset::Index max_n = 0;
+  std::uint64_t previous_kept = 0;
+  int smaller_runs = 0;
+  for (const double epsilon : epsilons) {
     const auto result =
-        session.Train(LogisticRegressionSpec(l2), kTightContract);
+        session.Train(LogisticRegressionSpec(1e-3), {epsilon, 0.05});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // Precondition: the run trained a final model on a sample below N.
-    ASSERT_FALSE(result->used_initial_only) << "l2 " << l2;
-    ASSERT_LT(result->sample_size, result->full_size) << "l2 " << l2;
+    ASSERT_FALSE(result->used_initial_only) << "eps " << epsilon;
+    ASSERT_LT(result->sample_size, result->full_size) << "eps " << epsilon;
+    const SessionStats stats = session.stats();
     const std::uint64_t bytes = session.CacheBytes();
-    EXPECT_EQ(bytes, session.stats().gram_cache.cached_bytes + prefix_bytes)
-        << "l2 " << l2;
-    if (previous > 0) {
-      EXPECT_LE(bytes, previous) << "l2 " << l2;
+    EXPECT_EQ(bytes, stats.gram_cache.cached_bytes + prefix_bytes +
+                         stats.sample_storage_bytes)
+        << "eps " << epsilon;
+    // One run at a time: one storage, holding at least this sample.
+    EXPECT_EQ(stats.sample_storages, 1) << "eps " << epsilon;
+    EXPECT_GE(stats.sample_storage_bytes,
+              static_cast<std::uint64_t>(result->sample_size) *
+                  static_cast<std::uint64_t>(data.dim() + 1) * sizeof(double))
+        << "eps " << epsilon;
+    if (result->sample_size <= max_n) {
+      ++smaller_runs;
+      EXPECT_EQ(stats.sample_storage_bytes, previous_kept)
+          << "eps " << epsilon;
     }
-    previous = bytes;
+    max_n = std::max(max_n, result->sample_size);
+    previous_kept = stats.sample_storage_bytes;
+    session_bytes.push_back(bytes);
   }
+  ASSERT_GE(smaller_runs, 2);
 
-  // One layer up: the same trains through a SessionManager.
+  // One layer up: the same trains through a SessionManager charge the same
+  // bytes. The session's Grams stay empty on this small-dimension data.
   SessionManager manager(ServeOptions{});
   ASSERT_TRUE(manager.RegisterDataset("dense", Dataset(data), config).ok());
-  previous = 0;
-  for (const double l2 : l2s) {
-    auto spec = std::make_shared<LogisticRegressionSpec>(l2);
+  for (std::size_t i = 0; i < epsilons.size(); ++i) {
+    auto spec = std::make_shared<LogisticRegressionSpec>(1e-3);
     const auto result =
-        manager.SubmitTrain({"dense", std::move(spec), kTightContract}).get();
+        manager.SubmitTrain({"dense", std::move(spec), {epsilons[i], 0.05}})
+            .get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_FALSE(result->used_initial_only) << "l2 " << l2;
-    ASSERT_LT(result->sample_size, result->full_size) << "l2 " << l2;
-    const std::uint64_t bytes = manager.stats().cached_bytes;
-    // The session's Grams stay empty on this small-dimension data, so its
-    // retained bytes are exactly the prefix.
-    EXPECT_EQ(bytes, prefix_bytes) << "l2 " << l2;
-    if (previous > 0) {
-      EXPECT_LE(bytes, previous) << "l2 " << l2;
+    EXPECT_EQ(manager.stats().cached_bytes, session_bytes[i]) << "run " << i;
+  }
+}
+
+// One session serves trains whose n rises, falls and rises again, each
+// gathered into the storage the previous one left. Every run equals a
+// standalone Coordinator::Train (fresh storage) bitwise, at any thread
+// count, on dense and on sparse (Gram-path statistics) data.
+TEST(TrainingSession, KeptSampleStorageServesRisingAndFallingNBitwise) {
+  const std::vector<double> epsilons = {0.03, 0.05, 0.03};
+  ThreadPool pool(8);
+  for (const bool sparse : {false, true}) {
+    const Dataset data =
+        sparse ? testing::SparseBinaryData(20000, /*dim=*/2000, /*seed=*/13,
+                                           /*nnz_per_row=*/30)
+               : testing::SmallDenseLogistic(20000, 6, 3);
+    BlinkConfig config = FastConfig(11);
+    if (sparse) config.stats_sample_size = 256;
+    const LogisticRegressionSpec spec(1e-3);
+
+    std::vector<ApproxResult> reference;
+    for (const double epsilon : epsilons) {
+      BlinkConfig serial = config;
+      serial.runtime.enabled = false;
+      const auto r = Coordinator(serial).Train(spec, data, {epsilon, 0.05});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_FALSE(r->used_initial_only) << "eps " << epsilon;
+      reference.push_back(*r);
     }
-    previous = bytes;
+    // Precondition: n falls, then rises again.
+    ASSERT_GT(reference[0].sample_size, reference[1].sample_size);
+    ASSERT_LT(reference[1].sample_size, reference[2].sample_size);
+
+    for (const int threads : {1, 2, 8}) {
+      BlinkConfig threaded = config;
+      threaded.runtime.pool = &pool;
+      threaded.runtime.num_threads = threads;
+      TrainingSession session(Dataset(data), threaded);
+      std::uint64_t kept = 0;
+      for (std::size_t i = 0; i < epsilons.size(); ++i) {
+        const auto r = session.Train(spec, {epsilons[i], 0.05});
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectBitwiseEqual(*r, reference[i],
+                           sparse ? "sparse kept storage"
+                                  : "dense kept storage");
+        const SessionStats stats = session.stats();
+        EXPECT_EQ(stats.sample_storages, 1);
+        if (i > 0) {
+          // Every later n fits the storage the first run grew.
+          EXPECT_EQ(stats.sample_storage_bytes, kept) << "run " << i;
+        }
+        kept = stats.sample_storage_bytes;
+      }
+    }
   }
 }
 
 // Every memoized seed's prefix is counted in CacheBytes() — the serving
 // layer's byte budget charges a session for all of them — whether or not
-// the seed's runs trained (and freed) a final sample.
+// the seed's runs trained a final sample.
 TEST(TrainingSession, CacheBytesCountsEveryMemoizedPrefix) {
   const Dataset data = testing::SmallDenseLogistic(2000, 6, 3);
   TrainingSession session(Dataset(data), FastConfig(11));
@@ -170,7 +235,8 @@ TEST(TrainingSession, CacheBytesCountsEveryMemoizedPrefix) {
     const SessionStats stats = session.stats();
     EXPECT_EQ(stats.cache.misses, seed) << "seed " << seed;
     EXPECT_EQ(stats.cache.cached_bytes, expected) << "seed " << seed;
-    EXPECT_EQ(session.CacheBytes(), expected + stats.gram_cache.cached_bytes)
+    EXPECT_EQ(session.CacheBytes(), expected + stats.gram_cache.cached_bytes +
+                                        stats.sample_storage_bytes)
         << "seed " << seed;
   }
 }
@@ -267,6 +333,57 @@ TEST(HyperparamSearch, ConcurrentSearchMatchesStandaloneAtAnyThreadCount) {
     EXPECT_EQ(outcome.session_stats.runs,
               static_cast<int>(candidates.size()));
   }
+}
+
+// Two lanes run final trains at the same time, each gathering into
+// storage borrowed from the session: the search equals the one-lane search
+// bitwise and keeps at most one storage per lane. CI's ThreadSanitizer job
+// repeats this test.
+TEST(HyperparamSearch, TwoLaneFinalTrainsShareKeptSampleStorage) {
+  const Dataset data = MakeSyntheticLogistic(20000, 6, 5);
+  std::vector<Candidate> candidates = HyperparamSearch::LogGrid(1e-4, 1e-1, 6);
+  // Two contracts' worth of sample sizes: odd candidates run on another
+  // seed, so lanes hold samples of different sizes.
+  for (std::size_t i = 1; i < candidates.size(); i += 2) {
+    candidates[i].seed = 23;
+  }
+
+  ThreadPool pool(2);
+  std::vector<SearchOutcome> outcomes;
+  for (const int lanes : {1, 2}) {
+    BlinkConfig config = FastConfig(11);
+    config.runtime.pool = &pool;
+    config.runtime.num_threads = lanes;
+    TrainingSession session(Dataset(data), config);
+    SearchOptions options;
+    options.contract = kTightContract;
+    outcomes.push_back(HyperparamSearch(&session, options)
+                           .Run(
+                               [](const Candidate& c) {
+                                 return std::make_shared<
+                                     LogisticRegressionSpec>(c.l2);
+                               },
+                               candidates));
+    const SessionStats& stats = outcomes.back().session_stats;
+    EXPECT_GE(stats.sample_storages, 1) << lanes << " lanes";
+    EXPECT_LE(stats.sample_storages, lanes) << lanes << " lanes";
+    EXPECT_EQ(session.CacheBytes(), stats.cache.cached_bytes +
+                                        stats.gram_cache.cached_bytes +
+                                        stats.sample_storage_bytes);
+  }
+  ASSERT_EQ(outcomes[0].candidates.size(), candidates.size());
+  ASSERT_EQ(outcomes[1].candidates.size(), candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const CandidateResult& one = outcomes[0].candidates[i];
+    const CandidateResult& two = outcomes[1].candidates[i];
+    ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+    ASSERT_TRUE(two.status.ok()) << two.status.ToString();
+    ASSERT_FALSE(one.result.used_initial_only) << "candidate " << i;
+    ExpectBitwiseEqual(two.result, one.result, "2 lanes vs 1 lane");
+    EXPECT_EQ(std::memcmp(&two.score, &one.score, sizeof(double)), 0)
+        << "candidate " << i;
+  }
+  EXPECT_EQ(outcomes[1].best_index, outcomes[0].best_index);
 }
 
 TEST(HyperparamSearch, FinalTrainTokenBudgetIsHonoredAndFlagged) {

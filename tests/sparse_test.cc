@@ -81,14 +81,43 @@ TEST(SparseMatrix, RowDotAndAddRowTo) {
   ExpectVectorNear(y, Vector{2.0, 0.0, 4.0}, 0.0);
 }
 
-TEST(SparseMatrix, TakeRowsSelectsAndReorders) {
-  const SparseMatrix s = SmallSparse();
-  const SparseMatrix t = s.TakeRows({2, 0});
-  EXPECT_EQ(t.rows(), 2);
-  const Matrix d = t.ToDense();
-  EXPECT_DOUBLE_EQ(d(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(d(1, 0), 1.0);
-  EXPECT_THROW(s.TakeRows({3}), CheckError);
+// Row subsets are gathered by Dataset::TakeRows (dataset_test), which
+// builds them through the array constructor and takes the arrays back
+// with ReleaseArrays.
+TEST(SparseMatrix, ReleaseArraysReturnsWhatTheArrayConstructorAdopted) {
+  std::vector<SparseMatrix::Index> row_ptr = {0, 2, 2, 3};
+  std::vector<SparseMatrix::Index> col_idx = {0, 2, 1};
+  std::vector<double> values = {1.0, 2.0, 3.0};
+  const double* values_data = values.data();
+  const SparseMatrix::Index* cols_data = col_idx.data();
+  SparseMatrix s(3, 3, std::move(row_ptr), std::move(col_idx),
+                 std::move(values));
+  ExpectMatrixNear(s.ToDense(), SmallSparse().ToDense(), 0.0);
+
+  std::move(s).ReleaseArrays(&row_ptr, &col_idx, &values);
+  EXPECT_EQ(s.rows(), 0);
+  EXPECT_EQ(s.nnz(), 0);
+  EXPECT_EQ(row_ptr, (std::vector<SparseMatrix::Index>{0, 2, 2, 3}));
+  // The same allocations come back: no copy either way.
+  EXPECT_EQ(values.data(), values_data);
+  EXPECT_EQ(col_idx.data(), cols_data);
+}
+
+TEST(SparseMatrix, ReleaseArraysLeavesAnAliasedStructureToTheAlias) {
+  SparseMatrix s = SmallSparse();
+  const SparseMatrix scaled = s.ScaleRows(Vector{2.0, 1.0, 1.0});
+  std::vector<SparseMatrix::Index> row_ptr = {7};
+  std::vector<SparseMatrix::Index> col_idx = {7};
+  std::vector<double> values;
+  std::move(s).ReleaseArrays(&row_ptr, &col_idx, &values);
+  EXPECT_TRUE(row_ptr.empty());
+  EXPECT_TRUE(col_idx.empty());
+  EXPECT_EQ(values, (std::vector<double>{1.0, 2.0, 3.0}));
+  // The alias still reads the structure it shares.
+  const Matrix d = scaled.ToDense();
+  EXPECT_DOUBLE_EQ(d(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(d(0, 2), 4.0);
+  EXPECT_DOUBLE_EQ(d(2, 1), 3.0);
 }
 
 TEST(SparseMatrix, EmptyMatrixBehaves) {
@@ -163,16 +192,15 @@ TEST(SparseMatrix, WithValuesSharesStructure) {
   EXPECT_THROW(s.WithValues({1.0}), CheckError);
 }
 
-TEST(SparseMatrix, TakeRowsAndIndependentBuildsDoNotShareStructure) {
+TEST(SparseMatrix, IndependentBuildsDoNotShareStructure) {
   const SparseMatrix s = SmallSparse();
-  EXPECT_FALSE(s.TakeRows({0, 1}).SharesStructureWith(s));
   EXPECT_FALSE(SmallSparse().SharesStructureWith(s));
   // Chained rescales all alias the one structure.
   const Vector ones{1.0, 1.0, 1.0};
   EXPECT_TRUE(s.ScaleRows(ones).ScaleRows(ones).SharesStructureWith(s));
 }
 
-// Construction, FromDense, TakeRows, and ScaleRows are chunk-parallel;
+// Construction, FromDense, and ScaleRows are chunk-parallel;
 // their outputs must be identical at any thread count (the per-row output
 // ranges are precomputed — runtime/parallel.h determinism contract).
 TEST(SparseMatrix, ParallelConstructionIsThreadCountInvariant) {
@@ -188,16 +216,13 @@ TEST(SparseMatrix, ParallelConstructionIsThreadCountInvariant) {
     return m;
   }();
   Vector coeffs = RandomVector(300, &rng);
-  std::vector<SparseMatrix::Index> subset;
-  for (SparseMatrix::Index r = 0; r < 300; r += 3) subset.push_back(r);
 
   auto build_all = [&] {
     const SparseMatrix s = SparseMatrix::FromDense(dense);
     struct Out {
-      Matrix from_dense, taken, scaled;
+      Matrix from_dense, scaled;
     };
-    return Out{s.ToDense(), s.TakeRows(subset).ToDense(),
-               s.ScaleRows(coeffs).ToDense()};
+    return Out{s.ToDense(), s.ScaleRows(coeffs).ToDense()};
   };
 
   RuntimeOptions serial;
@@ -215,7 +240,6 @@ TEST(SparseMatrix, ParallelConstructionIsThreadCountInvariant) {
     RuntimeScope scope(options);
     const auto parallel = build_all();
     ExpectMatrixNear(parallel.from_dense, reference.from_dense, 0.0);
-    ExpectMatrixNear(parallel.taken, reference.taken, 0.0);
     ExpectMatrixNear(parallel.scaled, reference.scaled, 0.0);
   }
 }
