@@ -1,4 +1,4 @@
-// Ablation study for the design choices DESIGN.md Section 6 calls out.
+// Ablation study for five of the implementation's design choices.
 // Not a paper figure; quantifies what each optimization buys.
 //
 //  1. Sampling-by-scaling vs re-drawing per candidate n (paper Sec. 4.3).
@@ -166,7 +166,7 @@ void MonteCarloAblation(const Fixture& f) {
   }
   std::printf("(with delta=0.05 the conservative level stays clamped at "
               "the sample maximum until k is in the\nthousands — see "
-              "DESIGN.md Sec 2.4; eps0 nevertheless stabilizes quickly)\n");
+              "core/conservative.h; eps0 nevertheless stabilizes quickly)\n");
 }
 
 void RankTruncationAblation(const Fixture& f) {

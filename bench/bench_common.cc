@@ -54,7 +54,7 @@ std::vector<Workload> MakePaperWorkloads(double scale,
   // Sizes are chosen so that (a) N / n_0 is large enough for sampling to
   // pay off on a fast single-node substrate (the paper's N / n_0 reaches
   // 800; memory limits us to 25-80), and (b) every workload stays inside
-  // the asymptotic regime n_0 >> p (DESIGN.md Section 5.1).
+  // the asymptotic regime n_0 >> p (harness_test checks it).
   if (want("Lin")) {
     out.push_back({"Lin, Gas", "Lin",
                    std::make_shared<LinearRegressionSpec>(1e-3),
@@ -78,15 +78,15 @@ std::vector<Workload> MakePaperWorkloads(double scale,
   }
   if (want("ME")) {
     // MNIST scaled to 12x12 pixels: p = 10 * 144 = 1440 parameters, inside
-    // the n_0 = 10K asymptotic regime (DESIGN.md Section 5.1).
+    // the n_0 = 10K asymptotic regime.
     out.push_back({"ME, MNIST", "ME", std::make_shared<MaxEntropySpec>(1e-3),
                    MakeMnistLike(Scaled(scale, 250'000), 15, /*dim=*/144,
                                  /*num_classes=*/10),
                    10'000, kGlmLevels});
     // Yelp scaled to a 500-word vocabulary: p = 2500, keeping n_0 / p = 4
-    // (the asymptotic-regime requirement of DESIGN.md Section 5.1 binds
-    // here; at p = 5000 the initial model partially overfits and the
-    // estimator's variance is too small).
+    // (the asymptotic-regime requirement binds here; at p = 5000 the
+    // initial model partially overfits and the estimator's variance is too
+    // small).
     out.push_back({"ME, Yelp", "ME", std::make_shared<MaxEntropySpec>(1e-3),
                    MakeYelpLike(Scaled(scale, 300'000), 16, /*dim=*/500),
                    10'000, kGlmLevels});

@@ -34,7 +34,7 @@ struct Workload {
   std::shared_ptr<ModelSpec> spec;
   Dataset data;
   /// Initial-sample size appropriate for this workload's parameter count
-  /// (kept inside the asymptotic regime; DESIGN.md Section 5.1).
+  /// (kept inside the asymptotic regime n_0 >> p that the bounds rest on).
   Dataset::Index initial_sample_size;
   /// Requested accuracies to sweep, as (1 - eps) values.
   std::vector<double> accuracy_levels;

@@ -157,7 +157,7 @@ int RunShardedBench(int shards, int requests, int runner_threads,
       reference_train.dataset = registration.name;
       reference_train.spec = *MakeSpecByName("LogisticRegression", 1e-3);
       reference_train.contract = {0.05, 0.05};
-      const auto result = reference.SubmitTrain(reference_train).get();
+      const auto result = reference.Train(reference_train);
       if (!result.ok()) {
         std::fprintf(stderr, "reference train failed: %s\n",
                      result.status().ToString().c_str());
@@ -436,7 +436,7 @@ int main(int argc, char** argv) {
   reference_train.dataset = registration.name;
   reference_train.spec = *MakeSpecByName(train.model_class, train.l2);
   reference_train.contract = {train.epsilon, train.delta};
-  const auto reference_result = reference.SubmitTrain(reference_train).get();
+  const auto reference_result = reference.Train(reference_train);
   if (!reference_result.ok()) {
     std::fprintf(stderr, "reference train failed: %s\n",
                  reference_result.status().ToString().c_str());

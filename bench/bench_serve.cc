@@ -93,7 +93,11 @@ ServeRun RunServe(const std::vector<std::string>& names,
     request.factory = factory;
     request.candidates = candidates;
     request.options = options;
-    futures.push_back(manager.SubmitSearch(std::move(request)));
+    futures.push_back(std::async(
+        std::launch::async,
+        [&manager, request = std::move(request)] {
+          return manager.Search(request);
+        }));
   }
   for (auto& future : futures) {
     auto outcome = future.get();
@@ -225,9 +229,10 @@ int main(int argc, char** argv) {
   }
 
   // --- Job latency under a burst: kTenants x kCandidates single Train
-  // jobs submitted at once against one manager; each job's latency runs
-  // from the (shared) submission instant to its future resolving, so the
-  // tail percentiles expose queueing behind the kTenants runner slots.
+  // jobs submitted at once against one manager, one caller thread each;
+  // each job's latency runs from the (shared) submission instant to its
+  // Train returning, so the tail percentiles expose queueing behind the
+  // kTenants job slots.
   const int burst_jobs = kTenants * kCandidates;
   std::vector<double> latencies(static_cast<std::size_t>(burst_jobs), 0.0);
   double burst_seconds = 0.0;
@@ -249,10 +254,10 @@ int main(int argc, char** argv) {
       request.spec = factory(candidates[static_cast<std::size_t>(
           j % static_cast<int>(candidates.size()))]);
       request.contract = kContract;
-      auto future = manager.SubmitTrain(std::move(request));
       waiters.emplace_back(
-          [f = std::move(future), &latencies, &burst_timer, j]() mutable {
-            const auto result = f.get();
+          [&manager, request = std::move(request), &latencies, &burst_timer,
+           j] {
+            const auto result = manager.Train(request);
             if (!result.ok()) {
               std::fprintf(stderr, "burst job failed: %s\n",
                            result.status().ToString().c_str());

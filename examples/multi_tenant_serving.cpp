@@ -6,14 +6,15 @@
 // One process serves three tenants over three datasets: a click-through
 // model sweep (sparse logistic), a sensor-regression training (dense
 // linear), and an ad-hoc training on the click data under a different
-// seed. Jobs run asynchronously on a small runner pool, datasets load
-// lazily and exactly once, sessions share prefixes (holdout + D_0) and
+// seed. Each tenant's job runs on its own thread, datasets load lazily
+// and exactly once, sessions share prefixes (holdout + D_0) and
 // feature Grams per (dataset, seed), each run's final sample lives only as
 // long as the run, and a byte budget bounds what stays resident. Every
 // job's result is bitwise identical to a standalone Coordinator::Train
 // with the same config and seed.
 
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -68,17 +69,22 @@ int main() {
   };
   sweep.candidates = HyperparamSearch::LogGrid(3e-5, 1e-1, 6);
   sweep.options.contract = contract;
-  auto sweep_future = manager.SubmitSearch(std::move(sweep));
+  auto sweep_future =
+      std::async(std::launch::async, [&] { return manager.Search(sweep); });
 
   // Tenant 2: a contract-bound regression on the sensor data.
-  auto sensor_future = manager.SubmitTrain(
-      {"sensors", std::make_shared<LinearRegressionSpec>(1e-3), contract});
+  auto sensor_future = std::async(std::launch::async, [&] {
+    return manager.Train(
+        {"sensors", std::make_shared<LinearRegressionSpec>(1e-3), contract});
+  });
 
   // Tenant 3: an ad-hoc model on the click data under its own seed (its
   // own session; the loaded dataset is shared, not re-generated).
-  auto adhoc_future = manager.SubmitTrain(
-      {"clicks", std::make_shared<LogisticRegressionSpec>(1e-2), contract,
-       /*seed=*/99});
+  auto adhoc_future = std::async(std::launch::async, [&] {
+    return manager.Train({"clicks",
+                          std::make_shared<LogisticRegressionSpec>(1e-2),
+                          contract, /*seed=*/99});
+  });
 
   const auto sweep_outcome = sweep_future.get();
   if (!sweep_outcome.ok() || sweep_outcome->best_index < 0) {

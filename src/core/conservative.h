@@ -11,7 +11,7 @@
 //
 // The paper's printed constant (split 0.95 with a Hoeffding step at failure
 // probability 0.95) makes the level exceed 1 for every delta <= 0.05 — the
-// regime all its experiments use; see DESIGN.md Section 2.4. When even the
+// regime all its experiments use. When even the
 // optimized level exceeds 1 (small k), the level clamps to 1, i.e. the
 // estimator returns the maximum sampled v — the most conservative choice
 // k draws permit.

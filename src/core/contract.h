@@ -39,12 +39,14 @@ struct BlinkConfig {
   /// Rows held out from training for estimating v (paper Section 2.1).
   Dataset::Index holdout_size = 2000;
 
-  /// Rows used by ObservedFisher for the gradient-covariance estimate
-  /// (a uniform sub-sample of the training sample; DESIGN.md Section 2.2).
+  /// Rows used by ObservedFisher for the gradient-covariance estimate: a
+  /// uniform sub-sample of the training sample, so the estimate stays
+  /// unbiased while its cost is bounded by this size rather than by n_0.
   Dataset::Index stats_sample_size = 1024;
 
   /// Rank cap of the parameter-sampler factor (0 = no cap); directions are
-  /// kept by largest variance contribution (DESIGN.md Section 2.3).
+  /// kept by largest variance contribution, so truncation drops the ones
+  /// that add least to the sampled parameter spread.
   Matrix::Index sampler_max_rank = 512;
 
   /// Monte-Carlo samples k for the Model Accuracy Estimator (Lemma 2).
@@ -61,7 +63,7 @@ struct BlinkConfig {
   /// Master seed for every random choice (sampling, Monte Carlo).
   std::uint64_t seed = 42;
 
-  /// Parallel-runtime knobs (thread count, on/off switch); installed by
+  /// Parallel-runtime knobs (lane count, pool, kernel ISA); installed by
   /// Coordinator::Train for the duration of a run. The determinism
   /// contract (runtime/parallel.h) guarantees identical results for any
   /// num_threads setting.

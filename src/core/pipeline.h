@@ -183,12 +183,6 @@ class TrainingPipeline {
   /// Coordinator::Train body after the prefix.
   Result<ApproxResult> RunAll();
 
-  // --- Observers for drivers that interleave stages. ---
-  const TrainedModel& initial_model() const { return m0_; }
-  double initial_epsilon() const { return out_.initial_epsilon; }
-  const ApproximationContract& contract() const { return contract_; }
-  const Dataset& holdout() const { return *prefix_->holdout; }
-
  private:
   const ModelSpec* spec_;
   const Dataset* data_;

@@ -7,7 +7,7 @@
 //   theta_N,i = theta_n,i + sqrt(1/n - 1/N)  * W z2_i
 // and binary search on n (monotonicity is paper Theorem 2).
 //
-// Optimizations (paper Section 4.3 plus DESIGN.md Section 2.5):
+// Optimizations (the first is paper Section 4.3's):
 //   * sampling by scaling — the unscaled draws W z1_i, W z2_i are taken
 //     once; each candidate n only rescales them;
 //   * common random numbers — the same (z1_i, z2_i) pairs are reused for

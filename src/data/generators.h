@@ -9,7 +9,7 @@
 // categorical one-hots). BlinkML's guarantees are model-relative — they
 // depend on MLE asymptotics, dimension, and conditioning, not on where the
 // bytes came from — so these preserve the behaviours the evaluation
-// measures. See DESIGN.md Section 4.
+// measures.
 //
 // All generators are deterministic given the seed.
 
@@ -42,7 +42,10 @@ Dataset MakeHiggsLike(std::int64_t n, std::uint64_t seed,
 /// Criteo-like click-through binary classification (paper: 45.8M x 998,922
 /// sparse). Hashed categorical one-hots with a power-law column popularity
 /// plus a handful of dense numeric counters; ~3% positive rate like CTR
-/// data. `dim` defaults to 20,000 (scaled from 1M; see DESIGN.md).
+/// data. `dim` defaults to 20,000, scaled down from ~1M to fit one
+/// machine; each row keeps `nnz_per_row` non-zeros, the per-example
+/// dimension that keeps the paper's Criteo runs inside the asymptotic
+/// regime.
 Dataset MakeCriteoLike(std::int64_t n, std::uint64_t seed,
                        std::int64_t dim = 20000,
                        std::int64_t nnz_per_row = 39);

@@ -20,7 +20,7 @@ double Hypot(double a, double b) { return std::hypot(a, b); }
 // Row ranges below this size run their chunk loops inline: the pool
 // handoff costs more than the O(rows * n) work of a Householder step.
 // Both paths go through ParallelForChunks — the inline one under a
-// disabled runtime scope — so there is exactly one chunk-to-range
+// one-lane runtime scope — so there is exactly one chunk-to-range
 // mapping, and the threshold (a pure function of the range size) never
 // changes results; see the determinism contract in runtime/parallel.h.
 constexpr ParallelIndex kParallelEigenRows = 128;
@@ -33,7 +33,7 @@ void ForEigenChunks(
     ParallelForChunks(0, rows, layout, body);
   } else {
     RuntimeOptions serial;
-    serial.enabled = false;
+    serial.num_threads = 1;
     RuntimeScope scope(serial);
     ParallelForChunks(0, rows, layout, body);
   }

@@ -7,7 +7,7 @@
 //
 // The prediction-difference metric v (Appendix C) is the RMS prediction
 // difference normalized by the holdout label standard deviation, so that
-// (1 - v) reads as a scale-free accuracy (see DESIGN.md Section 4).
+// (1 - v) reads as an accuracy free of the labels' units.
 
 #ifndef BLINKML_MODELS_LINEAR_REGRESSION_H_
 #define BLINKML_MODELS_LINEAR_REGRESSION_H_

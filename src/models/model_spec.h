@@ -199,8 +199,8 @@ class ModelSpec {
 Matrix BatchMargins(const Dataset& data,
                     const std::vector<const Vector*>& thetas);
 
-/// Standard deviation of a dataset's labels (the scale used to normalize
-/// regression prediction differences; see DESIGN.md Section 4).
+/// Standard deviation of a dataset's labels: the scale that normalizes
+/// regression prediction differences, so v is free of the labels' units.
 double LabelScale(const Dataset& data);
 
 }  // namespace blinkml

@@ -815,7 +815,7 @@ void FrameServer::RunInline(const ConnPtr& conn, const FrameHeader& header,
     // run their chunks here, in the same layout, so the bits match a
     // runner's.
     RuntimeOptions serial;
-    serial.enabled = false;
+    serial.num_threads = 1;
     const RuntimeScope runtime(serial);
     try {
       answer = handler_->ExecuteInline(header, tenant,
@@ -979,10 +979,10 @@ void FrameServer::RunJob(const ConnPtr& conn, const Request& request) {
 
   std::vector<std::uint8_t> response;
   {
-    // Everything the handler runs — SessionManager submit closures,
-    // pipeline phases, kernel scopes, shard forwards — inherits this
-    // context (it is captured into cross-thread closures and re-installed
-    // there), so every span the request produces carries its request_id.
+    // Everything the handler runs — SessionManager jobs, pipeline phases,
+    // kernel scopes, shard forwards — runs on this thread under this
+    // context, and search lanes capture it and re-install it on pool
+    // threads, so every span the request produces carries its request_id.
     obs::TraceContext trace_ctx;
     trace_ctx.request_id = header.request_id;
     trace_ctx.tenant = request.tenant;
@@ -995,8 +995,8 @@ void FrameServer::RunJob(const ConnPtr& conn, const Request& request) {
                                    request.payload.data(),
                                    request.payload.size());
     } catch (const std::exception& e) {
-      // Job bodies may throw (dataset factories propagate through the
-      // manager's futures); the connection must survive it.
+      // Job bodies may throw (a dataset factory's exception propagates
+      // out of SessionManager::Train); the connection must survive it.
       response = ErrorPayload(WireStatus::kInternal,
                               StrFormat("job threw: %s", e.what()));
     } catch (...) {

@@ -18,8 +18,9 @@
 //              FrameHandler::Admit -> then either
 //     inline:  FrameHandler::ExecuteInline on the IO thread, against the
 //              payload where it was read, under the request's
-//              TraceContext and verb span with the runtime pool disabled
-//              (same chunk layout, same bits, no pool handoff) -> answer;
+//              TraceContext and verb span with parallel regions on one
+//              lane (same chunk layout, same bits, no pool handoff) ->
+//              answer;
 //              or a relay: the handler lends a connected non-blocking
 //              socket, the loop writes the frame's bytes to it unchanged,
 //              watches it in the same poll set and passes the reply frame
@@ -119,8 +120,9 @@ struct FrontOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
-  /// Runner threads executing admitted jobs (each blocks on one job at a
-  /// time: a SessionManager future, or a forward to a shard worker).
+  /// Runner threads executing admitted jobs, one job at a time each: a
+  /// SessionManager Train or Search runs on the runner itself, and a
+  /// forward to a shard worker blocks it until the worker answers.
   int runner_threads = 2;
   /// Bound on queued (admitted, not yet running) jobs; pushes beyond it
   /// are rejected with kQueueFull. 0 = unbounded.
@@ -208,9 +210,9 @@ class FrameHandler {
 
   /// IO thread, for an admitted Predict under kInlinePredictValues:
   /// answers now, or lends a socket to relay the frame over. Runs under
-  /// the request's TraceContext with the runtime pool disabled, and must
-  /// not wait on a socket, a worker or the pool. The default answers with
-  /// Execute.
+  /// the request's TraceContext with parallel regions on one lane, and
+  /// must not wait on a socket, a worker or the pool. The default answers
+  /// with Execute.
   virtual InlineAnswer ExecuteInline(const FrameHeader& header,
                                      const std::string& tenant,
                                      const std::uint8_t* payload,

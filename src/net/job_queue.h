@@ -13,8 +13,9 @@
 // The queue is bounded (max_queued); Push fails on a full queue or after
 // Shutdown, and the caller answers kQueueFull / kShuttingDown. Shutdown
 // leaves already-queued jobs in place — Pop keeps returning them until
-// the queue drains (the server's runners drain before joining, matching
-// SessionManager's drain-on-destruction semantics).
+// the queue drains (the server's runners drain it before joining, so
+// every admitted job is answered). This is the one queue a wire job
+// waits in: a runner runs a SessionManager job on its own thread.
 
 #ifndef BLINKML_NET_JOB_QUEUE_H_
 #define BLINKML_NET_JOB_QUEUE_H_

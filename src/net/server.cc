@@ -225,7 +225,7 @@ ResponseEnvelope BlinkServer::RunTrain(const std::uint8_t* payload,
   train.contract.epsilon = request.epsilon;
   train.contract.delta = request.delta;
   train.seed = request.seed;
-  Result<ApproxResult> result = manager_->SubmitTrain(std::move(train)).get();
+  Result<ApproxResult> result = manager_->Train(train);
   if (!result.ok()) {
     envelope.status = WireStatusFromStatus(result.status());
     envelope.message = result.status().message();
@@ -263,7 +263,7 @@ ResponseEnvelope BlinkServer::RunSearch(const std::uint8_t* payload,
     return envelope;
   }
 
-  // Validate the class before enqueueing anything.
+  // Validate the class before starting the job.
   Result<std::shared_ptr<ModelSpec>> probe =
       MakeSpecByName(request.model_class, 1e-3);
   if (!probe.ok()) {
@@ -289,8 +289,7 @@ ResponseEnvelope BlinkServer::RunSearch(const std::uint8_t* payload,
   search.options.contract.epsilon = request.epsilon;
   search.options.contract.delta = request.delta;
   search.seed = request.seed;
-  Result<SearchOutcome> outcome =
-      manager_->SubmitSearch(std::move(search)).get();
+  Result<SearchOutcome> outcome = manager_->Search(search);
   if (!outcome.ok()) {
     envelope.status = WireStatusFromStatus(outcome.status());
     envelope.message = outcome.status().message();

@@ -3,8 +3,9 @@
 // Promotes the in-process serving layer (serve/session_manager.h) to an
 // actual service. It is the FrameHandler on the connection core
 // (net/frame_server.h): Admit applies per-tenant quotas (net/quotas.h)
-// on the IO thread; Execute decodes the payload, runs the verb against
-// the SessionManager's async API, and answers a status envelope + body.
+// on the IO thread; Execute decodes the payload, runs the verb on the
+// SessionManager from the front's runner thread, and answers a status
+// envelope + body.
 // A Predict under kInlinePredictValues (net/frame_server.h) is stateless
 // and cheap: it runs on the IO thread, against the payload where it was
 // read, and decodes its features once, into the Matrix Predict reads.
@@ -50,9 +51,9 @@ struct ServerOptions : FrontOptions {
 
 class BlinkServer : private FrameHandler {
  public:
-  /// The manager must outlive the server. Size the manager's
-  /// max_concurrent_jobs to the runner count: each runner blocks on the
-  /// SessionManager future it submitted.
+  /// The manager must outlive the server. A runner runs each Train and
+  /// Search on the manager itself, so runners beyond the manager's
+  /// max_concurrent_jobs wait there for a job slot.
   BlinkServer(SessionManager* manager, ServerOptions options);
 
   /// Stops and joins (drains queued jobs first).

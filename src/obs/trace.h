@@ -2,11 +2,12 @@
 // (chrome://tracing / Perfetto "Open trace file").
 //
 // A TraceContext carries the wire request_id (plus tenant and verb) from
-// BlinkServer admission through the job queue, across the SessionManager
-// runner-thread hop, and down into TrainingPipeline phases, estimator
-// Monte-Carlo draw loops, and kernel scopes — every span a request
-// produces shares its request_id in `args`, so one slow request can be
-// followed from wire read to kernel.
+// BlinkServer admission through the job queue to the runner thread that
+// runs the request's SessionManager job, across a search's pool lanes,
+// and down into TrainingPipeline phases, estimator Monte-Carlo draw
+// loops, and kernel scopes — every span a request produces shares its
+// request_id in `args`, so one slow request can be followed from wire
+// read to kernel.
 //
 // Cost model: the tracer is off by default; every instrumentation point
 // starts with one relaxed atomic load and does nothing else when

@@ -132,7 +132,7 @@ KernelIsa CurrentKernelIsa() {
 
 int CurrentParallelism() {
   const RuntimeOptions& options = RuntimeScope::Current();
-  if (!options.enabled || InParallelRegion()) return 1;
+  if (InParallelRegion()) return 1;
   ThreadPool& pool = options.pool ? *options.pool : ThreadPool::Global();
   const int lanes = options.num_threads > 0 ? options.num_threads
                                             : pool.parallelism();
@@ -168,7 +168,7 @@ void ParallelForChunks(
   lanes = std::min(lanes, pool.parallelism());
   lanes = static_cast<int>(
       std::min<ParallelIndex>(lanes, layout.num_chunks));
-  if (!options.enabled || lanes <= 1 || InParallelRegion()) {
+  if (lanes <= 1 || InParallelRegion()) {
     // Inline execution: same chunk layout, same results, no handoff.
     for (ParallelIndex c = 0; c < layout.num_chunks; ++c) {
       const ParallelIndex b = begin + c * layout.chunk_size;

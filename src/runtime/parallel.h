@@ -12,7 +12,7 @@
 // streams and the fold order are pure functions of the shape. Consequently
 // any quantity computed through these constructs is bitwise identical for
 // 1, 2, or N threads, and identical again when the runtime is capped by
-// RuntimeOptions::num_threads or disabled outright.
+// RuntimeOptions::num_threads, down to one inline lane.
 //
 // A region's caller claims chunks like any lane and returns once every
 // claimed chunk has run; it never waits for a lane task that has not
@@ -90,7 +90,7 @@ inline ParallelIndex GradientGrain(ParallelIndex n) {
 }
 
 /// Lanes the next non-nested parallel region would use under the current
-/// scope (1 when the runtime is disabled, the pool is 1-wide, or the
+/// scope (1 when the scope caps it at one lane, the pool is 1-wide, or the
 /// caller is already inside a region). Lets loops whose results are
 /// layout-independent pick a coarser chunking when running serial.
 int CurrentParallelism();

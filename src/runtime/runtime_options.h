@@ -30,12 +30,9 @@ struct RuntimeOptions {
   /// Lanes a parallel region may use; 0 = the pool's full parallelism.
   /// Values above the pool's capacity are clamped (results are unaffected
   /// either way — see the determinism contract in runtime/parallel.h).
+  /// 1 runs every chunk inline on the calling thread, in the same chunk
+  /// layout, without a worker handoff.
   int num_threads = 0;
-
-  /// false runs every chunk inline on the calling thread. The chunk layout
-  /// is unchanged, so disabling the runtime does not change results; it
-  /// only drops the worker handoff.
-  bool enabled = true;
 
   /// Pool to run on; nullptr = ThreadPool::Global(). Tests inject local
   /// pools here to exercise specific thread counts deterministically.

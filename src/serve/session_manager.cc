@@ -8,7 +8,6 @@
 
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "util/check.h"
 #include "util/failpoints.h"
 
 namespace blinkml {
@@ -37,6 +36,9 @@ namespace blinkml {
 
 SessionManager::SessionManager(ServeOptions options)
     : options_(options),
+      max_jobs_(options.max_concurrent_jobs > 0
+                    ? options.max_concurrent_jobs
+                    : ThreadPool::DefaultParallelism()),
       owned_metrics_(options.metrics ? nullptr : new obs::Registry()),
       metrics_(options.metrics ? options.metrics : owned_metrics_.get()),
       m_jobs_submitted_(metrics_->Counter("serve_jobs_submitted_total")),
@@ -52,36 +54,7 @@ SessionManager::SessionManager(ServeOptions options)
       g_loaded_datasets_(metrics_->Gauge("serve_loaded_datasets")),
       g_loads_in_progress_(metrics_->Gauge("serve_loads_in_progress")),
       g_queued_jobs_(metrics_->Gauge("serve_queued_jobs")),
-      g_active_jobs_(metrics_->Gauge("serve_active_jobs")) {
-  const int runners = options_.max_concurrent_jobs > 0
-                          ? options_.max_concurrent_jobs
-                          : ThreadPool::DefaultParallelism();
-  runners_.reserve(static_cast<std::size_t>(runners));
-  try {
-    for (int i = 0; i < runners; ++i) {
-      runners_.emplace_back([this] { RunnerLoop(); });
-    }
-  } catch (...) {
-    // Thread creation failed partway: stop the runners that did start so
-    // unwinding doesn't terminate.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    queue_cv_.notify_all();
-    for (std::thread& t : runners_) t.join();
-    throw;
-  }
-}
-
-SessionManager::~SessionManager() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& t : runners_) t.join();
-}
+      g_active_jobs_(metrics_->Gauge("serve_active_jobs")) {}
 
 Status SessionManager::RegisterDataset(const std::string& name,
                                        DatasetFactory factory,
@@ -315,87 +288,53 @@ int SessionManager::EvictIdle() {
   return EnforceBudgetLocked(/*force=*/true);
 }
 
-std::future<Result<ApproxResult>> SessionManager::SubmitTrain(
-    TrainRequest request) {
-  // Capture the submitter's trace context (the wire request_id when the
-  // caller is a BlinkServer runner) and re-install it on the manager
-  // runner thread, so pipeline/kernel spans keep the request identity
-  // across the queue hop.
-  auto task = std::make_shared<std::packaged_task<Result<ApproxResult>()>>(
-      [this, request = std::move(request),
-       ctx = obs::CurrentTraceContext()]() -> Result<ApproxResult> {
-        obs::ScopedTraceContext trace_ctx(ctx);
-        obs::SpanScope span("manager:train", "serve");
-        return RunJob<ApproxResult>([&]() -> Result<ApproxResult> {
-          BLINKML_RETURN_NOT_OK(
-              CheckManagerFailpoint("manager.train", metrics_));
-          if (!request.spec) {
-            return Status::InvalidArgument("null model spec");
-          }
-          std::uint64_t seed = request.seed;
-          BLINKML_ASSIGN_OR_RETURN(Lease lease,
-                                   Acquire(request.dataset, &seed));
-          return lease.session().Train(*request.spec, request.contract, seed);
-        });
-      });
-  auto future = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return future;
+SessionManager::JobSlot::JobSlot(SessionManager* manager)
+    : manager_(manager) {
+  std::unique_lock<std::mutex> lock(manager_->mu_);
+  manager_->m_jobs_submitted_->Inc();
+  manager_->g_queued_jobs_->Add(1);
+  manager_->slot_cv_.wait(lock, [this] {
+    return manager_->g_active_jobs_->value() < manager_->max_jobs_;
+  });
+  manager_->g_queued_jobs_->Add(-1);
+  manager_->g_active_jobs_->Add(1);
 }
 
-std::future<Result<SearchOutcome>> SessionManager::SubmitSearch(
-    SearchRequest request) {
-  auto task = std::make_shared<std::packaged_task<Result<SearchOutcome>()>>(
-      [this, request = std::move(request),
-       ctx = obs::CurrentTraceContext()]() -> Result<SearchOutcome> {
-        obs::ScopedTraceContext trace_ctx(ctx);
-        obs::SpanScope span("manager:search", "serve");
-        return RunJob<SearchOutcome>([&]() -> Result<SearchOutcome> {
-          BLINKML_RETURN_NOT_OK(
-              CheckManagerFailpoint("manager.search", metrics_));
-          if (!request.factory) {
-            return Status::InvalidArgument("null spec factory");
-          }
-          std::uint64_t seed = request.seed;
-          BLINKML_ASSIGN_OR_RETURN(Lease lease,
-                                   Acquire(request.dataset, &seed));
-          const HyperparamSearch search(&lease.session(), request.options);
-          return search.Run(request.factory, request.candidates);
-        });
-      });
-  auto future = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return future;
-}
-
-void SessionManager::Enqueue(std::function<void()> job) {
+SessionManager::JobSlot::~JobSlot() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    BLINKML_CHECK_MSG(!stop_, "SubmitTrain/SubmitSearch after shutdown");
-    queue_.push_back(std::move(job));
-    m_jobs_submitted_->Inc();
-    g_queued_jobs_->Add(1);
+    std::lock_guard<std::mutex> lock(manager_->mu_);
+    manager_->g_active_jobs_->Add(-1);
   }
-  queue_cv_.notify_one();
+  manager_->slot_cv_.notify_one();
 }
 
-void SessionManager::RunnerLoop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and the queue drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      g_queued_jobs_->Add(-1);
-      g_active_jobs_->Add(1);
+Result<ApproxResult> SessionManager::Train(const TrainRequest& request) {
+  const JobSlot slot(this);
+  obs::SpanScope span("manager:train", "serve");
+  return RunJob<ApproxResult>([&]() -> Result<ApproxResult> {
+    BLINKML_RETURN_NOT_OK(CheckManagerFailpoint("manager.train", metrics_));
+    if (!request.spec) {
+      return Status::InvalidArgument("null model spec");
     }
-    // packaged_task captures job exceptions into the future;
-    // completion/failure accounting happens inside the job body (RunJob).
-    job();
-    g_active_jobs_->Add(-1);
-  }
+    std::uint64_t seed = request.seed;
+    BLINKML_ASSIGN_OR_RETURN(Lease lease, Acquire(request.dataset, &seed));
+    return lease.session().Train(*request.spec, request.contract, seed);
+  });
+}
+
+Result<SearchOutcome> SessionManager::Search(const SearchRequest& request) {
+  const JobSlot slot(this);
+  obs::SpanScope span("manager:search", "serve");
+  return RunJob<SearchOutcome>([&]() -> Result<SearchOutcome> {
+    BLINKML_RETURN_NOT_OK(CheckManagerFailpoint("manager.search", metrics_));
+    if (!request.factory) {
+      return Status::InvalidArgument("null spec factory");
+    }
+    std::uint64_t seed = request.seed;
+    BLINKML_ASSIGN_OR_RETURN(Lease lease, Acquire(request.dataset, &seed));
+    const HyperparamSearch search(&lease.session(), request.options);
+    return search.Run(request.factory, request.candidates);
+  });
 }
 
 void SessionManager::RefreshGaugesLocked() const {
@@ -434,7 +373,7 @@ ServeStats SessionManager::stats() const {
   out.live_sessions = static_cast<int>(g_live_sessions_->value());
   out.loaded_datasets = static_cast<int>(g_loaded_datasets_->value());
   out.loads_in_progress = static_cast<int>(g_loads_in_progress_->value());
-  out.queued_jobs = static_cast<int>(queue_.size());
+  out.queued_jobs = static_cast<int>(g_queued_jobs_->value());
   out.active_jobs = static_cast<int>(g_active_jobs_->value());
   return out;
 }

@@ -6,9 +6,9 @@
 //
 //   SessionManager manager;
 //   manager.RegisterDataset("criteo", [] { return LoadCriteo(); });
-//   auto a = manager.SubmitTrain({"criteo", spec, {0.05, 0.05}});
-//   auto b = manager.SubmitSearch({"criteo", factory, grid, options});
-//   a.get();  // Result<ApproxResult>, bitwise == Coordinator::Train
+//   auto a = manager.Train({"criteo", spec, {0.05, 0.05}});
+//   auto b = manager.Search({"criteo", factory, grid, options});
+//   // a: Result<ApproxResult>, bitwise == Coordinator::Train
 //
 // Responsibilities:
 //  * a registry of named datasets, loaded/generated lazily on first use
@@ -24,17 +24,18 @@
 //    refcount pins them); eviction only drops caches, never correctness —
 //    every cached artifact is a pure function of its key and is recomputed
 //    on the next request;
-//  * asynchronous job execution: SubmitTrain/SubmitSearch enqueue jobs and
-//    return std::futures. Jobs run on a small set of dedicated runner
-//    threads while their parallel regions execute on the shared runtime
-//    pool (runtime/parallel.h). A region's caller runs chunks itself and
-//    waits only for chunks another lane has claimed, never for a lane task
-//    still queued, so a Train that arrives during a Search does not wait
-//    out the search's candidate loop. Jobs do not run as pool tasks: a job
-//    would hold a worker for its whole run, and lane tasks queued behind
-//    it would start only after it ends, leaving other jobs' regions on
-//    fewer lanes. Runner threads are pure coordinators; the heavy loops
-//    land on the pool.
+//  * job admission: Train and Search run on the calling thread (a
+//    BlinkServer runner when serving) and return the job's Result. At most
+//    ServeOptions::max_concurrent_jobs jobs run at once; later callers
+//    wait for a slot. A job's parallel regions execute on the shared
+//    runtime pool (runtime/parallel.h). A region's caller runs chunks
+//    itself and waits only for chunks another lane has claimed, never for
+//    a lane task still queued, so a Train that arrives during a Search
+//    does not wait out the search's candidate loop. Do not call Train or
+//    Search from a pool task: the job would hold a worker for its whole
+//    run, and lane tasks queued behind it would start only after it ends,
+//    leaving other jobs' regions on fewer lanes. Callers are pure
+//    coordinators; the heavy loops land on the pool.
 //
 // Determinism: a job's result is bitwise identical to a standalone
 // Coordinator::Train (or single-session HyperparamSearch) with the same
@@ -42,21 +43,19 @@
 // eviction history — each job's random streams derive only from its
 // resolved seed, and the runtime's chunk layouts are thread-count
 // invariant. Exceptions thrown inside a job (dataset factories, model
-// code) propagate through the returned future.
+// code) propagate out of Train and Search.
 
 #ifndef BLINKML_SERVE_SESSION_MANAGER_H_
 #define BLINKML_SERVE_SESSION_MANAGER_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -82,8 +81,9 @@ struct ServeOptions {
   /// they can never be freed, so charging them would permanently disable
   /// every cache the moment they alone exceeded the budget.
   std::uint64_t max_resident_bytes = 0;
-  /// Jobs allowed to execute concurrently (= runner threads). 0 = the
-  /// runtime pool's default parallelism.
+  /// Jobs allowed to run at once; callers beyond it wait for a slot
+  /// (ServeStats::queued_jobs). 0 = the runtime pool's default
+  /// parallelism.
   int max_concurrent_jobs = 0;
   /// Metrics registry the manager reports into (serve_* counters/gauges;
   /// BlinkServer adds its net_* metrics to the same registry). Null = the
@@ -136,6 +136,7 @@ struct ServeStats {
   /// Single-flight dataset loads started but not yet finished (a job is
   /// inside the factory; concurrent requests are parked on its future).
   int loads_in_progress = 0;
+  /// Callers waiting for a job slot, and jobs holding one.
   int queued_jobs = 0;
   int active_jobs = 0;
 };
@@ -143,10 +144,6 @@ struct ServeStats {
 class SessionManager {
  public:
   explicit SessionManager(ServeOptions options = {});
-
-  /// Drains the queue: every submitted job completes (and every future is
-  /// fulfilled) before destruction returns.
-  ~SessionManager();
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
@@ -164,13 +161,14 @@ class SessionManager {
   Status RegisterDataset(const std::string& name, Dataset data,
                          BlinkConfig config = {});
 
-  /// Enqueues one training; the future resolves when the job ran.
-  /// Unknown datasets and invalid requests resolve to an error Result;
-  /// exceptions thrown by the job propagate through future::get().
-  std::future<Result<ApproxResult>> SubmitTrain(TrainRequest request);
+  /// Runs one training on the calling thread once a job slot is free.
+  /// Unknown datasets and invalid requests return an error Result;
+  /// exceptions thrown by the job propagate to the caller.
+  Result<ApproxResult> Train(const TrainRequest& request);
 
-  /// Enqueues one hyperparameter search over a (dataset, seed) session.
-  std::future<Result<SearchOutcome>> SubmitSearch(SearchRequest request);
+  /// Runs one hyperparameter search over a (dataset, seed) session, like
+  /// Train.
+  Result<SearchOutcome> Search(const SearchRequest& request);
 
   /// Drops every idle session and every unreferenced dataset regardless of
   /// the byte budget (an operational "drop caches now" hook; also what the
@@ -186,7 +184,7 @@ class SessionManager {
   obs::Registry& metrics() const { return *metrics_; }
 
   /// Registry text snapshot with the sampled gauges (resident/cached
-  /// bytes, live sessions, loads in progress, queue depth) refreshed
+  /// bytes, live sessions, loaded datasets, loads in progress) refreshed
   /// first — what the wire Metrics verb returns.
   std::string MetricsText() const;
 
@@ -265,6 +263,20 @@ class SessionManager {
     std::shared_ptr<TrainingSession> session_;
   };
 
+  /// RAII job slot: counts the job as submitted, waits as a queued job
+  /// until fewer than max_concurrent_jobs jobs hold a slot, and holds one
+  /// as an active job until destroyed.
+  class JobSlot {
+   public:
+    explicit JobSlot(SessionManager* manager);
+    ~JobSlot();
+    JobSlot(const JobSlot&) = delete;
+    JobSlot& operator=(const JobSlot&) = delete;
+
+   private:
+    SessionManager* const manager_;
+  };
+
   /// Loads the dataset if needed (single-flight), finds or creates the
   /// (dataset, seed) session, pins it, and returns the resolved seed in
   /// *seed (0 mapped to the dataset's configured seed).
@@ -285,14 +297,10 @@ class SessionManager {
   /// cache bytes. What the budget is compared against.
   std::uint64_t ReclaimableBytesLocked() const;
 
-  void Enqueue(std::function<void()> job);
-  void RunnerLoop();
-
   /// Runs one job body with completion/failure accounting: an error
   /// Result or a thrown exception counts as a failed job (the exception
-  /// still propagates to the caller's future via the packaged_task). The
-  /// counters are bumped before the future resolves, so a caller
-  /// observing future readiness sees it reflected in stats().
+  /// still propagates to the caller). The counters are bumped before the
+  /// job returns, so its caller sees it reflected in stats().
   template <typename T, typename Body>
   Result<T> RunJob(const Body& body) {
     try {
@@ -312,6 +320,9 @@ class SessionManager {
   void RefreshGaugesLocked() const;
 
   const ServeOptions options_;
+  /// Job slots: options_.max_concurrent_jobs, or the pool's default
+  /// parallelism.
+  const int max_jobs_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, DatasetEntry> datasets_;
@@ -337,13 +348,12 @@ class SessionManager {
   obs::Gauge* g_live_sessions_;
   obs::Gauge* g_loaded_datasets_;
   obs::Gauge* g_loads_in_progress_;
+  /// Callers waiting for a job slot and jobs holding one; changed only
+  /// under mu_, so they are also the slot count slot_cv_ waits on.
   obs::Gauge* g_queued_jobs_;
   obs::Gauge* g_active_jobs_;
-
-  std::condition_variable queue_cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stop_ = false;
-  std::vector<std::thread> runners_;
+  /// Signaled when a job releases its slot.
+  std::condition_variable slot_cv_;
 };
 
 }  // namespace blinkml

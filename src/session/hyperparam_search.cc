@@ -1,11 +1,9 @@
 #include "session/hyperparam_search.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <tuple>
 #include <typeindex>
 #include <utility>
@@ -151,12 +149,7 @@ SearchOutcome HyperparamSearch::Run(
   std::atomic<int> final_train_tokens{options_.max_final_trains > 0
                                           ? options_.max_final_trains
                                           : std::numeric_limits<int>::max()};
-  std::mutex best_mu;
-  double best_completed_score = -std::numeric_limits<double>::infinity();
-  // Dominance pruning consumes completed scores while candidates run, so
-  // it keeps the inline per-candidate scoring; otherwise scoring is
-  // deferred and batched after the training loop.
-  const bool defer_scoring = !options_.prune_dominated;
+  // Each candidate's spec, kept for the batched scoring after the loop.
   std::vector<std::shared_ptr<ModelSpec>> specs(candidates.size());
 
   const auto k = static_cast<ParallelIndex>(candidates.size());
@@ -207,37 +200,18 @@ SearchOutcome HyperparamSearch::Run(
             continue;
           }
 
-          double m0_score = 0.0;
-          bool m0_scored = false;
           if (!pipeline.initial_meets_contract()) {
-            bool run_final = true;
-            if (options_.prune_dominated) {
-              // Optimistic bound: the contract-bound final model agrees
-              // with m_0 on all but an eps_0 fraction of points (w.p.
-              // 1 - delta), so its score is at most score(m_0) + eps_0.
-              // A candidate that cannot beat the best completed score
-              // even then is dominated: stop after m_0. (Exact for
-              // classification accuracy; a heuristic otherwise — see the
-              // SearchOptions doc.)
-              const Dataset& eval_data = options_.validation
-                                             ? *options_.validation
-                                             : pipeline.holdout();
-              m0_score =
-                  ScoreOf(*spec, pipeline.initial_model().theta, eval_data);
-              m0_scored = true;
-              const double optimistic = m0_score + pipeline.initial_epsilon();
-              std::lock_guard<std::mutex> lock(best_mu);
-              if (best_completed_score >= optimistic) {
-                run_final = false;
-                slot.pruned = true;
-              }
+            // Take a token only while one is left: a candidate turned away
+            // leaves the count as it was, so a token that a failed final
+            // train refunds later reaches the next candidate.
+            int tokens = final_train_tokens.load(std::memory_order_relaxed);
+            while (tokens > 0 && !final_train_tokens.compare_exchange_weak(
+                                     tokens, tokens - 1,
+                                     std::memory_order_relaxed)) {
             }
-            if (run_final && final_train_tokens.fetch_sub(
-                                 1, std::memory_order_relaxed) <= 0) {
-              run_final = false;
+            if (tokens <= 0) {
               slot.final_train_skipped = true;
-            }
-            if (run_final) {
+            } else {
               st = pipeline.EstimateMinimumSampleSize();
               if (st.ok()) st = pipeline.TrainFinal();
               if (!st.ok()) {
@@ -252,30 +226,13 @@ SearchOutcome HyperparamSearch::Run(
 
           slot.result = pipeline.Finish();
           session_->RecordRun(slot.result.timings);
-          if (!defer_scoring) {
-            if (slot.result.used_initial_only && m0_scored) {
-              // The returned model IS m_0; reuse the dominance-check score
-              // instead of a second pass over the eval data.
-              slot.score = m0_score;
-            } else {
-              const Dataset& eval_data = options_.validation
-                                             ? *options_.validation
-                                             : *slot.result.holdout;
-              slot.score = ScoreOf(*spec, slot.result.model.theta, eval_data);
-            }
-            std::lock_guard<std::mutex> lock(best_mu);
-            best_completed_score =
-                std::max(best_completed_score, slot.score);
-          }
           slot.seconds = timer.Seconds();
         }
       },
       /*grain=*/1);
 
-  if (defer_scoring) {
-    out.batched_score_groups =
-        ScoreCandidatesBatched(specs, options_.validation, &out.candidates);
-  }
+  out.batched_score_groups =
+      ScoreCandidatesBatched(specs, options_.validation, &out.candidates);
 
   out.total_seconds = search_timer.Seconds();
   for (std::size_t i = 0; i < out.candidates.size(); ++i) {

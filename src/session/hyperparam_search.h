@@ -13,23 +13,17 @@
 //  * time_budget_seconds — candidates that have not started when the
 //    budget expires are skipped (flagged, never silently dropped);
 //  * max_final_trains — a token budget on the expensive final-training
-//    stage; candidates beyond it return their initial model;
-//  * prune_dominated — a candidate whose optimistic score (initial-model
-//    score + eps_0: the final model can disagree with m_0 on at most an
-//    eps_0 fraction of points w.p. 1 - delta) cannot beat the best
-//    completed candidate stops after m_0.
+//    stage; candidates beyond it return their initial model, and a final
+//    train that fails gives its token back to a later candidate.
 // Which candidates a budget clips depends on completion order and is the
 // one scheduling-dependent part of the search; with the budgets off the
 // outcome is fully deterministic.
 //
-// Scoring: without dominance pruning, candidates that share an eval
-// dataset and model class are scored after the training loop from ONE
-// prediction matrix (ModelSpec::PredictBatch) instead of one eval pass
-// each; scores are bitwise equal to per-candidate GeneralizationError by
-// construction, since a PredictBatch column equals Predict
-// (models/glm_spec.h).
-// Pruning consumes completed scores while candidates run, so it scores
-// each candidate inline.
+// Scoring: candidates that share an eval dataset and model class are
+// scored after the training loop from ONE prediction matrix
+// (ModelSpec::PredictBatch) instead of one eval pass each; scores are
+// bitwise equal to per-candidate GeneralizationError by construction,
+// since a PredictBatch column equals Predict (models/glm_spec.h).
 
 #ifndef BLINKML_SESSION_HYPERPARAM_SEARCH_H_
 #define BLINKML_SESSION_HYPERPARAM_SEARCH_H_
@@ -67,13 +61,6 @@ struct SearchOptions {
   double time_budget_seconds = 0.0;
   /// Token budget of final trainings; 0 = unlimited.
   int max_final_trains = 0;
-  /// Early-terminate dominated candidates (see file comment). The
-  /// optimistic bound score(m_0) + eps_0 is exact for classification
-  /// accuracy (eps_0 bounds the disagreement fraction); for regression
-  /// and unsupervised scores eps_0 is in different units (normalized RMS
-  /// / parameter cosine), so pruning is a heuristic there and may clip a
-  /// candidate whose final model would have won. Off by default.
-  bool prune_dominated = false;
   /// Dataset to score candidates on; nullptr = the session holdout. Must
   /// outlive Run().
   const Dataset* validation = nullptr;
@@ -91,7 +78,6 @@ struct CandidateResult {
   double score = 0.0;
   double seconds = 0.0;
   bool skipped = false;             // never started (time budget)
-  bool pruned = false;              // dominated; returned m_0
   bool final_train_skipped = false; // max_final_trains exhausted
 };
 
@@ -102,9 +88,8 @@ struct SearchOutcome {
   /// the lower index.
   int best_index = -1;
   double total_seconds = 0.0;
-  /// Prediction matrices built by batched scoring (0 when pruning scored
-  /// every candidate inline); each one replaced a group of per-candidate
-  /// holdout passes.
+  /// Prediction matrices built by batched scoring; each one replaced a
+  /// group of per-candidate holdout passes.
   int batched_score_groups = 0;
   /// Session accounting snapshot taken after the search.
   SessionStats session_stats;

@@ -189,7 +189,7 @@ TEST(EigenSym, SerialAndParallelAgreeBitwise) {
   SymmetricEigen serial;
   {
     RuntimeOptions options;
-    options.enabled = false;
+    options.num_threads = 1;
     RuntimeScope scope(options);
     auto eig = EigenSym(a);
     ASSERT_TRUE(eig.ok());
@@ -237,7 +237,7 @@ TEST(EigenSym, QlRotationAccumulationSerialParallelBitwise) {
   SymmetricEigen serial;
   {
     RuntimeOptions options;
-    options.enabled = false;
+    options.num_threads = 1;
     RuntimeScope scope(options);
     auto eig = EigenSym(clustered);
     ASSERT_TRUE(eig.ok());

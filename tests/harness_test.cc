@@ -1,6 +1,7 @@
 // Self-checks for the benchmark harness: the workload definitions must
-// respect the method's regime requirements (DESIGN.md Section 5.1) or the
-// experiment results would be invalid. Run at tiny scale so the guards are
+// respect the method's regime requirement (n_0 well above the parameter
+// count, so the MLE asymptotics hold) or the experiment results would be
+// invalid. Run at tiny scale so the guards are
 // cheap.
 
 #include <cstdlib>
@@ -35,8 +36,8 @@ TEST(Harness, AllEightPaperWorkloadsPresent) {
 
 TEST(Harness, WorkloadsStayInsideAsymptoticRegime) {
   // For dense feature matrices, n_0 must exceed the parameter count by a
-  // comfortable margin (DESIGN.md Section 5.1) — the invariant whose
-  // violation produced silently-broken bounds during development. Sparse
+  // comfortable margin for the MLE asymptotics to hold — the invariant
+  // whose violation produced silently-broken bounds during development. Sparse
   // workloads (hashed CTR, bag-of-words) are exempt: their effective
   // dimension per example is the row nnz (~40-300), far below n_0, which
   // is how the paper's own Criteo (p ~ 1M) and Yelp (p ~ 500K) runs with

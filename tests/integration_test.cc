@@ -53,8 +53,7 @@ TEST(Integration, SparseHighDimensionalLogisticRegression) {
 TEST(Integration, SparseMulticlassYelpLike) {
   // n_0 must stay comfortably above the parameter count (p = 5 * 300 here)
   // for the MLE asymptotics to hold — when n_0 <~ p the initial model
-  // overfits and per-example gradients at theta_0 underestimate J (see
-  // DESIGN.md Section 6, "regime boundary").
+  // overfits and per-example gradients at theta_0 underestimate J.
   const Dataset data = MakeYelpLike(15000, 2, /*dim=*/300);
   MaxEntropySpec spec(1e-3);
   BlinkConfig config = FastConfig();

@@ -103,8 +103,7 @@ TEST(BlinkServer, TrainPredictRoundTripBitwiseAtAnyRunnerThreadCount) {
   reference_train.dataset = registration.name;
   reference_train.spec = *MakeSpecByName("LogisticRegression", 1e-3);
   reference_train.contract = {0.01, 0.05};
-  const auto reference_result =
-      reference.SubmitTrain(reference_train).get();
+  const auto reference_result = reference.Train(reference_train);
   ASSERT_TRUE(reference_result.ok())
       << reference_result.status().ToString();
 
@@ -211,8 +210,7 @@ TEST(BlinkServer, SearchRoundTripBitwise) {
   };
   reference_search.candidates = HyperparamSearch::LogGrid(1e-4, 1e-1, 3);
   reference_search.options.contract = {0.01, 0.05};
-  const auto reference_outcome =
-      reference.SubmitSearch(reference_search).get();
+  const auto reference_outcome = reference.Search(reference_search);
   ASSERT_TRUE(reference_outcome.ok());
 
   SessionManager manager(ServeOptions{0, 2});

@@ -306,13 +306,26 @@ TEST(Trace, TracedSocketTrainProducesCorrelatedSpans) {
     return names;
   };
   const std::set<std::string> spans = span_names_for(request_id);
-  // Wire verb span, the manager hop, and the pipeline phases all share
+  // Wire verb span, the manager job, and the pipeline phases all share
   // the id: the request is followable from wire read to kernels.
   EXPECT_TRUE(spans.count("Train")) << "verb span missing";
   EXPECT_TRUE(spans.count("manager:train")) << "manager span missing";
   EXPECT_TRUE(spans.count("initial_train")) << "phase span missing";
   EXPECT_TRUE(spans.count("statistics")) << "phase span missing";
   EXPECT_TRUE(spans.count("mc:accuracy_draws")) << "estimator span missing";
+
+  // The manager runs the job on the runner that executes the verb: no
+  // second thread hop between the front's queue and the pipeline.
+  const auto tid_of = [&](const char* name) {
+    for (const obs::TraceEvent& event : events) {
+      if (event.request_id == request_id && std::string(event.name) == name) {
+        return event.tid;
+      }
+    }
+    return 0;
+  };
+  EXPECT_NE(tid_of("Train"), 0);
+  EXPECT_EQ(tid_of("manager:train"), tid_of("Train"));
 
   // The StopTracing dump is a Chrome trace_event JSON document.
   std::ifstream in(trace_path);

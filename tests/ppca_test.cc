@@ -169,7 +169,7 @@ TEST(Ppca, ParallelLoopsAreThreadCountInvariant) {
   };
 
   RuntimeOptions serial;
-  serial.enabled = false;
+  serial.num_threads = 1;
   Outputs reference;
   {
     RuntimeScope scope(serial);

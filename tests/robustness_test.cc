@@ -1,4 +1,4 @@
-// Failure-injection tests (DESIGN.md Section 7): degenerate inputs that a
+// Failure-injection tests: degenerate inputs that a
 // production system must reject cleanly or survive gracefully.
 
 #include <cmath>

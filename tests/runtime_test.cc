@@ -199,9 +199,9 @@ TEST(Parallel, ReduceIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(order, in_order) << threads << " threads";
   }
 
-  // Disabling the runtime keeps the chunk layout and hence the bits.
+  // One inline lane keeps the chunk layout and hence the bits.
   RuntimeOptions serial;
-  serial.enabled = false;
+  serial.num_threads = 1;
   RuntimeScope scope(serial);
   const double s0 = ParallelReduce(
       ParallelIndex{0}, kN, 0.0,
@@ -275,9 +275,9 @@ TEST(Parallel, InlineReduceHoldsAtMostTwoPartials) {
   }
   {
     RuntimeOptions serial;
-    serial.enabled = false;
+    serial.num_threads = 1;
     RuntimeScope scope(serial);
-    EXPECT_LE(PeakPartialsOfInlineSum(), 2) << "runtime disabled";
+    EXPECT_LE(PeakPartialsOfInlineSum(), 2) << "one lane";
   }
   {
     ThreadPool pool(2);
@@ -468,7 +468,7 @@ TEST(Parallel, StatisticsEquivalentSerialVsParallel) {
   for (const Matrix::Index stats_sample : {Matrix::Index{256},   // p <= n_s
                                            Matrix::Index{16}}) {  // p > n_s
     RuntimeOptions serial;
-    serial.enabled = false;
+    serial.num_threads = 1;
     const StatisticsRun base = RunStatistics(serial, stats_sample);
 
     for (const int threads : {1, 2, 8}) {

@@ -1,7 +1,8 @@
 // SessionManager: concurrent multi-tenant jobs must be bitwise identical
 // to standalone runs at any thread count; the byte-budget LRU must evict
-// idle sessions but never in-use ones (refcount); job exceptions must
-// propagate through the returned futures.
+// idle sessions but never in-use ones (refcount); callers beyond
+// max_concurrent_jobs wait for a slot; job exceptions must propagate to
+// the caller.
 
 #include <atomic>
 #include <chrono>
@@ -53,7 +54,7 @@ TEST(SessionManager, ConcurrentTenantsMatchStandaloneAtAnyThreadCount) {
 
   // Standalone references, fully serial.
   BlinkConfig serial = FastConfig(11);
-  serial.runtime.enabled = false;
+  serial.runtime.num_threads = 1;
   std::vector<ApproxResult> search_ref;
   for (const Candidate& c : candidates) {
     const auto r =
@@ -67,7 +68,7 @@ TEST(SessionManager, ConcurrentTenantsMatchStandaloneAtAnyThreadCount) {
   const auto linear_ref =
       Coordinator(serial).Train(lin_spec, linear, kTightContract);
   BlinkConfig serial99 = FastConfig(99);
-  serial99.runtime.enabled = false;
+  serial99.runtime.num_threads = 1;
   const auto sparse_ref99 =
       Coordinator(serial99).Train(*Lr(1e-2), sparse, kTightContract);
   ASSERT_TRUE(sparse_ref.ok());
@@ -96,9 +97,10 @@ TEST(SessionManager, ConcurrentTenantsMatchStandaloneAtAnyThreadCount) {
     EXPECT_FALSE(
         manager.RegisterDataset("dense", Dataset(dense), config).ok());
 
-    // Mixed concurrent jobs: one search + three trains across the three
-    // datasets, two of the trains sharing the "sparse" session and one
-    // using a per-request seed (its own session).
+    // Mixed concurrent jobs, each on its own caller thread: one search +
+    // three trains across the three datasets, two of the trains sharing
+    // the "sparse" session and one using a per-request seed (its own
+    // session).
     SearchOptions search_options;
     search_options.contract = kTightContract;
     SearchRequest search_request;
@@ -106,14 +108,20 @@ TEST(SessionManager, ConcurrentTenantsMatchStandaloneAtAnyThreadCount) {
     search_request.factory = lr_factory;
     search_request.candidates = candidates;
     search_request.options = search_options;
-    auto search_future = manager.SubmitSearch(std::move(search_request));
-    auto sparse_future =
-        manager.SubmitTrain({"sparse", Lr(1e-3), kTightContract});
-    auto linear_future = manager.SubmitTrain(
-        {"linear", std::make_shared<LinearRegressionSpec>(1e-3),
-         kTightContract});
-    auto seeded_future =
-        manager.SubmitTrain({"sparse", Lr(1e-2), kTightContract, 99});
+    auto search_future = std::async(std::launch::async, [&] {
+      return manager.Search(search_request);
+    });
+    auto sparse_future = std::async(std::launch::async, [&] {
+      return manager.Train({"sparse", Lr(1e-3), kTightContract});
+    });
+    auto linear_future = std::async(std::launch::async, [&] {
+      return manager.Train({"linear",
+                            std::make_shared<LinearRegressionSpec>(1e-3),
+                            kTightContract});
+    });
+    auto seeded_future = std::async(std::launch::async, [&] {
+      return manager.Train({"sparse", Lr(1e-2), kTightContract, 99});
+    });
 
     const auto search_outcome = search_future.get();
     ASSERT_TRUE(search_outcome.ok()) << search_outcome.status().ToString();
@@ -177,10 +185,14 @@ TEST(SessionManager, EvictionUnderPressureRecomputesIdenticalResults) {
         unlimited.RegisterDataset("linear", linear_factory, FastConfig(11))
             .ok());
     for (int round = 0; round < 2; ++round) {
-      auto a = unlimited.SubmitTrain({"dense", Lr(1e-3), kTightContract});
-      auto b = unlimited.SubmitTrain(
-          {"linear", std::make_shared<LinearRegressionSpec>(1e-3),
-           kTightContract});
+      auto a = std::async(std::launch::async, [&] {
+        return unlimited.Train({"dense", Lr(1e-3), kTightContract});
+      });
+      auto b = std::async(std::launch::async, [&] {
+        return unlimited.Train({"linear",
+                                std::make_shared<LinearRegressionSpec>(1e-3),
+                                kTightContract});
+      });
       const auto ra = a.get();
       const auto rb = b.get();
       ASSERT_TRUE(ra.ok());
@@ -205,14 +217,12 @@ TEST(SessionManager, EvictionUnderPressureRecomputesIdenticalResults) {
       manager.RegisterDataset("linear", linear_factory, FastConfig(11)).ok());
   std::size_t next = 0;
   for (int round = 0; round < 2; ++round) {
-    auto a = manager.SubmitTrain({"dense", Lr(1e-3), kTightContract});
-    const auto ra = a.get();
+    const auto ra = manager.Train({"dense", Lr(1e-3), kTightContract});
     ASSERT_TRUE(ra.ok());
     ExpectBitwiseEqual(*ra, reference[next++], "evicted dense");
-    auto b = manager.SubmitTrain(
+    const auto rb = manager.Train(
         {"linear", std::make_shared<LinearRegressionSpec>(1e-3),
          kTightContract});
-    const auto rb = b.get();
     ASSERT_TRUE(rb.ok());
     ExpectBitwiseEqual(*rb, reference[next++], "evicted linear");
   }
@@ -247,8 +257,7 @@ TEST(SessionManager, ChargesAndEvictsKeptSampleStorage) {
   SessionManager manager(roomy);
   ASSERT_TRUE(manager.RegisterDataset("dense", Dataset(dense), FastConfig(11))
                   .ok());
-  ASSERT_TRUE(
-      manager.SubmitTrain({"dense", Lr(1e-3), kTightContract}).get().ok());
+  ASSERT_TRUE(manager.Train({"dense", Lr(1e-3), kTightContract}).ok());
   EXPECT_EQ(manager.stats().cached_bytes, reference.CacheBytes());
   EXPECT_EQ(manager.stats().live_sessions, 1);
   EXPECT_EQ(manager.EvictIdle(), 1);
@@ -262,8 +271,7 @@ TEST(SessionManager, ChargesAndEvictsKeptSampleStorage) {
   SessionManager evicting(tight);
   ASSERT_TRUE(
       evicting.RegisterDataset("dense", Dataset(dense), FastConfig(11)).ok());
-  const auto result =
-      evicting.SubmitTrain({"dense", Lr(1e-3), kTightContract}).get();
+  const auto result = evicting.Train({"dense", Lr(1e-3), kTightContract});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(evicting.stats().sessions_evicted, 1u);
   EXPECT_EQ(evicting.stats().live_sessions, 0);
@@ -313,7 +321,9 @@ TEST(SessionManager, InUseSessionsSurviveEvictionByRefcount) {
   std::promise<void> gate;
   const std::shared_future<void> gate_future = gate.get_future().share();
   auto gated = std::make_shared<GatedSpec>(1e-3, &started, gate_future);
-  auto blocked = manager.SubmitTrain({"dense", gated, kTightContract});
+  auto blocked = std::async(std::launch::async, [&] {
+    return manager.Train({"dense", gated, kTightContract});
+  });
   // Wait until the job holds its session lease (it is blocked inside
   // initial training).
   while (!started.load()) {
@@ -322,10 +332,13 @@ TEST(SessionManager, InUseSessionsSurviveEvictionByRefcount) {
 
   // A completing job on another dataset triggers budget enforcement; the
   // in-use "dense" session must survive it, and so must its dataset.
-  auto quick = manager.SubmitTrain(
-      {"linear", std::make_shared<LinearRegressionSpec>(1e-3),
-       kTightContract});
-  ASSERT_TRUE(quick.get().ok());
+  // (EXPECT, not ASSERT: returning before the gate opens would leave the
+  // blocked job's future waiting on it.)
+  EXPECT_TRUE(manager
+                  .Train({"linear",
+                          std::make_shared<LinearRegressionSpec>(1e-3),
+                          kTightContract})
+                  .ok());
   // Forced eviction cannot touch it either.
   EXPECT_EQ(manager.EvictIdle(), 0);
   {
@@ -342,7 +355,7 @@ TEST(SessionManager, InUseSessionsSurviveEvictionByRefcount) {
   const auto result = blocked.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   BlinkConfig serial = FastConfig(11);
-  serial.runtime.enabled = false;
+  serial.runtime.num_threads = 1;
   // (gate already released; the standalone run passes straight through)
   GatedSpec standalone_spec(1e-3, &started, gate_future);
   const auto standalone =
@@ -363,18 +376,18 @@ TEST(SessionManager, JobFailuresPropagate) {
   SessionManager manager(ServeOptions{});
 
   // Unknown dataset: an error Result, not an exception.
-  auto unknown = manager.SubmitTrain({"nope", Lr(1e-3), kTightContract});
-  const auto unknown_result = unknown.get();
+  const auto unknown_result =
+      manager.Train({"nope", Lr(1e-3), kTightContract});
   ASSERT_FALSE(unknown_result.ok());
   EXPECT_EQ(unknown_result.status().code(), StatusCode::kNotFound);
 
   // Null spec: invalid argument.
-  auto null_spec = manager.SubmitTrain({"nope", nullptr, kTightContract});
-  EXPECT_EQ(null_spec.get().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.Train({"nope", nullptr, kTightContract}).status().code(),
+            StatusCode::kInvalidArgument);
 
-  // A throwing dataset factory: the exception reaches the waiting future,
-  // and the failed load is not cached — once the factory recovers, the
-  // next job succeeds.
+  // A throwing dataset factory: the exception reaches the caller, and the
+  // failed load is not cached — once the factory recovers, the next job
+  // succeeds.
   std::atomic<bool> fail{true};
   ASSERT_TRUE(manager
                   .RegisterDataset("flaky",
@@ -387,12 +400,11 @@ TEST(SessionManager, JobFailuresPropagate) {
                                    },
                                    FastConfig(11))
                   .ok());
-  auto broken = manager.SubmitTrain({"flaky", Lr(1e-3), kTightContract});
-  EXPECT_THROW(broken.get(), std::runtime_error);
+  EXPECT_THROW(manager.Train({"flaky", Lr(1e-3), kTightContract}),
+               std::runtime_error);
 
   fail.store(false);
-  auto recovered = manager.SubmitTrain({"flaky", Lr(1e-3), kTightContract});
-  const auto result = recovered.get();
+  const auto result = manager.Train({"flaky", Lr(1e-3), kTightContract});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->sample_size, 0);
 
@@ -402,26 +414,58 @@ TEST(SessionManager, JobFailuresPropagate) {
   EXPECT_EQ(stats.jobs_failed, 3u);
 }
 
-// Destroying a manager with queued jobs fulfills every future first.
-TEST(SessionManager, ShutdownDrainsTheQueue) {
+// max_concurrent_jobs = 1: while a gated job holds the one slot, a second
+// caller waits for it as a queued job, and once the slot frees it runs to
+// the same bits as a standalone run.
+TEST(SessionManager, CallerWaitsForAJobSlot) {
   const Dataset dense = DenseData();
-  std::vector<std::future<Result<ApproxResult>>> futures;
-  {
-    ServeOptions options;
-    options.max_concurrent_jobs = 1;
-    SessionManager manager(options);
-    ASSERT_TRUE(
-        manager.RegisterDataset("dense", Dataset(dense), FastConfig(11))
-            .ok());
-    for (int i = 0; i < 3; ++i) {
-      futures.push_back(
-          manager.SubmitTrain({"dense", Lr(1e-3), kTightContract}));
-    }
-  }  // destructor drains
-  for (auto& f : futures) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ServeOptions options;
+  options.max_concurrent_jobs = 1;
+  SessionManager manager(options);
+  ASSERT_TRUE(
+      manager.RegisterDataset("dense", Dataset(dense), FastConfig(11)).ok());
+
+  std::atomic<bool> started{false};
+  std::promise<void> gate;
+  const std::shared_future<void> gate_future = gate.get_future().share();
+  auto gated = std::make_shared<GatedSpec>(1e-3, &started, gate_future);
+  auto holder = std::async(std::launch::async, [&] {
+    return manager.Train({"dense", gated, kTightContract});
+  });
+  while (!started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  auto waiter = std::async(std::launch::async, [&] {
+    return manager.Train({"dense", Lr(1e-2), kTightContract});
+  });
+  for (int i = 0; i < 10000 && manager.stats().queued_jobs == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    const ServeStats stats = manager.stats();
+    EXPECT_EQ(stats.queued_jobs, 1);
+    EXPECT_EQ(stats.active_jobs, 1);
+    EXPECT_EQ(stats.jobs_submitted, 2u);
+    EXPECT_EQ(stats.jobs_completed, 0u);
+  }
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+
+  gate.set_value();
+  ASSERT_TRUE(holder.get().ok());
+  const auto result = waiter.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  BlinkConfig serial = FastConfig(11);
+  serial.runtime.num_threads = 1;
+  const auto standalone =
+      Coordinator(serial).Train(*Lr(1e-2), dense, kTightContract);
+  ASSERT_TRUE(standalone.ok());
+  ExpectBitwiseEqual(*result, *standalone, "waiting caller vs standalone");
+
+  const ServeStats stats = manager.stats();
+  EXPECT_EQ(stats.queued_jobs, 0);
+  EXPECT_EQ(stats.active_jobs, 0);
+  EXPECT_EQ(stats.jobs_completed, 2u);
 }
 
 TEST(SessionManager, StatsReportsCachedBytesAndLoadsInProgress) {
@@ -443,7 +487,9 @@ TEST(SessionManager, StatsReportsCachedBytesAndLoadsInProgress) {
   EXPECT_EQ(manager.stats().loads_in_progress, 0);
   EXPECT_EQ(manager.stats().cached_bytes, 0u);
 
-  auto future = manager.SubmitTrain({"slow", Lr(1e-3), kTightContract});
+  auto future = std::async(std::launch::async, [&] {
+    return manager.Train({"slow", Lr(1e-3), kTightContract});
+  });
   // The job is inside the factory until we release it.
   for (int i = 0; i < 1000 && manager.stats().loads_in_progress == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,7 +17,7 @@
 #include "core/coordinator.h"
 #include "data/generators.h"
 #include "models/logistic_regression.h"
-#include "models/ppca.h"
+#include "models/trainer.h"
 #include "runtime/thread_pool.h"
 #include "serve/session_manager.h"
 #include "session/hyperparam_search.h"
@@ -158,8 +160,7 @@ TEST(TrainingSession, CacheBytesCountsPrefixGramsAndKeptSampleStorage) {
   for (std::size_t i = 0; i < epsilons.size(); ++i) {
     auto spec = std::make_shared<LogisticRegressionSpec>(1e-3);
     const auto result =
-        manager.SubmitTrain({"dense", std::move(spec), {epsilons[i], 0.05}})
-            .get();
+        manager.Train({"dense", std::move(spec), {epsilons[i], 0.05}});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(manager.stats().cached_bytes, session_bytes[i]) << "run " << i;
   }
@@ -184,7 +185,7 @@ TEST(TrainingSession, KeptSampleStorageServesRisingAndFallingNBitwise) {
     std::vector<ApproxResult> reference;
     for (const double epsilon : epsilons) {
       BlinkConfig serial = config;
-      serial.runtime.enabled = false;
+      serial.runtime.num_threads = 1;
       const auto r = Coordinator(serial).Train(spec, data, {epsilon, 0.05});
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ASSERT_FALSE(r->used_initial_only) << "eps " << epsilon;
@@ -288,7 +289,7 @@ TEST(HyperparamSearch, ConcurrentSearchMatchesStandaloneAtAnyThreadCount) {
   std::vector<ApproxResult> reference;
   for (const Candidate& c : candidates) {
     BlinkConfig config = FastConfig(11);
-    config.runtime.enabled = false;
+    config.runtime.num_threads = 1;
     LogisticRegressionSpec spec(c.l2);
     const auto r = Coordinator(config).Train(spec, data, kTightContract);
     ASSERT_TRUE(r.ok());
@@ -315,7 +316,6 @@ TEST(HyperparamSearch, ConcurrentSearchMatchesStandaloneAtAnyThreadCount) {
       const CandidateResult& cr = outcome.candidates[i];
       ASSERT_TRUE(cr.status.ok()) << cr.status.ToString();
       EXPECT_FALSE(cr.skipped);
-      EXPECT_FALSE(cr.pruned);
       // Deterministic ordering: slot i holds candidate i.
       EXPECT_EQ(cr.candidate.l2, candidates[i].l2);
       ExpectBitwiseEqual(cr.result, reference[i], "search vs standalone");
@@ -413,43 +413,115 @@ TEST(HyperparamSearch, FinalTrainTokenBudgetIsHonoredAndFlagged) {
   EXPECT_EQ(static_cast<int>(outcome.candidates.size()) - finals, 2);
 }
 
-TEST(HyperparamSearch, DominatedCandidateIsPrunedAfterInitialModel) {
-  // PPCA rank selection: the candidate knob is the factor rank. On
-  // true-rank-2 data the rank-1 model's log-likelihood is far worse than
-  // the rank-2 model's while its eps_0 stays small, so its optimistic
-  // bound (score(m_0) + eps_0) cannot beat the completed rank-2 candidate.
-  const Dataset labeled = MakeSyntheticLowRank(20000, 8, 2, 13, 0.4);
-  const Dataset data(Matrix(labeled.dense()), Vector(), Task::kUnsupervised);
+// A logistic spec that holds its search lane where a test needs it to:
+// `before_initial` runs before its initial train, and a non-null
+// `fail_final` makes it train m_0 normally but run in place of its final
+// train, which then fails.
+class SequencedSpec final : public LogisticRegressionSpec {
+ public:
+  SequencedSpec(double l2, std::function<void()> before_initial,
+                std::function<void()> fail_final)
+      : LogisticRegressionSpec(l2),
+        before_initial_(std::move(before_initial)),
+        fail_final_(std::move(fail_final)) {}
+
+  Vector InitialTheta(const Dataset& data) const override {
+    if (before_initial_) before_initial_();
+    return LogisticRegressionSpec::InitialTheta(data);
+  }
+
+  bool has_closed_form_trainer() const override {
+    return static_cast<bool>(fail_final_);
+  }
+
+  Result<Vector> TrainClosedForm(const Dataset& data) const override {
+    if (!initial_trained_) {
+      initial_trained_ = true;
+      BLINKML_ASSIGN_OR_RETURN(
+          TrainedModel m0,
+          ModelTrainer().Train(LogisticRegressionSpec(l2()), data));
+      return m0.theta;
+    }
+    fail_final_();
+    return Status::Internal("final train failed on cue");
+  }
+
+ private:
+  std::function<void()> before_initial_;
+  std::function<void()> fail_final_;
+  mutable bool initial_trained_ = false;
+};
+
+// With one final-train token on two lanes: A takes it and its final train
+// fails; B asks while A holds it and is turned away; C asks after A gave
+// it back, and trains its final model. The hooks fix that order. B starts
+// once A holds the token, so B's lane goes on to claim C. C lets A fail,
+// then waits for A's lane to claim D (which the factory rejects), which
+// that lane does only after the refund. CI's ThreadSanitizer job repeats
+// this test.
+TEST(HyperparamSearch, RefundedFinalTrainTokenReachesALaterCandidate) {
+  const Dataset data = MakeSyntheticLogistic(20000, 6, 9);
+  ThreadPool pool(2);
   BlinkConfig config = FastConfig(11);
-  // Serial execution => candidates complete in order, so the dominance
-  // check against "best completed so far" is deterministic.
-  config.runtime.enabled = false;
+  config.runtime.pool = &pool;
+  config.runtime.num_threads = 2;
   TrainingSession session(Dataset(data), config);
   SearchOptions options;
-  // Tight enough that no initial model satisfies the contract outright
-  // (a contract-satisfying m_0 returns before the dominance check).
-  options.contract = {1e-6, 0.05};
-  options.prune_dominated = true;
-  HyperparamSearch search(&session, options);
+  options.contract = kTightContract;  // every candidate wants a final train
+  options.max_final_trains = 1;
 
-  std::vector<Candidate> candidates(2);
-  candidates[0].l2 = 2;  // interpreted as rank by the factory
-  candidates[1].l2 = 1;
-  const SearchOutcome outcome = search.Run(
-      [](const Candidate& c) {
-        return std::make_shared<PpcaSpec>(
-            static_cast<Vector::Index>(c.l2));
+  std::vector<Candidate> candidates = HyperparamSearch::LogGrid(1e-4, 1e-1, 3);
+  candidates.push_back(candidates.back());
+  const char* const labels[] = {"A", "B", "C", "D"};
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i].label = labels[i];
+  }
+  std::promise<void> a_holds_token;
+  std::promise<void> a_may_fail;
+  std::promise<void> a_lane_moved_on;
+  const std::shared_future<void> holds = a_holds_token.get_future().share();
+  const std::shared_future<void> may_fail = a_may_fail.get_future().share();
+  const std::shared_future<void> moved_on =
+      a_lane_moved_on.get_future().share();
+  const SearchOutcome outcome = HyperparamSearch(&session, options).Run(
+      [&](const Candidate& c) -> std::shared_ptr<ModelSpec> {
+        if (c.label == "A") {
+          return std::make_shared<SequencedSpec>(c.l2, nullptr, [&] {
+            a_holds_token.set_value();
+            may_fail.wait();
+          });
+        }
+        if (c.label == "B") {
+          return std::make_shared<SequencedSpec>(
+              c.l2, [&] { holds.wait(); }, nullptr);
+        }
+        if (c.label == "C") {
+          return std::make_shared<SequencedSpec>(
+              c.l2,
+              [&] {
+                a_may_fail.set_value();
+                moved_on.wait();
+              },
+              nullptr);
+        }
+        a_lane_moved_on.set_value();
+        return nullptr;
       },
       candidates);
 
-  ASSERT_TRUE(outcome.candidates[0].status.ok())
-      << outcome.candidates[0].status.ToString();
-  ASSERT_TRUE(outcome.candidates[1].status.ok())
-      << outcome.candidates[1].status.ToString();
-  EXPECT_FALSE(outcome.candidates[0].pruned);
-  EXPECT_TRUE(outcome.candidates[1].pruned);
-  EXPECT_TRUE(outcome.candidates[1].result.used_initial_only);
-  EXPECT_EQ(outcome.best_index, 0);
+  ASSERT_EQ(outcome.candidates.size(), 4u);
+  const CandidateResult& a = outcome.candidates[0];
+  const CandidateResult& b = outcome.candidates[1];
+  const CandidateResult& c = outcome.candidates[2];
+  const CandidateResult& d = outcome.candidates[3];
+  EXPECT_EQ(a.status.code(), StatusCode::kInternal) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_TRUE(b.final_train_skipped);
+  EXPECT_TRUE(b.result.used_initial_only);
+  ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  EXPECT_FALSE(c.final_train_skipped) << "the refunded token was lost";
+  EXPECT_FALSE(c.result.used_initial_only);
+  EXPECT_EQ(d.status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HyperparamSearch, ExhaustedTimeBudgetSkipsAndFlagsCandidates) {

@@ -226,7 +226,7 @@ TEST(SparseMatrix, ParallelConstructionIsThreadCountInvariant) {
   };
 
   RuntimeOptions serial;
-  serial.enabled = false;
+  serial.num_threads = 1;
   decltype(build_all()) reference = [&] {
     RuntimeScope scope(serial);
     return build_all();

@@ -113,7 +113,7 @@ void ExpectThreadCountInvariant(const std::function<Vector()>& fn,
                                 std::vector<int> thread_counts,
                                 const char* what) {
   RuntimeOptions serial;
-  serial.enabled = false;
+  serial.num_threads = 1;
   Vector reference;
   {
     RuntimeScope scope(serial);
