@@ -4,31 +4,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
-#include "data/generators.h"
-#include "models/linear_regression.h"
 #include "obs/trace.h"
-#include "models/logistic_regression.h"
-#include "models/max_entropy.h"
-#include "models/ppca.h"
+#include "runtime/runtime_options.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace blinkml {
 namespace bench {
-
-namespace {
-
-std::int64_t Scaled(double scale, std::int64_t base) {
-  const double v = scale * static_cast<double>(base);
-  return std::max<std::int64_t>(1000, static_cast<std::int64_t>(v));
-}
-
-const std::vector<double> kGlmLevels = {0.80, 0.85, 0.90, 0.95,
-                                        0.96, 0.97, 0.98, 0.99};
-const std::vector<double> kPpcaLevels = {0.90,   0.95,   0.99,  0.995,
-                                         0.999,  0.9995, 0.9999};
-
-}  // namespace
 
 double ScaleFromEnv() {
   const char* env = std::getenv("BLINKML_SCALE");
@@ -42,92 +26,6 @@ int RepeatsFromEnv(int fallback) {
   if (env == nullptr) return fallback;
   const int v = std::atoi(env);
   return v > 0 ? v : fallback;
-}
-
-std::vector<Workload> MakePaperWorkloads(double scale,
-                                         const std::string& which) {
-  std::vector<Workload> out;
-  auto want = [&](const char* tag) {
-    return which.empty() || which == tag;
-  };
-
-  // Sizes are chosen so that (a) N / n_0 is large enough for sampling to
-  // pay off on a fast single-node substrate (the paper's N / n_0 reaches
-  // 800; memory limits us to 25-80), and (b) every workload stays inside
-  // the asymptotic regime n_0 >> p (harness_test checks it).
-  if (want("Lin")) {
-    out.push_back({"Lin, Gas", "Lin",
-                   std::make_shared<LinearRegressionSpec>(1e-3),
-                   MakeGasLike(Scaled(scale, 800'000), 11, /*dim=*/57),
-                   10'000, kGlmLevels});
-    out.push_back({"Lin, Power", "Lin",
-                   std::make_shared<LinearRegressionSpec>(1e-3),
-                   MakePowerLike(Scaled(scale, 500'000), 12, /*dim=*/114),
-                   10'000, kGlmLevels});
-  }
-  if (want("LR")) {
-    out.push_back({"LR, Criteo", "LR",
-                   std::make_shared<LogisticRegressionSpec>(1e-3),
-                   MakeCriteoLike(Scaled(scale, 500'000), 13, /*dim=*/20'000,
-                                  /*nnz_per_row=*/39),
-                   10'000, kGlmLevels});
-    out.push_back({"LR, HIGGS", "LR",
-                   std::make_shared<LogisticRegressionSpec>(1e-3),
-                   MakeHiggsLike(Scaled(scale, 800'000), 14, /*dim=*/28),
-                   10'000, kGlmLevels});
-  }
-  if (want("ME")) {
-    // MNIST scaled to 12x12 pixels: p = 10 * 144 = 1440 parameters, inside
-    // the n_0 = 10K asymptotic regime.
-    out.push_back({"ME, MNIST", "ME", std::make_shared<MaxEntropySpec>(1e-3),
-                   MakeMnistLike(Scaled(scale, 250'000), 15, /*dim=*/144,
-                                 /*num_classes=*/10),
-                   10'000, kGlmLevels});
-    // Yelp scaled to a 500-word vocabulary: p = 2500, keeping n_0 / p = 4
-    // (the asymptotic-regime requirement binds here; at p = 5000 the
-    // initial model partially overfits and the estimator's variance is too
-    // small).
-    out.push_back({"ME, Yelp", "ME", std::make_shared<MaxEntropySpec>(1e-3),
-                   MakeYelpLike(Scaled(scale, 300'000), 16, /*dim=*/500),
-                   10'000, kGlmLevels});
-  }
-  if (want("PPCA")) {
-    Dataset mnist = MakeMnistLike(Scaled(scale, 200'000), 17, /*dim=*/196,
-                                  /*num_classes=*/10);
-    out.push_back({"PPCA, MNIST", "PPCA", std::make_shared<PpcaSpec>(10),
-                   Dataset(Matrix(mnist.dense()), Vector(),
-                           Task::kUnsupervised),
-                   10'000, kPpcaLevels});
-    Dataset higgs = MakeHiggsLike(Scaled(scale, 800'000), 18, /*dim=*/28);
-    out.push_back({"PPCA, HIGGS", "PPCA", std::make_shared<PpcaSpec>(10),
-                   Dataset(Matrix(higgs.dense()), Vector(),
-                           Task::kUnsupervised),
-                   10'000, kPpcaLevels});
-  }
-  return out;
-}
-
-namespace {
-// The --threads cap ParseBenchFlags saw, applied by ConfigFor (see the
-// header note). Benches parse flags once at the top of main, before any
-// config is built.
-int g_bench_threads = 0;
-}  // namespace
-
-BlinkConfig ConfigFor(const Workload& workload, std::uint64_t seed) {
-  BlinkConfig config;
-  config.initial_sample_size = workload.initial_sample_size;
-  config.holdout_size = 2000;
-  // The Gram eigendecomposition costs O(n_s^3); for large parameter counts
-  // a leaner statistics sample keeps the overhead proportionate (the rank
-  // the extra rows would add is dominated by the sampler's rank cap).
-  const Dataset::Index p = workload.spec->ParamDim(workload.data);
-  config.stats_sample_size = p > 1200 ? 640 : 1024;
-  config.accuracy_samples = 256;
-  config.size_samples = 192;
-  config.seed = seed;
-  config.runtime.num_threads = g_bench_threads;
-  return config;
 }
 
 BenchFlags ParseBenchFlags(int argc, char** argv,
@@ -192,7 +90,6 @@ BenchFlags ParseBenchFlags(int argc, char** argv,
                  argv[0]);
     flags.json = false;
   }
-  g_bench_threads = flags.threads;
   if (!flags.trace_path.empty()) {
     // Armed for the whole run; the StopTracing dump happens at normal
     // process exit so benches need no per-harness plumbing.
@@ -259,6 +156,17 @@ JsonObject& JsonObject::Str(const std::string& key, const std::string& value) {
   return *this;
 }
 
+JsonObject& JsonObject::Strings(const std::string& key,
+                                const std::vector<std::string>& values) {
+  std::string raw = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) raw += ", ";
+    raw += "\"" + JsonEscape(values[i]) + "\"";
+  }
+  fields_.emplace_back(key, raw + "]");
+  return *this;
+}
+
 JsonObject& JsonObject::Object(const std::string& key,
                                const JsonObject& child) {
   fields_.emplace_back(key, child.ToCompact());
@@ -315,29 +223,79 @@ void PrintHeader(const std::string& title) {
   std::printf("\n===== %s =====\n", title.c_str());
 }
 
-void PrintRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths) {
-  std::string line;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int width = i < widths.size() ? widths[i] : 12;
-    line += StrFormat("%-*s", width, cells[i].c_str());
-    if (i + 1 < cells.size()) line += "| ";
+JsonObject MachineJson(int threads_used) {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string text(line);
+      if (text.rfind("model name", 0) != 0) continue;
+      const std::size_t colon = text.find(':');
+      if (colon != std::string::npos) {
+        cpu = text.substr(colon + 2);
+        while (!cpu.empty() && (cpu.back() == '\n' || cpu.back() == ' ')) {
+          cpu.pop_back();
+        }
+      }
+      break;
+    }
+    std::fclose(f);
   }
-  std::printf("%s\n", line.c_str());
+  return JsonObject()
+      .Str("cpu", cpu)
+      .Int("hardware_threads",
+           static_cast<long long>(std::thread::hardware_concurrency()))
+      .Str("kernel_isa",
+           CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar")
+      .Int("threads_used", threads_used);
 }
 
-std::string AccuracyLabel(double level) {
-  const double pct = level * 100.0;
-  if (std::fabs(pct - std::round(pct)) < 1e-9) {
-    return StrFormat("%.0f%%", pct);
+Dataset WithConstantColumn(const Dataset& data) {
+  Matrix x(data.num_rows(), data.dim() + 1);
+  for (Dataset::Index i = 0; i < data.num_rows(); ++i) {
+    for (Dataset::Index j = 0; j < data.dim(); ++j) {
+      x(i, j) = data.dense()(i, j);
+    }
+    x(i, data.dim()) = 1.0;
   }
-  std::string s = StrFormat("%.2f%%", pct);
-  // Trim a trailing zero ("99.50%" -> "99.5%").
-  const std::size_t pos = s.find('%');
-  if (pos != std::string::npos && pos > 0 && s[pos - 1] == '0') {
-    s.erase(pos - 1, 1);
+  return Dataset(std::move(x), Vector(data.labels()), data.task());
+}
+
+double BinomialUpperTail(int trials, double p, int k) {
+  BLINKML_CHECK(trials >= 0 && p >= 0.0 && p <= 1.0);
+  if (k <= 0) return 1.0;
+  if (k > trials || p == 0.0) return 0.0;
+  if (p == 1.0) return 1.0;
+  // Each term C(T, i) p^i (1-p)^(T-i) in log space, so no factor
+  // overflows or underflows at any T the harnesses use.
+  const double log_p = std::log(p), log_q = std::log1p(-p);
+  double tail = 0.0;
+  for (int i = k; i <= trials; ++i) {
+    tail += std::exp(std::lgamma(trials + 1.0) - std::lgamma(i + 1.0) -
+                     std::lgamma(trials - i + 1.0) + i * log_p +
+                     (trials - i) * log_q);
   }
-  return s;
+  return std::min(tail, 1.0);
+}
+
+int BinomialUpperQuantile(int trials, double p, double alpha) {
+  int k = 0;
+  while (k < trials && BinomialUpperTail(trials, p, k + 1) > alpha) ++k;
+  return k;
+}
+
+double ClopperPearsonUpper(int violations, int trials, double alpha) {
+  BLINKML_CHECK(trials > 0 && violations >= 0 && violations <= trials);
+  if (violations == trials) return 1.0;
+  // P(X <= violations) = 1 - P(X >= violations + 1) falls as p grows;
+  // bisect for the p where it crosses alpha.
+  double lo = static_cast<double>(violations) / trials, hi = 1.0;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    const double cdf = 1.0 - BinomialUpperTail(trials, mid, violations + 1);
+    (cdf > alpha ? lo : hi) = mid;
+  }
+  return hi;
 }
 
 }  // namespace bench

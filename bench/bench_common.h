@@ -1,59 +1,32 @@
-// Shared infrastructure for the experiment harnesses (one binary per paper
-// table/figure). Provides the eight (model, dataset) workloads of the
-// evaluation section at single-machine scale, table printing, and the
-// BLINKML_SCALE / BLINKML_REPEATS environment knobs.
+// Shared infrastructure for the bench/ harnesses: the paper's guarantee
+// record (bench_guarantee -> BENCH_guarantee.json) and the kernel, serving
+// and networking harnesses. Provides the shared flags, the BLINKML_SCALE /
+// BLINKML_REPEATS environment knobs, a flat JSON writer, the machine block
+// every record carries, and the exact binomial arithmetic the guarantee
+// record and coordinator_test judge violation counts by.
 //
-// Scaling note: every harness honors BLINKML_SCALE (a positive float;
-// default 1.0) multiplying the dataset sizes, so `BLINKML_SCALE=10
-// ./bench_fig5_speedup` approaches the paper's row counts. Defaults are
-// chosen so each binary finishes in a few minutes on one machine. The
-// *shape* of each result (who wins, how ratios move with the requested
-// accuracy, where crossovers fall) is the reproduction target; absolute
-// times differ from the paper's Spark cluster by construction.
+// Scaling note: BLINKML_SCALE (a positive float; default 1.0) multiplies
+// each harness's dataset sizes and BLINKML_REPEATS its repeat count (for
+// bench_guarantee, the seeds per cell).
 
 #ifndef BLINKML_BENCH_BENCH_COMMON_H_
 #define BLINKML_BENCH_BENCH_COMMON_H_
 
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "data/dataset.h"
-#include "models/model_spec.h"
 #include "util/stats.h"  // nearest-rank Percentile (shared with obs)
 
 namespace blinkml {
 namespace bench {
-
-/// One (model class, dataset) combination of the paper's evaluation.
-struct Workload {
-  std::string name;          // e.g. "LR, Criteo"
-  std::string model_tag;     // "Lin" / "LR" / "ME" / "PPCA"
-  std::shared_ptr<ModelSpec> spec;
-  Dataset data;
-  /// Initial-sample size appropriate for this workload's parameter count
-  /// (kept inside the asymptotic regime n_0 >> p that the bounds rest on).
-  Dataset::Index initial_sample_size;
-  /// Requested accuracies to sweep, as (1 - eps) values.
-  std::vector<double> accuracy_levels;
-};
 
 /// BLINKML_SCALE (default 1.0).
 double ScaleFromEnv();
 
 /// BLINKML_REPEATS (default `fallback`).
 int RepeatsFromEnv(int fallback);
-
-/// The eight paper workloads, generated at `scale` x the default sizes.
-/// `which` selects a subset by model tag ("" = all).
-std::vector<Workload> MakePaperWorkloads(double scale,
-                                         const std::string& which = "");
-
-/// A BlinkConfig tuned for a workload (initial sample size, statistics
-/// sample, Monte-Carlo budgets), seeded with `seed`.
-BlinkConfig ConfigFor(const Workload& workload, std::uint64_t seed);
 
 // --- Shared command-line flags ----------------------------------------
 //
@@ -88,10 +61,8 @@ struct ExtraIntFlag {
   int* value;        // written on parse; untouched when absent
 };
 
-/// Parses the shared flags. The thread cap is also remembered
-/// process-wide and applied by ConfigFor, so the figure harnesses honor
-/// --threads without per-bench plumbing; benches that build their own
-/// BlinkConfig set `config.runtime.num_threads = flags.threads`.
+/// Parses the shared flags. Benches that build a BlinkConfig set
+/// `config.runtime.num_threads = flags.threads`.
 BenchFlags ParseBenchFlags(int argc, char** argv,
                            const std::string& default_json_path,
                            const std::vector<ExtraIntFlag>& extra = {});
@@ -111,6 +82,8 @@ class JsonObject {
   JsonObject& Int(const std::string& key, long long value);
   JsonObject& Bool(const std::string& key, bool value);
   JsonObject& Str(const std::string& key, const std::string& value);
+  JsonObject& Strings(const std::string& key,
+                      const std::vector<std::string>& values);
   JsonObject& Object(const std::string& key, const JsonObject& child);
   JsonObject& Array(const std::string& key,
                     const std::vector<JsonObject>& items);
@@ -131,12 +104,36 @@ bool WriteBenchFile(const std::string& path, const std::string& content);
 /// Prints a horizontal rule and a centered title.
 void PrintHeader(const std::string& title);
 
-/// Prints one row of pipe-separated cells with the given widths.
-void PrintRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths);
+/// The host a record was taken on: CPU model, hardware threads, the
+/// kernel ISA the dispatch resolved to, and the lanes the run used.
+JsonObject MachineJson(int threads_used);
 
-/// Formats a (1 - eps) accuracy level: 0.95 -> "95%", 0.9995 -> "99.95%".
-std::string AccuracyLabel(double level);
+/// `data` (dense) with a constant-1 column appended. The GLMs fit no
+/// intercept, so this is how a count model whose log rate has one is well
+/// specified.
+Dataset WithConstantColumn(const Dataset& data);
+
+// --- Exact binomial arithmetic ------------------------------------------
+//
+// A violation of the (epsilon, delta) contract is a Bernoulli event with
+// probability at most delta per seed, so the violations of T fixed seeds
+// are judged against Bin(T, delta), summed exactly rather than through a
+// normal approximation (T is tens to hundreds, delta a few percent).
+
+/// P(X >= k) for X ~ Bin(trials, p).
+double BinomialUpperTail(int trials, double p, int k);
+
+/// The most violations a fixed-seed test of `trials` runs allows at a
+/// false-alarm rate `alpha` when each run violates with probability p: the
+/// smallest k with P(Bin(trials, p) > k) <= alpha (7 of 40, 13 of 100 and
+/// 21 of 200 at p = 0.05, alpha = 1e-3).
+int BinomialUpperQuantile(int trials, double p, double alpha);
+
+/// Exact one-sided Clopper-Pearson upper bound at confidence 1 - alpha on
+/// the violation probability after `violations` of `trials`: the p at
+/// which P(Bin(trials, p) <= violations) = alpha (1 when every run
+/// violated).
+double ClopperPearsonUpper(int violations, int trials, double alpha);
 
 }  // namespace bench
 }  // namespace blinkml

@@ -285,31 +285,6 @@ RefillResult RunRefill(const std::string& name, const Dataset& pool,
   return out;
 }
 
-// The host the record was taken on.
-bench::JsonObject MachineJson(int hardware_threads, const char* isa) {
-  std::string cpu = "unknown";
-  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
-    char line[512];
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      const std::string text(line);
-      if (text.rfind("model name", 0) != 0) continue;
-      const std::size_t colon = text.find(':');
-      if (colon != std::string::npos) {
-        cpu = text.substr(colon + 2);
-        while (!cpu.empty() && (cpu.back() == '\n' || cpu.back() == ' ')) {
-          cpu.pop_back();
-        }
-      }
-      break;
-    }
-    std::fclose(f);
-  }
-  return bench::JsonObject()
-      .Str("cpu", cpu)
-      .Int("hardware_threads", hardware_threads)
-      .Str("kernel_isa", isa);
-}
-
 // Benchmarks one kernel: times the reference loop and the kernel (under
 // `pool` at `threads` lanes), checks the kernel's result against the
 // reference, and sweeps the kernel over 1/2/8 lanes for bitwise
@@ -631,7 +606,7 @@ int main(int argc, char** argv) {
         .Array("sample_refill", refill_json)
         .Array("thread_scaling", thread_json)
         .Str("kernel_isa", isa_name)
-        .Object("machine", MachineJson(hardware_threads, isa_name))
+        .Object("machine", MachineJson(threads))
         .Bool("checks_pass", checks_pass);
     if (!WriteBenchFile(flags.json_path, root.ToString())) return 1;
   }

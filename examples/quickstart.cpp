@@ -56,16 +56,15 @@ int main() {
 
   // --- Full model (what a traditional ML library would do) ---
   std::printf("\nTraining the full model for comparison...\n");
-  ModelTrainer trainer;
-  WallTimer full_timer;
-  // Train on the same pool BlinkML's guarantee refers to.
-  Result<TrainedModel> full = trainer.Train(spec, data);
+  // Train on the pool BlinkML's guarantee refers to: the data less the
+  // holdout.
+  Result<TrainedModel> full = coordinator.TrainFullModel(spec, data);
   if (!full.ok()) {
     std::fprintf(stderr, "full training failed: %s\n",
                  full.status().ToString().c_str());
     return 1;
   }
-  const double full_seconds = full_timer.Seconds();
+  const double full_seconds = full->train_seconds;
 
   const double v =
       spec.Diff(result->model.theta, full->theta, *result->holdout);

@@ -27,4 +27,13 @@ Result<ApproxResult> Coordinator::Train(
   return out;
 }
 
+Result<TrainedModel> Coordinator::TrainFullModel(const ModelSpec& spec,
+                                                 const Dataset& data) const {
+  BLINKML_ASSIGN_OR_RETURN(TrainingPrefix prefix,
+                           ComputeTrainingPrefix(data, config_));
+  RuntimeScope runtime_scope(config_.runtime);
+  return ModelTrainer(config_.trainer)
+      .Train(spec, data.TakeRows(*prefix.pool_rows));
+}
+
 }  // namespace blinkml

@@ -39,6 +39,12 @@ class Coordinator {
   Result<ApproxResult> Train(const ModelSpec& spec, const Dataset& data,
                              const ApproximationContract& contract) const;
 
+  /// Trains m_N, the full model the contract compares against: `spec` on
+  /// the pool a Train with this config draws from, which is `data` less
+  /// the holdout. The pool is materialized for this call only.
+  Result<TrainedModel> TrainFullModel(const ModelSpec& spec,
+                                      const Dataset& data) const;
+
   const BlinkConfig& config() const { return config_; }
 
  private:

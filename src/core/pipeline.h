@@ -12,8 +12,8 @@
 // stages consume the rest in the order the monolithic path did.
 //
 // Stage methods must be called in order; drivers may stop after
-// EstimateInitialAccuracy() (e.g. when a hyperparameter candidate is
-// dominated) and Finish() packages whatever ran.
+// EstimateInitialAccuracy() (a hyperparameter search does when its
+// max_final_trains budget is spent) and Finish() packages whatever ran.
 
 #ifndef BLINKML_CORE_PIPELINE_H_
 #define BLINKML_CORE_PIPELINE_H_
@@ -73,8 +73,9 @@ struct ApproxResult {
   /// True when the returned model is the initial model m_0 — either
   /// because it already satisfied the contract (paper Section 5.3
   /// observes this regime) or because a driver stopped the pipeline
-  /// after m_0 (dominance pruning / budget clipping; the driver's result
-  /// flags say which). `contract_satisfied` distinguishes the cases.
+  /// after m_0 (a search whose max_final_trains budget is spent flags the
+  /// candidate's final_train_skipped). `contract_satisfied` distinguishes
+  /// the cases.
   bool used_initial_only = false;
 
   /// True when final_epsilon meets the requested contract epsilon.

@@ -108,9 +108,10 @@ class TrainingSession {
                              std::uint64_t seed);
 
   /// A stage-wise pipeline against the cached prefix, for drivers that
-  /// interleave stages (hyperparameter search's dominance pruning). The
-  /// caller runs the stages, then Finish(), then RecordRun() with the
-  /// result's timings. The pipeline must not outlive the session.
+  /// may stop after the initial model (hyperparameter search, when its
+  /// max_final_trains budget is spent). The caller runs the stages, then
+  /// Finish(), then RecordRun() with the result's timings. The pipeline
+  /// must not outlive the session.
   Result<std::unique_ptr<TrainingPipeline>> MakePipeline(
       const ModelSpec& spec, const ApproximationContract& contract,
       std::uint64_t seed);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "core/coordinator.h"
 #include "data/generators.h"
 #include "models/linear_regression.h"
 #include "models/logistic_regression.h"
 #include "models/max_entropy.h"
+#include "models/poisson_regression.h"
 #include "models/ppca.h"
 #include "runtime/runtime_options.h"
 #include "tests/test_util.h"
@@ -201,59 +203,67 @@ TEST(Coordinator, EpsilonZeroFallsBackToFullTraining) {
   EXPECT_DOUBLE_EQ(result->final_epsilon, 0.0);
 }
 
-// The headline statistical property (paper Section 5.3 / Figure 6): across
-// repeated runs, the returned model agrees with the actually-trained full
-// model within epsilon in at least ~(1 - delta) of runs.
-class CoordinatorContractSweep : public ::testing::TestWithParam<int> {};
+// The headline statistical property (paper Section 5.3 / Figure 6): with
+// probability at least 1 - delta, the returned model disagrees with m_N,
+// the model trained on the run's own pool, on at most epsilon of the
+// holdout. Over T seeds a correct estimator's violations are then at most
+// Bin(T, delta), so each case allows the upper Bin(T, delta) quantile at a
+// 1e-3 false-alarm rate (7 of 40 at delta = 0.05, 11 of 40 at 0.1), with
+// no slack on epsilon. The seeds are fixed, so the verdict is
+// deterministic; bench_guarantee records the same check at more seeds.
+class CoordinatorGuarantee : public ::testing::TestWithParam<int> {};
 
-TEST_P(CoordinatorContractSweep, ContractHoldsAgainstTrueFullModel) {
+TEST_P(CoordinatorGuarantee, ViolationsStayWithinTheBinomialQuantile) {
   struct CaseDef {
     std::shared_ptr<ModelSpec> spec;
     Dataset data;
-    double epsilon;
+    ApproximationContract contract;
   };
   const int which = GetParam();
-  CaseDef c = [&]() -> CaseDef {
+  const CaseDef c = [&]() -> CaseDef {
     switch (which) {
       case 0:
         return {std::make_shared<LinearRegressionSpec>(1e-3),
-                MakeGasLike(30000, 100, /*dim=*/20), 0.05};
+                MakeGasLike(30000, 100, /*dim=*/20), {0.05, 0.1}};
       case 1:
         return {std::make_shared<LogisticRegressionSpec>(1e-3),
-                MakeHiggsLike(30000, 101, /*dim=*/20), 0.08};
+                MakeHiggsLike(30000, 101, /*dim=*/20), {0.08, 0.1}};
       case 2:
         return {std::make_shared<MaxEntropySpec>(1e-3),
-                MakeSyntheticMulticlass(30000, 8, 3, 102), 0.10};
-      default:
+                MakeSyntheticMulticlass(30000, 8, 3, 102), {0.10, 0.1}};
+      case 3:
         return {std::make_shared<PpcaSpec>(2),
                 MakeSyntheticLowRank(30000, 10, 2, 103, /*noise=*/0.4),
-                0.01};
+                {0.01, 0.1}};
+      default:
+        return {std::make_shared<PoissonRegressionSpec>(1e-3),
+                bench::WithConstantColumn(
+                    MakeSyntheticCounts(30000, 10, 104)),
+                {0.02, 0.05}};
     }
   }();
 
-  int satisfied = 0;
-  const int trials = 4;
-  const ModelTrainer trainer;
+  const int trials = 40;
+  int violations = 0;
   for (int t = 0; t < trials; ++t) {
-    const Coordinator coordinator(FastConfig(1000 + t));
-    const auto result =
-        coordinator.Train(*c.spec, c.data, {c.epsilon, 0.1});
-    ASSERT_TRUE(result.ok());
-    // Train the actual full model on the same pool BlinkML used.
-    // (Reconstruct it: holdout rows are excluded.)
-    const auto full = trainer.Train(*c.spec, c.data);
-    ASSERT_TRUE(full.ok());
+    const Coordinator coordinator(FastConfig(1000 + 17 * t));
+    const auto result = coordinator.Train(*c.spec, c.data, c.contract);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const auto full = coordinator.TrainFullModel(*c.spec, c.data);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
     const double v =
         c.spec->Diff(result->model.theta, full->theta, *result->holdout);
-    if (v <= c.epsilon + 0.01) ++satisfied;
+    if (v > c.contract.epsilon) ++violations;
   }
-  // All trials should satisfy (conservative estimator + slack); allow one
-  // failure to keep the test robust.
-  EXPECT_GE(satisfied, trials - 1) << "case " << which;
+  const int allowed =
+      bench::BinomialUpperQuantile(trials, c.contract.delta, 1e-3);
+  EXPECT_LE(violations, allowed)
+      << "case " << which << ": " << violations << " violations of "
+      << trials << " at delta " << c.contract.delta;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModels, CoordinatorContractSweep,
-                         ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(AllModels, CoordinatorGuarantee,
+                         ::testing::Range(0, 5));
 
 }  // namespace
 }  // namespace blinkml

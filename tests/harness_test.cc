@@ -1,10 +1,14 @@
-// Self-checks for the benchmark harness: the workload definitions must
-// respect the method's regime requirement (n_0 well above the parameter
-// count, so the MLE asymptotics hold) or the experiment results would be
-// invalid. Run at tiny scale so the guards are
-// cheap.
+// Self-checks for the bench/ harness library: the shared flag parser, the
+// environment knobs, the JSON machine block, and the exact binomial
+// arithmetic that the guarantee record (bench_guarantee) and
+// coordinator_test judge violation counts by, checked against a
+// brute-force convolution of the binomial distribution.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,93 +18,83 @@ namespace blinkml {
 namespace bench {
 namespace {
 
-std::vector<Workload> TinyWorkloads() {
-  // 1% scale: generator floors keep every dataset at >= 1000 rows.
-  return MakePaperWorkloads(0.01);
-}
-
-TEST(Harness, AllEightPaperWorkloadsPresent) {
-  const auto workloads = TinyWorkloads();
-  ASSERT_EQ(workloads.size(), 8u);
-  std::vector<std::string> names;
-  for (const auto& w : workloads) names.push_back(w.name);
-  EXPECT_EQ(names[0], "Lin, Gas");
-  EXPECT_EQ(names[1], "Lin, Power");
-  EXPECT_EQ(names[2], "LR, Criteo");
-  EXPECT_EQ(names[3], "LR, HIGGS");
-  EXPECT_EQ(names[4], "ME, MNIST");
-  EXPECT_EQ(names[5], "ME, Yelp");
-  EXPECT_EQ(names[6], "PPCA, MNIST");
-  EXPECT_EQ(names[7], "PPCA, HIGGS");
-}
-
-TEST(Harness, WorkloadsStayInsideAsymptoticRegime) {
-  // For dense feature matrices, n_0 must exceed the parameter count by a
-  // comfortable margin for the MLE asymptotics to hold — the invariant
-  // whose violation produced silently-broken bounds during development. Sparse
-  // workloads (hashed CTR, bag-of-words) are exempt: their effective
-  // dimension per example is the row nnz (~40-300), far below n_0, which
-  // is how the paper's own Criteo (p ~ 1M) and Yelp (p ~ 500K) runs with
-  // n_0 = 10K stay inside the regime.
-  for (const auto& w : TinyWorkloads()) {
-    if (w.data.is_sparse()) {
-      const double avg_nnz = static_cast<double>(w.data.sparse().nnz()) /
-                             static_cast<double>(w.data.num_rows());
-      EXPECT_GE(static_cast<double>(w.initial_sample_size), 10.0 * avg_nnz)
-          << w.name;
-      continue;
+// Bin(trials, p)'s probabilities, built one Bernoulli trial at a time.
+std::vector<double> BinomialByConvolution(int trials, double p) {
+  std::vector<double> dist = {1.0};
+  for (int t = 0; t < trials; ++t) {
+    std::vector<double> next(dist.size() + 1, 0.0);
+    for (std::size_t i = 0; i < dist.size(); ++i) {
+      next[i] += dist[i] * (1.0 - p);
+      next[i + 1] += dist[i] * p;
     }
-    const auto p = w.spec->ParamDim(w.data);
-    EXPECT_GE(w.initial_sample_size, 2 * p)
-        << w.name << ": n_0 = " << w.initial_sample_size << ", p = " << p;
+    dist = std::move(next);
+  }
+  return dist;
+}
+
+double TailByConvolution(int trials, double p, int k) {
+  const std::vector<double> dist = BinomialByConvolution(trials, p);
+  double tail = 0.0;
+  for (int i = std::max(k, 0); i <= trials; ++i) tail += dist[i];
+  return tail;
+}
+
+TEST(Harness, BinomialUpperTailMatchesConvolution) {
+  for (const int trials : {1, 7, 40, 200}) {
+    for (const double p : {0.01, 0.05, 0.1, 0.3}) {
+      for (int k = 0; k <= trials + 1; ++k) {
+        const double brute = TailByConvolution(trials, p, k);
+        EXPECT_NEAR(BinomialUpperTail(trials, p, k), brute,
+                    1e-12 + 1e-9 * brute)
+            << "T=" << trials << " p=" << p << " k=" << k;
+      }
+    }
+  }
+  EXPECT_EQ(BinomialUpperTail(40, 0.0, 1), 0.0);
+  EXPECT_EQ(BinomialUpperTail(40, 1.0, 40), 1.0);
+}
+
+TEST(Harness, BinomialUpperQuantileIsTheSmallestAllowedCount) {
+  // The counts the guarantee tests quote.
+  EXPECT_EQ(BinomialUpperQuantile(40, 0.05, 1e-3), 7);
+  EXPECT_EQ(BinomialUpperQuantile(100, 0.05, 1e-3), 13);
+  EXPECT_EQ(BinomialUpperQuantile(200, 0.05, 1e-3), 21);
+  for (const int trials : {2, 20, 40, 100, 200}) {
+    for (const double p : {0.05, 0.1}) {
+      const int k = BinomialUpperQuantile(trials, p, 1e-3);
+      EXPECT_LE(TailByConvolution(trials, p, k + 1), 1e-3)
+          << "T=" << trials << " p=" << p;
+      if (k > 0) {
+        EXPECT_GT(TailByConvolution(trials, p, k), 1e-3)
+            << "T=" << trials << " p=" << p;
+      }
+    }
   }
 }
 
-TEST(Harness, TagFilterSelectsSubsets) {
-  EXPECT_EQ(MakePaperWorkloads(0.01, "Lin").size(), 2u);
-  EXPECT_EQ(MakePaperWorkloads(0.01, "LR").size(), 2u);
-  EXPECT_EQ(MakePaperWorkloads(0.01, "ME").size(), 2u);
-  EXPECT_EQ(MakePaperWorkloads(0.01, "PPCA").size(), 2u);
-  EXPECT_EQ(MakePaperWorkloads(0.01, "nope").size(), 0u);
-}
-
-TEST(Harness, TasksAndSparsityMatchThePaper) {
-  const auto workloads = TinyWorkloads();
-  EXPECT_EQ(workloads[0].data.task(), Task::kRegression);
-  EXPECT_EQ(workloads[1].data.task(), Task::kRegression);
-  EXPECT_EQ(workloads[2].data.task(), Task::kBinary);
-  EXPECT_TRUE(workloads[2].data.is_sparse());  // Criteo
-  EXPECT_EQ(workloads[3].data.task(), Task::kBinary);
-  EXPECT_EQ(workloads[4].data.task(), Task::kMulticlass);
-  EXPECT_EQ(workloads[4].data.num_classes(), 10);  // MNIST
-  EXPECT_EQ(workloads[5].data.task(), Task::kMulticlass);
-  EXPECT_TRUE(workloads[5].data.is_sparse());  // Yelp
-  EXPECT_EQ(workloads[5].data.num_classes(), 5);
-  EXPECT_EQ(workloads[6].data.task(), Task::kUnsupervised);
-  EXPECT_EQ(workloads[7].data.task(), Task::kUnsupervised);
-}
-
-TEST(Harness, AccuracyLevelsMatchThePaperSweeps) {
-  const auto workloads = TinyWorkloads();
-  // GLMs sweep 80-99% (8 levels); PPCA sweeps 90-99.99% (7 levels).
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(workloads[i].accuracy_levels.size(), 8u) << i;
-    EXPECT_DOUBLE_EQ(workloads[i].accuracy_levels.front(), 0.80);
-    EXPECT_DOUBLE_EQ(workloads[i].accuracy_levels.back(), 0.99);
+TEST(Harness, ClopperPearsonUpperSolvesTheLowerTail) {
+  for (const int trials : {20, 40, 200}) {
+    for (const int violations : {0, 1, 5, trials / 2, trials - 1}) {
+      const double upper = ClopperPearsonUpper(violations, trials, 0.05);
+      EXPECT_GT(upper, static_cast<double>(violations) / trials);
+      EXPECT_NEAR(1.0 - TailByConvolution(trials, upper, violations + 1),
+                  0.05, 1e-9)
+          << violations << " of " << trials;
+    }
+    EXPECT_EQ(ClopperPearsonUpper(trials, trials, 0.05), 1.0);
   }
-  for (std::size_t i = 6; i < 8; ++i) {
-    EXPECT_EQ(workloads[i].accuracy_levels.size(), 7u) << i;
-    EXPECT_DOUBLE_EQ(workloads[i].accuracy_levels.front(), 0.90);
-    EXPECT_DOUBLE_EQ(workloads[i].accuracy_levels.back(), 0.9999);
-  }
+  // No violations: (1 - p)^T = alpha in closed form.
+  EXPECT_NEAR(ClopperPearsonUpper(0, 40, 0.05),
+              1.0 - std::pow(0.05, 1.0 / 40.0), 1e-12);
 }
 
-TEST(Harness, AccuracyLabelFormatting) {
-  EXPECT_EQ(AccuracyLabel(0.80), "80%");
-  EXPECT_EQ(AccuracyLabel(0.95), "95%");
-  EXPECT_EQ(AccuracyLabel(0.995), "99.5%");
-  EXPECT_EQ(AccuracyLabel(0.9995), "99.95%");
-  EXPECT_EQ(AccuracyLabel(1.0), "100%");
+TEST(Harness, MachineBlockNamesTheHostAndTheLanesUsed) {
+  const std::string json = MachineJson(3).ToCompact();
+  for (const char* key :
+       {"\"cpu\"", "\"hardware_threads\"", "\"kernel_isa\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  EXPECT_NE(json.find("\"threads_used\": 3"), std::string::npos) << json;
 }
 
 TEST(Harness, ScaleEnvParsing) {
@@ -155,20 +149,6 @@ TEST(Harness, PercentileUsesNearestRank) {
   EXPECT_EQ(Percentile(values, 50.0), 3.0);
   EXPECT_EQ(Percentile(values, 90.0), 5.0);
   EXPECT_EQ(Percentile(values, 100.0), 5.0);
-}
-
-TEST(Harness, ConfigAdaptsStatisticsSampleToDimension) {
-  const auto workloads = TinyWorkloads();
-  for (const auto& w : workloads) {
-    const BlinkConfig config = ConfigFor(w, 1);
-    const auto p = w.spec->ParamDim(w.data);
-    if (p > 1200) {
-      EXPECT_EQ(config.stats_sample_size, 640) << w.name;
-    } else {
-      EXPECT_EQ(config.stats_sample_size, 1024) << w.name;
-    }
-    EXPECT_EQ(config.initial_sample_size, w.initial_sample_size);
-  }
 }
 
 }  // namespace

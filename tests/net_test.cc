@@ -190,6 +190,103 @@ TEST(BlinkServer, TrainPredictRoundTripBitwiseAtAnyRunnerThreadCount) {
   }
 }
 
+// What RunServedCalls got back from one front.
+struct ServedCalls {
+  TrainResponseWire trained;
+  PredictResponseWire predicted;
+  HealthResponseWire health;
+};
+
+// RegisterDataset, Train, Predict (of the served model on 16 rows of the
+// registered data) and Health through `client`.
+void RunServedCalls(BlinkClient* client, ServedCalls* out) {
+  const RegisterDatasetRequest registration =
+      LogisticRegistration("tenant-a", "wire-logistic");
+  const auto registered = client->RegisterDataset(registration);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+
+  TrainRequestWire train;
+  train.tenant = "tenant-a";
+  train.dataset = registration.name;
+  train.model_class = "LogisticRegression";
+  train.l2 = 1e-3;
+  train.epsilon = 0.01;
+  train.delta = 0.05;
+  const auto trained = client->Train(train);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  out->trained = *trained;
+
+  const Dataset data = *MakeWireDataset(registration);
+  PredictRequestWire predict;
+  predict.tenant = "tenant-a";
+  predict.model_class = "LogisticRegression";
+  predict.model = trained->model;
+  predict.rows = 16;
+  predict.dim = data.dim();
+  for (Dataset::Index r = 0; r < predict.rows; ++r) {
+    for (Dataset::Index c = 0; c < data.dim(); ++c) {
+      predict.features.push_back(data.dense()(r, c));
+    }
+  }
+  const auto predicted = client->Predict(predict);
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  out->predicted = *predicted;
+
+  const auto health = client->Health("tenant-a");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  out->health = *health;
+}
+
+// Every other front in these suites listens on a Unix socket. A front
+// whose unix_path is empty listens on TCP host:port instead; on
+// 127.0.0.1 with port 0 (an ephemeral port, read back through port()) it
+// must answer ConnectTcpRetry's calls with a Unix-socket server's bits.
+TEST(BlinkServer, TcpListenerAnswersWithTheUnixSocketBits) {
+  ServedCalls over_unix, over_tcp;
+  {
+    SessionManager manager;
+    ServerOptions options;
+    options.unix_path = SocketPath("tcp_reference");
+    BlinkServer server(&manager, options);
+    ASSERT_TRUE(server.Start().ok());
+    auto client = BlinkClient::ConnectUnix(options.unix_path);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(RunServedCalls(&*client, &over_unix));
+    server.Stop();
+  }
+  {
+    SessionManager manager;
+    ServerOptions options;
+    options.host = "127.0.0.1";
+    options.port = 0;
+    BlinkServer server(&manager, options);
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_GT(server.port(), 0);
+    auto client = BlinkClient::ConnectTcpRetry("127.0.0.1", server.port(),
+                                               /*attempts=*/50,
+                                               /*backoff_ms=*/10);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(RunServedCalls(&*client, &over_tcp));
+    server.Stop();
+  }
+
+  ExpectModelBitwise(over_tcp.trained.model, over_unix.trained.model,
+                     "train over TCP");
+  EXPECT_EQ(over_tcp.trained.sample_size, over_unix.trained.sample_size);
+  EXPECT_EQ(over_tcp.trained.full_size, over_unix.trained.full_size);
+  EXPECT_EQ(over_tcp.trained.initial_epsilon,
+            over_unix.trained.initial_epsilon);
+  EXPECT_EQ(over_tcp.trained.final_epsilon, over_unix.trained.final_epsilon);
+  EXPECT_EQ(over_tcp.trained.contract_satisfied,
+            over_unix.trained.contract_satisfied);
+  ASSERT_EQ(over_tcp.predicted.predictions.size(), 16u);
+  EXPECT_EQ(over_tcp.predicted.predictions, over_unix.predicted.predictions);
+  EXPECT_TRUE(over_tcp.health.accepting);
+  EXPECT_EQ(over_tcp.health.open_connections, 1);
+  EXPECT_EQ(over_tcp.health.open_connections,
+            over_unix.health.open_connections);
+}
+
 TEST(BlinkServer, SearchRoundTripBitwise) {
   const RegisterDatasetRequest registration =
       LogisticRegistration("tenant-s", "wire-search");
