@@ -245,8 +245,7 @@ JsonObject MachineJson(int threads_used) {
       .Str("cpu", cpu)
       .Int("hardware_threads",
            static_cast<long long>(std::thread::hardware_concurrency()))
-      .Str("kernel_isa",
-           CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar")
+      .Str("kernel_isa", KernelIsaName(CurrentKernelIsa()))
       .Int("threads_used", threads_used);
 }
 

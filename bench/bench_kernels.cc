@@ -579,8 +579,7 @@ int main(int argc, char** argv) {
         JsonObject().Int("threads", t).Number("dense_gram_seconds", seconds));
   }
 
-  const char* isa_name =
-      CurrentKernelIsa() == KernelIsa::kAvx2 ? "avx2" : "scalar";
+  const char* isa_name = KernelIsaName(CurrentKernelIsa());
   std::printf("\nkernel isa: %s\nchecks: %s\n", isa_name,
               checks_pass ? "kernels within 1e-12 of the reference, GLM "
                             "passes and Monte-Carlo verdicts bitwise, "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -36,14 +37,6 @@ class LentSample {
   RowStoragePool* pool_;
   Dataset sample_;
 };
-
-StatsOptions StatsOptionsFrom(const BlinkConfig& config) {
-  StatsOptions options;
-  options.method = config.stats_method;
-  options.stats_sample_size = config.stats_sample_size;
-  options.max_rank = config.sampler_max_rank;
-  return options;
-}
 
 }  // namespace
 
@@ -163,14 +156,16 @@ Status TrainingPipeline::ComputeInitialStatistics() {
   next_stage_ = 2;
   RuntimeScope runtime_scope(config_->runtime);
   Rng stats_rng = rng_.Split();
-  StatsOptions options = StatsOptionsFrom(*config_);
+  StatsOptions options;
+  options.method = config_->stats_method;
+  options.stats_sample_size = config_->stats_sample_size;
+  options.max_rank = config_->sampler_max_rank;
   if (gram_cache_ != nullptr) {
     // D_0 and the stats sub-sample drawn from it (the stream split above)
     // are pure functions of (seed, n_0), so every candidate on this seed
     // shares one feature Gram.
     options.gram_cache = gram_cache_;
-    options.gram_key = {FeatureGramCache::Phase::kInitialStats,
-                        config_->seed, prefix_->initial_sample->num_rows()};
+    options.gram_key = {config_->seed, prefix_->initial_sample->num_rows()};
   }
   {
     obs::PhaseScope t("statistics", &out_.timings.statistics);
@@ -256,8 +251,6 @@ Status TrainingPipeline::TrainFinal() {
       c = (*prefix_->pool_rows)[static_cast<std::size_t>(c)];
     }
   }
-  // Declared before the re-estimate's sampler, so the sampler, which can
-  // alias a CSR sample's structure, is gone before the storage returns.
   const LentSample dn(*data_, n < full_n ? chosen : *prefix_->pool_rows,
                       sample_storage_);
 
@@ -269,45 +262,18 @@ Status TrainingPipeline::TrainFinal() {
         mn_, final_trainer.Train(*spec_, dn.sample(), &m0_.theta));
   }
   out_.final_iterations = mn_.iterations;
-  final_n_ = dn.sample().num_rows();
-  out_.sample_size = final_n_;
+  out_.sample_size = dn.sample().num_rows();
+  out_.final_epsilon = out_.size_estimate.epsilon;
 
-  // Re-estimate the returned model's bound with statistics at theta_n.
-  if (final_n_ < full_n) {
-    Rng restats_rng = rng_.Split();
-    Rng reacc_rng = rng_.Split();
-    StatsOptions restats_options = StatsOptionsFrom(*config_);
-    if (gram_cache_ != nullptr) {
-      // The final sample's rows are a pure function of (seed, n) and the
-      // stats sub-sample stream is at a fixed split offset, so candidates
-      // landing on the same n share this Gram.
-      restats_options.gram_cache = gram_cache_;
-      restats_options.gram_key = {FeatureGramCache::Phase::kFinalStats,
-                                  config_->seed, final_n_};
-    }
-    ParamSampler final_sampler = ParamSampler::FromDenseFactor(Matrix());
-    {
-      obs::PhaseScope t("statistics", &out_.timings.statistics);
-      BLINKML_ASSIGN_OR_RETURN(
-          final_sampler,
-          ComputeStatistics(*spec_, mn_.theta, dn.sample(), restats_options,
-                            &restats_rng));
-    }
-    AccuracyOptions acc_options;
-    acc_options.num_samples = config_->accuracy_samples;
-    acc_options.delta = contract_.delta;
-    AccuracyEstimate eps_final;
-    {
-      obs::PhaseScope t("accuracy_estimation", &out_.timings.accuracy_estimation);
-      BLINKML_ASSIGN_OR_RETURN(
-          eps_final,
-          EstimateAccuracy(*spec_, mn_.theta, final_n_, full_n, final_sampler,
-                           *prefix_->holdout, acc_options, &reacc_rng));
-    }
-    out_.final_epsilon = eps_final.epsilon;
-  } else {
-    out_.final_epsilon = 0.0;  // trained on the whole pool
-  }
+  // The check: m_n may differ from m_0 by no more than the size search's
+  // draws predict (SampleSizeEstimate::initial_diff_bound).
+  const bool failed = spec_->Diff(m0_.theta, mn_.theta, *prefix_->holdout) >
+                      out_.size_estimate.initial_diff_bound;
+  out_.contract_check_failures = failed ? 1 : 0;
+  const obs::Labels model = {{"model", spec_->name()}};
+  obs::Registry& registry = obs::Registry::Global();
+  registry.Counter("contract_checks_total", model)->Inc();
+  if (failed) registry.Counter("contract_check_failures_total", model)->Inc();
   final_trained_ = true;
   return Status::OK();
 }
@@ -330,7 +296,8 @@ ApproxResult TrainingPipeline::Finish() {
     out_.final_epsilon = out_.initial_epsilon;
     out_.used_initial_only = true;
   }
-  out_.contract_satisfied = out_.final_epsilon <= contract_.epsilon;
+  out_.contract_satisfied = out_.final_epsilon <= contract_.epsilon &&
+                            out_.contract_check_failures == 0;
   out_.timings.total = total_timer_.Seconds();
   return std::move(out_);
 }

@@ -3,7 +3,7 @@
 // The monolithic BlinkML run decomposes into
 //   1. prefix   — holdout split + initial sample D_0 (ComputeTrainingPrefix);
 //   2. stages   — initial train -> statistics -> accuracy estimate ->
-//                 [size estimate -> final train -> re-estimate] (TrainingPipeline).
+//                 [size estimate -> final train -> check] (TrainingPipeline).
 // The prefix depends only on (dataset, seed, holdout_size, n_0), so
 // multi-model drivers (session/training_session.h) compute it once and
 // inject it into many pipelines; a pipeline that receives a cached prefix
@@ -67,7 +67,7 @@ struct ApproxResult {
   /// Accuracy bound of the initial model (eps_0).
   double initial_epsilon = 0.0;
 
-  /// Accuracy bound of the returned model.
+  /// Accuracy bound of the returned model: eps_0, or the size search's.
   double final_epsilon = 0.0;
 
   /// True when the returned model is the initial model m_0 — either
@@ -78,8 +78,12 @@ struct ApproxResult {
   /// the cases.
   bool used_initial_only = false;
 
-  /// True when final_epsilon meets the requested contract epsilon.
+  /// True when final_epsilon meets the contract epsilon and no check failed.
   bool contract_satisfied = false;
+
+  /// Checks of m_n that failed (0 or 1): its realized v(m_0, m_n) on the
+  /// holdout exceeded SampleSizeEstimate::initial_diff_bound.
+  int contract_check_failures = 0;
 
   /// The Sample Size Estimator's output (sample_size == 0 when the search
   /// was skipped).
@@ -138,8 +142,8 @@ class TrainingPipeline {
  public:
   /// Positions the master Rng after the prefix's two Split() calls.
   /// `gram_cache` (optional, session-owned) shares the statistics phase's
-  /// feature Gram across candidates; the statistics stages key it by
-  /// (phase, seed, sample rows), which determine the stats sub-sample
+  /// feature Gram across candidates; the statistics stage keys it by
+  /// (seed, sample rows), which determine the stats sub-sample
   /// deterministically. `sample_storage` (optional, session-owned) lends
   /// TrainFinal the storage its final sample is gathered into; without
   /// it, the sample goes into fresh storage.
@@ -168,12 +172,12 @@ class TrainingPipeline {
   /// Runs the Sample Size Estimator for the minimum n.
   Status EstimateMinimumSampleSize();
 
-  /// Trains m_n on a size-n sample (warm-started from m_0) and, when n is
-  /// below the pool size, re-estimates its bound at theta_n. The sample
+  /// Trains m_n on a size-n sample (warm-started from m_0), reports the
+  /// size search's bound at n as its epsilon, and checks m_n against the
+  /// size search's draws (ApproxResult::contract_check_failures). The sample
   /// is gathered into storage borrowed from `sample_storage` (or fresh
   /// storage) and lives for this call only; the storage goes back when
-  /// the call returns, on every path, after the re-estimate's sampler
-  /// (which can alias a CSR sample) is gone.
+  /// the call returns, on every path.
   Status TrainFinal();
 
   /// Packages the result from whichever stages ran. The model is m_n when
@@ -202,7 +206,6 @@ class TrainingPipeline {
   TrainedModel m0_;
   ParamSampler sampler_ = ParamSampler::FromDenseFactor(Matrix());
   TrainedModel mn_;
-  Dataset::Index final_n_ = 0;
   ApproxResult out_;
 };
 

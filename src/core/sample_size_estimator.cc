@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/parallel.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace blinkml {
@@ -71,6 +72,7 @@ Result<SampleSizeEstimate> EstimateSampleSize(
   };
   const ParallelIndex groups_per_chunk = groups_in(layout.chunk_size);
   std::vector<Matrix> group_u, group_w;
+  std::vector<std::size_t> group_first;  // the slot's first pair
   std::vector<Vector> param_u, param_w;
   if (score_path) {
     const ParallelIndex last_chunk =
@@ -79,6 +81,7 @@ Result<SampleSizeEstimate> EstimateSampleSize(
         (layout.num_chunks - 1) * groups_per_chunk + groups_in(last_chunk));
     group_u.resize(groups);
     group_w.resize(groups);
+    group_first.resize(groups);
   } else {
     param_u.resize(static_cast<std::size_t>(k));
     param_w.resize(static_cast<std::size_t>(k));
@@ -119,6 +122,7 @@ Result<SampleSizeEstimate> EstimateSampleSize(
               ptrs.clear();
               for (const Vector& w : ws) ptrs.push_back(&w);
               group_w[slot] = spec.ScoresBatch(ptrs, holdout);
+              group_first[slot] = static_cast<std::size_t>(g);
             } else {
               for (Matrix::Index d = 0; d < width; ++d) {
                 const std::size_t i =
@@ -159,11 +163,12 @@ Result<SampleSizeEstimate> EstimateSampleSize(
 
   obs::FloatCounter* const eval_seconds = obs::Registry::Global().FloatCounter(
       "estimator_seconds", {{"part", "size_search_evals"}});
-  // One candidate's verdict. fraction is the full count whenever the
-  // candidate is feasible; an infeasible one may stop early (below).
+  // One candidate's verdict. fraction and epsilon are full counts whenever
+  // the candidate is feasible; an infeasible one may stop early (below).
   struct Evaluation {
     bool feasible;
     double fraction;
+    double epsilon;
   };
   // Memo of every candidate n already evaluated: the bisection can revisit
   // a candidate (the final report at the returned n, or a trivially
@@ -171,6 +176,14 @@ Result<SampleSizeEstimate> EstimateSampleSize(
   // the dominant search cost. out.evaluations counts memo misses only, so
   // it equals the number of *distinct* candidates evaluated.
   std::vector<std::pair<Index, Evaluation>> evaluated;
+  const auto units = static_cast<ParallelIndex>(
+      score_path ? group_w.size() : static_cast<std::size_t>(k));
+  std::vector<double> pair_v(static_cast<std::size_t>(k));
+  // A unit where the last infeasible candidate failed: bisection then
+  // evaluates only larger n, where (common random numbers) the pairs that
+  // failed there are the likeliest to fail again, so scans start there.
+  std::atomic<ParallelIndex> failed_unit{0};
+  ParallelIndex start_unit = 0;
   auto evaluate = [&](Index n) {
     for (const auto& memo : evaluated) {
       if (memo.first == n) return memo.second;
@@ -189,17 +202,17 @@ Result<SampleSizeEstimate> EstimateSampleSize(
     // scans every pair.
     const int exit_after = n == full_n ? k : allowed;
     std::atomic<int> failures{0};
-    const auto units = static_cast<ParallelIndex>(
-        score_path ? group_w.size() : static_cast<std::size_t>(k));
     const int ok_count = ParallelReduce(
         ParallelIndex{0}, units, 0,
         [&](ParallelIndex b, ParallelIndex e) {
           int part = 0;
-          double vs[kernels::kMultiVec];
           Vector t1, t2;  // generic-path scratch, reused across pairs
           for (ParallelIndex i = b; i < e; ++i) {
             if (failures.load() > exit_after) break;
-            const auto unit = static_cast<std::size_t>(i);
+            const ParallelIndex rotated = (start_unit + i) % units;
+            const auto unit = static_cast<std::size_t>(rotated);
+            double* const vs =
+                pair_v.data() + (score_path ? group_first[unit] : unit);
             Matrix::Index width = 1;
             if (score_path) {
               // v of every pair in the group, from scores(theta_n,i) =
@@ -223,7 +236,10 @@ Result<SampleSizeEstimate> EstimateSampleSize(
                 ++failed;
               }
             }
-            if (failed > 0) failures += failed;
+            if (failed > 0) {
+              failures += failed;
+              failed_unit.store(rotated);
+            }
           }
           return part;
         },
@@ -231,7 +247,10 @@ Result<SampleSizeEstimate> EstimateSampleSize(
         score_path ? 1 : kFineGrain);
     ++out.evaluations;
     eval_seconds->Add(eval_timer.Seconds());
-    const Evaluation result{failures.load() <= allowed, fraction_of(ok_count)};
+    const bool ok = failures.load() <= allowed;
+    if (!ok) start_unit = failed_unit.load();
+    const Evaluation result{ok, fraction_of(ok_count),
+                            ok ? UpperOrderStatistic(pair_v, level.level) : 0.0};
     evaluated.emplace_back(n, result);
     return result;
   };
@@ -240,13 +259,9 @@ Result<SampleSizeEstimate> EstimateSampleSize(
   Index lo = std::max<Index>(options.min_n, 1);
   lo = std::min(lo, full_n);
   Index hi = full_n;
-  if (feasible(lo)) {
-    out.sample_size = lo;
-    out.success_fraction = evaluate(lo).fraction;  // memoized; no re-eval
-    return out;
-  }
-  // Invariant: lo infeasible, hi feasible (at n = N the two parameter
-  // draws coincide up to a2 = 0, giving v = 0 <= eps for every pair).
+  if (feasible(lo)) hi = lo;
+  // Invariant unless hi = lo: lo infeasible, hi feasible (at n = N the two
+  // parameter draws coincide up to a2 = 0, giving v = 0 <= eps per pair).
   while (hi - lo > 1) {
     const Index mid = lo + (hi - lo) / 2;
     if (feasible(mid)) {
@@ -255,10 +270,28 @@ Result<SampleSizeEstimate> EstimateSampleSize(
       lo = mid;
     }
   }
+  // Memoized whenever hi was probed; evaluated once here otherwise (hi ==
+  // full_n with no feasible midpoint found).
+  const Evaluation at_n = evaluate(hi);
   out.sample_size = hi;
-  // Memoized whenever hi was probed as a bisection midpoint; evaluated
-  // once here otherwise (hi == full_n with no feasible midpoint found).
-  out.success_fraction = evaluate(hi).fraction;
+  out.success_fraction = at_n.fraction;
+  out.epsilon = at_n.epsilon;
+  // initial_diff_bound: v(S0, S0 + a Su_i), each u block in the w slot.
+  const double a = std::sqrt(std::max(
+      0.0, 1.0 / static_cast<double>(n0) + 1.0 / static_cast<double>(hi) -
+               2.0 / static_cast<double>(full_n)));
+  Vector theta;
+  for (std::size_t unit = 0; unit < static_cast<std::size_t>(units); ++unit) {
+    if (score_path) {
+      spec.DiffsFromScoreBatch(base_scores, nullptr, 0.0, group_u[unit], a,
+                               holdout, pair_v.data() + group_first[unit]);
+    } else {
+      theta = theta0;
+      Axpy(a, param_u[unit], &theta);
+      pair_v[unit] = spec.Diff(theta0, theta, holdout);
+    }
+  }
+  out.initial_diff_bound = UpperOrderStatistic(pair_v, level.level);
   return out;
 }
 

@@ -23,12 +23,13 @@
 //     matrix written or re-read;
 //   * early exit — a candidate stops at its next group once more pairs
 //     have failed than the quantile level allows (the first failure at
-//     delta = 0.05). A feasible candidate never stops, so the returned n,
-//     its success fraction and the evaluation count equal a full scan's.
+//     delta = 0.05), starting at the group where the previous infeasible
+//     candidate failed. A feasible candidate never stops, so the returned
+//     n, its fraction, its bounds and the evaluation count equal a full
+//     scan's.
 // On a traced train-dense request (dense 200K x 100 logistic, k = 256,
-// h = 2,000, ~18.6 candidates; 4-vCPU VM) the size estimate takes about
-// 19 ms and the two accuracy estimates about 26 ms of a 104 ms request
-// (medians of six traced runs).
+// h = 2,000, ~18.6 candidates; 4-vCPU Xeon VM, AVX-512) the size estimate
+// takes about 17 ms of an 80 ms request (medians of three traced runs).
 
 #ifndef BLINKML_CORE_SAMPLE_SIZE_ESTIMATOR_H_
 #define BLINKML_CORE_SAMPLE_SIZE_ESTIMATOR_H_
@@ -46,6 +47,12 @@ struct SampleSizeEstimate {
   Dataset::Index sample_size = 0;
   /// Feasibility probability estimate at the returned n (diagnostic).
   double success_fraction = 0.0;
+  /// Upper order statistic at quantile_level of v over the k pairs at the
+  /// returned n: the search's own bound there (<= epsilon; 0 at n = N).
+  double epsilon = 0.0;
+  /// The same of v(theta_0, theta_0 + sqrt(alpha) u_i) with alpha = 1/n0 +
+  /// 1/n - 2/N: the draws' bound on v(m_0, m_n) for D_n drawn apart from D_0.
+  double initial_diff_bound = 0.0;
   /// Quantile level the search targeted.
   double quantile_level = 1.0;
   /// Monte-Carlo feasibility evaluations performed. Each distinct

@@ -5,8 +5,8 @@
 // statistics sample is diag(c) X, so the gradient Gram a candidate needs
 // is an O(n^2) rescale of Gram(X) = X X^T — and Gram(X) depends only on
 // which rows the statistics sample holds, not on the candidate's
-// hyperparameters. Those rows are a pure function of (phase, seed,
-// parent-sample size): the pipeline draws every subset from
+// hyperparameters. Those rows are a pure function of (seed, parent-sample
+// size): the pipeline draws every subset from
 // seed-determined Rng streams (core/pipeline.cc). A K-candidate search
 // therefore pays the O(n^2 * overlap) sorted-merge Gram once per key and
 // K - 1 cheap rescales (core/statistics.cc). It is the one cache that
@@ -41,24 +41,14 @@ namespace blinkml {
 
 class FeatureGramCache {
  public:
-  /// Which statistics computation of a pipeline run the Gram belongs to.
-  /// Part of the key because the two draws consume different Rng streams,
-  /// so equal-sized samples from different phases hold different rows.
-  enum class Phase : std::uint8_t {
-    kInitialStats = 0,  // statistics at m_0 (on D_0)
-    kFinalStats = 1,    // re-estimation at m_n (on the final sample)
-  };
-
   struct Key {
-    Phase phase = Phase::kInitialStats;
     std::uint64_t seed = 0;          // master seed of the run
     Dataset::Index parent_rows = 0;  // rows of the sample handed to
                                      // ComputeStatistics (the stats
                                      // sub-sample is drawn from it
                                      // deterministically)
     bool operator==(const Key& other) const {
-      return phase == other.phase && seed == other.seed &&
-             parent_rows == other.parent_rows;
+      return seed == other.seed && parent_rows == other.parent_rows;
     }
   };
 
@@ -105,8 +95,7 @@ class FeatureGramCache {
  private:
   struct KeyHash {
     std::size_t operator()(const Key& key) const {
-      std::uint64_t h = static_cast<std::uint64_t>(key.phase) * 0x9E3779B9ull;
-      h ^= key.seed + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+      std::uint64_t h = key.seed + 0x9E3779B97F4A7C15ull;
       h ^= static_cast<std::uint64_t>(key.parent_rows) +
            0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
       return static_cast<std::size_t>(h);

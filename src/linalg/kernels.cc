@@ -202,9 +202,19 @@ __attribute__((target("avx2"))) void BatchRowGatherAvx2(
 // Resolved once per kernel entry (on the calling thread or inside a lane —
 // worker lanes see the caller's ambient RuntimeOptions, so either spot
 // reads the same scope).
+// kAvx512 keeps the AVX2 variants wherever no AVX-512 one exists.
 bool UseAvx2() {
 #if BLINKML_KERNELS_AVX2
-  return CurrentKernelIsa() == KernelIsa::kAvx2;
+  const KernelIsa isa = CurrentKernelIsa();
+  return isa == KernelIsa::kAvx2 || isa == KernelIsa::kAvx512;
+#else
+  return false;
+#endif
+}
+
+bool UseAvx512() {
+#if BLINKML_KERNELS_AVX2
+  return CurrentKernelIsa() == KernelIsa::kAvx512;
 #else
   return false;
 #endif
@@ -324,6 +334,46 @@ __attribute__((target("avx2"))) void BatchRowPackedAvx2(const double* row,
   }
   _mm256_storeu_pd(out, sl);
   _mm256_storeu_pd(out + 4, sh);
+}
+
+// AVX-512 BatchRowPacked for a full kMultiVec group, two rows per step:
+// the 8 columns are the 8 lanes of one zmm per chain and row, and each
+// pack slab load serves both rows. Per lane the products, chain sums,
+// merge and tail are the scalar template's, multiply then add:
+// fp-contract=off keeps GCC from fusing them into an FMA, which
+// target("avx512f") would otherwise allow.
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+BatchRowPackedPairAvx512(const double* row0, const double* row1, DIndex d,
+                         const double* pack, double* out0, double* out1) {
+  __m512d a00 = _mm512_setzero_pd(), a01 = _mm512_setzero_pd();
+  __m512d a02 = _mm512_setzero_pd(), a03 = _mm512_setzero_pd();
+  __m512d a10 = _mm512_setzero_pd(), a11 = _mm512_setzero_pd();
+  __m512d a12 = _mm512_setzero_pd(), a13 = _mm512_setzero_pd();
+  DIndex p = 0;
+  for (; p + 4 <= d; p += 4) {
+    const double* b = pack + static_cast<std::size_t>(p) * 8;
+    const __m512d b0 = _mm512_loadu_pd(b);
+    const __m512d b1 = _mm512_loadu_pd(b + 8);
+    const __m512d b2 = _mm512_loadu_pd(b + 16);
+    const __m512d b3 = _mm512_loadu_pd(b + 24);
+    a00 = _mm512_add_pd(a00, _mm512_mul_pd(_mm512_set1_pd(row0[p]), b0));
+    a01 = _mm512_add_pd(a01, _mm512_mul_pd(_mm512_set1_pd(row0[p + 1]), b1));
+    a02 = _mm512_add_pd(a02, _mm512_mul_pd(_mm512_set1_pd(row0[p + 2]), b2));
+    a03 = _mm512_add_pd(a03, _mm512_mul_pd(_mm512_set1_pd(row0[p + 3]), b3));
+    a10 = _mm512_add_pd(a10, _mm512_mul_pd(_mm512_set1_pd(row1[p]), b0));
+    a11 = _mm512_add_pd(a11, _mm512_mul_pd(_mm512_set1_pd(row1[p + 1]), b1));
+    a12 = _mm512_add_pd(a12, _mm512_mul_pd(_mm512_set1_pd(row1[p + 2]), b2));
+    a13 = _mm512_add_pd(a13, _mm512_mul_pd(_mm512_set1_pd(row1[p + 3]), b3));
+  }
+  __m512d s0 = _mm512_add_pd(_mm512_add_pd(a00, a01), _mm512_add_pd(a02, a03));
+  __m512d s1 = _mm512_add_pd(_mm512_add_pd(a10, a11), _mm512_add_pd(a12, a13));
+  for (; p < d; ++p) {
+    const __m512d b = _mm512_loadu_pd(pack + static_cast<std::size_t>(p) * 8);
+    s0 = _mm512_add_pd(s0, _mm512_mul_pd(_mm512_set1_pd(row0[p]), b));
+    s1 = _mm512_add_pd(s1, _mm512_mul_pd(_mm512_set1_pd(row1[p]), b));
+  }
+  _mm512_storeu_pd(out0, s0);
+  _mm512_storeu_pd(out1, s1);
 }
 
 #endif  // BLINKML_KERNELS_AVX2
@@ -689,6 +739,7 @@ Matrix MatVecMulti(const Matrix& a, const Matrix& zs) {
   Matrix out(n, k);
   if (k == 0 || n == 0) return out;
   const bool avx2 = UseAvx2();
+  const bool avx512 = UseAvx512();
   // One group of up to kMultiVec vectors at a time: interleave the group
   // into a pack (pack[p * width + t] = z_t[p]) so each row of A is loaded
   // once per group and the inner step reads one contiguous slab.
@@ -704,7 +755,17 @@ Matrix MatVecMulti(const Matrix& a, const Matrix& zs) {
     }
     const double* pk = pack.data();
     ParallelFor(0, n, [&](DIndex b, DIndex e) {
-      for (DIndex i = b; i < e; ++i) {
+      DIndex i = b;
+#if BLINKML_KERNELS_AVX2
+      if (width == kMultiVec && avx512) {
+        for (; i + 2 <= e; i += 2) {
+          BatchRowPackedPairAvx512(a.row_data(i), a.row_data(i + 1), d, pk,
+                                   out.row_data(i) + c0,
+                                   out.row_data(i + 1) + c0);
+        }
+      }
+#endif
+      for (; i < e; ++i) {
         const double* row = a.row_data(i);
         double* orow = out.row_data(i) + c0;
         if (width == kMultiVec) {
@@ -1158,6 +1219,38 @@ __attribute__((target("avx2"))) void CountSignFlipsAvx2(
   }
 }
 
+// AVX-512 flip count of a full group: the 8 draws in the lanes of one
+// zmm, labels from the same ordered >= compare into a mask, and each
+// lane's count kept as a 64-bit integer incremented under the flip mask.
+// fp-contract=off keeps the multiply and the add apart, as in the scalar
+// loop.
+template <bool kHasU>
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+CountSignFlipsAvx512(const double* base, const double* u, double a1,
+                     const double* w, double a2, DIndex h, DIndex* flips) {
+  const __m512d va1 = _mm512_set1_pd(a1);
+  const __m512d va2 = _mm512_set1_pd(a2);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i count = _mm512_setzero_si512();
+  for (DIndex r = 0; r < h; ++r) {
+    const __m512d b = _mm512_set1_pd(base[r]);
+    const std::size_t row = static_cast<std::size_t>(r) * 8;
+    const __m512d s1 =
+        kHasU ? _mm512_add_pd(_mm512_mul_pd(_mm512_loadu_pd(u + row), va1), b)
+              : b;
+    const __m512d s2 =
+        _mm512_add_pd(_mm512_mul_pd(_mm512_loadu_pd(w + row), va2), s1);
+    const __mmask8 flip =
+        static_cast<__mmask8>(_mm512_cmp_pd_mask(s1, zero, _CMP_GE_OQ) ^
+                              _mm512_cmp_pd_mask(s2, zero, _CMP_GE_OQ));
+    count = _mm512_mask_add_epi64(count, flip, count, one);
+  }
+  alignas(64) long long lanes[8];
+  _mm512_store_si512(lanes, count);
+  for (DIndex t = 0; t < 8; ++t) flips[t] = lanes[t];
+}
+
 #endif  // BLINKML_KERNELS_AVX2
 
 }  // namespace
@@ -1169,6 +1262,14 @@ void CountSignFlips(const double* base, const double* u, double a1,
   static_assert(kMultiVec == 8, "CountSignFlipsAvx2 covers two quads");
   for (DIndex t = 0; t < width; ++t) flips[t] = 0;
 #if BLINKML_KERNELS_AVX2
+  if (width == 8 && UseAvx512()) {
+    if (u != nullptr) {
+      CountSignFlipsAvx512<true>(base, u, a1, w, a2, h, flips);
+    } else {
+      CountSignFlipsAvx512<false>(base, u, a1, w, a2, h, flips);
+    }
+    return;
+  }
   if (width >= 4 && UseAvx2()) {
     if (u != nullptr) {
       CountSignFlipsAvx2<true>(base, u, a1, w, a2, h, width, flips);

@@ -31,11 +31,13 @@
 // hottest inner loops (the canonical dot and the four-row dense margins,
 // the GLM row update, the sparse batched gather row, the packed dense row
 // behind MatVecMulti, the multi-z scatter slabs and the Monte-Carlo sign
-// flip count). The vector variants keep the scalar association exactly —
-// the 4 unrolled chains become the 4 lanes of one ymm register merged in
-// the same (s0+s1)+(s2+s3) order (or one lane per batched column, row
-// element or draw), and FMA is never used — so AVX2 output is bitwise
-// identical to the scalar output.
+// flip count), and kAvx512 adds 512-bit variants of the two Monte-Carlo
+// lanes (the packed row, two rows per step, and the flip count). The
+// vector variants keep the scalar association exactly — the 4 unrolled
+// chains become the 4 lanes of one ymm register merged in the same
+// (s0+s1)+(s2+s3) order (or one lane per batched column, row element or
+// draw), and FMA is never used — so their output is bitwise identical to
+// the scalar output.
 
 #ifndef BLINKML_LINALG_KERNELS_H_
 #define BLINKML_LINALG_KERNELS_H_
@@ -199,8 +201,9 @@ Matrix BatchMarginsSparse(const SparseMatrix& x,
 ///   s2 = w[r * width + t] * a2 + s1
 /// flips[t] counts the rows whose sign labels (m >= 0.0, so NaN labels 0)
 /// differ between s1 and s2. The AVX2 variant runs the draws in the lanes
-/// of two ymm registers with an ordered >= compare; both variants
-/// multiply, then add, so they count exactly the same rows.
+/// of two ymm registers, the AVX-512 one (full groups) in one zmm, each
+/// with an ordered >= compare; every variant multiplies, then adds, so
+/// they count exactly the same rows.
 void CountSignFlips(const double* base, const double* u, double a1,
                     const double* w, double a2, Matrix::Index h,
                     Matrix::Index width, Matrix::Index* flips);

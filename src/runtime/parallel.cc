@@ -105,19 +105,32 @@ bool CpuHasAvx2() {
 #endif
 }
 
-// Process-wide kAuto resolution: BLINKML_KERNEL_ISA if set (an avx2
-// request is clamped to scalar on CPUs without it, so a stale env var
-// can't crash the process), else CPU detection. Resolved once; a
-// RuntimeScope with an explicit kernel_isa still overrides per scope.
+bool CpuHasAvx512() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return CpuHasAvx2() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+// The requested ISA, or the best level below it that the CPU has, so a
+// stale env var or scope can't crash the process.
+KernelIsa ClampToCpu(KernelIsa isa) {
+  if (isa == KernelIsa::kAvx512 && !CpuHasAvx512()) isa = KernelIsa::kAvx2;
+  if (isa == KernelIsa::kAvx2 && !CpuHasAvx2()) isa = KernelIsa::kScalar;
+  return isa;
+}
+
+// Process-wide kAuto resolution: BLINKML_KERNEL_ISA=scalar|avx2 if set,
+// else the best ISA the CPU has. Resolved once; a RuntimeScope with an
+// explicit kernel_isa still overrides per scope.
 KernelIsa ResolveAmbientIsa() {
   const char* env = std::getenv("BLINKML_KERNEL_ISA");
   if (env != nullptr) {
     if (std::strcmp(env, "scalar") == 0) return KernelIsa::kScalar;
-    if (std::strcmp(env, "avx2") == 0) {
-      return CpuHasAvx2() ? KernelIsa::kAvx2 : KernelIsa::kScalar;
-    }
+    if (std::strcmp(env, "avx2") == 0) return ClampToCpu(KernelIsa::kAvx2);
   }
-  return CpuHasAvx2() ? KernelIsa::kAvx2 : KernelIsa::kScalar;
+  return ClampToCpu(KernelIsa::kAvx512);
 }
 
 }  // namespace
@@ -126,8 +139,16 @@ KernelIsa CurrentKernelIsa() {
   static const KernelIsa ambient = ResolveAmbientIsa();
   const KernelIsa scoped = RuntimeScope::Current().kernel_isa;
   if (scoped == KernelIsa::kAuto) return ambient;
-  if (scoped == KernelIsa::kAvx2 && !CpuHasAvx2()) return KernelIsa::kScalar;
-  return scoped;
+  return ClampToCpu(scoped);
+}
+
+const char* KernelIsaName(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kScalar: return "scalar";
+    case KernelIsa::kAvx2: return "avx2";
+    case KernelIsa::kAvx512: return "avx512";
+    default: return "auto";
+  }
 }
 
 int CurrentParallelism() {

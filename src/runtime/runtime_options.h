@@ -16,11 +16,14 @@ class ThreadPool;
 /// lanes of one ymm register (or one lane per batched column), merged in
 /// the same (s0+s1)+(s2+s3) order, and FMA is deliberately not used — so
 /// kAvx2 output is bitwise identical to kScalar output, not merely within
-/// tolerance.
+/// tolerance. kAvx512 adds 512-bit variants of the Monte-Carlo lanes
+/// (the packed rows behind MatVecMulti and the sign-flip count) under the
+/// same rules and runs the AVX2 variants everywhere else.
 enum class KernelIsa {
   kAuto = 0,    // resolve from BLINKML_KERNEL_ISA, else CPU detection
   kScalar = 1,  // portable unrolled scalar loops
   kAvx2 = 2,    // AVX2 256-bit variants (requires CPU support)
+  kAvx512 = 3,  // kAvx2 plus AVX-512F lanes (requires CPU support)
 };
 
 /// Knobs for the parallel runtime, threaded through BlinkConfig and applied
@@ -40,16 +43,20 @@ struct RuntimeOptions {
 
   /// Instruction set for the kernels' inner loops (see KernelIsa). kAuto
   /// resolves once per process: BLINKML_KERNEL_ISA=scalar|avx2 if set,
-  /// else runtime CPU detection, clamped to scalar where AVX2 is
-  /// unavailable.
+  /// else runtime CPU detection (kAvx512 where the CPU has AVX-512F,
+  /// else kAvx2 where it has AVX2, else kScalar).
   KernelIsa kernel_isa = KernelIsa::kAuto;
 };
 
 /// The resolved instruction set for the innermost active scope: the
 /// scope's kernel_isa if it is not kAuto, else the process-wide resolution
 /// of BLINKML_KERNEL_ISA / CPU detection. Never returns kAuto, and never
-/// returns kAvx2 on a CPU without AVX2 support.
+/// returns an ISA the CPU lacks: a request for one falls back to the best
+/// level below it that the CPU has.
 KernelIsa CurrentKernelIsa();
+
+/// "scalar", "avx2", "avx512" or "auto": the name machine records carry.
+const char* KernelIsaName(KernelIsa isa);
 
 /// RAII ambient-options override (thread-local): parallel constructs
 /// consult the innermost active scope. Coordinator::Train installs the

@@ -211,6 +211,9 @@ TEST(Coordinator, EpsilonZeroFallsBackToFullTraining) {
 // 1e-3 false-alarm rate (7 of 40 at delta = 0.05, 11 of 40 at 0.1), with
 // no slack on epsilon. The seeds are fixed, so the verdict is
 // deterministic; bench_guarantee records the same check at more seeds.
+// Case 1's epsilon is tight enough to see a loosened estimator: with
+// ConservativeQuantileLevel forced to 0.5 it reads 20 violations of 40,
+// against 0 at the real level.
 class CoordinatorGuarantee : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoordinatorGuarantee, ViolationsStayWithinTheBinomialQuantile) {
@@ -227,7 +230,7 @@ TEST_P(CoordinatorGuarantee, ViolationsStayWithinTheBinomialQuantile) {
                 MakeGasLike(30000, 100, /*dim=*/20), {0.05, 0.1}};
       case 1:
         return {std::make_shared<LogisticRegressionSpec>(1e-3),
-                MakeHiggsLike(30000, 101, /*dim=*/20), {0.08, 0.1}};
+                MakeHiggsLike(30000, 101, /*dim=*/20), {0.02, 0.1}};
       case 2:
         return {std::make_shared<MaxEntropySpec>(1e-3),
                 MakeSyntheticMulticlass(30000, 8, 3, 102), {0.10, 0.1}};

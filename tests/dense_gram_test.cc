@@ -120,8 +120,7 @@ TEST(DenseGramRescale, CacheHitMissAccountingAndBitwiseDraws) {
   FeatureGramCache cache;
   StatsOptions cached = GramPathOptions();
   cached.gram_cache = &cache;
-  cached.gram_key = {FeatureGramCache::Phase::kInitialStats, 7,
-                     data.num_rows()};
+  cached.gram_key = {7, data.num_rows()};
 
   Rng rng_a(23), rng_b(23), rng_c(23);
   const auto first = ComputeStatistics(spec, theta, data, cached, &rng_a);
@@ -175,10 +174,9 @@ TEST(DenseGramRescale, EightCandidateDenseSearchSharesTheGram) {
   }
 
   const auto& gram_stats = outcome.session_stats.gram_cache;
-  // All 8 candidates share one initial-statistics Gram: 1 miss + 7 hits
-  // (final-phase re-estimations may add misses of their own on top).
-  EXPECT_GE(gram_stats.hits, 7u);
-  EXPECT_GE(gram_stats.misses, 1u);
+  // All 8 candidates share one statistics Gram: 1 miss + 7 hits.
+  EXPECT_EQ(gram_stats.hits, 7u);
+  EXPECT_EQ(gram_stats.misses, 1u);
 }
 
 // The dense rescale kernels feed deterministic chunk layouts: bitwise

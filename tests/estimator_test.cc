@@ -399,6 +399,8 @@ TEST_P(ScorePathFixture, BatchedSampleSizeBitwiseEqualsUnbatched) {
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(batched->sample_size, unbatched.sample_size);
   EXPECT_EQ(batched->success_fraction, unbatched.success_fraction);
+  EXPECT_EQ(batched->epsilon, unbatched.epsilon);
+  EXPECT_EQ(batched->initial_diff_bound, unbatched.initial_diff_bound);
   EXPECT_EQ(batched->evaluations, unbatched.evaluations);
 }
 
@@ -442,11 +444,13 @@ TEST_P(ScorePathFixture, BatchedEstimatorsThreadCountInvariant) {
 }
 
 // The search scores each group of 8 pairs with one DiffsFromScoreBatch
-// call and stops scanning a candidate at its next group once more pairs
-// have failed than the level allows. That must change nothing it
-// returns: the size, the (full-count) success fraction, the evaluation
-// count and the level equal the per-draw reference, which scans every
-// pair, at 1, 2 and 8 threads.
+// call, starts each candidate's scan at the group where the previous
+// infeasible candidate failed, and stops scanning at its next group once
+// more pairs have failed than the level allows. That must change nothing
+// it returns: the size, the (full-count) success fraction, the order
+// statistic of v at the returned n, the initial-diff bound, the
+// evaluation count and the level equal the per-draw reference, which
+// scans every pair in order, at 1, 2 and 8 threads.
 TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
   struct Case {
     const char* what;
@@ -457,7 +461,11 @@ TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
   const double epsilon = GetParam().size_epsilon;
   const std::vector<Case> cases = {
       {"level 1 (delta 0.05)", epsilon, 0.05, 60},
+      {"level 1, looser epsilon", 1.5 * epsilon, 0.05, 64},
+      {"level 1, tighter epsilon", 0.7 * epsilon, 0.05, 100},
+      {"delta 0.1, k 256", epsilon, 0.1, 256},
       {"level below 1 (delta 0.3)", epsilon, 0.3, 128},
+      {"level below 1, tighter epsilon", 0.7 * epsilon, 0.3, 200},
       {"returns N (epsilon 0)", 0.0, 0.05, 60}};
   ThreadPool pool(8);
   for (const Case& c : cases) {
@@ -469,7 +477,7 @@ TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
     const SampleSizeEstimate want = reference::EstimateSampleSizePerDraw(
         *spec_, theta0_, n0_, pool_.num_rows(), *sampler_, holdout_, options,
         &ref_rng);
-    if (c.delta > 0.05) {
+    if (c.delta >= 0.3) {
       // Some failures are allowed, and the returned n has some: a feasible
       // candidate that an exit after the first failure would have lost.
       EXPECT_LE(want.quantile_level,
@@ -479,9 +487,12 @@ TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
     }
     if (c.epsilon == 0.0) {
       EXPECT_EQ(want.sample_size, pool_.num_rows());
+      EXPECT_EQ(want.epsilon, 0.0);
     } else {
       EXPECT_LT(want.sample_size, pool_.num_rows()) << c.what;
+      EXPECT_GT(want.epsilon, 0.0) << c.what;
     }
+    EXPECT_LE(want.epsilon, c.epsilon) << c.what;
     for (const int threads : {1, 2, 8}) {
       RuntimeOptions runtime;
       runtime.pool = &pool;
@@ -495,6 +506,10 @@ TEST_P(ScorePathFixture, EarlyExitMatchesPerDrawReference) {
       EXPECT_EQ(got->sample_size, want.sample_size)
           << c.what << " threads=" << threads;
       EXPECT_EQ(got->success_fraction, want.success_fraction)
+          << c.what << " threads=" << threads;
+      EXPECT_EQ(got->epsilon, want.epsilon)
+          << c.what << " threads=" << threads;
+      EXPECT_EQ(got->initial_diff_bound, want.initial_diff_bound)
           << c.what << " threads=" << threads;
       EXPECT_EQ(got->evaluations, want.evaluations)
           << c.what << " threads=" << threads;
@@ -596,6 +611,16 @@ TEST(EstimatorGeneric, PpcaSampleSizeSearch) {
                                         options, &rng2);
   ASSERT_TRUE(loose.ok());
   EXPECT_LT(loose->sample_size, est->sample_size);
+
+  // The generic path scans pairs, not groups, with the same results as
+  // the per-draw reference.
+  Rng ref_rng(13);
+  const SampleSizeEstimate want = reference::EstimateSampleSizePerDraw(
+      spec, m0->theta, 1000, pool.num_rows(), *stats, holdout, options,
+      &ref_rng);
+  EXPECT_EQ(loose->sample_size, want.sample_size);
+  EXPECT_EQ(loose->epsilon, want.epsilon);
+  EXPECT_EQ(loose->initial_diff_bound, want.initial_diff_bound);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ namespace {
 
 using testing::AtIsa;
 using testing::Avx2Available;
-using testing::IsaName;
+using testing::Avx512Available;
 using testing::IsasToTest;
 using testing::RandomMatrix;
 using testing::RandomVector;
@@ -225,7 +225,7 @@ TEST(BatchMargins, ColumnsBitwiseEqualSingleMarginPasses) {
           for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
             ASSERT_EQ(batch(i, t), single[i])
                 << (data->is_sparse() ? "sparse" : "dense") << " d="
-                << data->dim() << " " << IsaName(isa) << " k=" << k
+                << data->dim() << " " << KernelIsaName(isa) << " k=" << k
                 << " theta " << t << " row " << i;
           }
         }
@@ -280,7 +280,7 @@ TEST(BatchMargins, PredictBatchColumnsMatchPredict) {
           for (Dataset::Index i = 0; i < data->num_rows(); ++i) {
             ASSERT_EQ(predictions(i, t), single[i])
                 << spec->name() << (data->is_sparse() ? " sparse" : " dense")
-                << " d=" << data->dim() << " " << IsaName(isa) << " theta "
+                << " d=" << data->dim() << " " << KernelIsaName(isa) << " theta "
                 << t << " row " << i;
           }
         }
@@ -311,11 +311,11 @@ TEST(GlmKernels, DenseMarginsBitwiseEqualPerRowDots) {
         for (Matrix::Index i = b; i < e; ++i) {
           ASSERT_EQ(out[static_cast<std::size_t>(i - b)],
                     kernels::DotUnrolled(x.row_data(i), theta.data(), d))
-              << IsaName(isa) << " d=" << d << " [" << b << ", " << e
+              << KernelIsaName(isa) << " d=" << d << " [" << b << ", " << e
               << ") row " << i;
         }
         // Nothing past e - b is written.
-        EXPECT_EQ(out.back(), -7.0) << IsaName(isa) << " d=" << d;
+        EXPECT_EQ(out.back(), -7.0) << KernelIsaName(isa) << " d=" << d;
       }
     }
   }
@@ -339,7 +339,7 @@ TEST(GlmKernels, AddScaledRowBitwiseEqualsScalarLoop) {
         });
         for (Matrix::Index c = 0; c < d; ++c) {
           ASSERT_EQ(std::memcmp(&got[c], &want[c], sizeof(double)), 0)
-              << IsaName(isa) << " d=" << d << " alpha=" << alpha << " c="
+              << KernelIsaName(isa) << " d=" << d << " alpha=" << alpha << " c="
               << c;
         }
       }
@@ -411,7 +411,7 @@ TEST(McVerdictKernels, CountSignFlipsEqualsPredictCountOverMaterializedScores) {
               return 0;
             });
             ASSERT_EQ(flips[t], want)
-                << IsaName(isa) << " h=" << h << " width=" << width
+                << KernelIsaName(isa) << " h=" << h << " width=" << width
                 << " t=" << t << " a1=" << f.a1 << " a2=" << f.a2;
           }
         }
@@ -516,7 +516,7 @@ TEST(MultiZKernels, MatVecMultiBitwiseEqualsPerColumn) {
             AtIsa(isa, [&] { return MatVec(a, zs.Row(b)); });
         for (Matrix::Index i = 0; i < multi.rows(); ++i) {
           ASSERT_EQ(multi(i, b), single[i])
-              << IsaName(isa) << " width=" << width << " col " << b;
+              << KernelIsaName(isa) << " width=" << width << " col " << b;
         }
       }
     }
@@ -552,7 +552,7 @@ TEST(MultiZKernels, MatTVecMultiBitwiseEqualsPerColumn) {
             AtIsa(isa, [&] { return MatTVec(a, t.Col(b)); });
         for (Matrix::Index i = 0; i < multi.rows(); ++i) {
           ASSERT_EQ(multi(i, b), single[i])
-              << IsaName(isa) << " width=" << width << " col " << b;
+              << KernelIsaName(isa) << " width=" << width << " col " << b;
         }
       }
     }
@@ -586,7 +586,7 @@ TEST(MultiZKernels, ApplyTransposedMultiBlockedBitwiseEqualsPerColumn) {
             AtIsa(isa, [&] { return m.ApplyTransposed(t.Col(b)); });
         for (Matrix::Index i = 0; i < multi.rows(); ++i) {
           ASSERT_EQ(multi(i, b), single[i])
-              << IsaName(isa) << " width=" << width << " col " << b;
+              << KernelIsaName(isa) << " width=" << width << " col " << b;
         }
       }
     }
@@ -646,6 +646,71 @@ TEST(KernelIsaDispatch, Avx2BitwiseEqualsScalarAndMatchesNaiveOracle) {
       ASSERT_EQ(avx2[o][i], scalar[o][i]) << "output " << o << " elem " << i;
     }
     EXPECT_LE(MaxRelDiff(avx2[o], naive[o]), 1e-12) << "output " << o;
+  }
+}
+
+// The AVX-512 Monte-Carlo lanes: MatVecMulti's packed rows (two rows per
+// step, so odd row counts leave one row to the AVX2 kernel) and the sign
+// flip count (full groups only) give the scalar and AVX2 bits for full
+// and partial groups, with and without a dot tail.
+TEST(KernelIsaDispatch, Avx512MonteCarloLanesBitwiseEqualScalarAndAvx2) {
+  if (!Avx512Available()) GTEST_SKIP() << "CPU lacks AVX-512F";
+  Rng rng(63);
+  const std::vector<KernelIsa> isas = {KernelIsa::kScalar, KernelIsa::kAvx2,
+                                       KernelIsa::kAvx512};
+  for (const Matrix::Index d : {100, 101, 103}) {
+    for (const Matrix::Index rows : {37, 64}) {
+      const Matrix a = RandomMatrix(rows, d, &rng);
+      for (const Matrix::Index width : {5, 8, 11, 16}) {
+        const Matrix zs = RandomMatrix(width, d, &rng);
+        std::vector<Matrix> by_isa;
+        for (const KernelIsa isa : isas) {
+          by_isa.push_back(
+              AtIsa(isa, [&] { return kernels::MatVecMulti(a, zs); }));
+        }
+        for (std::size_t o = 1; o < by_isa.size(); ++o) {
+          ASSERT_EQ(std::memcmp(by_isa[o].data(), by_isa[0].data(),
+                                sizeof(double) * by_isa[0].size()),
+                    0)
+              << KernelIsaName(isas[o]) << " d=" << d << " rows=" << rows
+              << " width=" << width;
+        }
+      }
+    }
+  }
+
+  struct Form {
+    bool has_u;
+    double a1;
+    double a2;
+  };
+  const std::vector<Form> forms = {
+      {true, 0.5, 0.25}, {false, 0.0, 1.0}, {true, 1e-3, 3.0}};
+  for (const Matrix::Index h : {1, 7, 200}) {
+    for (const Matrix::Index width : {4, 7, 8}) {
+      Vector base = RandomVector(h, &rng);
+      for (Matrix::Index r = 0; r < h; r += 5) base[r] = 0.0;
+      const Matrix u = RandomMatrix(h, width, &rng);
+      const Matrix w = RandomMatrix(h, width, &rng);
+      for (const Form& f : forms) {
+        std::vector<std::vector<Matrix::Index>> by_isa;
+        for (const KernelIsa isa : isas) {
+          std::vector<Matrix::Index> flips(kernels::kMultiVec, -1);
+          AtIsa(isa, [&] {
+            kernels::CountSignFlips(base.data(), f.has_u ? u.data() : nullptr,
+                                    f.a1, w.data(), f.a2, h, width,
+                                    flips.data());
+            return 0;
+          });
+          by_isa.push_back(flips);
+        }
+        for (std::size_t o = 1; o < by_isa.size(); ++o) {
+          EXPECT_EQ(by_isa[o], by_isa[0])
+              << KernelIsaName(isas[o]) << " h=" << h << " width=" << width
+              << " a1=" << f.a1 << " a2=" << f.a2;
+        }
+      }
+    }
   }
 }
 

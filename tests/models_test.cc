@@ -310,7 +310,7 @@ TEST(GlmSpec, PassesBitwiseEqualRowByRowReference) {
       const Vector want_pred = reference::GlmPredict(link, theta, *data);
       for (const KernelIsa isa : testing::IsasToTest()) {
         testing::AtIsa(isa, [&] {
-          const std::string at = what + " " + testing::IsaName(isa);
+          const std::string at = what + " " + KernelIsaName(isa);
           Vector grad;
           const double f = spec->ObjectiveAndGradient(theta, *data, &grad);
           EXPECT_TRUE(SameBits(&f, &want_f, 1)) << at;

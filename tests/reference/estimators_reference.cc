@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "core/conservative.h"
 #include "runtime/parallel.h"
@@ -99,19 +101,19 @@ SampleSizeEstimate EstimateSampleSizePerDraw(
   SampleSizeEstimate out;
   out.quantile_level = ConservativeQuantileLevel(options.delta, k).level;
 
-  // Fraction of pairs with v(theta_n,i, theta_N,i) <= epsilon, memoized so
-  // out.evaluations counts distinct candidates.
-  std::map<Index, double> memo;
-  auto success_fraction = [&](Index n) {
+  // v(theta_n,i, theta_N,i) of every pair, memoized so out.evaluations
+  // counts distinct candidates.
+  std::map<Index, std::vector<double>> memo;
+  auto pair_v = [&](Index n) -> const std::vector<double>& {
     const auto it = memo.find(n);
     if (it != memo.end()) return it->second;
     const double a1 = std::sqrt(std::max(
         0.0, 1.0 / static_cast<double>(n0) - 1.0 / static_cast<double>(n)));
     const double a2 = std::sqrt(std::max(
         0.0, 1.0 / static_cast<double>(n) - 1.0 / static_cast<double>(full_n)));
-    int ok = 0;
+    std::vector<double> vs(static_cast<std::size_t>(k));
     for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
-      double v;
+      double& v = vs[i];
       if (score_path) {
         Matrix s1(base_scores.rows(), base_scores.cols());
         Matrix s2(base_scores.rows(), base_scores.cols());
@@ -129,12 +131,14 @@ SampleSizeEstimate EstimateSampleSizePerDraw(
         Axpy(a2, param_w[i], &t2);
         v = spec.Diff(t1, t2, holdout);
       }
-      if (v <= options.epsilon) ++ok;
     }
     ++out.evaluations;
-    const double fraction = static_cast<double>(ok) / static_cast<double>(k);
-    memo[n] = fraction;
-    return fraction;
+    return memo[n] = std::move(vs);
+  };
+  auto success_fraction = [&](Index n) {
+    int ok = 0;
+    for (const double v : pair_v(n)) ok += v <= options.epsilon ? 1 : 0;
+    return static_cast<double>(ok) / static_cast<double>(k);
   };
   auto feasible = [&](Index n) {
     return success_fraction(n) >= out.quantile_level;
@@ -154,6 +158,32 @@ SampleSizeEstimate EstimateSampleSizePerDraw(
     out.sample_size = hi;
   }
   out.success_fraction = success_fraction(out.sample_size);
+  out.epsilon = UpperOrderStatistic(pair_v(out.sample_size),
+                                    out.quantile_level);
+
+  // v(theta0, theta0 + a u_i) at alpha = 1/n0 + 1/n - 2/N.
+  const double a = std::sqrt(std::max(
+      0.0, 1.0 / static_cast<double>(n0) +
+               1.0 / static_cast<double>(out.sample_size) -
+               2.0 / static_cast<double>(full_n)));
+  std::vector<double> initial_v(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < initial_v.size(); ++i) {
+    if (score_path) {
+      Matrix s2(base_scores.rows(), base_scores.cols());
+      for (Matrix::Index r = 0; r < s2.rows(); ++r) {
+        for (Matrix::Index j = 0; j < s2.cols(); ++j) {
+          s2(r, j) = score_u[i](r, j) * a + base_scores(r, j);
+        }
+      }
+      initial_v[i] = spec.DiffFromScores(base_scores, s2, holdout);
+    } else {
+      Vector t = theta0;
+      Axpy(a, param_u[i], &t);
+      initial_v[i] = spec.Diff(theta0, t, holdout);
+    }
+  }
+  out.initial_diff_bound =
+      UpperOrderStatistic(std::move(initial_v), out.quantile_level);
   return out;
 }
 

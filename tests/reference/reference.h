@@ -117,7 +117,9 @@ AccuracyEstimate EstimateAccuracyPerDraw(
     const Dataset& holdout, const AccuracyOptions& options, Rng* rng);
 
 /// EstimateSampleSize with two sampler.Draw calls (u_i then w_i) per
-/// Monte-Carlo pair, followed by the same bisection over n.
+/// Monte-Carlo pair, followed by the same bisection over n, scanning
+/// every pair of every candidate in order, and a per-draw pass for the
+/// initial_diff_bound.
 SampleSizeEstimate EstimateSampleSizePerDraw(
     const ModelSpec& spec, const Vector& theta0, Dataset::Index n0,
     Dataset::Index full_n, const ParamSampler& sampler,

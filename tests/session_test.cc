@@ -18,6 +18,7 @@
 #include "data/generators.h"
 #include "models/logistic_regression.h"
 #include "models/trainer.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "serve/session_manager.h"
 #include "session/hyperparam_search.h"
@@ -411,6 +412,76 @@ TEST(HyperparamSearch, FinalTrainTokenBudgetIsHonoredAndFlagged) {
   }
   EXPECT_EQ(finals, 1);
   EXPECT_EQ(static_cast<int>(outcome.candidates.size()) - finals, 2);
+}
+
+// A logistic spec whose final model is far from where the size search's
+// draws put it: through the closed-form-trainer override (as SequencedSpec
+// below), m_0 is trained normally and m_n on only the first `final_rows`
+// rows of its sample, so it is as noisy as a model of that many rows.
+class FarFinalSpec final : public LogisticRegressionSpec {
+ public:
+  FarFinalSpec(double l2, Dataset::Index final_rows)
+      : LogisticRegressionSpec(l2), final_rows_(final_rows) {}
+
+  bool has_closed_form_trainer() const override { return true; }
+
+  Result<Vector> TrainClosedForm(const Dataset& data) const override {
+    const LogisticRegressionSpec plain(l2());
+    if (!initial_trained_) {
+      initial_trained_ = true;
+      BLINKML_ASSIGN_OR_RETURN(TrainedModel m0,
+                               ModelTrainer().Train(plain, data));
+      return m0.theta;
+    }
+    std::vector<Dataset::Index> rows(static_cast<std::size_t>(final_rows_));
+    for (Dataset::Index i = 0; i < final_rows_; ++i) {
+      rows[static_cast<std::size_t>(i)] = i;
+    }
+    BLINKML_ASSIGN_OR_RETURN(TrainedModel mn,
+                             ModelTrainer().Train(plain, data.TakeRows(rows)));
+    return mn.theta;
+  }
+
+ private:
+  Dataset::Index final_rows_;
+  mutable bool initial_trained_ = false;
+};
+
+// The final model's check: the realized v(m_0, m_n) against the level
+// order statistic of v over the size search's own draws. A plain run
+// passes it; a final model trained on 100 rows fails it, which clears
+// contract_satisfied and is counted in the result and the metrics. The
+// served bound is the size search's own either way, within epsilon.
+TEST(TrainingSession, FinalModelCheckFailsOnAFarOffFinalModel) {
+  const Dataset data = MakeSyntheticLogistic(20000, 6, 9);
+  TrainingSession session(Dataset(data), FastConfig(11));
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Labels labels = {{"model", "LogisticRegression"}};
+  obs::Counter* const checks =
+      registry.Counter("contract_checks_total", labels);
+  obs::Counter* const failures =
+      registry.Counter("contract_check_failures_total", labels);
+  const std::uint64_t checks_before = checks->value();
+  const std::uint64_t failures_before = failures->value();
+
+  const auto plain =
+      session.Train(LogisticRegressionSpec(1e-3), kTightContract);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_FALSE(plain->used_initial_only);
+  EXPECT_EQ(plain->contract_check_failures, 0);
+  EXPECT_TRUE(plain->contract_satisfied);
+  EXPECT_LE(plain->final_epsilon, kTightContract.epsilon);
+  EXPECT_EQ(plain->final_epsilon, plain->size_estimate.epsilon);
+
+  const auto far = session.Train(FarFinalSpec(1e-3, 100), kTightContract);
+  ASSERT_TRUE(far.ok()) << far.status().ToString();
+  ASSERT_FALSE(far->used_initial_only);
+  EXPECT_EQ(far->contract_check_failures, 1);
+  EXPECT_FALSE(far->contract_satisfied);
+  EXPECT_LE(far->final_epsilon, kTightContract.epsilon);
+
+  EXPECT_EQ(checks->value() - checks_before, 2u);
+  EXPECT_EQ(failures->value() - failures_before, 1u);
 }
 
 // A logistic spec that holds its search lane where a test needs it to:

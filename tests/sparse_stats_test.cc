@@ -163,8 +163,7 @@ Matrix SmallGram(double fill, Matrix::Index n = 4) {
 TEST(FeatureGramCacheTest, SharesByKeyAndCountsHits) {
   FeatureGramCache cache;
   int calls = 0;
-  const FeatureGramCache::Key key{FeatureGramCache::Phase::kInitialStats, 42,
-                                  1000};
+  const FeatureGramCache::Key key{42, 1000};
   auto factory = [&] {
     ++calls;
     return SmallGram(1.0);
@@ -177,13 +176,10 @@ TEST(FeatureGramCacheTest, SharesByKeyAndCountsHits) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().cached_bytes, 4u * 4u * sizeof(double));
 
-  // Phase, seed, and parent size are all part of the key.
-  cache.GetOrCreate({FeatureGramCache::Phase::kFinalStats, 42, 1000}, factory);
-  cache.GetOrCreate({FeatureGramCache::Phase::kInitialStats, 43, 1000},
-                    factory);
-  cache.GetOrCreate({FeatureGramCache::Phase::kInitialStats, 42, 999},
-                    factory);
-  EXPECT_EQ(calls, 4);
+  // Seed and parent size are both part of the key.
+  cache.GetOrCreate({43, 1000}, factory);
+  cache.GetOrCreate({42, 999}, factory);
+  EXPECT_EQ(calls, 3);
 
   cache.Clear();
   EXPECT_EQ(cache.stats().cached_bytes, 0u);
@@ -194,9 +190,9 @@ TEST(FeatureGramCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   FeatureGramCache cache;
   const std::uint64_t entry_bytes = 4 * 4 * sizeof(double);
   cache.set_max_cached_bytes(2 * entry_bytes);  // room for two entries
-  const FeatureGramCache::Key a{FeatureGramCache::Phase::kInitialStats, 1, 10};
-  const FeatureGramCache::Key b{FeatureGramCache::Phase::kInitialStats, 2, 10};
-  const FeatureGramCache::Key c{FeatureGramCache::Phase::kInitialStats, 3, 10};
+  const FeatureGramCache::Key a{1, 10};
+  const FeatureGramCache::Key b{2, 10};
+  const FeatureGramCache::Key c{3, 10};
   int calls = 0;
   auto factory = [&] {
     ++calls;
@@ -224,8 +220,7 @@ TEST(FeatureGramCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
 
 TEST(FeatureGramCacheTest, ConcurrentMissesForOneKeyAreSingleFlight) {
   FeatureGramCache cache;
-  const FeatureGramCache::Key key{FeatureGramCache::Phase::kInitialStats, 5,
-                                  64};
+  const FeatureGramCache::Key key{5, 64};
   std::atomic<int> calls{0};
   auto factory = [&] {
     ++calls;
@@ -251,8 +246,7 @@ TEST(FeatureGramCacheTest, CachedStatisticsAreBitwiseIdentical) {
   FeatureGramCache cache;
   StatsOptions cached = GramPathOptions();
   cached.gram_cache = &cache;
-  cached.gram_key = {FeatureGramCache::Phase::kInitialStats, 7,
-                     data.num_rows()};
+  cached.gram_key = {7, data.num_rows()};
 
   Rng rng_a(23), rng_b(23), rng_c(23);
   const auto first = ComputeStatistics(spec, theta, data, cached, &rng_a);

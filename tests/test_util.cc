@@ -58,6 +58,7 @@ void ExpectBitwiseEqual(const ApproxResult& a, const ApproxResult& b,
   EXPECT_EQ(a.full_size, b.full_size) << what;
   EXPECT_EQ(a.used_initial_only, b.used_initial_only) << what;
   EXPECT_EQ(a.contract_satisfied, b.contract_satisfied) << what;
+  EXPECT_EQ(a.contract_check_failures, b.contract_check_failures) << what;
   EXPECT_EQ(a.initial_epsilon, b.initial_epsilon) << what;
   EXPECT_EQ(a.final_epsilon, b.final_epsilon) << what;
   EXPECT_EQ(a.size_estimate.sample_size, b.size_estimate.sample_size) << what;
@@ -99,14 +100,16 @@ bool Avx2Available() {
                [] { return CurrentKernelIsa() == KernelIsa::kAvx2; });
 }
 
+bool Avx512Available() {
+  return AtIsa(KernelIsa::kAvx512,
+               [] { return CurrentKernelIsa() == KernelIsa::kAvx512; });
+}
+
 std::vector<KernelIsa> IsasToTest() {
   std::vector<KernelIsa> isas = {KernelIsa::kScalar};
   if (Avx2Available()) isas.push_back(KernelIsa::kAvx2);
+  if (Avx512Available()) isas.push_back(KernelIsa::kAvx512);
   return isas;
-}
-
-const char* IsaName(KernelIsa isa) {
-  return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
 }
 
 void ExpectThreadCountInvariant(const std::function<Vector()>& fn,

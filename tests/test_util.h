@@ -112,10 +112,11 @@ auto AtIsa(KernelIsa isa, const Fn& fn) {
 /// AVX2 legs of the ISA tests are vacuous, so the callers skip them.
 bool Avx2Available();
 
-/// kScalar, plus kAvx2 when the CPU has it.
-std::vector<KernelIsa> IsasToTest();
+/// The same for kAvx512 (the CPU has AVX-512F as well).
+bool Avx512Available();
 
-const char* IsaName(KernelIsa isa);
+/// kScalar, plus kAvx2 and kAvx512 where the CPU has them.
+std::vector<KernelIsa> IsasToTest();
 
 // ---- Thread-count sweeps ----
 
